@@ -9,7 +9,8 @@
 //! because the EMD matrix is fixed — and the `α/2` and `1-α/2` empirical
 //! quantiles form the confidence interval.
 
-use crate::score::{ScoreKind, WindowScorer};
+use crate::score::{ScoreKind, ScoreScratch, WindowScorer};
+use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use stats::descriptive::quantile_sorted;
@@ -22,11 +23,6 @@ pub struct BootstrapConfig {
     pub replicates: usize,
     /// Significance level `α` (the CI covers `1 - α`).
     pub alpha: f64,
-    /// Number of worker threads for replicate evaluation. `1` runs
-    /// serially; values above 1 use `std::thread` scoped threads. Results
-    /// are identical regardless (per-replicate RNG streams are derived
-    /// from the master seed, not from thread scheduling).
-    pub threads: usize,
 }
 
 impl Default for BootstrapConfig {
@@ -34,7 +30,6 @@ impl Default for BootstrapConfig {
         BootstrapConfig {
             replicates: 200,
             alpha: 0.05,
-            threads: 1,
         }
     }
 }
@@ -51,9 +46,6 @@ impl BootstrapConfig {
         if !(self.alpha > 0.0 && self.alpha < 1.0) {
             return Err("alpha must be in (0, 1)".into());
         }
-        if self.threads == 0 {
-            return Err("threads must be >= 1".into());
-        }
         Ok(())
     }
 }
@@ -68,8 +60,8 @@ pub struct ConfidenceInterval {
 }
 
 /// Reusable buffers for bootstrap replicate evaluation: per-replicate
-/// seeds, resampled Dirichlet weights, and the replicate score
-/// accumulator.
+/// seeds, resampled Dirichlet weights and their normalized form, and the
+/// replicate score accumulator.
 ///
 /// One scratch reused across inspection points — and across *streams*,
 /// as the worker tick in `crates/stream` does — makes the bootstrap hot
@@ -87,11 +79,13 @@ pub struct BootstrapScratch {
     /// Dirichlet concentrations of the test-window posterior.
     alpha_test: Vec<f64>,
     /// Per-replicate RNG streams for the batched draws.
-    rngs: Vec<rand::rngs::StdRng>,
+    rngs: Vec<StdRng>,
     /// Resampled reference-window weights, one row per replicate.
     weights_ref: Vec<f64>,
     /// Resampled test-window weights, one row per replicate.
     weights_test: Vec<f64>,
+    /// Normalized weights of the replicate being scored.
+    score: ScoreScratch,
 }
 
 impl BootstrapScratch {
@@ -107,8 +101,8 @@ impl BootstrapScratch {
 /// Dirichlet posteriors of Appendix B are parameterized from them
 /// (`Dir(n·ψ)`), which reduces to the flat Dirichlet for equal weights.
 ///
-/// The base RNG only seeds the per-replicate streams, so results are
-/// reproducible and independent of `cfg.threads`.
+/// The base RNG only seeds one stream per replicate, so results are
+/// reproducible from the seed alone.
 pub fn bootstrap_ci(
     scorer: &WindowScorer,
     kind: ScoreKind,
@@ -149,45 +143,12 @@ pub fn bootstrap_ci_with(
     Dirichlet::alpha_from_weights(ref_weights, &mut scratch.alpha_ref);
     Dirichlet::alpha_from_weights(test_weights, &mut scratch.alpha_test);
 
-    // Derive one seed per replicate up front (thread-count independent).
+    // Derive one seed per replicate up front.
     scratch.seeds.clear();
     scratch
         .seeds
         .extend((0..cfg.replicates).map(|_| rng.gen::<u64>()));
-
-    scratch.scores.clear();
-    if cfg.threads <= 1 {
-        replicate_batch_into(
-            scorer,
-            kind,
-            &scratch.alpha_ref,
-            &scratch.alpha_test,
-            &scratch.seeds,
-            &mut scratch.rngs,
-            &mut scratch.weights_ref,
-            &mut scratch.weights_test,
-            &mut scratch.scores,
-        );
-    } else {
-        let seeds = &scratch.seeds;
-        let scores = &mut scratch.scores;
-        let chunk = seeds.len().div_ceil(cfg.threads);
-        let (alpha_ref, alpha_test) = (&scratch.alpha_ref, &scratch.alpha_test);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = seeds
-                .chunks(chunk)
-                .map(|chunk_seeds| {
-                    s.spawn(move || {
-                        replicate_range(scorer, kind, alpha_ref, alpha_test, chunk_seeds)
-                    })
-                })
-                // lint:allow(NO_ALLOC_HOT_PATH, one handle per thread in the explicitly multi-threaded branch; the threads<=1 streaming path never reaches this)
-                .collect();
-            for h in handles {
-                scores.extend(h.join().expect("bootstrap worker panicked"));
-            }
-        });
-    }
+    replicate_batch_into(scorer, kind, scratch);
 
     // Unstable sort: no merge buffer, and equal keys are identical f64
     // bit patterns, so the sorted sequence (and thus the quantiles) is
@@ -201,87 +162,39 @@ pub fn bootstrap_ci_with(
     }
 }
 
-/// Evaluate all replicates with batched Dirichlet draws: all weight rows
-/// are filled in two component-major sweeps (one per window) before any
-/// score runs, instead of re-walking the alpha vectors per replicate.
-/// Rows are bit-identical to [`replicate_into`]'s per-replicate draws —
-/// each replicate's RNG sees the same stream — so the scores (and the
-/// CI) are unchanged.
-#[allow(clippy::too_many_arguments)]
-fn replicate_batch_into(
-    scorer: &WindowScorer,
-    kind: ScoreKind,
-    alpha_ref: &[f64],
-    alpha_test: &[f64],
-    seeds: &[u64],
-    rngs: &mut Vec<rand::rngs::StdRng>,
-    wr_rows: &mut Vec<f64>,
-    wt_rows: &mut Vec<f64>,
-    out: &mut Vec<f64>,
-) {
-    let nr = alpha_ref.len();
-    let nt = alpha_test.len();
+/// Score one replicate per seed into `scratch.scores`, with batched
+/// Dirichlet draws: all weight rows are filled in two component-major
+/// sweeps (one per window) before any score runs. Each replicate's RNG
+/// sees the same stream a per-replicate draw loop would give it, so the
+/// rows, the scores and the CI are those of drawing replicate by
+/// replicate (pinned by a test).
+fn replicate_batch_into(scorer: &WindowScorer, kind: ScoreKind, scratch: &mut BootstrapScratch) {
+    let BootstrapScratch {
+        seeds,
+        scores,
+        alpha_ref,
+        alpha_test,
+        rngs,
+        weights_ref,
+        weights_test,
+        score,
+    } = scratch;
+    let (nr, nt) = (alpha_ref.len(), alpha_test.len());
     rngs.clear();
-    rngs.extend(
-        seeds
-            .iter()
-            .map(|&seed| rand::rngs::StdRng::seed_from_u64(seed)),
-    );
-    wr_rows.clear();
-    wr_rows.resize(seeds.len() * nr, 0.0);
-    wt_rows.clear();
-    wt_rows.resize(seeds.len() * nt, 0.0);
+    rngs.extend(seeds.iter().map(|&seed| StdRng::seed_from_u64(seed)));
+    weights_ref.clear();
+    weights_ref.resize(seeds.len() * nr, 0.0);
+    weights_test.clear();
+    weights_test.resize(seeds.len() * nt, 0.0);
     // Reference rows first, then test rows, continuing the same RNGs —
-    // the per-replicate draw order of `replicate_into`.
-    Dirichlet::sample_alpha_batch_into(alpha_ref, rngs, wr_rows);
-    Dirichlet::sample_alpha_batch_into(alpha_test, rngs, wt_rows);
-    out.reserve(seeds.len());
-    for (wr, wt) in wr_rows.chunks(nr).zip(wt_rows.chunks(nt)) {
-        out.push(scorer.score(kind, wr, wt));
+    // the per-replicate draw order.
+    Dirichlet::sample_alpha_batch_into(alpha_ref, rngs, weights_ref);
+    Dirichlet::sample_alpha_batch_into(alpha_test, rngs, weights_test);
+    scores.clear();
+    scores.reserve(seeds.len());
+    for (wr, wt) in weights_ref.chunks(nr).zip(weights_test.chunks(nt)) {
+        scores.push(scorer.score_with(kind, wr, wt, score));
     }
-}
-
-/// Evaluate one batch of bootstrap replicates into caller buffers.
-#[allow(clippy::too_many_arguments)]
-fn replicate_into(
-    scorer: &WindowScorer,
-    kind: ScoreKind,
-    alpha_ref: &[f64],
-    alpha_test: &[f64],
-    seeds: &[u64],
-    wr: &mut Vec<f64>,
-    wt: &mut Vec<f64>,
-    out: &mut Vec<f64>,
-) {
-    wr.clear();
-    wr.resize(alpha_ref.len(), 0.0);
-    wt.clear();
-    wt.resize(alpha_test.len(), 0.0);
-    out.reserve(seeds.len());
-    for &seed in seeds {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        Dirichlet::sample_alpha_into(alpha_ref, &mut rng, wr);
-        Dirichlet::sample_alpha_into(alpha_test, &mut rng, wt);
-        out.push(scorer.score(kind, wr, wt));
-    }
-}
-
-/// Evaluate one batch of bootstrap replicates (thread-pool path: each
-/// worker owns its buffers).
-fn replicate_range(
-    scorer: &WindowScorer,
-    kind: ScoreKind,
-    alpha_ref: &[f64],
-    alpha_test: &[f64],
-    seeds: &[u64],
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(seeds.len());
-    let mut wr = Vec::new();
-    let mut wt = Vec::new();
-    replicate_into(
-        scorer, kind, alpha_ref, alpha_test, seeds, &mut wr, &mut wt, &mut out,
-    );
-    out
 }
 
 #[cfg(test)]
@@ -291,7 +204,6 @@ mod tests {
     use crate::window::equal_weights;
     use emd::Signature;
     use infoest::EstimatorConfig;
-    use rand::rngs::StdRng;
 
     fn scorer(positions: &[f64], tau: usize, tau_prime: usize) -> WindowScorer {
         let sigs: Vec<Signature> = positions
@@ -310,6 +222,28 @@ mod tests {
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// The per-replicate draw loop: the reference the batched rows must
+    /// reproduce.
+    fn per_replicate_scores(
+        scorer: &WindowScorer,
+        kind: ScoreKind,
+        alpha_ref: &[f64],
+        alpha_test: &[f64],
+        seeds: &[u64],
+    ) -> Vec<f64> {
+        let mut wr = vec![0.0; alpha_ref.len()];
+        let mut wt = vec![0.0; alpha_test.len()];
+        seeds
+            .iter()
+            .map(|&seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                Dirichlet::sample_alpha_into(alpha_ref, &mut rng, &mut wr);
+                Dirichlet::sample_alpha_into(alpha_test, &mut rng, &mut wt);
+                scorer.score(kind, &wr, &wt)
+            })
+            .collect()
     }
 
     #[test]
@@ -333,7 +267,7 @@ mod tests {
         // The nominal-weight score should normally lie inside a 95% CI.
         let s = scorer(&[0.0, 0.2, 0.4, 3.0, 3.2, 3.4], 3, 3);
         let w = equal_weights(3);
-        let point = s.score_kl(&w, &w);
+        let point = s.score(ScoreKind::SymmetrizedKl, &w, &w);
         let ci = bootstrap_ci(
             &s,
             ScoreKind::SymmetrizedKl,
@@ -364,91 +298,46 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let s = scorer(&[0.0, 0.1, 0.2, 1.0, 1.1, 1.2], 3, 3);
-        let w = equal_weights(3);
-        let serial = bootstrap_ci(
-            &s,
-            ScoreKind::SymmetrizedKl,
-            &w,
-            &w,
-            &BootstrapConfig {
-                threads: 1,
-                ..Default::default()
-            },
-            &mut rng(11),
-        );
-        let parallel = bootstrap_ci(
-            &s,
-            ScoreKind::SymmetrizedKl,
-            &w,
-            &w,
-            &BootstrapConfig {
-                threads: 4,
-                ..Default::default()
-            },
-            &mut rng(11),
-        );
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn reused_scratch_is_bit_identical_across_shapes() {
         // One scratch driven across inspection points of different
-        // window shapes (as a stream worker reuses it across streams)
-        // must reproduce the allocating path exactly.
+        // window shapes and both scores (as a stream worker reuses it
+        // across streams) must reproduce the allocating path exactly.
         let mut scratch = BootstrapScratch::new();
         let cfg = BootstrapConfig::default();
-        for (tau, tau_prime, seed) in [(3, 3, 7u64), (2, 4, 8), (4, 2, 9), (3, 3, 10)] {
-            let positions: Vec<f64> = (0..tau + tau_prime).map(|i| i as f64 * 0.4).collect();
-            let s = scorer(&positions, tau, tau_prime);
-            let (wr, wt) = (equal_weights(tau), equal_weights(tau_prime));
-            let fresh = bootstrap_ci(&s, ScoreKind::SymmetrizedKl, &wr, &wt, &cfg, &mut rng(seed));
-            let reused = bootstrap_ci_with(
-                &s,
-                ScoreKind::SymmetrizedKl,
-                &wr,
-                &wt,
-                &cfg,
-                &mut rng(seed),
-                &mut scratch,
-            );
-            assert_eq!(fresh, reused, "tau {tau} tau' {tau_prime}");
+        for kind in [ScoreKind::SymmetrizedKl, ScoreKind::LikelihoodRatio] {
+            for (tau, tau_prime, seed) in [(3, 3, 7u64), (2, 4, 8), (4, 2, 9), (3, 3, 10)] {
+                let positions: Vec<f64> = (0..tau + tau_prime).map(|i| i as f64 * 0.4).collect();
+                let s = scorer(&positions, tau, tau_prime);
+                let (wr, wt) = (equal_weights(tau), equal_weights(tau_prime));
+                let fresh = bootstrap_ci(&s, kind, &wr, &wt, &cfg, &mut rng(seed));
+                let reused =
+                    bootstrap_ci_with(&s, kind, &wr, &wt, &cfg, &mut rng(seed), &mut scratch);
+                assert_eq!(fresh, reused, "{kind:?} tau {tau} tau' {tau_prime}");
+            }
         }
     }
 
     #[test]
     fn batched_replicates_match_per_replicate_draws_bitwise() {
         let s = scorer(&[0.0, 0.3, 0.6, 2.0, 2.3, 2.6], 3, 3);
-        let (wr, wt) = (equal_weights(3), equal_weights(3));
-        let mut alpha_ref = Vec::new();
-        let mut alpha_test = Vec::new();
-        Dirichlet::alpha_from_weights(&wr, &mut alpha_ref);
-        Dirichlet::alpha_from_weights(&wt, &mut alpha_test);
-        let seeds: Vec<u64> = (0..64).map(|i| 1000 + i * 17).collect();
-
-        let per_replicate = replicate_range(
-            &s,
-            ScoreKind::SymmetrizedKl,
-            &alpha_ref,
-            &alpha_test,
-            &seeds,
-        );
-        let mut batched = Vec::new();
-        replicate_batch_into(
-            &s,
-            ScoreKind::SymmetrizedKl,
-            &alpha_ref,
-            &alpha_test,
-            &seeds,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut batched,
-        );
-        assert_eq!(per_replicate.len(), batched.len());
-        for (i, (a, b)) in per_replicate.iter().zip(&batched).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "replicate {i}");
+        let mut scratch = BootstrapScratch::new();
+        // Unequal weights, so the posterior is not flat.
+        Dirichlet::alpha_from_weights(&[1.0, 2.0, 0.5], &mut scratch.alpha_ref);
+        Dirichlet::alpha_from_weights(&equal_weights(3), &mut scratch.alpha_test);
+        scratch.seeds = (0..64).map(|i| 1000 + i * 17).collect();
+        for kind in [ScoreKind::SymmetrizedKl, ScoreKind::LikelihoodRatio] {
+            let per_replicate = per_replicate_scores(
+                &s,
+                kind,
+                &scratch.alpha_ref,
+                &scratch.alpha_test,
+                &scratch.seeds,
+            );
+            replicate_batch_into(&s, kind, &mut scratch);
+            assert_eq!(per_replicate.len(), scratch.scores.len());
+            for (i, (a, b)) in per_replicate.iter().zip(&scratch.scores).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} replicate {i}");
+            }
         }
     }
 
@@ -464,7 +353,6 @@ mod tests {
             &BootstrapConfig {
                 alpha: 0.5,
                 replicates: 400,
-                ..Default::default()
             },
             &mut rng(3),
         );
@@ -476,7 +364,6 @@ mod tests {
             &BootstrapConfig {
                 alpha: 0.05,
                 replicates: 400,
-                ..Default::default()
             },
             &mut rng(3),
         );
@@ -508,12 +395,6 @@ mod tests {
         .is_err());
         assert!(BootstrapConfig {
             alpha: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(BootstrapConfig {
-            threads: 0,
             ..Default::default()
         }
         .validate()

@@ -4,7 +4,7 @@
 use crate::bag::Bag;
 use crate::bootstrap::{bootstrap_ci_with, BootstrapConfig, BootstrapScratch, ConfidenceInterval};
 use crate::error::DetectError;
-use crate::score::{EmdSolver, ScoreKind, SolverScratch, WindowScorer};
+use crate::score::{EmdSolver, ScoreKind, ScoreScratch, SolverScratch, WindowScorer};
 use crate::signature_builder::{derive_seed, signature_at, GroundMetric, SignatureMethod};
 use crate::window::{window_weights, window_weights_into, Weighting, WindowLayout};
 use emd::Signature;
@@ -46,7 +46,7 @@ pub struct DetectorConfig {
     /// Constants of the information estimators (defaults are fine: they
     /// cancel in the scores).
     pub estimator: EstimatorConfig,
-    /// Bayesian-bootstrap settings (replicates, α, threads).
+    /// Bayesian-bootstrap settings (replicates, α).
     pub bootstrap: BootstrapConfig,
 }
 
@@ -117,7 +117,9 @@ impl DetectorConfig {
 }
 
 /// Reusable buffers for one inspection-point evaluation: the nominal
-/// window weights plus the bootstrap's [`BootstrapScratch`].
+/// window weights, their normalized form for the nominal score, plus the
+/// bootstrap's [`BootstrapScratch`] (which carries the replicates' own
+/// normalized weights).
 ///
 /// [`Detector::evaluate_point_with`] fills these instead of allocating;
 /// a long-lived caller (the per-worker tick loop in `crates/stream`)
@@ -130,6 +132,8 @@ pub struct EvalScratch {
     ref_weights: Vec<f64>,
     /// Nominal test-window weights.
     test_weights: Vec<f64>,
+    /// Normalized nominal weights for the nominal score.
+    score: ScoreScratch,
     /// Bootstrap replicate buffers.
     bootstrap: BootstrapScratch,
 }
@@ -369,7 +373,12 @@ impl Detector {
             false,
             &mut scratch.test_weights,
         );
-        let score = scorer.score(self.cfg.score, &scratch.ref_weights, &scratch.test_weights);
+        let score = scorer.score_with(
+            self.cfg.score,
+            &scratch.ref_weights,
+            &scratch.test_weights,
+            &mut scratch.score,
+        );
         let mut rng = rand::rngs::StdRng::seed_from_u64(bootstrap_seed(seed, t));
         let ci = bootstrap_ci_with(
             scorer,

@@ -59,8 +59,8 @@ pub use error::DetectError;
 pub use feature_select::{per_dimension_scores, OnlineFeatureSelector};
 pub use parametric::{parametric_distance_matrix, GaussianFit};
 pub use score::{
-    score_kl, score_lr, EmdSolver, ScoreKind, SolverScratch, SolverStats, TieredConfig,
-    WindowScorer,
+    score_kl, score_lr, EmdSolver, ScoreKind, ScoreScratch, SolverScratch, SolverStats,
+    TieredConfig, WindowScorer,
 };
 pub use signature_builder::{
     build_signature, derive_seed, signature_at, signature_at_with, GroundMetric, SignatureMethod,

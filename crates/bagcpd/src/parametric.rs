@@ -95,7 +95,7 @@ pub fn parametric_distance_matrix(bags: &[Bag]) -> DistanceMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::WindowScorer;
+    use crate::score::{ScoreKind, WindowScorer};
     use crate::window::equal_weights;
     use infoest::EstimatorConfig;
 
@@ -143,14 +143,22 @@ mod tests {
             4,
             EstimatorConfig::default(),
         );
-        let at_change = scorer.score_kl(&equal_weights(4), &equal_weights(4));
+        let at_change = scorer.score(
+            ScoreKind::SymmetrizedKl,
+            &equal_weights(4),
+            &equal_weights(4),
+        );
         // Window fully before the change: ref 0..4, test 4..8 would
         // straddle; use a homogeneous stretch 0..8 from a no-change
         // sequence for contrast.
         let quiet: Vec<Bag> = (0..8).map(|_| bag_at(0.0, 1.0)).collect();
         let qdist = parametric_distance_matrix(&quiet);
         let qscorer = WindowScorer::from_distances(qdist, 4, 4, EstimatorConfig::default());
-        let at_quiet = qscorer.score_kl(&equal_weights(4), &equal_weights(4));
+        let at_quiet = qscorer.score(
+            ScoreKind::SymmetrizedKl,
+            &equal_weights(4),
+            &equal_weights(4),
+        );
         assert!(
             at_change > at_quiet + 1.0,
             "parametric scorer: change {at_change} vs quiet {at_quiet}"

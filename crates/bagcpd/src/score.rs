@@ -1,10 +1,11 @@
 //! Change-point scores (§3.3, Eqs. 16–17).
 //!
 //! Both scores are functions of (a) the pairwise EMDs among the window's
-//! signatures and (b) the window weights. The Bayesian bootstrap of §4.2
-//! resamples only the weights, so [`WindowScorer`] caches the distance
-//! matrix once per inspection point and re-evaluates scores cheaply for
-//! every bootstrap replicate.
+//! signatures, used only through their logarithms, and (b) the window
+//! weights, used only linearly. The Bayesian bootstrap of §4.2 resamples
+//! only the weights, so [`WindowScorer`] takes the window's logarithms
+//! once per inspection point, and every bootstrap replicate is pure
+//! multiply-adds over them.
 
 use crate::error::DetectError;
 use crate::signature_builder::GroundMetric;
@@ -14,7 +15,8 @@ use emd::{
     TransportScratch,
 };
 use infoest::{
-    auto_entropy_block, cross_entropy_block, information_content, DistanceMatrix, EstimatorConfig,
+    auto_entropy, cross_entropy, information_content, normalize_weights_into, DistanceMatrix,
+    EstimatorConfig, LogDistances,
 };
 
 /// Which optimal-transport solver computes the signature distances.
@@ -355,13 +357,34 @@ pub enum ScoreKind {
 ///
 /// Window layout: signature indices `0..tau` are the reference set,
 /// `tau..tau+tau_prime` the test set; the inspection signature `S_t` is
-/// index `tau`.
+/// index `tau`. The window's pairwise distances are kept as their
+/// logarithms ([`LogDistances`]), taken once when the scorer is built.
 #[derive(Debug, Clone)]
 pub struct WindowScorer {
-    dist: DistanceMatrix,
+    log: LogDistances,
     tau: usize,
     tau_prime: usize,
     est: EstimatorConfig,
+}
+
+/// The window weights of one score evaluation, each divided by its
+/// window's sum: the form the scores read. A caller scoring in a loop
+/// (the bootstrap, through [`crate::EvalScratch`]) keeps one and threads
+/// it through [`WindowScorer::score_with`], which then allocates
+/// nothing once warm.
+#[derive(Debug, Clone, Default)]
+pub struct ScoreScratch {
+    /// Normalized reference-window weights.
+    ref_probs: Vec<f64>,
+    /// Normalized test-window weights (without `S_t`'s for Eq. 16).
+    test_probs: Vec<f64>,
+}
+
+impl ScoreScratch {
+    /// Empty scratch; buffers grow to the window's shape on first use.
+    pub fn new() -> Self {
+        ScoreScratch::default()
+    }
 }
 
 impl WindowScorer {
@@ -397,16 +420,14 @@ impl WindowScorer {
                 data[j * w + i] = d;
             }
         }
-        Ok(WindowScorer {
-            dist: DistanceMatrix::from_vec(w, w, data),
-            tau,
-            tau_prime,
-            est,
-        })
+        let dist = DistanceMatrix::from_vec(w, w, data);
+        Ok(WindowScorer::from_distances(dist, tau, tau_prime, est))
     }
 
     /// Build from a precomputed distance matrix over the window (used by
-    /// the detector, which maintains one global matrix).
+    /// the detector, which maintains one global matrix). The logarithms
+    /// are taken in place, in the matrix's own storage, which
+    /// [`WindowScorer::into_log_distances`] hands back.
     ///
     /// # Panics
     /// Panics if the matrix is not `(tau+tau') x (tau+tau')`.
@@ -419,7 +440,7 @@ impl WindowScorer {
         assert_eq!(dist.rows(), tau + tau_prime, "from_distances: shape");
         assert_eq!(dist.cols(), tau + tau_prime, "from_distances: shape");
         WindowScorer {
-            dist,
+            log: LogDistances::from_distances(dist, &est),
             tau,
             tau_prime,
             est,
@@ -436,36 +457,54 @@ impl WindowScorer {
         self.tau_prime
     }
 
-    /// The cached distance matrix.
-    pub fn distances(&self) -> &DistanceMatrix {
-        &self.dist
-    }
-
-    /// Consume the scorer, returning the distance matrix — so a hot
+    /// Consume the scorer, returning its log-distance matrix — so a hot
     /// loop building one scorer per inspection point can recycle the
-    /// matrix storage (`DistanceMatrix::into_vec`) instead of
+    /// matrix storage (`LogDistances::into_vec`) instead of
     /// re-allocating it every time.
-    pub fn into_distances(self) -> DistanceMatrix {
-        self.dist
+    pub fn into_log_distances(self) -> LogDistances {
+        self.log
     }
 
     /// Evaluate the chosen score with the given window weights.
     ///
     /// `ref_weights` has length `tau`, `test_weights` length `tau_prime`;
-    /// each is normalized internally.
+    /// each is normalized internally. Equivalent to
+    /// [`WindowScorer::score_with`] with a fresh [`ScoreScratch`].
     pub fn score(&self, kind: ScoreKind, ref_weights: &[f64], test_weights: &[f64]) -> f64 {
+        self.score_with(kind, ref_weights, test_weights, &mut ScoreScratch::new())
+    }
+
+    /// As [`WindowScorer::score`], normalizing the weights into a
+    /// caller-kept scratch — allocation-free once warm, bit-identical.
+    pub fn score_with(
+        &self,
+        kind: ScoreKind,
+        ref_weights: &[f64],
+        test_weights: &[f64],
+        scratch: &mut ScoreScratch,
+    ) -> f64 {
         match kind {
-            ScoreKind::LikelihoodRatio => self.score_lr(ref_weights, test_weights),
-            ScoreKind::SymmetrizedKl => self.score_kl(ref_weights, test_weights),
+            ScoreKind::LikelihoodRatio => self.score_lr(ref_weights, test_weights, scratch),
+            ScoreKind::SymmetrizedKl => self.score_kl(ref_weights, test_weights, scratch),
         }
     }
 
     /// Eq. (16): `score_LR(S_t) = I(S_t; S_ref) - I(S_t; S_test \ S_t)`.
     ///
+    /// `ref_weights` has length `tau`, `test_weights` length `tau_prime`.
+    /// Each window's weights are checked and divided by their sum once,
+    /// into `scratch`; the test window's without `S_t`'s own weight.
+    ///
     /// # Panics
     /// Panics if `tau_prime < 2` (the leave-`S_t`-out test set would be
-    /// empty); the detector validates this up front.
-    pub fn score_lr(&self, ref_weights: &[f64], test_weights: &[f64]) -> f64 {
+    /// empty; the detector validates this up front), or on weights of
+    /// the wrong length or invalid values.
+    pub fn score_lr(
+        &self,
+        ref_weights: &[f64],
+        test_weights: &[f64],
+        scratch: &mut ScoreScratch,
+    ) -> f64 {
         assert!(
             self.tau_prime >= 2,
             "score_lr requires tau' >= 2 (S_test \\ S_t must be non-empty)"
@@ -476,48 +515,43 @@ impl WindowScorer {
             self.tau_prime,
             "score_lr: test weights length"
         );
-        let t_idx = self.tau; // S_t is the first test signature
-        let trow = self.dist.row(t_idx);
-
-        // I(S_t; S_ref): distances from each reference signature to S_t.
-        let i_ref = information_content(&trow[..self.tau], ref_weights, &self.est);
-
-        // I(S_t; S_test \ S_t): the remaining test signatures, with their
-        // weights renormalized (information_content normalizes). Both
-        // the distances and the weights are direct sub-slices — nothing
-        // is copied on this per-replicate path.
-        let i_test = information_content(
-            &trow[self.tau + 1..self.tau + self.tau_prime],
-            &test_weights[1..],
-            &self.est,
-        );
-
+        normalize_weights_into(ref_weights, &mut scratch.ref_probs);
+        normalize_weights_into(&test_weights[1..], &mut scratch.test_probs);
+        // Log distances from every window signature to S_t, the first
+        // test signature.
+        let trow = self.log.row(self.tau);
+        let i_ref = information_content(&trow[..self.tau], &scratch.ref_probs, &self.est);
+        let i_test = information_content(&trow[self.tau + 1..], &scratch.test_probs, &self.est);
         i_ref - i_test
     }
 
     /// Eq. (17): symmetrized KL divergence between the two windows,
     /// `H(S_ref, S_test) - (H(S_ref) + H(S_test)) / 2`.
-    pub fn score_kl(&self, ref_weights: &[f64], test_weights: &[f64]) -> f64 {
+    ///
+    /// Weights as for [`WindowScorer::score_lr`], the test window's
+    /// whole.
+    ///
+    /// # Panics
+    /// Panics on weights of the wrong length or invalid values.
+    pub fn score_kl(
+        &self,
+        ref_weights: &[f64],
+        test_weights: &[f64],
+        scratch: &mut ScoreScratch,
+    ) -> f64 {
         assert_eq!(ref_weights.len(), self.tau, "score_kl: ref weights length");
         assert_eq!(
             test_weights.len(),
             self.tau_prime,
             "score_kl: test weights length"
         );
+        normalize_weights_into(ref_weights, &mut scratch.ref_probs);
+        normalize_weights_into(test_weights, &mut scratch.test_probs);
+        let (r, t) = (&scratch.ref_probs, &scratch.test_probs);
         let w = self.tau + self.tau_prime;
-        // Evaluate every term directly against the cached window matrix
-        // (no block extraction): this method runs once per bootstrap
-        // replicate, so it must not allocate.
-        let h_cross = cross_entropy_block(
-            &self.dist,
-            0..self.tau,
-            self.tau..w,
-            ref_weights,
-            test_weights,
-            &self.est,
-        );
-        let h_ref = auto_entropy_block(&self.dist, 0..self.tau, ref_weights, &self.est);
-        let h_test = auto_entropy_block(&self.dist, self.tau..w, test_weights, &self.est);
+        let h_cross = cross_entropy(&self.log, 0..self.tau, self.tau..w, r, t, &self.est);
+        let h_ref = auto_entropy(&self.log, 0..self.tau, r, &self.est);
+        let h_test = auto_entropy(&self.log, self.tau..w, t, &self.est);
         h_cross - 0.5 * (h_ref + h_test)
     }
 }
@@ -532,8 +566,11 @@ pub fn score_lr(
     test_weights: &[f64],
     est: &EstimatorConfig,
 ) -> f64 {
-    WindowScorer::from_distances(dist.clone(), tau, tau_prime, *est)
-        .score_lr(ref_weights, test_weights)
+    WindowScorer::from_distances(dist.clone(), tau, tau_prime, *est).score(
+        ScoreKind::LikelihoodRatio,
+        ref_weights,
+        test_weights,
+    )
 }
 
 /// Free-function form of Eq. (17) on a precomputed window distance
@@ -546,8 +583,11 @@ pub fn score_kl(
     test_weights: &[f64],
     est: &EstimatorConfig,
 ) -> f64 {
-    WindowScorer::from_distances(dist.clone(), tau, tau_prime, *est)
-        .score_kl(ref_weights, test_weights)
+    WindowScorer::from_distances(dist.clone(), tau, tau_prime, *est).score(
+        ScoreKind::SymmetrizedKl,
+        ref_weights,
+        test_weights,
+    )
 }
 
 #[cfg(test)]
@@ -581,8 +621,8 @@ mod tests {
         // Separated: test window far from reference window.
         let sep = scorer(&[0.0, 0.1, 0.2, 0.1, 10.0, 10.1, 10.2, 10.05], 4, 4);
         let w = equal_weights(4);
-        let s_homog = homog.score_kl(&w, &w);
-        let s_sep = sep.score_kl(&w, &w);
+        let s_homog = homog.score(ScoreKind::SymmetrizedKl, &w, &w);
+        let s_sep = sep.score(ScoreKind::SymmetrizedKl, &w, &w);
         assert!(
             s_sep > s_homog + 1.0,
             "separated {s_sep} vs homogeneous {s_homog}"
@@ -594,7 +634,10 @@ mod tests {
         let homog = scorer(&[0.0, 0.1, 0.2, 0.1, 0.0, 0.15, 0.05, 0.1], 4, 4);
         let sep = scorer(&[0.0, 0.1, 0.2, 0.1, 10.0, 10.1, 10.2, 10.05], 4, 4);
         let w = equal_weights(4);
-        assert!(sep.score_lr(&w, &w) > homog.score_lr(&w, &w) + 1.0);
+        assert!(
+            sep.score(ScoreKind::LikelihoodRatio, &w, &w)
+                > homog.score(ScoreKind::LikelihoodRatio, &w, &w) + 1.0
+        );
     }
 
     #[test]
@@ -605,7 +648,7 @@ mod tests {
         // ~ auto-entropies, so the score is near zero.
         let s = scorer(&[0.0, 1.0, 2.0, 3.0, 0.04, 1.03, 2.02, 3.01], 4, 4);
         let w = equal_weights(4);
-        let v = s.score_kl(&w, &w);
+        let v = s.score(ScoreKind::SymmetrizedKl, &w, &w);
         assert!(v.abs() < 1.5, "score for matching windows: {v}");
     }
 
@@ -618,7 +661,12 @@ mod tests {
         let sa = scorer(&pos_a, 3, 3);
         let sb = scorer(&pos_b, 3, 3);
         let w = equal_weights(3);
-        assert!((sa.score_kl(&w, &w) - sb.score_kl(&w, &w)).abs() < 1e-9);
+        assert!(
+            (sa.score(ScoreKind::SymmetrizedKl, &w, &w)
+                - sb.score(ScoreKind::SymmetrizedKl, &w, &w))
+            .abs()
+                < 1e-9
+        );
     }
 
     #[test]
@@ -627,23 +675,24 @@ mod tests {
         // score relative to weighting the matching signatures.
         let s = scorer(&[0.0, 0.1, 0.2, 0.1, 0.0, 0.1, 30.0], 4, 3);
         let wr = equal_weights(4);
-        let balanced = s.score_kl(&wr, &equal_weights(3));
-        let outlier_heavy = s.score_kl(&wr, &[0.05, 0.05, 0.9]);
+        let balanced = s.score(ScoreKind::SymmetrizedKl, &wr, &equal_weights(3));
+        let outlier_heavy = s.score(ScoreKind::SymmetrizedKl, &wr, &[0.05, 0.05, 0.9]);
         assert!(outlier_heavy > balanced);
     }
 
     #[test]
     fn free_functions_match_methods() {
-        let s = scorer(&[0.0, 1.0, 2.0, 5.0, 6.0, 7.0], 3, 3);
+        let dist = DistanceMatrix::symmetric_from_fn(6, |i, j| (j - i) as f64 * 0.7);
+        let s = WindowScorer::from_distances(dist.clone(), 3, 3, EstimatorConfig::default());
         let w = equal_weights(3);
         let est = EstimatorConfig::default();
         assert_eq!(
-            s.score_kl(&w, &w),
-            score_kl(s.distances(), 3, 3, &w, &w, &est)
+            s.score(ScoreKind::SymmetrizedKl, &w, &w),
+            score_kl(&dist, 3, 3, &w, &w, &est)
         );
         assert_eq!(
-            s.score_lr(&w, &w),
-            score_lr(s.distances(), 3, 3, &w, &w, &est)
+            s.score(ScoreKind::LikelihoodRatio, &w, &w),
+            score_lr(&dist, 3, 3, &w, &w, &est)
         );
     }
 
@@ -651,7 +700,11 @@ mod tests {
     #[should_panic(expected = "tau' >= 2")]
     fn lr_with_tau_prime_one_panics() {
         let s = scorer(&[0.0, 1.0, 2.0, 5.0], 3, 1);
-        s.score_lr(&equal_weights(3), &equal_weights(1));
+        s.score(
+            ScoreKind::LikelihoodRatio,
+            &equal_weights(3),
+            &equal_weights(1),
+        );
     }
 
     /// Deterministic multi-point 2-D signatures in two clusters (around
@@ -925,7 +978,17 @@ mod tests {
         )
         .unwrap();
         let w = equal_weights(3);
-        assert!((base.score_kl(&w, &w) - shifted.score_kl(&w, &w)).abs() < 1e-9);
-        assert!((base.score_lr(&w, &w) - shifted.score_lr(&w, &w)).abs() < 1e-9);
+        assert!(
+            (base.score(ScoreKind::SymmetrizedKl, &w, &w)
+                - shifted.score(ScoreKind::SymmetrizedKl, &w, &w))
+            .abs()
+                < 1e-9
+        );
+        assert!(
+            (base.score(ScoreKind::LikelihoodRatio, &w, &w)
+                - shifted.score(ScoreKind::LikelihoodRatio, &w, &w))
+            .abs()
+                < 1e-9
+        );
     }
 }

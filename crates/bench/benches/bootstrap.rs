@@ -1,5 +1,5 @@
 //! P3 — Bayesian-bootstrap cost: CI computation time vs replicate count
-//! T, and the serial/parallel crossover.
+//! T, and the Dirichlet weight draws inside it.
 
 use bagcpd::{bootstrap_ci, BootstrapConfig, GroundMetric, ScoreKind, WindowScorer};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -45,30 +45,6 @@ fn bench_replicates(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bootstrap_threads");
-    // A larger window makes each replicate expensive enough for threads
-    // to pay off.
-    let s = scorer(15);
-    let w = vec![1.0 / 15.0; 15];
-    for &threads in &[1usize, 2, 4] {
-        let cfg = BootstrapConfig {
-            replicates: 1000,
-            threads,
-            ..Default::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |bench, _| {
-                let mut rng = seeded_rng(99);
-                bench.iter(|| bootstrap_ci(&s, ScoreKind::SymmetrizedKl, &w, &w, &cfg, &mut rng));
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Per-replicate vs replicate-batched Dirichlet weight draws — the
 /// inner loop of every bootstrap evaluation. Both arms draw the same
 /// replicate rows from the same per-replicate RNG streams (the batched
@@ -107,10 +83,5 @@ fn bench_dirichlet_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_replicates,
-    bench_threads,
-    bench_dirichlet_batch
-);
+criterion_group!(benches, bench_replicates, bench_dirichlet_batch);
 criterion_main!(benches);

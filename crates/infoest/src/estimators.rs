@@ -1,13 +1,16 @@
-//! The three weighted information estimators.
+//! The three weighted information estimators, in the log domain.
 //!
-//! Each matrix estimator exists in two forms sharing one body: the plain
-//! form over a whole [`DistanceMatrix`], and a `_block` form evaluating
-//! a rectangular sub-block of a larger matrix *in place* — no block
-//! extraction, no allocation — which is what lets the change-point
-//! scores in `bagcpd` evaluate thousands of bootstrap replicates against
-//! one cached window matrix without touching the heap.
+//! The estimators read each distance only through `ln(max(d,
+//! dist_floor))` and each weight only after dividing it by its set's
+//! total. So they take the logarithms as a [`LogDistances`] matrix,
+//! taken once per matrix, and weights already divided by their sum
+//! ([`normalize_weights_into`]), once per weighting. The two matrix
+//! estimators evaluate a rectangular sub-block of a larger matrix *in
+//! place* — no block extraction, no allocation, no logarithm — which is
+//! what lets the change-point scores in `bagcpd` evaluate thousands of
+//! bootstrap replicates against one cached window as pure multiply-adds.
 
-use crate::matrix::DistanceMatrix;
+use crate::matrix::LogDistances;
 use std::ops::Range;
 
 /// Configuration shared by the estimators.
@@ -36,250 +39,144 @@ impl Default for EstimatorConfig {
 }
 
 impl EstimatorConfig {
+    /// `ln(max(d, dist_floor))`: the term a distance `d` contributes.
     #[inline]
-    fn log_dist(&self, d: f64) -> f64 {
+    pub fn log_dist(&self, d: f64) -> f64 {
         d.max(self.dist_floor).ln()
     }
 }
 
-/// Validate a weight vector and return its sum.
-fn check_weights(weights: &[f64], what: &str) -> f64 {
-    assert!(!weights.is_empty(), "{what}: empty weights");
+/// Check `weights` and write each divided by their sum into `probs`:
+/// the normalized ψ every estimator reads. Allocation-free once `probs`'
+/// capacity covers `weights`.
+///
+/// # Panics
+/// Panics on empty weights, or unless all are finite and `>= 0` with a
+/// positive sum.
+pub fn normalize_weights_into(weights: &[f64], probs: &mut Vec<f64>) {
+    assert!(!weights.is_empty(), "empty weights");
     let sum: f64 = weights.iter().sum();
     assert!(
         weights.iter().all(|&w| w.is_finite() && w >= 0.0) && sum > 0.0,
-        "{what}: weights must be finite, >= 0, with positive sum"
+        "weights must be finite, >= 0, with positive sum"
     );
-    sum
+    probs.clear();
+    probs.extend(weights.iter().map(|&w| w / sum));
 }
 
 /// Information content `I(S; S') = c + d Σ_j ψ'_j log dist(S'_j, S)`.
 ///
-/// `dists` are the distances from each element of `S'` to the signature
-/// `S`; `weights` are the ψ'_j (normalized internally).
+/// `log_dists` are the log distances from each element of `S'` to the
+/// signature `S` (a slice of a [`LogDistances`] row); `probs` are the
+/// normalized ψ'_j.
 ///
 /// # Panics
-/// Panics on empty or invalid weights, or a length mismatch.
-pub fn information_content(dists: &[f64], weights: &[f64], cfg: &EstimatorConfig) -> f64 {
+/// Panics on a length mismatch.
+pub fn information_content(log_dists: &[f64], probs: &[f64], cfg: &EstimatorConfig) -> f64 {
     assert_eq!(
-        dists.len(),
-        weights.len(),
+        log_dists.len(),
+        probs.len(),
         "information_content: dists/weights length mismatch"
     );
-    let sum = check_weights(weights, "information_content");
-    let acc: f64 = dists
-        .iter()
-        .zip(weights)
-        .map(|(&d, &w)| (w / sum) * cfg.log_dist(d))
-        .sum();
-    cfg.offset + cfg.scale * acc
-}
-
-/// k-NN-truncated information content: [`information_content`]
-/// restricted to the `k` elements of `S'` nearest to `S`, with their
-/// weights renormalized.
-///
-/// Equivalent to [`information_content_knn_with`] with a fresh order
-/// buffer.
-///
-/// # Panics
-/// As [`information_content_knn_with`].
-pub fn information_content_knn(
-    dists: &[f64],
-    weights: &[f64],
-    k: usize,
-    cfg: &EstimatorConfig,
-) -> f64 {
-    information_content_knn_with(dists, weights, k, cfg, &mut Vec::new())
-}
-
-/// As [`information_content_knn`], reusing a caller-kept index buffer —
-/// allocation-free once `order`'s capacity covers the slice length.
-///
-/// Selection is deterministic: the `k` smallest by `(distance, index)`.
-/// With `k >= dists.len()` this reproduces [`information_content`] bit
-/// for bit (the accumulation runs in index order either way). The
-/// truncated form pairs with the tiered solver's pruned k-NN search in
-/// `bagcpd`, which produces exactly this neighbor set without solving
-/// every pair.
-///
-/// # Panics
-/// Panics on `k == 0`, empty or invalid weights, a length mismatch, or
-/// when the selected neighbors carry zero total weight.
-pub fn information_content_knn_with(
-    dists: &[f64],
-    weights: &[f64],
-    k: usize,
-    cfg: &EstimatorConfig,
-    order: &mut Vec<usize>,
-) -> f64 {
-    assert_eq!(
-        dists.len(),
-        weights.len(),
-        "information_content_knn: dists/weights length mismatch"
-    );
-    assert!(k >= 1, "information_content_knn: k must be >= 1");
-    check_weights(weights, "information_content_knn");
-    let k = k.min(dists.len());
-    order.clear();
-    order.extend(0..dists.len());
-    // Full sort by (distance, index): selection must be deterministic
-    // under distance ties (select_nth_unstable would not order ties
-    // across the pivot deterministically).
-    order.sort_unstable_by(|&i, &j| dists[i].total_cmp(&dists[j]).then(i.cmp(&j)));
-    order.truncate(k);
-    // Accumulate in index order so `k = n` reproduces
-    // `information_content` bit for bit.
-    order.sort_unstable();
-    let sum: f64 = order.iter().map(|&i| weights[i]).sum();
-    assert!(
-        sum > 0.0,
-        "information_content_knn: selected neighbors carry zero weight"
-    );
-    let acc: f64 = order
-        .iter()
-        .map(|&i| (weights[i] / sum) * cfg.log_dist(dists[i]))
-        .sum();
+    let acc: f64 = log_dists.iter().zip(probs).map(|(&l, &p)| p * l).sum();
     cfg.offset + cfg.scale * acc
 }
 
 /// Auto-entropy
-/// `H(S) = c + d Σ_i Σ_{j≠i} ψ_i ψ_j / (1 - ψ_i) log dist(S_i, S_j)`.
-///
-/// `dist` must be a square matrix over the elements of `S`; the diagonal
-/// is ignored. The `1/(1 - ψ_i)` factor renormalizes the remaining
+/// `H(S) = c + d Σ_i Σ_{j≠i} ψ_i ψ_j / (1 - ψ_i) log dist(S_i, S_j)` of
+/// the items `at` of `log`, read from its square diagonal block
+/// `at x at` in place; the diagonal is ignored. `probs` are the
+/// normalized ψ. The `1/(1 - ψ_i)` factor renormalizes the remaining
 /// weights after leaving item `i` out.
 ///
-/// # Panics
-/// Panics if the matrix is not square, the weights length does not match,
-/// or weights are invalid. A single-element set has no leave-one-out
-/// structure; its auto-entropy is defined as `c` (the log term vanishes).
-pub fn auto_entropy(dist: &DistanceMatrix, weights: &[f64], cfg: &EstimatorConfig) -> f64 {
-    assert_eq!(
-        dist.rows(),
-        dist.cols(),
-        "auto_entropy: matrix must be square"
-    );
-    auto_entropy_block(dist, 0..dist.rows(), weights, cfg)
-}
-
-/// [`auto_entropy`] of the square diagonal sub-block `at x at` of a
-/// larger matrix, evaluated in place (no block is extracted).
-/// Bit-identical to extracting the block first.
+/// A single-element set has no leave-one-out structure; its
+/// auto-entropy is defined as `c` (the log term vanishes).
 ///
 /// # Panics
-/// As [`auto_entropy`], or if `at` exceeds the matrix.
-pub fn auto_entropy_block(
-    dist: &DistanceMatrix,
+/// Panics if `at` exceeds the matrix or its length differs from
+/// `probs`'.
+pub fn auto_entropy(
+    log: &LogDistances,
     at: Range<usize>,
-    weights: &[f64],
+    probs: &[f64],
     cfg: &EstimatorConfig,
 ) -> f64 {
     assert!(
-        at.end <= dist.rows() && at.end <= dist.cols(),
+        at.end <= log.rows() && at.end <= log.cols(),
         "auto_entropy: block out of range"
     );
     assert_eq!(
         at.len(),
-        weights.len(),
+        probs.len(),
         "auto_entropy: weights length mismatch"
     );
-    let sum = check_weights(weights, "auto_entropy");
-    let n = weights.len();
-    if n == 1 {
+    if probs.len() == 1 {
         return cfg.offset;
     }
     let mut acc = 0.0;
-    for i in 0..n {
-        let wi = weights[i] / sum;
+    for (i, &wi) in probs.iter().enumerate() {
         if wi >= 1.0 {
             // Degenerate: all mass on one item; leave-one-out undefined,
             // and every other term has ψ_j = 0. Contributes nothing.
             continue;
         }
-        let row = &dist.row(at.start + i)[at.start..at.end];
+        let row = &log.row(at.start + i)[at.start..at.end];
         let mut inner = 0.0;
-        for j in 0..n {
-            if j == i {
+        for (j, (&wj, &l)) in probs.iter().zip(row).enumerate() {
+            if j == i || wj == 0.0 {
                 continue;
             }
-            let wj = weights[j] / sum;
-            if wj == 0.0 {
-                continue;
-            }
-            inner += wj * cfg.log_dist(row[j]);
+            inner += wj * l;
         }
         acc += wi * inner / (1.0 - wi);
     }
     cfg.offset + cfg.scale * acc
 }
 
-/// Cross-entropy `H(S, S') = c + d Σ_i Σ_j ψ_i ψ'_j log dist(S_i, S'_j)`.
-///
-/// `dist` is rectangular: rows index `S`, columns index `S'`.
+/// Cross-entropy `H(S, S') = c + d Σ_i Σ_j ψ_i ψ'_j log dist(S_i, S'_j)`
+/// over the rectangular block `rows x cols` of `log`, read in place:
+/// rows index `S`, columns index `S'`. `probs_s` and `probs_t` are the
+/// normalized ψ and ψ'.
 ///
 /// # Panics
-/// Panics on dimension mismatches or invalid weights.
+/// Panics if the ranges exceed the matrix or their lengths differ from
+/// the weights'.
 pub fn cross_entropy(
-    dist: &DistanceMatrix,
-    weights_s: &[f64],
-    weights_t: &[f64],
-    cfg: &EstimatorConfig,
-) -> f64 {
-    cross_entropy_block(
-        dist,
-        0..dist.rows(),
-        0..dist.cols(),
-        weights_s,
-        weights_t,
-        cfg,
-    )
-}
-
-/// [`cross_entropy`] of the rectangular sub-block `rows x cols` of a
-/// larger matrix, evaluated in place (no block is extracted).
-/// Bit-identical to extracting the block first.
-///
-/// # Panics
-/// As [`cross_entropy`], or if the ranges exceed the matrix.
-pub fn cross_entropy_block(
-    dist: &DistanceMatrix,
+    log: &LogDistances,
     rows: Range<usize>,
     cols: Range<usize>,
-    weights_s: &[f64],
-    weights_t: &[f64],
+    probs_s: &[f64],
+    probs_t: &[f64],
     cfg: &EstimatorConfig,
 ) -> f64 {
     assert!(
-        rows.end <= dist.rows() && cols.end <= dist.cols(),
+        rows.end <= log.rows() && cols.end <= log.cols(),
         "cross_entropy: block out of range"
     );
     assert_eq!(
         rows.len(),
-        weights_s.len(),
+        probs_s.len(),
         "cross_entropy: row weights length mismatch"
     );
     assert_eq!(
         cols.len(),
-        weights_t.len(),
+        probs_t.len(),
         "cross_entropy: col weights length mismatch"
     );
-    let sum_s = check_weights(weights_s, "cross_entropy");
-    let sum_t = check_weights(weights_t, "cross_entropy");
     let mut acc = 0.0;
-    for (i, &wi) in weights_s.iter().enumerate() {
+    for (i, &wi) in probs_s.iter().enumerate() {
         if wi == 0.0 {
             continue;
         }
-        let row = &dist.row(rows.start + i)[cols.start..cols.end];
+        let row = &log.row(rows.start + i)[cols.start..cols.end];
         let mut inner = 0.0;
-        for (j, &wj) in weights_t.iter().enumerate() {
+        for (&wj, &l) in probs_t.iter().zip(row) {
             if wj == 0.0 {
                 continue;
             }
-            inner += (wj / sum_t) * cfg.log_dist(row[j]);
+            inner += wj * l;
         }
-        acc += (wi / sum_s) * inner;
+        acc += wi * inner;
     }
     cfg.offset + cfg.scale * acc
 }
@@ -287,27 +184,38 @@ pub fn cross_entropy_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::DistanceMatrix;
+    use std::f64::consts::E;
 
     fn cfg() -> EstimatorConfig {
         EstimatorConfig::default()
     }
 
+    fn probs(weights: &[f64]) -> Vec<f64> {
+        let mut p = Vec::new();
+        normalize_weights_into(weights, &mut p);
+        p
+    }
+
+    fn logs(d: DistanceMatrix) -> LogDistances {
+        LogDistances::from_distances(d, &cfg())
+    }
+
+    fn log_row(dists: &[f64]) -> Vec<f64> {
+        dists.iter().map(|&d| cfg().log_dist(d)).collect()
+    }
+
     #[test]
     fn information_content_equal_weights() {
         // I = mean of log distances when weights are equal.
-        let dists = [
-            1.0,
-            std::f64::consts::E,
-            std::f64::consts::E * std::f64::consts::E,
-        ];
-        let i = information_content(&dists, &[1.0, 1.0, 1.0], &cfg());
+        let i = information_content(&log_row(&[1.0, E, E * E]), &probs(&[1.0; 3]), &cfg());
         assert!((i - 1.0).abs() < 1e-12, "{i}"); // (0 + 1 + 2)/3
     }
 
     #[test]
     fn information_content_weighting() {
         // All mass on the second element -> log of its distance.
-        let i = information_content(&[1.0, std::f64::consts::E], &[0.0, 5.0], &cfg());
+        let i = information_content(&log_row(&[1.0, E]), &probs(&[0.0, 5.0]), &cfg());
         assert!((i - 1.0).abs() < 1e-12);
     }
 
@@ -318,99 +226,54 @@ mod tests {
             scale: 2.0,
             dist_floor: 1e-12,
         };
-        let i = information_content(&[std::f64::consts::E], &[1.0], &c);
+        let i = information_content(&log_row(&[E]), &[1.0], &c);
         assert!((i - 12.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_distance_clamped_not_infinite() {
-        let i = information_content(&[0.0], &[1.0], &cfg());
+        let i = information_content(&log_row(&[0.0]), &[1.0], &cfg());
         assert!(i.is_finite());
         assert!(i < -20.0, "floor of 1e-12 gives ln ~ -27.6, got {i}");
     }
 
     #[test]
-    fn knn_with_full_k_matches_information_content_bitwise() {
-        let dists = [3.0, 0.5, 2.0, 0.9];
-        let weights = [0.4, 1.1, 0.2, 0.8];
-        let full = information_content(&dists, &weights, &cfg());
-        for k in [4, 10] {
-            let knn = information_content_knn(&dists, &weights, k, &cfg());
-            assert_eq!(full.to_bits(), knn.to_bits(), "k = {k}");
-        }
-    }
-
-    #[test]
-    fn knn_truncates_to_nearest() {
-        // k = 2 keeps the two smallest distances (0.5 at index 1,
-        // 0.9 at index 3) with weights renormalized.
-        let dists = [3.0, 0.5, 2.0, 0.9];
-        let weights = [0.4, 1.0, 0.2, 1.0];
-        let knn = information_content_knn(&dists, &weights, 2, &cfg());
-        let expected = information_content(&[0.5, 0.9], &[1.0, 1.0], &cfg());
-        assert!((knn - expected).abs() < 1e-12, "{knn} vs {expected}");
-    }
-
-    #[test]
-    fn knn_ties_break_by_index() {
-        // Equal distances: indices 0 and 1 are kept, not 2.
-        let dists = [1.0, 1.0, 1.0];
-        let weights = [1.0, 1.0, 100.0];
-        let knn = information_content_knn(&dists, &weights, 2, &cfg());
-        let expected = information_content(&[1.0, 1.0], &[1.0, 1.0], &cfg());
-        assert!((knn - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn knn_warm_buffer_matches_fresh() {
-        let dists = [3.0, 0.5, 2.0, 0.9];
-        let weights = [0.4, 1.1, 0.2, 0.8];
-        let mut order = Vec::new();
-        // Dirty the buffer with a different-length call first.
-        information_content_knn_with(&[1.0, 2.0], &[1.0, 1.0], 1, &cfg(), &mut order);
-        let warm = information_content_knn_with(&dists, &weights, 3, &cfg(), &mut order);
-        let fresh = information_content_knn(&dists, &weights, 3, &cfg());
-        assert_eq!(warm.to_bits(), fresh.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero weight")]
-    fn knn_zero_weight_selection_panics() {
-        // The nearest neighbor carries no weight and k = 1 keeps only it.
-        information_content_knn(&[0.5, 2.0], &[0.0, 1.0], 1, &cfg());
+    fn normalize_divides_each_weight_by_the_sum_into_a_reused_buffer() {
+        let mut p = Vec::with_capacity(8);
+        let ptr = p.as_ptr();
+        normalize_weights_into(&[1.0, 3.0, 0.0], &mut p);
+        assert_eq!(p, [0.25, 0.75, 0.0]);
+        normalize_weights_into(&[0.1, 0.2], &mut p);
+        assert_eq!(p, [0.1 / (0.1 + 0.2), 0.2 / (0.1 + 0.2)]);
+        assert_eq!(p.as_ptr(), ptr);
     }
 
     #[test]
     fn auto_entropy_two_points() {
         // Two items, equal weights 1/2: H = sum_i (1/2)(1/2)/(1/2) log d
         // = 2 * (1/2) log d = log d.
-        let d = DistanceMatrix::symmetric_from_fn(2, |_, _| std::f64::consts::E);
-        let h = auto_entropy(&d, &[1.0, 1.0], &cfg());
+        let d = logs(DistanceMatrix::symmetric_from_fn(2, |_, _| E));
+        let h = auto_entropy(&d, 0..2, &probs(&[1.0, 1.0]), &cfg());
         assert!((h - 1.0).abs() < 1e-12, "{h}");
     }
 
     #[test]
     fn auto_entropy_ignores_diagonal() {
-        let mut data = vec![0.0; 9];
-        for i in 0..3 {
-            for j in 0..3 {
-                data[i * 3 + j] = if i == j { 0.0 } else { std::f64::consts::E };
-            }
-        }
-        let d = DistanceMatrix::from_vec(3, 3, data);
-        let h = auto_entropy(&d, &[1.0, 1.0, 1.0], &cfg());
+        // A zero diagonal would contribute ln(dist_floor) ~ -27.6.
+        let d = logs(DistanceMatrix::symmetric_from_fn(3, |_, _| E));
+        let h = auto_entropy(&d, 0..3, &probs(&[1.0, 1.0, 1.0]), &cfg());
         // all off-diagonal log distances = 1 -> weighted sum = 1.
         assert!((h - 1.0).abs() < 1e-12, "{h}");
     }
 
     #[test]
     fn auto_entropy_singleton_is_offset() {
-        let d = DistanceMatrix::from_vec(1, 1, vec![0.0]);
+        let d = logs(DistanceMatrix::from_vec(1, 1, vec![0.0]));
         let c = EstimatorConfig {
             offset: 3.0,
             ..cfg()
         };
-        assert_eq!(auto_entropy(&d, &[1.0], &c), 3.0);
+        assert_eq!(auto_entropy(&d, 0..1, &[1.0], &c), 3.0);
     }
 
     #[test]
@@ -418,53 +281,66 @@ mod tests {
         // Three items with weights (1/2, 1/4, 1/4), distances all e.
         // H = sum_i psi_i * [sum_{j!=i} psi_j log e] / (1 - psi_i)
         //   = sum_i psi_i * (1 - psi_i)/(1 - psi_i) = sum_i psi_i = 1.
-        let d = DistanceMatrix::symmetric_from_fn(3, |_, _| std::f64::consts::E);
-        let h = auto_entropy(&d, &[2.0, 1.0, 1.0], &cfg());
+        let d = logs(DistanceMatrix::symmetric_from_fn(3, |_, _| E));
+        let h = auto_entropy(&d, 0..3, &probs(&[2.0, 1.0, 1.0]), &cfg());
         assert!((h - 1.0).abs() < 1e-12, "{h}");
     }
 
     #[test]
     fn cross_entropy_uniform() {
-        let d = DistanceMatrix::from_fn(2, 3, |_, _| std::f64::consts::E);
-        let h = cross_entropy(&d, &[1.0, 1.0], &[1.0, 1.0, 1.0], &cfg());
+        let d = logs(DistanceMatrix::from_fn(2, 3, |_, _| E));
+        let h = cross_entropy(&d, 0..2, 0..3, &probs(&[1.0; 2]), &probs(&[1.0; 3]), &cfg());
         assert!((h - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn cross_entropy_respects_both_weightings() {
         // Mass concentrated on (row 0, col 1) -> log of that distance.
-        let d = DistanceMatrix::from_fn(2, 2, |i, j| {
+        let d = logs(DistanceMatrix::from_fn(2, 2, |i, j| {
             if i == 0 && j == 1 {
                 (2.0f64).exp()
             } else {
                 1.0
             }
-        });
-        let h = cross_entropy(&d, &[1.0, 0.0], &[0.0, 1.0], &cfg());
+        }));
+        let h = cross_entropy(&d, 0..2, 0..2, &[1.0, 0.0], &[0.0, 1.0], &cfg());
         assert!((h - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn cross_entropy_symmetric_under_transpose() {
-        let d = DistanceMatrix::from_fn(2, 3, |i, j| 1.0 + (i + 2 * j) as f64);
-        let dt = DistanceMatrix::from_fn(3, 2, |j, i| 1.0 + (i + 2 * j) as f64);
+        let d = logs(DistanceMatrix::from_fn(2, 3, |i, j| {
+            1.0 + (i + 2 * j) as f64
+        }));
+        let dt = logs(DistanceMatrix::from_fn(3, 2, |j, i| {
+            1.0 + (i + 2 * j) as f64
+        }));
         let ws = [0.3, 0.7];
         let wt = [0.2, 0.5, 0.3];
-        let h1 = cross_entropy(&d, &ws, &wt, &cfg());
-        let h2 = cross_entropy(&dt, &wt, &ws, &cfg());
+        let h1 = cross_entropy(&d, 0..2, 0..3, &ws, &wt, &cfg());
+        let h2 = cross_entropy(&dt, 0..3, 0..2, &wt, &ws, &cfg());
         assert!((h1 - h2).abs() < 1e-12);
     }
 
     #[test]
     fn unnormalized_weights_equal_normalized() {
-        let d = DistanceMatrix::from_fn(2, 2, |i, j| 1.0 + (i * 2 + j) as f64);
-        let h1 = cross_entropy(&d, &[1.0, 3.0], &[2.0, 2.0], &cfg());
-        let h2 = cross_entropy(&d, &[0.25, 0.75], &[0.5, 0.5], &cfg());
+        let d = logs(DistanceMatrix::from_fn(2, 2, |i, j| {
+            1.0 + (i * 2 + j) as f64
+        }));
+        let h1 = cross_entropy(
+            &d,
+            0..2,
+            0..2,
+            &probs(&[1.0, 3.0]),
+            &probs(&[2.0, 2.0]),
+            &cfg(),
+        );
+        let h2 = cross_entropy(&d, 0..2, 0..2, &[0.25, 0.75], &[0.5, 0.5], &cfg());
         assert!((h1 - h2).abs() < 1e-12);
     }
 
     #[test]
-    fn block_forms_match_extracted_blocks_bit_for_bit() {
+    fn blocks_read_in_place_match_extracted_blocks_bit_for_bit() {
         // The in-place block estimators must equal extracting the block
         // first, to the last bit — the change-point scores rely on it.
         let parent = DistanceMatrix::from_fn(6, 6, |i, j| {
@@ -474,46 +350,38 @@ mod tests {
                 1.0 + ((i * 5 + j * 3) % 7) as f64 * 0.37
             }
         });
-        let ws = [0.4, 1.1, 0.0];
-        let wt = [2.0, 0.5, 1.3];
+        let ws = probs(&[0.4, 1.1, 0.0]);
+        let wt = probs(&[2.0, 0.5, 1.3]);
         let c = cfg();
-
-        let cross = parent.block(0..3, 3..6);
+        let cross = logs(parent.block(0..3, 3..6));
+        let diag = logs(parent.block(3..6, 3..6));
+        let parent = logs(parent);
         assert_eq!(
-            cross_entropy(&cross, &ws, &wt, &c).to_bits(),
-            cross_entropy_block(&parent, 0..3, 3..6, &ws, &wt, &c).to_bits()
+            cross_entropy(&cross, 0..3, 0..3, &ws, &wt, &c).to_bits(),
+            cross_entropy(&parent, 0..3, 3..6, &ws, &wt, &c).to_bits()
         );
-
-        let diag = parent.block(3..6, 3..6);
         assert_eq!(
-            auto_entropy(&diag, &wt, &c).to_bits(),
-            auto_entropy_block(&parent, 3..6, &wt, &c).to_bits()
+            auto_entropy(&diag, 0..3, &wt, &c).to_bits(),
+            auto_entropy(&parent, 3..6, &wt, &c).to_bits()
         );
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn auto_entropy_block_out_of_range_panics() {
-        let d = DistanceMatrix::from_fn(3, 3, |_, _| 1.0);
-        auto_entropy_block(&d, 1..4, &[1.0, 1.0, 1.0], &cfg());
+        let d = logs(DistanceMatrix::from_fn(3, 3, |_, _| 1.0));
+        auto_entropy(&d, 1..4, &probs(&[1.0, 1.0, 1.0]), &cfg());
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn information_content_length_mismatch_panics() {
-        information_content(&[1.0], &[1.0, 1.0], &cfg());
+        information_content(&[1.0], &[0.5, 0.5], &cfg());
     }
 
     #[test]
     #[should_panic(expected = "positive sum")]
     fn zero_weights_panic() {
-        information_content(&[1.0], &[0.0], &cfg());
-    }
-
-    #[test]
-    #[should_panic(expected = "square")]
-    fn auto_entropy_rect_panics() {
-        let d = DistanceMatrix::from_fn(2, 3, |_, _| 1.0);
-        auto_entropy(&d, &[1.0, 1.0], &cfg());
+        probs(&[0.0]);
     }
 }

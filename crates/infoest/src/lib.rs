@@ -15,15 +15,21 @@
 //! these quantities; the defaults are therefore `c = 0`, `d = 1`. They
 //! remain configurable for uses where absolute entropy estimates matter.
 //!
-//! This crate is deliberately metric-agnostic: it consumes plain distance
-//! slices/matrices, so the caller decides whether distances are EMDs
-//! between signatures (as in the paper) or anything else.
+//! The estimators use each distance only through its logarithm and each
+//! weight only linearly, so they work in the log domain: a
+//! [`DistanceMatrix`] is mapped once to a [`LogDistances`] matrix of
+//! `ln(max(d, dist_floor))`, weights are divided by their sum once
+//! ([`normalize_weights_into`]), and every estimate is then pure
+//! multiply-adds over the two.
+//!
+//! This crate is deliberately metric-agnostic: the caller decides
+//! whether the distances are EMDs between signatures (as in the paper)
+//! or anything else.
 
 pub mod estimators;
 pub mod matrix;
 
 pub use estimators::{
-    auto_entropy, auto_entropy_block, cross_entropy, cross_entropy_block, information_content,
-    information_content_knn, information_content_knn_with, EstimatorConfig,
+    auto_entropy, cross_entropy, information_content, normalize_weights_into, EstimatorConfig,
 };
-pub use matrix::DistanceMatrix;
+pub use matrix::{DistanceMatrix, LogDistances};

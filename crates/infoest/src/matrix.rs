@@ -1,4 +1,7 @@
-//! Rectangular distance matrix between two indexed collections.
+//! Rectangular distance matrix between two indexed collections, and its
+//! log-domain twin that the estimators read.
+
+use crate::estimators::EstimatorConfig;
 
 /// Distances between an `n`-element collection (rows) and an `m`-element
 /// collection (columns). For a single collection use `n == m` with a
@@ -81,14 +84,6 @@ impl DistanceMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Consume the matrix, returning its row-major storage — the
-    /// recycling half of a buffer-reuse cycle with [`Self::from_vec`]
-    /// (callers on a hot path rebuild the next matrix into the same
-    /// allocation instead of a fresh one).
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// View of a rectangular sub-block (for windowed estimators over one
     /// global matrix).
     pub fn block(
@@ -111,6 +106,58 @@ impl DistanceMatrix {
             cols: cols.len(),
             data,
         }
+    }
+}
+
+/// A [`DistanceMatrix`] mapped entry by entry to
+/// `ln(max(d, dist_floor))` ([`EstimatorConfig::log_dist`]) — the only
+/// form in which the estimators read distances. The logarithms are
+/// taken once, when the matrix is built, however many weightings are
+/// then evaluated against it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogDistances {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
+impl LogDistances {
+    /// Take the logarithms in place, in the distance matrix's own
+    /// storage (no allocation).
+    pub fn from_distances(dist: DistanceMatrix, cfg: &EstimatorConfig) -> Self {
+        let DistanceMatrix {
+            rows,
+            cols,
+            mut data,
+        } = dist;
+        for d in &mut data {
+            *d = cfg.log_dist(*d);
+        }
+        LogDistances { rows, cols, data }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Borrow row `i`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Consume the matrix, returning its row-major storage — the
+    /// recycling half of a buffer-reuse cycle with
+    /// [`DistanceMatrix::from_vec`] (callers on a hot path rebuild the
+    /// next matrix into the same allocation instead of a fresh one).
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
     }
 }
 
@@ -141,6 +188,19 @@ mod tests {
         assert_eq!(b.cols(), 2);
         assert_eq!(b.get(0, 0), 12.0);
         assert_eq!(b.get(1, 1), 23.0);
+    }
+
+    #[test]
+    fn log_distances_map_in_place_with_the_floor() {
+        let cfg = EstimatorConfig::default();
+        let m = DistanceMatrix::from_vec(2, 2, vec![0.0, std::f64::consts::E, 1e-300, 1.0]);
+        let ptr = m.row(0).as_ptr();
+        let log = LogDistances::from_distances(m, &cfg);
+        assert_eq!(log.row(0).as_ptr(), ptr, "storage is reused");
+        assert_eq!((log.rows(), log.cols()), (2, 2));
+        assert_eq!(log.row(0), &[cfg.dist_floor.ln(), std::f64::consts::E.ln()]);
+        assert_eq!(log.row(1), &[cfg.dist_floor.ln(), 0.0]);
+        assert_eq!(log.into_vec().len(), 4);
     }
 
     #[test]

@@ -1,10 +1,29 @@
 //! Property-based tests for the weighted information estimators.
 
-use infoest::{auto_entropy, cross_entropy, information_content, DistanceMatrix, EstimatorConfig};
+use infoest::{
+    auto_entropy, cross_entropy, information_content, normalize_weights_into, DistanceMatrix,
+    EstimatorConfig, LogDistances,
+};
 use proptest::prelude::*;
 
 fn cfg() -> EstimatorConfig {
     EstimatorConfig::default()
+}
+
+fn probs(weights: &[f64]) -> Vec<f64> {
+    let mut p = Vec::new();
+    normalize_weights_into(weights, &mut p);
+    p
+}
+
+fn logs(d: &DistanceMatrix) -> LogDistances {
+    LogDistances::from_distances(d.clone(), &cfg())
+}
+
+/// Information content of plain distances under plain weights.
+fn info(dists: &[f64], weights: &[f64], c: &EstimatorConfig) -> f64 {
+    let log: Vec<f64> = dists.iter().map(|&d| c.log_dist(d)).collect();
+    information_content(&log, &probs(weights), c)
 }
 
 /// Strategy: positive distances.
@@ -42,10 +61,11 @@ proptest! {
         m in sym_matrix(6),
         w in weights(6),
     ) {
-        prop_assert!(auto_entropy(&m, &w, &cfg()).is_finite());
-        let cross = m.block(0..3, 3..6);
-        prop_assert!(cross_entropy(&cross, &w[..3], &w[3..], &cfg()).is_finite());
-        prop_assert!(information_content(m.row(0), &w, &cfg()).is_finite());
+        let log = logs(&m);
+        prop_assert!(auto_entropy(&log, 0..6, &probs(&w), &cfg()).is_finite());
+        let (ps, pt) = (probs(&w[..3]), probs(&w[3..]));
+        prop_assert!(cross_entropy(&log, 0..3, 3..6, &ps, &pt, &cfg()).is_finite());
+        prop_assert!(info(m.row(0), &w, &cfg()).is_finite());
     }
 
     /// Weight-scale invariance: the estimators normalize internally.
@@ -56,8 +76,8 @@ proptest! {
         scale in 0.1..100.0f64,
     ) {
         let scaled: Vec<f64> = w.iter().map(|x| x * scale).collect();
-        let a = information_content(&d, &w, &cfg());
-        let b = information_content(&d, &scaled, &cfg());
+        let a = info(&d, &w, &cfg());
+        let b = info(&d, &scaled, &cfg());
         prop_assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()));
     }
 
@@ -70,8 +90,8 @@ proptest! {
         factor in 1.1..10.0f64,
     ) {
         let larger: Vec<f64> = d.iter().map(|x| x * factor).collect();
-        let a = information_content(&d, &w, &cfg());
-        let b = information_content(&larger, &w, &cfg());
+        let a = info(&d, &w, &cfg());
+        let b = info(&larger, &w, &cfg());
         // log(factor * d) = log factor + log d, so b - a = log factor.
         prop_assert!((b - a - factor.ln()).abs() < 1e-9);
     }
@@ -82,10 +102,10 @@ proptest! {
         m in sym_matrix(6),
         w in weights(6),
     ) {
-        let ab = m.block(0..2, 2..6);
-        let ba = m.block(2..6, 0..2);
-        let h1 = cross_entropy(&ab, &w[..2], &w[2..], &cfg());
-        let h2 = cross_entropy(&ba, &w[2..], &w[..2], &cfg());
+        let log = logs(&m);
+        let (ps, pt) = (probs(&w[..2]), probs(&w[2..]));
+        let h1 = cross_entropy(&log, 0..2, 2..6, &ps, &pt, &cfg());
+        let h2 = cross_entropy(&log, 2..6, 0..2, &pt, &ps, &cfg());
         prop_assert!((h1 - h2).abs() < 1e-9 * (1.0 + h1.abs()));
     }
 
@@ -100,8 +120,8 @@ proptest! {
         let perm: Vec<usize> = (0..n).rev().collect();
         let pm = DistanceMatrix::from_fn(n, n, |i, j| m.get(perm[i], perm[j]));
         let pw: Vec<f64> = perm.iter().map(|&i| w[i]).collect();
-        let a = auto_entropy(&m, &w, &cfg());
-        let b = auto_entropy(&pm, &pw, &cfg());
+        let a = auto_entropy(&logs(&m), 0..n, &probs(&w), &cfg());
+        let b = auto_entropy(&logs(&pm), 0..n, &probs(&pw), &cfg());
         prop_assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()));
     }
 
@@ -115,12 +135,8 @@ proptest! {
         c in -10.0..10.0f64,
         s in 0.1..10.0f64,
     ) {
-        let base = information_content(&d, &w, &cfg());
-        let shifted = information_content(
-            &d,
-            &w,
-            &EstimatorConfig { offset: c, scale: s, dist_floor: 1e-12 },
-        );
+        let base = info(&d, &w, &cfg());
+        let shifted = info(&d, &w, &EstimatorConfig { offset: c, scale: s, dist_floor: 1e-12 });
         prop_assert!((shifted - (c + s * base)).abs() < 1e-9 * (1.0 + shifted.abs()));
     }
 }

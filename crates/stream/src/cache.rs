@@ -228,7 +228,8 @@ impl SignatureWindow {
 
     /// Copy the full `len x len` distance matrix (oldest first) into a
     /// reused buffer — paired with `DistanceMatrix::from_vec` /
-    /// `into_vec`, the per-push scorer is built with no allocation.
+    /// `LogDistances::into_vec`, the per-push scorer is built with no
+    /// allocation.
     pub fn matrix_into(&self, buf: &mut Vec<f64>) {
         buf.clear();
         buf.extend_from_slice(&self.dist);

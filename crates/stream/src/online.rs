@@ -151,8 +151,9 @@ impl OnlineDetector {
         let tau_prime = cfg.tau_prime;
         let t = (self.pushed as usize) - tau_prime;
         // Build the scorer in the recycled matrix storage: the window
-        // copies its in-place matrix into the buffer, which returns to
-        // the scratch once the point is evaluated.
+        // copies its in-place matrix into the buffer, the scorer takes
+        // its logarithms there, and the buffer returns to the scratch
+        // once the point is evaluated.
         let w = self.window.len();
         let mut buf = std::mem::take(&mut emd.matrix);
         self.window.matrix_into(&mut buf);
@@ -174,7 +175,7 @@ impl OnlineDetector {
         let point = self
             .detector
             .evaluate_point_with(&scorer, t, prev_ci_up, self.seed, scratch);
-        emd.matrix = scorer.into_distances().into_vec();
+        emd.matrix = scorer.into_log_distances().into_vec();
         self.ci_up_hist.push_back(point.ci.up);
         if self.ci_up_hist.len() > tau_prime {
             self.ci_up_hist.pop_front();

@@ -16,8 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bagcpd::{
-    Bag, BootstrapConfig, Detector, DetectorConfig, EmdSolver, EvalScratch, SignatureMethod,
-    TieredConfig,
+    Bag, BootstrapConfig, Detector, DetectorConfig, EmdSolver, EvalScratch, ScoreKind,
+    SignatureMethod, TieredConfig,
 };
 use stream::telemetry::{names, LATENCY_BUCKETS};
 use stream::{Clock, EmdScratch, MetricsRegistry, OnlineDetector, SolveTimer};
@@ -67,6 +67,9 @@ fn bag_at(t: usize) -> Bag {
     Bag::from_scalars((0..24).map(move |i| level + ((i * 5 + t) % 9) as f64 * 0.25))
 }
 
+/// Both scores: the nominal score and every replicate normalize their
+/// weights into the scratches `EvalScratch` carries, for Eq. 16 as for
+/// Eq. 17.
 #[cfg(debug_assertions)]
 #[test]
 fn warm_push_allocates_exactly_nothing() {
@@ -74,59 +77,63 @@ fn warm_push_allocates_exactly_nothing() {
     const WARM: usize = 24; // several full eviction cycles past window fill
     const MEASURED: usize = 16; // a multiple of the 4-shape bag cycle
 
-    let detector = Detector::new(DetectorConfig {
-        tau: 4,
-        tau_prime: 3,
-        signature: SignatureMethod::Histogram { width: 0.5 },
-        bootstrap: BootstrapConfig {
-            replicates: 64,
+    for score in [ScoreKind::SymmetrizedKl, ScoreKind::LikelihoodRatio] {
+        let detector = Detector::new(DetectorConfig {
+            tau: 4,
+            tau_prime: 3,
+            score,
+            signature: SignatureMethod::Histogram { width: 0.5 },
+            bootstrap: BootstrapConfig {
+                replicates: 64,
+                ..Default::default()
+            },
             ..Default::default()
-        },
-        ..Default::default()
-    })
-    .expect("valid config");
+        })
+        .expect("valid config");
 
-    let mut online = OnlineDetector::new(detector, SEED);
-    let mut eval = EvalScratch::new();
-    let mut emd = EmdScratch::new();
+        let mut online = OnlineDetector::new(detector, SEED);
+        let mut eval = EvalScratch::new();
+        let mut emd = EmdScratch::new();
 
-    // Everything the measured loop consumes is built up front. The
-    // warm-up cycles through every bag shape the measured pushes will
-    // see, so the scratch pools reach their high-water mark first.
-    let warm_bags: Vec<Bag> = (0..WARM).map(bag_at).collect();
-    let measured_bags: Vec<Bag> = (WARM..WARM + MEASURED).map(bag_at).collect();
+        // Everything the measured loop consumes is built up front. The
+        // warm-up cycles through every bag shape the measured pushes
+        // will see, so the scratch pools reach their high-water mark
+        // first.
+        let warm_bags: Vec<Bag> = (0..WARM).map(bag_at).collect();
+        let measured_bags: Vec<Bag> = (WARM..WARM + MEASURED).map(bag_at).collect();
 
-    for bag in warm_bags {
-        online
-            .push_with(bag, &mut eval, &mut emd)
-            .expect("warm-up push");
-    }
-
-    // Measured: full pushes — signature build (recycled from the
-    // evicted signature), EMD solves, window matrix update, scorer,
-    // bootstrap — through the warm scratches.
-    let before = alloc_events();
-    let mut emitted = 0usize;
-    for bag in measured_bags {
-        if online
-            .push_with(bag, &mut eval, &mut emd)
-            .expect("measured push")
-            .is_some()
-        {
-            emitted += 1;
+        for bag in warm_bags {
+            online
+                .push_with(bag, &mut eval, &mut emd)
+                .expect("warm-up push");
         }
-    }
-    let push_allocs = alloc_events() - before;
-    assert_eq!(emitted, MEASURED, "warm detector emits every push");
 
-    assert_eq!(
-        push_allocs, 0,
-        "a warm push_with must not allocate at all: the signature build \
-         must recycle the evicted signature's buffers, and every EMD \
-         solve, the window matrix, the scorer, and the bootstrap must \
-         run out of the scratches ({push_allocs} events over \
-         {MEASURED} pushes)"
-    );
+        // Measured: full pushes — signature build (recycled from the
+        // evicted signature), EMD solves, window matrix update, scorer,
+        // bootstrap — through the warm scratches.
+        let before = alloc_events();
+        let mut emitted = 0usize;
+        for bag in measured_bags {
+            if online
+                .push_with(bag, &mut eval, &mut emd)
+                .expect("measured push")
+                .is_some()
+            {
+                emitted += 1;
+            }
+        }
+        let push_allocs = alloc_events() - before;
+        assert_eq!(emitted, MEASURED, "warm detector emits every push");
+
+        assert_eq!(
+            push_allocs, 0,
+            "a warm {score:?} push_with must not allocate at all: the \
+             signature build must recycle the evicted signature's buffers, \
+             and every EMD solve, the window matrix, the scorer, and the \
+             bootstrap must run out of the scratches ({push_allocs} events \
+             over {MEASURED} pushes)"
+        );
+    }
 }
 
 /// The same guarantee under the tiered solver in bounded-error mode:

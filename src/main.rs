@@ -710,7 +710,6 @@ fn detector_config(opts: &Options) -> DetectorConfig {
         bootstrap: BootstrapConfig {
             alpha: opts.alpha,
             replicates: opts.replicates,
-            ..Default::default()
         },
         ..DetectorConfig::default()
     }
