@@ -40,8 +40,7 @@ pub struct DetectorConfig {
     pub signature: SignatureMethod,
     /// Ground distance for the EMD.
     pub metric: GroundMetric,
-    /// Optimal-transport solver (exact simplex by default; Sinkhorn as
-    /// a fast approximation for large signatures).
+    /// Optimal-transport solver: the exact transportation simplex.
     pub solver: EmdSolver,
     /// Constants of the information estimators (defaults are fine: they
     /// cancel in the scores).
@@ -94,21 +93,6 @@ impl DetectorConfig {
                     return Err(DetectError::BadConfig(
                         "histogram width must be finite and > 0".into(),
                     ));
-                }
-            }
-        }
-        match &self.solver {
-            EmdSolver::Exact => {}
-            EmdSolver::Sinkhorn(cfg) => cfg.validate().map_err(DetectError::BadConfig)?,
-            EmdSolver::Tiered(cfg) => {
-                if let Some(eps) = cfg.epsilon {
-                    if !(eps.is_finite() && eps > 0.0) {
-                        return Err(DetectError::BadConfig(
-                            "tiered epsilon must be finite and > 0".into(),
-                        ));
-                    }
-                    // The estimate tier only runs in bounded-error mode.
-                    cfg.estimate.validate().map_err(DetectError::BadConfig)?;
                 }
             }
         }
@@ -727,89 +711,6 @@ mod tests {
         let det = Detector::new(small_config()).unwrap();
         let out = det.analyze(&bags, 31).unwrap();
         assert_eq!(out.segments(20), vec![0..20]);
-    }
-
-    #[test]
-    fn sinkhorn_solver_finds_the_same_peak() {
-        use emd::SinkhornConfig;
-        let bags = shifted_bags(20, 10, 4.0);
-        let exact = Detector::new(small_config()).unwrap();
-        let approx = Detector::new(DetectorConfig {
-            solver: EmdSolver::Sinkhorn(SinkhornConfig {
-                epsilon: 0.05,
-                ..Default::default()
-            }),
-            ..small_config()
-        })
-        .unwrap();
-        let pe = exact.score_series(&bags, 21).unwrap();
-        let pa = approx.score_series(&bags, 21).unwrap();
-        let peak = |s: &[(usize, f64)]| {
-            s.iter()
-                .cloned()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .unwrap()
-                .0
-        };
-        assert_eq!(peak(&pe), peak(&pa), "solvers disagree on the peak");
-    }
-
-    #[test]
-    fn tiered_exact_mode_analysis_is_bit_identical_to_exact() {
-        use crate::score::TieredConfig;
-        let bags = shifted_bags(24, 12, 4.0);
-        let exact = Detector::new(small_config()).unwrap();
-        let tiered = Detector::new(DetectorConfig {
-            solver: EmdSolver::Tiered(TieredConfig::default()),
-            ..small_config()
-        })
-        .unwrap();
-        let oe = exact.analyze(&bags, 77).unwrap();
-        let ot = tiered.analyze(&bags, 77).unwrap();
-        assert_eq!(oe.points.len(), ot.points.len());
-        for (e, t) in oe.points.iter().zip(&ot.points) {
-            assert_eq!(e, t, "tiered exact mode diverged at t = {}", e.t);
-        }
-    }
-
-    #[test]
-    fn tiered_bounded_mode_finds_the_same_peak() {
-        use crate::score::TieredConfig;
-        let bags = shifted_bags(20, 10, 4.0);
-        let exact = Detector::new(small_config()).unwrap();
-        let bounded = Detector::new(DetectorConfig {
-            solver: EmdSolver::Tiered(TieredConfig {
-                epsilon: Some(0.05),
-                ..TieredConfig::default()
-            }),
-            ..small_config()
-        })
-        .unwrap();
-        let pe = exact.score_series(&bags, 21).unwrap();
-        let pb = bounded.score_series(&bags, 21).unwrap();
-        let peak = |s: &[(usize, f64)]| {
-            s.iter()
-                .cloned()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .unwrap()
-                .0
-        };
-        assert_eq!(peak(&pe), peak(&pb), "solvers disagree on the peak");
-    }
-
-    #[test]
-    fn validate_rejects_bad_tiered_epsilon() {
-        use crate::score::TieredConfig;
-        for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let cfg = DetectorConfig {
-                solver: EmdSolver::Tiered(TieredConfig {
-                    epsilon: Some(eps),
-                    ..TieredConfig::default()
-                }),
-                ..small_config()
-            };
-            assert!(cfg.validate().is_err(), "epsilon {eps} accepted");
-        }
     }
 
     #[test]

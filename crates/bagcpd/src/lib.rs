@@ -60,7 +60,7 @@ pub use feature_select::{per_dimension_scores, OnlineFeatureSelector};
 pub use parametric::{parametric_distance_matrix, GaussianFit};
 pub use score::{
     score_kl, score_lr, EmdSolver, ScoreKind, ScoreScratch, SolverScratch, SolverStats,
-    TieredConfig, WindowScorer,
+    WindowScorer,
 };
 pub use signature_builder::{
     build_signature, derive_seed, signature_at, signature_at_with, GroundMetric, SignatureMethod,

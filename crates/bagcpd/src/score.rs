@@ -9,11 +9,7 @@
 
 use crate::error::DetectError;
 use crate::signature_builder::GroundMetric;
-use emd::{
-    centroid_lower_bound_with, emd_with, feasible_upper_bound, projected_lower_bound_with,
-    sinkhorn_emd_with, Bracket, LadderScratch, Signature, SinkhornConfig, SinkhornScratch,
-    TransportScratch,
-};
+use emd::{emd_with, Signature, TransportScratch};
 use infoest::{
     auto_entropy, cross_entropy, information_content, normalize_weights_into, DistanceMatrix,
     EstimatorConfig, LogDistances,
@@ -22,75 +18,20 @@ use infoest::{
 /// Which optimal-transport solver computes the signature distances.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EmdSolver {
-    /// Exact transportation simplex (Eqs. 7–12) — the paper's EMD and
-    /// the default.
+    /// Exact transportation simplex (Eqs. 7–12) — the paper's EMD.
     #[default]
     Exact,
-    /// Entropy-regularized Sinkhorn iteration — an `O(K^2)`-per-sweep
-    /// approximation; distances are those of the *normalized*
-    /// signatures. Useful for large signatures (see the ablation
-    /// bench).
-    Sinkhorn(SinkhornConfig),
-    /// Bound-ladder solver: cheap lower/upper bounds (centroid ground
-    /// distance, projected 1-D EMD, northwest-corner feasible flow)
-    /// decide what they can before the exact simplex runs. See
-    /// [`TieredConfig`] for the two modes.
-    Tiered(TieredConfig),
 }
 
-/// Configuration of [`EmdSolver::Tiered`]'s bound ladder.
-///
-/// **Exact mode** (`epsilon: None`, the default): every *value* request
-/// ([`EmdSolver::distance_with`]) is answered by the exact simplex —
-/// bit-identical to [`EmdSolver::Exact`] — and the ladder prunes only
-/// provably decidable work, i.e. candidates in
-/// [`EmdSolver::nearest_with`] whose lower bound already exceeds the
-/// current k-th neighbor distance.
-///
-/// **Bounded-error mode** (`epsilon: Some(eps)`): a value request may be
-/// answered from the bound bracket alone once `ub - lb <= eps`, walking
-/// the ladder centroid → projection → Sinkhorn estimate and falling
-/// through to the exact simplex only when no tier decides. The returned
-/// value is then within `eps` of the exact EMD (up to the Sinkhorn
-/// marginal tolerance, ~1e-9 relative).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TieredConfig {
-    /// `None` = exact mode; `Some(eps)` = bounded-error mode accepting
-    /// any value bracketed within `eps` of exact. Must be finite and
-    /// positive when set ([`crate::DetectorConfig::validate`] enforces
-    /// this).
-    pub epsilon: Option<f64>,
-    /// Sinkhorn settings for the estimate tier of bounded-error mode
-    /// (unused in exact mode).
-    pub estimate: SinkhornConfig,
-}
-
-/// Reusable solver state covering either [`EmdSolver`] variant: the
-/// transportation-simplex tableau for the exact path and the Sinkhorn
-/// iteration buffers for the approximate one. A long-lived caller (the
-/// batch detector's banded sweep, a stream worker's tick loop) keeps one
-/// and threads it through every [`EmdSolver::distance_with`] call, so
-/// pairwise distances are solved with no heap allocation in steady
-/// state.
+/// Reusable solver state: the transportation-simplex tableau. A
+/// long-lived caller (the batch detector's banded sweep, a stream
+/// worker's tick loop) keeps one and threads it through every
+/// [`EmdSolver::distance_with`] call, so pairwise distances are solved
+/// with no heap allocation in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct SolverScratch {
     /// Exact transportation-simplex buffers.
     transport: TransportScratch,
-    /// Sinkhorn iteration buffers.
-    sinkhorn: SinkhornScratch,
-    /// Bound-ladder buffers (centroids, 1-D event list).
-    ladder: LadderScratch,
-    /// Which ladder tier decided each tiered request (cumulative).
-    tiers: TierCounts,
-}
-
-/// Cumulative ladder decisions carried by a [`SolverScratch`].
-#[derive(Debug, Clone, Copy, Default)]
-struct TierCounts {
-    centroid: u64,
-    projection: u64,
-    estimate: u64,
-    exact: u64,
 }
 
 impl SolverScratch {
@@ -99,58 +40,26 @@ impl SolverScratch {
         SolverScratch::default()
     }
 
-    /// Cumulative counters of the solver work this scratch has carried,
-    /// across both variants. Counters only grow; telemetry consumers
-    /// snapshot and difference to get per-interval rates.
+    /// Cumulative counters of the solver work this scratch has carried.
+    /// Counters only grow; telemetry consumers snapshot and difference
+    /// to get per-interval rates.
     pub fn stats(&self) -> SolverStats {
         let t = self.transport.stats();
-        let s = self.sinkhorn.stats();
         SolverStats {
             exact_solves: t.solves,
             pivots: t.pivots,
-            sinkhorn_solves: s.solves,
-            sinkhorn_sweeps: s.sweeps,
-            tier_centroid: self.tiers.centroid,
-            tier_projection: self.tiers.projection,
-            tier_estimate: self.tiers.estimate,
-            tier_exact: self.tiers.exact,
         }
     }
 }
 
 /// Cumulative counters of a [`SolverScratch`]'s lifetime work: exact
-/// simplex solves and their pivots, Sinkhorn solves and their sweeps.
+/// simplex solves and their pivots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Exact transportation-simplex solves that reached optimality.
     pub exact_solves: u64,
     /// Stepping-stone pivots across all exact solves.
     pub pivots: u64,
-    /// Sinkhorn solves completed.
-    pub sinkhorn_solves: u64,
-    /// Potential-update sweeps across all Sinkhorn solves.
-    pub sinkhorn_sweeps: u64,
-    /// Tiered requests decided by the centroid lower bound.
-    pub tier_centroid: u64,
-    /// Tiered requests decided by the projected 1-D lower bound.
-    pub tier_projection: u64,
-    /// Tiered requests decided by the Sinkhorn estimate tier.
-    pub tier_estimate: u64,
-    /// Tiered requests that fell through to the exact simplex.
-    pub tier_exact: u64,
-}
-
-impl SolverStats {
-    /// Fraction of tiered requests decided without an exact simplex
-    /// solve; `0.0` when no tiered request has run.
-    pub fn pruned_ratio(&self) -> f64 {
-        let pruned = self.tier_centroid + self.tier_projection + self.tier_estimate;
-        let total = pruned + self.tier_exact;
-        if total == 0 {
-            return 0.0;
-        }
-        pruned as f64 / total as f64
-    }
 }
 
 impl EmdSolver {
@@ -184,161 +93,8 @@ impl EmdSolver {
     ) -> Result<f64, emd::EmdError> {
         match self {
             EmdSolver::Exact => emd_with(a, b, metric, &mut scratch.transport),
-            EmdSolver::Sinkhorn(cfg) => sinkhorn_emd_with(a, b, metric, cfg, &mut scratch.sinkhorn),
-            EmdSolver::Tiered(cfg) => match cfg.epsilon {
-                // Exact mode: value requests bypass the ladder entirely
-                // so results (scores, snapshots) stay bit-identical to
-                // `EmdSolver::Exact`; pruning lives in `nearest_with`.
-                None => {
-                    scratch.tiers.exact += 1;
-                    emd_with(a, b, metric, &mut scratch.transport)
-                }
-                Some(eps) => tiered_bounded(a, b, metric, eps, &cfg.estimate, scratch),
-            },
         }
     }
-
-    /// Indices and distances of the `k` nearest `candidates` to `query`
-    /// under this solver, ascending by `(distance, index)`, appended to
-    /// the cleared `out` (allocation-free once `out`'s capacity covers
-    /// `k + 1`).
-    ///
-    /// For [`EmdSolver::Tiered`] the ladder's lower bounds prune
-    /// candidates that provably cannot enter the result — a candidate is
-    /// skipped only when its bound *strictly* exceeds the current k-th
-    /// distance, and surviving candidates are solved exactly, so the
-    /// returned set is identical to [`EmdSolver::Exact`]'s in either
-    /// tiered mode. The [`EmdSolver::Sinkhorn`] variant ranks by its
-    /// approximate distances, consistent with its
-    /// [`EmdSolver::distance_with`].
-    ///
-    /// # Errors
-    /// Propagates the underlying solver's failures.
-    pub fn nearest_with(
-        &self,
-        query: &Signature,
-        candidates: &[Signature],
-        k: usize,
-        metric: &GroundMetric,
-        scratch: &mut SolverScratch,
-        out: &mut Vec<(f64, usize)>,
-    ) -> Result<(), emd::EmdError> {
-        out.clear();
-        if k == 0 {
-            return Ok(());
-        }
-        let prune = matches!(self, EmdSolver::Tiered(_));
-        for (idx, cand) in candidates.iter().enumerate() {
-            if prune && out.len() == k {
-                // Ties between equal distances break by index, and every
-                // pruned candidate's index is ahead of nothing it could
-                // displace — only a *strictly* larger lower bound is
-                // decisive, which keeps the pruning lossless.
-                let kth = out[k - 1].0;
-                if let Some(lb) =
-                    centroid_lower_bound_with(query, cand, metric, &mut scratch.ladder)
-                {
-                    if lb > kth {
-                        scratch.tiers.centroid += 1;
-                        continue;
-                    }
-                    if let Some(plb) = projected_lower_bound_with(query, cand, &mut scratch.ladder)
-                    {
-                        if plb > kth {
-                            scratch.tiers.projection += 1;
-                            continue;
-                        }
-                    }
-                }
-            }
-            let d = match self {
-                // Exact values regardless of mode: the pruned k-NN set
-                // must match the exact solver's.
-                EmdSolver::Tiered(_) => {
-                    scratch.tiers.exact += 1;
-                    emd_with(query, cand, metric, &mut scratch.transport)?
-                }
-                _ => self.distance_with(query, cand, metric, scratch)?,
-            };
-            let pos = out
-                .iter()
-                .position(|&(od, oi)| (d, idx) < (od, oi))
-                .unwrap_or(out.len());
-            if pos < k {
-                out.insert(pos, (d, idx));
-                out.truncate(k);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Smallest cost-matrix size (`|a| * |b|`, exclusive) at which the
-/// bounded ladder's Sinkhorn estimate tier is allowed to run — see the
-/// comment at its call site in [`tiered_bounded`].
-const ESTIMATE_MIN_CELLS: usize = 64;
-
-/// Bounded-error ladder walk (`epsilon = Some(eps)`): centroid bracket →
-/// projection bracket → convergence-gated Sinkhorn upper bound → exact
-/// simplex. Each accepting tier returns a value inside a proven
-/// `[lb, ub]` bracket of width `<= eps`.
-fn tiered_bounded(
-    a: &Signature,
-    b: &Signature,
-    metric: &GroundMetric,
-    eps: f64,
-    estimate: &SinkhornConfig,
-    scratch: &mut SolverScratch,
-) -> Result<f64, emd::EmdError> {
-    // Inputs the ladder cannot certify (dimension mismatch, zero mass)
-    // go straight to the exact solver, which owns input validation and
-    // error reporting — the bounded path must fail exactly like Exact.
-    if a.dim() != b.dim() || a.total_weight() <= 0.0 || b.total_weight() <= 0.0 {
-        scratch.tiers.exact += 1;
-        return emd_with(a, b, metric, &mut scratch.transport);
-    }
-    let ub = feasible_upper_bound(a, b, metric);
-    let centroid_lb = centroid_lower_bound_with(a, b, metric, &mut scratch.ladder);
-    let mut bracket = Bracket {
-        lb: centroid_lb.unwrap_or(0.0),
-        ub,
-    };
-    if bracket.width() <= eps {
-        scratch.tiers.centroid += 1;
-        return Ok(bracket.midpoint());
-    }
-    if let Some(plb) = projected_lower_bound_with(a, b, &mut scratch.ladder) {
-        bracket.lb = bracket.lb.max(plb);
-        if bracket.width() <= eps {
-            scratch.tiers.projection += 1;
-            return Ok(bracket.midpoint());
-        }
-    }
-    // Sinkhorn estimate tier: only meaningful for equal total masses
-    // (the lower bounds returned Some) — Sinkhorn normalizes both sides,
-    // so for unequal masses its value estimates a different quantity.
-    // Its transport cost upper-bounds the exact EMD only when the final
-    // plan is feasible up to the configured tolerance, hence the
-    // convergence gate on the marginal violation. The size gate keeps
-    // the tier out of the regime where it can only lose: below ~64 cost
-    // cells a small exact simplex solve is cheaper than a converged
-    // Sinkhorn run, and an *unconverged* run wastes `max_iters` sweeps
-    // and falls through to the simplex anyway (measured in the
-    // `emd_tiered` bench; the engine's compact histogram signatures sit
-    // squarely in that regime).
-    if centroid_lb.is_some() && a.len() * b.len() > ESTIMATE_MIN_CELLS {
-        if let Ok(v) = sinkhorn_emd_with(a, b, metric, estimate, &mut scratch.sinkhorn) {
-            if scratch.sinkhorn.last_marginal_violation() < estimate.tol {
-                bracket.ub = bracket.ub.min(v).max(bracket.lb);
-                if bracket.width() <= eps {
-                    scratch.tiers.estimate += 1;
-                    return Ok(bracket.clamp(v));
-                }
-            }
-        }
-    }
-    scratch.tiers.exact += 1;
-    emd_with(a, b, metric, &mut scratch.transport)
 }
 
 /// Which change-point score to compute.
@@ -406,16 +162,11 @@ impl WindowScorer {
             "WindowScorer: expected tau + tau' signatures"
         );
         let w = signatures.len();
-        let mut scratch = SolverScratch::new();
+        let mut scratch = TransportScratch::new();
         let mut data = vec![0.0; w * w];
         for i in 0..w {
             for j in (i + 1)..w {
-                let d = emd_with(
-                    &signatures[i],
-                    &signatures[j],
-                    metric,
-                    &mut scratch.transport,
-                )?;
+                let d = emd_with(&signatures[i], &signatures[j], metric, &mut scratch)?;
                 data[i * w + j] = d;
                 data[j * w + i] = d;
             }
@@ -705,249 +456,6 @@ mod tests {
             &equal_weights(3),
             &equal_weights(1),
         );
-    }
-
-    /// Deterministic multi-point 2-D signatures in two clusters (around
-    /// 0 and around 8), all with equal total mass so the ladder's lower
-    /// bounds apply.
-    fn rich_sigs() -> Vec<Signature> {
-        (0..12)
-            .map(|i| {
-                let base = if i < 6 { 0.0 } else { 8.0 };
-                let t = i as f64;
-                Signature::new(
-                    vec![
-                        vec![base + 0.07 * t, base - 0.11 * t],
-                        vec![base + 1.0, base + 0.13 * t],
-                        vec![base - 0.5, base + 1.0 + 0.05 * t],
-                    ],
-                    vec![1.0, 0.5, 2.0],
-                )
-                .unwrap()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn tiered_exact_mode_is_bit_identical_to_exact() {
-        let sigs = rich_sigs();
-        let tiered = EmdSolver::Tiered(TieredConfig::default());
-        let mut st = SolverScratch::new();
-        let mut se = SolverScratch::new();
-        let mut pairs = 0u64;
-        for i in 0..sigs.len() {
-            for j in (i + 1)..sigs.len() {
-                let dt = tiered
-                    .distance_with(&sigs[i], &sigs[j], &GroundMetric::Euclidean, &mut st)
-                    .unwrap();
-                let de = EmdSolver::Exact
-                    .distance_with(&sigs[i], &sigs[j], &GroundMetric::Euclidean, &mut se)
-                    .unwrap();
-                assert_eq!(dt.to_bits(), de.to_bits(), "pair ({i}, {j})");
-                pairs += 1;
-            }
-        }
-        let stats = st.stats();
-        assert_eq!(stats.tier_exact, pairs);
-        assert_eq!(stats.exact_solves, pairs);
-        assert_eq!(stats.pruned_ratio(), 0.0);
-    }
-
-    #[test]
-    fn tiered_bounded_mode_stays_within_epsilon() {
-        let sigs = rich_sigs();
-        let mut exact_scratch = SolverScratch::new();
-        for eps in [1e-3, 0.1, 2.0] {
-            let solver = EmdSolver::Tiered(TieredConfig {
-                epsilon: Some(eps),
-                ..TieredConfig::default()
-            });
-            let mut scratch = SolverScratch::new();
-            for metric in [
-                GroundMetric::Euclidean,
-                GroundMetric::Manhattan,
-                GroundMetric::Chebyshev,
-            ] {
-                for i in 0..sigs.len() {
-                    for j in (i + 1)..sigs.len() {
-                        let v = solver
-                            .distance_with(&sigs[i], &sigs[j], &metric, &mut scratch)
-                            .unwrap();
-                        let exact = EmdSolver::Exact
-                            .distance_with(&sigs[i], &sigs[j], &metric, &mut exact_scratch)
-                            .unwrap();
-                        // Slack covers the Sinkhorn tier's marginal
-                        // tolerance (~1e-9 relative).
-                        assert!(
-                            (v - exact).abs() <= eps + 1e-6,
-                            "eps {eps} metric {metric:?} pair ({i}, {j}): {v} vs {exact}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiered_bounded_mode_prunes_wide_epsilon() {
-        // With a generous epsilon, in-cluster pairs (tiny true distance,
-        // tight bracket) must be decided without the simplex.
-        let sigs = rich_sigs();
-        let solver = EmdSolver::Tiered(TieredConfig {
-            epsilon: Some(1.0),
-            ..TieredConfig::default()
-        });
-        let mut scratch = SolverScratch::new();
-        for i in 0..6 {
-            for j in (i + 1)..6 {
-                solver
-                    .distance_with(&sigs[i], &sigs[j], &GroundMetric::Euclidean, &mut scratch)
-                    .unwrap();
-            }
-        }
-        let stats = scratch.stats();
-        assert!(
-            stats.tier_centroid + stats.tier_projection + stats.tier_estimate > 0,
-            "no tier ever decided: {stats:?}"
-        );
-        assert!(stats.pruned_ratio() > 0.0);
-    }
-
-    #[test]
-    fn tiered_bounded_mode_estimate_tier_decides_above_the_size_gate() {
-        // Two 9-point clusters (81 cost cells, above ESTIMATE_MIN_CELLS)
-        // with different intra-cluster layouts: the centroid bound is
-        // loose (it sees only the means), the greedy upper bound is
-        // loose (index-order pairing), but a converged Sinkhorn plan
-        // narrows the bracket below epsilon. The estimate config uses a
-        // milder regularization than the default so the marginal
-        // tolerance is reachable on these wide clusters (a feasible
-        // plan's cost is a valid upper bound however regularized). Sweep
-        // a few jitter patterns; at least one pair must be decided by
-        // the estimate tier, and every value must stay within epsilon
-        // of exact.
-        let eps = 0.5;
-        let solver = EmdSolver::Tiered(TieredConfig {
-            epsilon: Some(eps),
-            estimate: SinkhornConfig {
-                epsilon: 0.3,
-                max_iters: 5000,
-                tol: 1e-8,
-            },
-        });
-        let mut scratch = SolverScratch::new();
-        let mut exact_scratch = SolverScratch::new();
-        let cluster = |cx: f64, cy: f64, phase: u64| {
-            let pts: Vec<Vec<f64>> = (0..9u64)
-                .map(|i| {
-                    let jx = (((i * 7 + phase * 3) % 11) as f64 - 5.0) * 0.8;
-                    let jy = (((i * 5 + phase * 9) % 13) as f64 - 6.0) * 0.8;
-                    vec![cx + jx, cy + jy]
-                })
-                .collect();
-            Signature::new(pts, vec![1.0; 9]).unwrap()
-        };
-        for phase in 0..12u64 {
-            let a = cluster(0.0, 0.0, phase);
-            let b = cluster(4.0, 2.0, phase + 1);
-            let v = solver
-                .distance_with(&a, &b, &GroundMetric::Euclidean, &mut scratch)
-                .unwrap();
-            let exact = EmdSolver::Exact
-                .distance_with(&a, &b, &GroundMetric::Euclidean, &mut exact_scratch)
-                .unwrap();
-            assert!(
-                (v - exact).abs() <= eps + 1e-6,
-                "phase {phase}: {v} vs {exact}"
-            );
-        }
-        let stats = scratch.stats();
-        assert!(
-            stats.tier_estimate > 0,
-            "the estimate tier never decided: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn tiered_bounded_mode_matches_exact_error_on_zero_mass() {
-        let a = Signature::new(vec![vec![0.0]], vec![0.0]).unwrap();
-        let b = Signature::new(vec![vec![1.0]], vec![1.0]).unwrap();
-        let solver = EmdSolver::Tiered(TieredConfig {
-            epsilon: Some(0.5),
-            ..TieredConfig::default()
-        });
-        let mut scratch = SolverScratch::new();
-        let tiered_err = solver
-            .distance_with(&a, &b, &GroundMetric::Euclidean, &mut scratch)
-            .unwrap_err();
-        let exact_err = EmdSolver::Exact
-            .distance_with(&a, &b, &GroundMetric::Euclidean, &mut scratch)
-            .unwrap_err();
-        assert_eq!(tiered_err, exact_err);
-    }
-
-    #[test]
-    fn tiered_nearest_matches_exact_and_prunes() {
-        let sigs = rich_sigs();
-        let (query, candidates) = sigs.split_first().unwrap();
-        let metric = GroundMetric::Euclidean;
-        let mut exact_out = Vec::new();
-        EmdSolver::Exact
-            .nearest_with(
-                query,
-                candidates,
-                3,
-                &metric,
-                &mut SolverScratch::new(),
-                &mut exact_out,
-            )
-            .unwrap();
-        for cfg in [
-            TieredConfig::default(),
-            TieredConfig {
-                epsilon: Some(0.25),
-                ..TieredConfig::default()
-            },
-        ] {
-            let mut scratch = SolverScratch::new();
-            let mut tiered_out = Vec::new();
-            EmdSolver::Tiered(cfg)
-                .nearest_with(query, candidates, 3, &metric, &mut scratch, &mut tiered_out)
-                .unwrap();
-            assert_eq!(exact_out.len(), tiered_out.len());
-            for (e, t) in exact_out.iter().zip(&tiered_out) {
-                assert_eq!(e.1, t.1);
-                assert_eq!(e.0.to_bits(), t.0.to_bits());
-            }
-            // The far cluster must have been excluded by a bound, not by
-            // solving: fewer exact solves than candidates.
-            let stats = scratch.stats();
-            assert!(
-                stats.tier_centroid + stats.tier_projection > 0,
-                "no k-NN pruning happened: {stats:?}"
-            );
-            assert!(stats.exact_solves < candidates.len() as u64);
-        }
-    }
-
-    #[test]
-    fn nearest_orders_by_distance_then_index() {
-        // Duplicate candidates force distance ties; indices break them.
-        let q = Signature::new(vec![vec![0.0]], vec![1.0]).unwrap();
-        let c = Signature::new(vec![vec![1.0]], vec![1.0]).unwrap();
-        let candidates = vec![c.clone(), c.clone(), c];
-        let mut out = Vec::new();
-        EmdSolver::Exact
-            .nearest_with(
-                &q,
-                &candidates,
-                2,
-                &GroundMetric::Euclidean,
-                &mut SolverScratch::new(),
-                &mut out,
-            )
-            .unwrap();
-        assert_eq!(out.iter().map(|&(_, i)| i).collect::<Vec<_>>(), [0, 1]);
     }
 
     #[test]

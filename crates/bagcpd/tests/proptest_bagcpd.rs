@@ -1,8 +1,7 @@
 //! Property-based tests for the core detector's invariants.
 
 use bagcpd::{
-    bootstrap_ci, equal_weights, Bag, BootstrapConfig, Detector, DetectorConfig, EmdSolver,
-    GroundMetric, ScoreKind, ScoreScratch, SignatureMethod, SolverScratch, TieredConfig,
+    bootstrap_ci, equal_weights, BootstrapConfig, GroundMetric, ScoreKind, ScoreScratch,
     WindowScorer,
 };
 use emd::Signature;
@@ -357,77 +356,5 @@ proptest! {
         let tight = ci_at(0.5);
         let wide = ci_at(0.05);
         prop_assert!(wide.up - wide.lo >= tight.up - tight.lo - 1e-12);
-    }
-
-    /// Tiered exact mode is bit-identical to the exact solver through
-    /// the whole pipeline: quantization, banded distances, scores,
-    /// bootstrap CIs, and alert decisions.
-    #[test]
-    fn tiered_exact_mode_detection_is_bit_identical(
-        levels in prop::collection::vec(-5.0..5.0f64, 10..=14),
-        seed in 0u64..200,
-    ) {
-        let bags: Vec<Bag> = levels
-            .iter()
-            .map(|&lv| Bag::from_scalars((0..12).map(move |i| lv + i as f64 * 0.25)))
-            .collect();
-        let base = DetectorConfig {
-            tau: 3,
-            tau_prime: 3,
-            signature: SignatureMethod::Histogram { width: 0.5 },
-            bootstrap: BootstrapConfig { replicates: 32, ..Default::default() },
-            ..Default::default()
-        };
-        let exact = Detector::new(DetectorConfig { solver: EmdSolver::Exact, ..base.clone() })
-            .unwrap()
-            .analyze(&bags, seed)
-            .unwrap();
-        let tiered = Detector::new(DetectorConfig {
-            solver: EmdSolver::Tiered(TieredConfig::default()),
-            ..base
-        })
-        .unwrap()
-        .analyze(&bags, seed)
-        .unwrap();
-        prop_assert_eq!(exact, tiered);
-    }
-
-    /// Bounded-error mode stays within its epsilon of the exact value
-    /// on arbitrary equal-mass signature pairs.
-    #[test]
-    fn tiered_bounded_mode_within_epsilon(
-        sigs in window(2),
-        eps in 0.001..1.0f64,
-    ) {
-        let metric = GroundMetric::Euclidean;
-        let mut scratch = SolverScratch::new();
-        let exact = EmdSolver::Exact
-            .distance_with(&sigs[0], &sigs[1], &metric, &mut scratch)
-            .unwrap();
-        let bounded = EmdSolver::Tiered(TieredConfig { epsilon: Some(eps), ..Default::default() })
-            .distance_with(&sigs[0], &sigs[1], &metric, &mut scratch)
-            .unwrap();
-        prop_assert!(
-            (bounded - exact).abs() <= eps + 1e-6,
-            "bounded {bounded} vs exact {exact}, eps {eps}"
-        );
-    }
-
-    /// Exact-mode k-NN pruning is lossless: `nearest_with` under the
-    /// tiered solver returns exactly the exact solver's neighbor set.
-    #[test]
-    fn tiered_nearest_matches_exact(sigs in window(10), k in 1usize..5) {
-        let metric = GroundMetric::Euclidean;
-        let (query, candidates) = sigs.split_first().unwrap();
-        let mut scratch = SolverScratch::new();
-        let mut exact_out = Vec::new();
-        let mut tiered_out = Vec::new();
-        EmdSolver::Exact
-            .nearest_with(query, candidates, k, &metric, &mut scratch, &mut exact_out)
-            .unwrap();
-        EmdSolver::Tiered(TieredConfig::default())
-            .nearest_with(query, candidates, k, &metric, &mut scratch, &mut tiered_out)
-            .unwrap();
-        prop_assert_eq!(exact_out, tiered_out);
     }
 }

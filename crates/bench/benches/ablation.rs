@@ -46,40 +46,5 @@ fn bench_bag_size_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_exact_vs_sinkhorn(c: &mut Criterion) {
-    use emd::{emd, sinkhorn_emd, Euclidean, Signature, SinkhornConfig};
-    let mut group = c.benchmark_group("ot_solver");
-    for &k in &[8usize, 32, 96] {
-        let mut rng = seeded_rng(77 + k as u64);
-        let make = |rng: &mut rand::rngs::StdRng| {
-            use rand::Rng;
-            let points: Vec<Vec<f64>> = (0..k)
-                .map(|_| vec![rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0)])
-                .collect();
-            let weights: Vec<f64> = (0..k).map(|_| rng.gen_range(0.5..2.0)).collect();
-            Signature::new(points, weights).expect("valid")
-        };
-        let a = make(&mut rng);
-        let b = make(&mut rng);
-        group.bench_with_input(BenchmarkId::new("simplex", k), &k, |bench, _| {
-            bench.iter(|| emd(&a, &b, &Euclidean).expect("solve"));
-        });
-        let cfg = SinkhornConfig {
-            epsilon: 0.1,
-            max_iters: 500,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::new("sinkhorn", k), &k, |bench, _| {
-            bench.iter(|| sinkhorn_emd(&a, &b, &Euclidean, &cfg).expect("solve"));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_signature_methods,
-    bench_bag_size_scaling,
-    bench_exact_vs_sinkhorn
-);
+criterion_group!(benches, bench_signature_methods, bench_bag_size_scaling);
 criterion_main!(benches);

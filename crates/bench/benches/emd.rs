@@ -1,7 +1,6 @@
 //! P1 — EMD solver scaling: transportation-simplex solve time as a
 //! function of signature size, plus the 1-D fast path for comparison.
 
-use bagcpd::{EmdSolver, GroundMetric, SolverScratch, TieredConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emd::{emd, emd_1d, emd_with, Euclidean, Signature, TransportScratch};
 use rand::Rng;
@@ -74,126 +73,10 @@ fn bench_1d_oracle_vs_simplex(c: &mut Criterion) {
     group.finish();
 }
 
-/// A unit-mass 2-D cluster signature: `k` points jittered `spread`-wide
-/// around `center` — the shape a drifting stream's signature window
-/// actually holds, and the one the ladder's equal-mass bounds apply to.
-fn cluster_signature(k: usize, center: (f64, f64), spread: f64, rng: &mut impl Rng) -> Signature {
-    let points: Vec<Vec<f64>> = (0..k)
-        .map(|_| {
-            vec![
-                center.0 + rng.gen_range(-spread..spread),
-                center.1 + rng.gen_range(-spread..spread),
-            ]
-        })
-        .collect();
-    let weights: Vec<f64> = (0..k).map(|_| rng.gen_range(0.5..10.0)).collect();
-    Signature::new(points, weights)
-        .expect("valid signature")
-        .normalized()
-        .expect("positive mass")
-}
-
-/// Tiered ladder vs the bare exact solver on drifting-cluster pools
-/// (equal masses — the regime the ladder's lower bounds certify). The
-/// `value` arms measure a single `distance_with` in bounded-error mode
-/// against the exact baseline; the `nearest` arms measure the
-/// exact-mode k-NN prune (lossless — identical result set, lower
-/// bounds skip candidates that provably cannot enter it). After
-/// timing, a decided-by-tier histogram for the bounded run is printed
-/// so the prune rate is visible in the summary.
-fn bench_tiered_ladder(c: &mut Criterion) {
-    let mut group = c.benchmark_group("emd_tiered");
-    let metric = GroundMetric::Euclidean;
-    let bounded = EmdSolver::Tiered(TieredConfig {
-        epsilon: Some(0.25),
-        ..Default::default()
-    });
-    const PAIRS: usize = 32;
-    for &k in &[4usize, 16, 64] {
-        let mut rng = seeded_rng(500 + k as u64);
-        // Pair i: a baseline cluster against one drifted by i/4 units,
-        // spread cycling tight → wide, so every rung of the ladder
-        // (centroid, projection, estimate, exact) gets to decide some
-        // share of the pool.
-        let pool: Vec<(Signature, Signature)> = (0..PAIRS)
-            .map(|i| {
-                let spread = [0.1, 0.4, 1.0, 2.5][i % 4];
-                let offset = i as f64 * 0.25;
-                (
-                    cluster_signature(k, (0.0, 0.0), spread, &mut rng),
-                    cluster_signature(k, (offset, 0.5 * offset), spread, &mut rng),
-                )
-            })
-            .collect();
-        group.bench_with_input(BenchmarkId::new("value_exact", k), &k, |bench, _| {
-            let mut scratch = SolverScratch::new();
-            let mut i = 0usize;
-            bench.iter(|| {
-                let (a, b) = &pool[i % PAIRS];
-                i += 1;
-                EmdSolver::Exact
-                    .distance_with(a, b, &metric, &mut scratch)
-                    .expect("solve")
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("value_bounded", k), &k, |bench, _| {
-            let mut scratch = SolverScratch::new();
-            let mut i = 0usize;
-            bench.iter(|| {
-                let (a, b) = &pool[i % PAIRS];
-                i += 1;
-                bounded
-                    .distance_with(a, b, &metric, &mut scratch)
-                    .expect("solve")
-            });
-        });
-
-        // k-NN over the pool's right-hand signatures: exact-mode tiered
-        // returns the identical neighbor set while pruning with bounds.
-        let query = &pool[0].0;
-        let candidates: Vec<Signature> = pool.iter().map(|(_, b)| b.clone()).collect();
-        for (label, solver) in [
-            ("nearest_exact", EmdSolver::Exact),
-            ("nearest_tiered", EmdSolver::Tiered(TieredConfig::default())),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, k), &k, |bench, _| {
-                let mut scratch = SolverScratch::new();
-                let mut out = Vec::with_capacity(5);
-                bench.iter(|| {
-                    solver
-                        .nearest_with(query, &candidates, 4, &metric, &mut scratch, &mut out)
-                        .expect("solve");
-                    out.len()
-                });
-            });
-        }
-
-        // Decided-by-tier histogram over one pass of the pool.
-        let mut scratch = SolverScratch::new();
-        for (a, b) in &pool {
-            bounded
-                .distance_with(a, b, &metric, &mut scratch)
-                .expect("solve");
-        }
-        let s = scratch.stats();
-        eprintln!(
-            "emd_tiered/k={k}: bounded tiers centroid={} projection={} \
-             estimate={} exact={} (pruned ratio {:.2})",
-            s.tier_centroid,
-            s.tier_projection,
-            s.tier_estimate,
-            s.tier_exact,
-            s.pruned_ratio()
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_simplex_scaling,
     bench_solver_scratch,
-    bench_1d_oracle_vs_simplex,
-    bench_tiered_ladder
+    bench_1d_oracle_vs_simplex
 );
 criterion_main!(benches);

@@ -3,9 +3,7 @@
 //! (1, 64, 1024 named streams), plus a head-to-head of the name-keyed
 //! push path against the interned `StreamId` path.
 
-use bagcpd::{
-    Bag, BootstrapConfig, Detector, DetectorConfig, EmdSolver, SignatureMethod, TieredConfig,
-};
+use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, SignatureMethod};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use stream::{EngineConfig, MetricsRegistry, OnlineDetector, StreamEngine, StreamId};
 
@@ -33,16 +31,8 @@ fn bag_for(s: usize, t: usize) -> Bag {
 /// bags, drain, shut down. Returns the event count (kept observable so
 /// the work cannot be optimized away).
 fn run_engine(streams: usize, telemetry: Option<MetricsRegistry>) -> usize {
-    run_engine_with(detector_config(), streams, telemetry)
-}
-
-fn run_engine_with(
-    detector: DetectorConfig,
-    streams: usize,
-    telemetry: Option<MetricsRegistry>,
-) -> usize {
     let mut engine = StreamEngine::new(EngineConfig {
-        detector,
+        detector: detector_config(),
         seed: 1,
         workers: 4,
         queue_capacity: 1024,
@@ -72,78 +62,6 @@ fn bench_engine_stream_count(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// The `engine_bags_per_sec` lifecycle under the tiered solver — exact
-/// mode (the `--solver tiered` default, byte-identical output) and
-/// bounded-error mode (`--solver tiered:eps`). After timing, one
-/// instrumented run per arm prints the decided-by-tier telemetry
-/// counters so the prune ratio lands in the bench summary.
-fn bench_engine_tiered(c: &mut Criterion) {
-    let arms: [(&str, EmdSolver); 2] = [
-        ("tiered", EmdSolver::Tiered(TieredConfig::default())),
-        (
-            "tiered_eps",
-            EmdSolver::Tiered(TieredConfig {
-                epsilon: Some(0.05),
-                ..Default::default()
-            }),
-        ),
-    ];
-    let mut group = c.benchmark_group("engine_bags_per_sec_tiered");
-    group.sample_size(10);
-    for &streams in &[64usize, 1024] {
-        group.throughput(Throughput::Elements((streams * BAGS_PER_STREAM) as u64));
-        for (label, solver) in arms {
-            let cfg = DetectorConfig {
-                solver,
-                ..detector_config()
-            };
-            group.bench_with_input(BenchmarkId::new(label, streams), &streams, |b, &n| {
-                b.iter(|| run_engine_with(cfg.clone(), n, None));
-            });
-        }
-    }
-    group.finish();
-    for (label, solver) in arms {
-        let registry = MetricsRegistry::new();
-        let cfg = DetectorConfig {
-            solver,
-            ..detector_config()
-        };
-        run_engine_with(cfg, 64, Some(registry.clone()));
-        let scrape = registry.render();
-        let mut decided = [0u64; 4];
-        for (i, tier) in ["centroid", "projection", "estimate", "exact"]
-            .iter()
-            .enumerate()
-        {
-            decided[i] = scrape
-                .lines()
-                .find(|l| {
-                    l.starts_with("bagscpd_solver_tier_decided_total")
-                        && l.contains(&format!("tier=\"{tier}\""))
-                })
-                .and_then(|l| l.rsplit(' ').next())
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
-        }
-        let pruned: u64 = decided[..3].iter().sum();
-        let total = pruned + decided[3];
-        eprintln!(
-            "engine_bags_per_sec_tiered/{label}: tiers centroid={} \
-             projection={} estimate={} exact={} (pruned ratio {:.2})",
-            decided[0],
-            decided[1],
-            decided[2],
-            decided[3],
-            if total == 0 {
-                0.0
-            } else {
-                pruned as f64 / total as f64
-            }
-        );
-    }
 }
 
 /// The same lifecycle with a live telemetry registry attached: the
@@ -272,7 +190,6 @@ fn bench_online_push(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine_stream_count,
-    bench_engine_tiered,
     bench_engine_instrumented,
     bench_push_keying,
     bench_online_push

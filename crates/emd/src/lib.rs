@@ -15,25 +15,16 @@
 //! n)` solver for the 1-D equal-mass case is provided both as a fast path
 //! and as an independent oracle for property tests.
 
-pub mod bounds;
 pub mod error;
 pub mod ground;
 pub mod one_d;
 pub mod signature;
-pub mod sinkhorn;
 pub mod transport;
 
-pub use bounds::{
-    centroid_lower_bound_with, feasible_upper_bound, projected_lower_bound_with, Bracket,
-    LadderScratch,
-};
 pub use error::EmdError;
 pub use ground::{Chebyshev, Euclidean, GroundDistance, Manhattan, WeightedEuclidean};
-pub use one_d::{emd_1d, emd_1d_events};
+pub use one_d::emd_1d;
 pub use signature::Signature;
-pub use sinkhorn::{
-    sinkhorn_emd, sinkhorn_emd_with, SinkhornConfig, SinkhornScratch, SinkhornStats,
-};
 pub use transport::{
     solve_transportation, solve_transportation_with, TransportPlan, TransportScratch,
     TransportStats,

@@ -40,19 +40,6 @@ pub fn emd_1d(a: &[(f64, f64)], b: &[(f64, f64)]) -> Result<f64, EmdError> {
     let mut events: Vec<(f64, f64)> = Vec::with_capacity(a.len() + b.len());
     events.extend(a.iter().copied());
     events.extend(b.iter().map(|&(x, w)| (x, -w)));
-    Ok(emd_1d_events(&mut events, wa))
-}
-
-/// CDF-sweep core of [`emd_1d`] over a pre-merged, pre-validated event
-/// list: `(position, signed weight)` pairs (`+w` for side a, `-w` for
-/// side b) with `common_mass` the (equal) total mass of either side.
-/// Sorts `events` in place and allocates nothing — the bound ladder in
-/// [`crate::bounds`] runs this per coordinate on a scratch buffer.
-///
-/// The caller is responsible for the [`emd_1d`] preconditions: finite
-/// positions, finite weights, positive equal masses.
-pub fn emd_1d_events(events: &mut [(f64, f64)], common_mass: f64) -> f64 {
-    debug_assert!(!events.is_empty() && common_mass > 0.0);
     events.sort_unstable_by(|p, q| p.0.total_cmp(&q.0));
 
     let mut cost = 0.0;
@@ -63,7 +50,7 @@ pub fn emd_1d_events(events: &mut [(f64, f64)], common_mass: f64) -> f64 {
         cdf_gap += signed_w;
         prev_x = x;
     }
-    cost / common_mass
+    Ok(cost / wa)
 }
 
 #[cfg(test)]
@@ -141,17 +128,6 @@ mod tests {
             emd_1d(&[(0.0, -1.0)], &[(0.0, 1.0)]),
             Err(EmdError::NonFiniteInput)
         );
-    }
-
-    #[test]
-    fn events_core_matches_wrapper() {
-        let a = [(0.3, 1.5), (2.0, 0.5), (-1.0, 1.0)];
-        let b = [(1.0, 2.0), (4.0, 1.0)];
-        let via_wrapper = emd_1d(&a, &b).unwrap();
-        let mut events: Vec<(f64, f64)> = a.to_vec();
-        events.extend(b.iter().map(|&(x, w)| (x, -w)));
-        let via_core = emd_1d_events(&mut events, 3.0);
-        assert_eq!(via_wrapper.to_bits(), via_core.to_bits());
     }
 
     #[test]

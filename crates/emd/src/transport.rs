@@ -293,13 +293,11 @@ fn solve_core(
     }
     if balanced {
         // Snap the (tiny) imbalance onto the largest demand so row and
-        // column sums agree exactly.
-        let (jmax, _) =
-            s.b.iter()
-                .enumerate()
-                .max_by(|x, y| x.1.partial_cmp(y.1).expect("finite"))
-                .expect("non-empty");
-        s.b[jmax] += diff;
+        // column sums agree exactly. The demands are finite and positive
+        // (checked above) and `s.b` is non-empty, so this always snaps.
+        if let Some((jmax, _)) = s.b.iter().enumerate().max_by(|x, y| x.1.total_cmp(y.1)) {
+            s.b[jmax] += diff;
+        }
     }
 
     // The marginals are working copies: the northwest-corner rule

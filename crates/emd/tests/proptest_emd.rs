@@ -1,14 +1,15 @@
 //! Property-based tests for the EMD solver.
 //!
-//! The strongest check: on 1-D equal-mass inputs the transportation
-//! simplex must agree with the closed-form CDF solver to within floating
-//! tolerance, for arbitrary weighted point sets. Plus metric properties
-//! (non-negativity, symmetry, identity, triangle inequality) on random
-//! 2-D signatures.
+//! Two independent oracles: on 1-D equal-mass inputs the transportation
+//! simplex must agree with the closed-form CDF solver, and on integer
+//! masses — balanced or not, degenerate or not, in any dimension — with
+//! a min-cost-flow solver written separately below. Plus metric
+//! properties (non-negativity, symmetry, identity, triangle inequality)
+//! on random 2-D signatures.
 
 use emd::{
-    emd, emd_1d, emd_with, solve_transportation, solve_transportation_with, Euclidean, Signature,
-    TransportScratch,
+    emd, emd_1d, emd_with, solve_transportation, solve_transportation_with, EmdError, Euclidean,
+    GroundDistance, Signature, TransportScratch,
 };
 use proptest::prelude::*;
 
@@ -44,6 +45,123 @@ fn transport_problem() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>)> 
             prop::collection::vec((0u8..4).prop_map(|d| d as f64 * 0.5), n),
         )
     })
+}
+
+/// Strategy: 2-D points with integer weights in `0..4` (zeros
+/// included), as `(points, counts)`.
+fn counted_points_2d(max_len: usize) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<u64>)> {
+    prop::collection::vec(((-20.0..20.0f64), (-20.0..20.0f64), (0u64..4)), 1..=max_len)
+        .prop_map(|triples| triples.iter().map(|&(x, y, w)| (vec![x, y], w)).unzip())
+}
+
+/// Test-only oracle for Eqs. (7)–(11) on integer masses: a minimum-cost
+/// flow found by successive shortest paths, with Bellman–Ford on the
+/// residual graph. It shares nothing with the transportation simplex —
+/// no basis, no potentials, no slack node — and returns the total cost
+/// and total flow of a cheapest flow of maximum value, which is the
+/// EMD's flow `min(Σ supplies, Σ demands)`.
+mod min_cost_flow {
+    /// A residual arc; arc `e ^ 1` is its reverse.
+    struct Arc {
+        from: usize,
+        to: usize,
+        cap: u64,
+        cost: f64,
+    }
+
+    fn add(arcs: &mut Vec<Arc>, from: usize, to: usize, cap: u64, cost: f64) {
+        arcs.push(Arc {
+            from,
+            to,
+            cap,
+            cost,
+        });
+        arcs.push(Arc {
+            from: to,
+            to: from,
+            cap: 0,
+            cost: -cost,
+        });
+    }
+
+    /// `(total cost, total flow)` for a row-major `supplies × demands`
+    /// cost matrix.
+    pub fn solve(costs: &[f64], supplies: &[u64], demands: &[u64]) -> (f64, u64) {
+        let (m, n) = (supplies.len(), demands.len());
+        assert_eq!(costs.len(), m * n);
+        // Nodes: source 0, supplies 1..=m, demands m+1..=m+n, sink m+n+1.
+        let (source, sink, nodes) = (0, m + n + 1, m + n + 2);
+        let mut arcs = Vec::new();
+        for (i, &s) in supplies.iter().enumerate() {
+            add(&mut arcs, source, 1 + i, s, 0.0);
+        }
+        let unbounded = supplies.iter().sum::<u64>();
+        let mut transport = Vec::with_capacity(m * n);
+        for i in 0..m {
+            for j in 0..n {
+                transport.push(arcs.len());
+                add(&mut arcs, 1 + i, 1 + m + j, unbounded, costs[i * n + j]);
+            }
+        }
+        for (j, &d) in demands.iter().enumerate() {
+            add(&mut arcs, 1 + m + j, sink, d, 0.0);
+        }
+        // Relax only on a real improvement, so that rounding in
+        // tied path sums cannot form a cycle of predecessors.
+        let tol = 1e-12 * (1.0 + costs.iter().fold(0.0f64, |acc, c| acc.max(c.abs())));
+        let mut flow = 0;
+        loop {
+            let mut dist = vec![f64::INFINITY; nodes];
+            let mut via = vec![usize::MAX; nodes];
+            dist[source] = 0.0;
+            for _ in 1..nodes {
+                let mut relaxed = false;
+                for (e, arc) in arcs.iter().enumerate() {
+                    let through = dist[arc.from] + arc.cost;
+                    if arc.cap > 0 && through < dist[arc.to] - tol {
+                        dist[arc.to] = through;
+                        via[arc.to] = e;
+                        relaxed = true;
+                    }
+                }
+                if !relaxed {
+                    break;
+                }
+            }
+            if dist[sink].is_infinite() {
+                break;
+            }
+            let mut path = Vec::new();
+            let mut v = sink;
+            while v != source {
+                assert!(path.len() < nodes, "predecessor cycle");
+                path.push(via[v]);
+                v = arcs[via[v]].from;
+            }
+            let push = path
+                .iter()
+                .map(|&e| arcs[e].cap)
+                .min()
+                .expect("non-empty path");
+            for &e in &path {
+                arcs[e].cap -= push;
+                arcs[e ^ 1].cap += push;
+            }
+            flow += push;
+        }
+        // The flow on each supply→demand arc is its reverse's capacity.
+        let cost = transport
+            .iter()
+            .map(|&e| arcs[e ^ 1].cap as f64 * arcs[e].cost)
+            .sum();
+        (cost, flow)
+    }
+}
+
+/// Agreement to 1e-9, relative to the oracle's magnitude (absolute
+/// below 1).
+fn agrees(value: f64, oracle: f64) -> bool {
+    (value - oracle).abs() <= 1e-9 * (1.0 + oracle.abs())
 }
 
 /// Normalize a weighted point set to unit mass.
@@ -194,39 +312,80 @@ proptest! {
             .sum();
         prop_assert!((d - expected).abs() < 1e-7 * (1.0 + expected), "{d} vs {expected}");
     }
+}
 
-    /// Every ladder tier is a true bound of the exact EMD: the centroid
-    /// and projected tiers never exceed it, the feasible-flow tier never
-    /// falls below it. (The centroid and projected bounds are NOT
-    /// ordered against each other in >= 2 dimensions — each is only
-    /// guaranteed below the exact value.)
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The transportation simplex finds the min-cost flow's optimum, on
+    /// random unbalanced and degenerate problems with integer marginals
+    /// (the half-integer grid of `transport_problem`, doubled).
     #[test]
-    fn ladder_tiers_bound_exact_emd(a in signature_2d(8), b in signature_2d(8)) {
-        use emd::{
-            centroid_lower_bound_with, feasible_upper_bound, projected_lower_bound_with,
-            LadderScratch,
-        };
-        // Equal masses: the lower-bound tiers are sound only there and
-        // return None otherwise (also exercised below).
-        let an = a.normalized().unwrap();
-        let bn = b.normalized().unwrap();
-        let exact = emd(&an, &bn, &Euclidean).unwrap();
-        let tol = 1e-9 * (1.0 + exact.abs());
-        let mut scratch = LadderScratch::new();
-        let clb = centroid_lower_bound_with(&an, &bn, &Euclidean, &mut scratch)
-            .expect("equal masses");
-        prop_assert!(clb <= exact + tol, "centroid {clb} > exact {exact}");
-        let plb = projected_lower_bound_with(&an, &bn, &mut scratch).expect("equal masses");
-        prop_assert!(plb <= exact + tol, "projection {plb} > exact {exact}");
-        let ub = feasible_upper_bound(&an, &bn, &Euclidean);
-        prop_assert!(ub + tol >= exact, "upper {ub} < exact {exact}");
+    fn simplex_matches_min_cost_flow_oracle(problem in transport_problem()) {
+        let (costs, supplies, demands) = problem;
+        let supplies: Vec<f64> = supplies.iter().map(|s| s * 2.0).collect();
+        let demands: Vec<f64> = demands.iter().map(|d| d * 2.0).collect();
+        let counts = |masses: &[f64]| masses.iter().map(|&x| x as u64).collect::<Vec<_>>();
+        let (cost, flow) = min_cost_flow::solve(&costs, &counts(&supplies), &counts(&demands));
+        match solve_transportation(&costs, &supplies, &demands) {
+            Ok(plan) => {
+                prop_assert!(
+                    agrees(plan.total_flow(), flow as f64),
+                    "flow {} vs oracle {flow}", plan.total_flow()
+                );
+                prop_assert!(
+                    agrees(plan.total_cost(), cost),
+                    "cost {} vs oracle {cost}", plan.total_cost()
+                );
+            }
+            Err(e) => {
+                prop_assert_eq!(e, EmdError::ZeroMass);
+                prop_assert_eq!(flow, 0);
+            }
+        }
+    }
 
-        // Unequal masses: the lower-bound tiers must refuse.
-        if (a.total_weight() - b.total_weight()).abs()
-            > 1e-6 * a.total_weight().max(b.total_weight())
-        {
-            prop_assert!(centroid_lower_bound_with(&a, &b, &Euclidean, &mut scratch).is_none());
-            prop_assert!(projected_lower_bound_with(&a, &b, &mut scratch).is_none());
+    /// `emd` is the min-cost flow's cost per unit of flow (Eq. 12), on
+    /// 2-D signatures with integer weights, zeros included. With `grid`
+    /// set the points snap to a small integer grid, where ground
+    /// distances tie and the simplex meets degenerate pivots.
+    #[test]
+    fn emd_matches_min_cost_flow_oracle(
+        grid in 0u8..2,
+        a in counted_points_2d(8),
+        b in counted_points_2d(8),
+    ) {
+        let snap = |(points, counts): (Vec<Vec<f64>>, Vec<u64>)| {
+            let points = points
+                .into_iter()
+                .map(|p| {
+                    if grid == 1 {
+                        p.iter().map(|x| (x / 8.0).round()).collect()
+                    } else {
+                        p
+                    }
+                })
+                .collect();
+            Signature::from_counts(points, &counts).expect("valid signature")
+        };
+        let (a, b) = (snap(a), snap(b));
+        let costs: Vec<f64> = a
+            .points()
+            .iter()
+            .flat_map(|pa| b.points().iter().map(|pb| Euclidean.distance(pa, pb)))
+            .collect();
+        let counts = |s: &Signature| s.weights().iter().map(|&w| w as u64).collect::<Vec<_>>();
+        let (cost, flow) = min_cost_flow::solve(&costs, &counts(&a), &counts(&b));
+        match emd(&a, &b, &Euclidean) {
+            Ok(d) => {
+                prop_assert!(flow > 0);
+                let oracle = cost / flow as f64;
+                prop_assert!(agrees(d, oracle), "emd {d} vs oracle {oracle}");
+            }
+            Err(e) => {
+                prop_assert_eq!(e, EmdError::ZeroMass);
+                prop_assert_eq!(flow, 0);
+            }
         }
     }
 }

@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 /// shape, not by stream, and every solve overwrites what it reads.
 #[derive(Debug, Clone, Default)]
 pub struct EmdScratch {
-    /// EMD solver buffers (transportation simplex / Sinkhorn).
+    /// EMD solver buffers (transportation simplex).
     pub(crate) solver: SolverScratch,
     /// Distances of an incoming signature to the retained ones.
     pub(crate) col: Vec<f64>,
@@ -61,8 +61,8 @@ impl EmdScratch {
         self.timer = Some(timer);
     }
 
-    /// Cumulative solver work counters (exact solves, pivots, Sinkhorn
-    /// solves and sweeps) gathered by the underlying solver scratches.
+    /// Cumulative solver work counters (exact solves, pivots) gathered
+    /// by the underlying solver scratch.
     pub fn solver_stats(&self) -> SolverStats {
         self.solver.stats()
     }

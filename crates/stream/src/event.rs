@@ -30,8 +30,8 @@ pub struct QuarantineRecord {
 pub enum DiffOutcome {
     /// Bit-identical scores.
     Equal,
-    /// Not bit-identical, but within the session's epsilon (the
-    /// bounded-error contract of `--solver tiered:eps`).
+    /// Not bit-identical, but within the session's epsilon (how a
+    /// solver change that moves floating-point rounding is pinned).
     WithinEps,
     /// Outside epsilon — a regression (or an intentional change).
     Diverged,

@@ -168,8 +168,8 @@ pub struct DiffSummary {
 impl DiffSummary {
     /// Whether the replay matched the record: nothing diverged, nothing
     /// unexpected inside the horizon, nothing missing. (Within-eps
-    /// verdicts pass — the epsilon exists to accept approximate solvers
-    /// — and trailing points past the recorded horizon pass, because
+    /// verdicts pass — the epsilon exists to accept solver changes that
+    /// move floating-point rounding — and trailing points past the recorded horizon pass, because
     /// where a recording ends depends on session mode, not on scores.)
     pub fn is_clean(&self) -> bool {
         self.diverged == 0 && self.unexpected_live == 0 && self.missing_live == 0

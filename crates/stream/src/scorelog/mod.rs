@@ -17,7 +17,8 @@
 //!   emitting typed [`Event::ReplayDiff`] verdicts and a final
 //!   [`DiffSummary`]. With the engine's determinism guarantee, "replay
 //!   diverged" means the code changed behavior — a regression test for
-//!   free; with an epsilon it bounds the drift of approximate solvers.
+//!   free; with an epsilon it bounds the drift of a solver change that
+//!   moves floating-point rounding.
 //! - **Query** — [`ScoreStore`] scans a log once into a per-stream
 //!   index (record/alert counts, `t` ranges, frame offsets) and
 //!   answers filtered [`Query`]s by re-reading only the frames that

@@ -24,15 +24,14 @@
 //! trip is byte-identical. Version 3 flattened each stream's cached
 //! distance rows into one contiguous buffer (matching the in-place
 //! window matrix of [`crate::SignatureWindow`]): a single `u32` count
-//! followed by the `n (n-1) / 2` forward-row values, instead of v2's
-//! per-row length prefixes. Version 2 snapshots are still read and
-//! migrated on load (the values are identical, only the framing
-//! changed); version 1 snapshots are refused with
-//! [`SnapshotError::BadVersion`]. Version 4 extended the config
-//! fingerprint with the tiered solver (tag 2 carries its epsilon and
-//! estimate parameters; exact mode shares tag 0 with the exact solver,
-//! making their snapshots interchangeable) — stream framing is
-//! unchanged, so versions 2 and 3 still read.
+//! followed by the `n (n-1) / 2` forward-row values. Version 4 gave
+//! the config fingerprint's solver tag room for solvers other than the
+//! exact simplex; those solvers are gone, and the only tag written is
+//! `0`, so for every configuration that can still be built a v3 file
+//! differs from a v4 one only in its version field, and both read.
+//! Versions 1 and 2 are refused with [`SnapshotError::BadVersion`]; a
+//! file written under a retired solver's tag fails with
+//! [`SnapshotError::ConfigMismatch`].
 //!
 //! The config fingerprint captures every parameter that affects results
 //! (windows, score, weighting, signature method, metric, solver,
@@ -50,8 +49,8 @@ use emd::Signature;
 pub const MAGIC: &[u8; 8] = b"BCPDSNAP";
 /// Current format version.
 pub const VERSION: u32 = 4;
-/// Oldest version [`decode_engine`] still reads (migrating on load).
-pub const MIN_READ_VERSION: u32 = 2;
+/// Oldest version [`decode_engine`] still reads.
+pub const MIN_READ_VERSION: u32 = 3;
 // lint:fingerprint-end(snapshot-header)
 
 /// Snapshot parse/validation failures.
@@ -276,8 +275,9 @@ impl<'a> Reader<'a> {
 
 // lint:fingerprint-begin(engine-layout)
 // Everything from here to the matching end marker defines the on-disk
-// byte layout. Changing it requires a VERSION bump (and a migration
-// path in read_state), then re-blessing snapshot.rs.fingerprint via
+// byte layout. Changing it requires a VERSION bump (and, for files
+// that must keep reading, a migration path in read_state), then
+// re-blessing snapshot.rs.fingerprint via
 // `cargo run -p lint -- check --update-fingerprints`.
 /// Serialize every result-affecting configuration parameter.
 fn put_config(w: &mut Writer, cfg: &DetectorConfig) {
@@ -314,28 +314,11 @@ fn put_config(w: &mut Writer, cfg: &DetectorConfig) {
         GroundMetric::Manhattan => 1,
         GroundMetric::Chebyshev => 2,
     });
-    match &cfg.solver {
-        EmdSolver::Exact => w.u8(0),
-        EmdSolver::Sinkhorn(s) => {
-            w.u8(1);
-            w.f64(s.epsilon);
-            w.u64(s.max_iters as u64);
-            w.f64(s.tol);
-        }
-        EmdSolver::Tiered(t) => match t.epsilon {
-            // Exact mode is bit-identical to the exact solver, so its
-            // fingerprint deliberately matches tag 0: snapshots are
-            // interchangeable between the two configurations.
-            None => w.u8(0),
-            Some(eps) => {
-                w.u8(2);
-                w.f64(eps);
-                w.f64(t.estimate.epsilon);
-                w.u64(t.estimate.max_iters as u64);
-                w.f64(t.estimate.tol);
-            }
-        },
-    }
+    // Tags 1 and 2 belonged to retired approximate solvers; files
+    // carrying them fail as ConfigMismatch.
+    w.u8(match cfg.solver {
+        EmdSolver::Exact => 0,
+    });
     w.f64(cfg.estimator.offset);
     w.f64(cfg.estimator.scale);
     w.f64(cfg.estimator.dist_floor);
@@ -413,67 +396,7 @@ pub fn encode_state(w: &mut Writer, state: &OnlineState) {
     }
 }
 
-/// Append one stream state in the retired **v2** framing (per-signature
-/// length-prefixed forward distance rows). Kept only so tests — here
-/// and at the engine level — can fabricate v2 checkpoints against one
-/// authoritative description of the legacy layout; nothing in
-/// production writes it.
-#[doc(hidden)]
-pub fn encode_state_v2(w: &mut Writer, state: &OnlineState) {
-    w.u64(state.seed);
-    w.u64(state.pushed);
-    w.u64(state.emitted);
-    match state.dim {
-        None => w.u32(0),
-        Some(d) => w.u32(d + 1),
-    }
-    let n = state.sigs.len();
-    w.u32(n as u32);
-    for sig in &state.sigs {
-        put_signature(w, sig);
-    }
-    let mut at = 0;
-    for k in 0..n {
-        let len = n - k - 1;
-        w.u32(len as u32);
-        for &d in &state.rows[at..at + len] {
-            w.f64(d);
-        }
-        at += len;
-    }
-    w.u32(state.ci_up_hist.len() as u32);
-    for &u in &state.ci_up_hist {
-        w.f64(u);
-    }
-}
-
-/// A whole engine checkpoint in the retired **v2** framing; test
-/// support only, see [`encode_state_v2`].
-#[doc(hidden)]
-pub fn encode_engine_v2<S: AsRef<str>>(
-    cfg: &DetectorConfig,
-    master_seed: u64,
-    names: &[S],
-    streams: &[(u32, OnlineState)],
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bytes(MAGIC);
-    w.u32(2);
-    w.bytes(&config_fingerprint(cfg));
-    w.u64(master_seed);
-    w.u64(names.len() as u64);
-    for name in names {
-        w.str(name.as_ref());
-    }
-    w.u64(streams.len() as u64);
-    for (id, state) in streams {
-        w.u32(*id);
-        encode_state_v2(&mut w, state);
-    }
-    w.into_bytes()
-}
-
-fn read_state(r: &mut Reader<'_>, version: u32) -> Result<OnlineState, SnapshotError> {
+fn read_state(r: &mut Reader<'_>) -> Result<OnlineState, SnapshotError> {
     let seed = r.u64()?;
     let pushed = r.u64()?;
     let emitted = r.u64()?;
@@ -493,34 +416,15 @@ fn read_state(r: &mut Reader<'_>, version: u32) -> Result<OnlineState, SnapshotE
         sigs.push(read_signature(r)?);
     }
     let expected_rows = nsigs * nsigs.saturating_sub(1) / 2;
-    let mut rows: Vec<f64>;
-    if version == 2 {
-        // v2 framing: one length-prefixed forward row per signature.
-        // The values (and their order) are exactly the v3 flattening,
-        // so migration is pure concatenation.
-        rows = Vec::with_capacity(r.bounded_capacity(expected_rows, 8));
-        for k in 0..nsigs {
-            let len = r.u32()? as usize;
-            if len != nsigs - k - 1 {
-                return Err(SnapshotError::Corrupt(format!(
-                    "distance row {k} of {len} entries among {nsigs} signatures"
-                )));
-            }
-            for _ in 0..len {
-                rows.push(r.f64()?);
-            }
-        }
-    } else {
-        let total = r.u32()? as usize;
-        if total != expected_rows {
-            return Err(SnapshotError::Corrupt(format!(
-                "{total} distance entries for {nsigs} signatures (expected {expected_rows})"
-            )));
-        }
-        rows = Vec::with_capacity(r.bounded_capacity(total, 8));
-        for _ in 0..total {
-            rows.push(r.f64()?);
-        }
+    let total = r.u32()? as usize;
+    if total != expected_rows {
+        return Err(SnapshotError::Corrupt(format!(
+            "{total} distance entries for {nsigs} signatures (expected {expected_rows})"
+        )));
+    }
+    let mut rows = Vec::with_capacity(r.bounded_capacity(total, 8));
+    for _ in 0..total {
+        rows.push(r.f64()?);
     }
     let hist_len = r.u32()? as usize;
     if hist_len > 1_000_000 {
@@ -651,7 +555,7 @@ pub fn decode_engine(bytes: &[u8], cfg: &DetectorConfig) -> Result<EngineSnapsho
                 )));
             }
         }
-        let state = read_state(&mut r, version)?;
+        let state = read_state(&mut r)?;
         streams.push((id, state));
     }
     if !r.finished() {
@@ -749,71 +653,17 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_migrate_on_load() {
-        // A v2 snapshot (per-row framing) must decode to the same
-        // logical snapshot as its v3 re-encoding, and the migrated
-        // v3 bytes must round-trip bit-identically.
-        let names = ["alpha", "beta"];
-        let streams = vec![(0, state(2)), (1, state(1))];
-        let v2 = encode_engine_v2(&cfg(), 99, &names, &streams);
-        let snap = decode_engine(&v2, &cfg()).unwrap();
-        assert_eq!(snap.master_seed, 99);
-        assert_eq!(snap.streams, streams);
-
-        // Migrate: re-encode (always writes VERSION = 3) and compare a
-        // second decode against the first.
-        let v3 = encode_engine(&cfg(), snap.master_seed, &snap.names, snap.streams.clone());
-        assert_eq!(v3[8..12], VERSION.to_le_bytes());
-        let again = decode_engine(&v3, &cfg()).unwrap();
-        assert_eq!(snap, again, "v2 -> v3 migration must be lossless");
-        // And v3 re-encoding is a fixed point.
-        assert_eq!(
-            v3,
-            encode_engine(&cfg(), again.master_seed, &again.names, again.streams)
-        );
-    }
-
-    #[test]
-    fn v2_with_non_triangular_rows_is_corrupt() {
-        // v2's per-row framing is validated against the triangular
-        // shape during migration.
-        let mut w = Writer::new();
-        w.bytes(MAGIC);
-        w.u32(2);
-        w.bytes(&config_fingerprint(&cfg()));
-        w.u64(1);
-        w.u64(1);
-        w.str("s");
-        w.u64(1);
-        w.u32(0);
-        let st = state(1);
-        w.u64(st.seed);
-        w.u64(st.pushed);
-        w.u64(st.emitted);
-        w.u32(2); // dim Some(1)
-        w.u32(2);
-        for sig in &st.sigs {
-            put_signature(&mut w, sig);
-        }
-        w.u32(0); // row 0 should have 1 entry, not 0
-        w.u32(0);
-        w.u32(0);
-        assert!(matches!(
-            decode_engine(&w.into_bytes(), &cfg()),
-            Err(SnapshotError::Corrupt(_))
-        ));
-    }
-
-    #[test]
     fn rejects_version_1_with_explicit_bad_version() {
-        // A v1 snapshot (same magic, version field 1) must fail loudly
-        // as BadVersion, never parse as garbage.
-        let mut bytes = encode_engine(&cfg(), 1, &["s"], vec![(0, state(1))]);
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            decode_engine(&bytes, &cfg()),
-            Err(SnapshotError::BadVersion(1))
-        );
+        // v1 and v2 snapshots (same magic, version field 1 or 2) must
+        // fail loudly as BadVersion, never parse as garbage.
+        for version in [1u32, 2] {
+            let mut bytes = encode_engine(&cfg(), 1, &["s"], vec![(0, state(1))]);
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_engine(&bytes, &cfg()),
+                Err(SnapshotError::BadVersion(version))
+            );
+        }
     }
 
     #[test]
@@ -891,30 +741,42 @@ mod tests {
     }
 
     #[test]
-    fn tiered_exact_mode_shares_the_exact_fingerprint() {
-        use bagcpd::TieredConfig;
-        let exact = cfg();
-        let tiered = DetectorConfig {
-            solver: EmdSolver::Tiered(TieredConfig::default()),
-            ..cfg()
-        };
-        assert_eq!(config_fingerprint(&exact), config_fingerprint(&tiered));
-        // Checkpoints are interchangeable between the two: results are
-        // bit-identical, so resuming either way is sound.
-        let bytes = encode_engine(&exact, 1, &["s"], vec![(0, state(1))]);
-        assert!(decode_engine(&bytes, &tiered).is_ok());
-        // Bounded-error mode is a distinct configuration.
-        let bounded = DetectorConfig {
-            solver: EmdSolver::Tiered(TieredConfig {
-                epsilon: Some(0.05),
-                ..Default::default()
-            }),
-            ..cfg()
-        };
-        assert_eq!(
-            decode_engine(&bytes, &bounded),
-            Err(SnapshotError::ConfigMismatch)
-        );
+    fn exact_fingerprint_is_stable_and_retired_solver_tags_mismatch() {
+        // The fingerprint bytes of the test config, as written by every
+        // build since version 4: v3 and v4 files of an exact session
+        // keep resuming only while these stay put.
+        #[rustfmt::skip]
+        const FINGERPRINT: [u8; 69] = [
+            3, 0, 0, 0, 0, 0, 0, 0, // tau
+            2, 0, 0, 0, 0, 0, 0, 0, // tau'
+            1, // score: symmetrized KL
+            0, // weighting: equal
+            0, 8, 0, 0, 0, 0, 0, 0, 0, // signature: k-means, k = 8
+            0, // metric: Euclidean
+            0, // solver: exact
+            0, 0, 0, 0, 0, 0, 0, 0, // estimator offset 0.0
+            0, 0, 0, 0, 0, 0, 240, 63, // estimator scale 1.0
+            17, 234, 45, 129, 153, 151, 113, 61, // dist floor 1e-12
+            50, 0, 0, 0, 0, 0, 0, 0, // bootstrap replicates
+            154, 153, 153, 153, 153, 153, 169, 63, // alpha 0.05
+        ];
+        assert_eq!(config_fingerprint(&cfg()), FINGERPRINT);
+        // The solver tag follows tau, tau', score, weighting, the
+        // signature method (tag + k) and the metric.
+        const SOLVER_TAG_AT: usize = 12 + 8 + 8 + 1 + 1 + 9 + 1;
+        let bytes = encode_engine(&cfg(), 1, &["s"], vec![(0, state(1))]);
+        assert_eq!(bytes[SOLVER_TAG_AT], 0);
+        assert!(decode_engine(&bytes, &cfg()).is_ok());
+        // Tags 1 and 2 belonged to retired approximate solvers: such
+        // checkpoints are another configuration.
+        for tag in [1u8, 2] {
+            let mut retired = bytes.clone();
+            retired[SOLVER_TAG_AT] = tag;
+            assert_eq!(
+                decode_engine(&retired, &cfg()),
+                Err(SnapshotError::ConfigMismatch)
+            );
+        }
     }
 
     #[test]

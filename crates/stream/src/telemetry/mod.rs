@@ -22,7 +22,7 @@
 //!
 //! The registry is wired through every layer of the runtime: the engine
 //! ([`crate::EngineConfig::telemetry`]), the ingestion mux and sources,
-//! the EMD solvers (via a [`SolveTimer`] carried in
+//! the EMD solver (via a [`SolveTimer`] carried in
 //! [`crate::EmdScratch`]), and the [`crate::Pipeline`] — which also
 //! exposes it over HTTP with a [`MetricsServer`] and to files with
 //! [`crate::sink::MetricsSink`].
@@ -58,13 +58,6 @@ pub mod names {
     pub const SOLVER_EXACT_SOLVES: &str = "bagscpd_solver_exact_solves_total";
     /// Stepping-stone pivots across exact solves.
     pub const SOLVER_PIVOTS: &str = "bagscpd_solver_pivots_total";
-    /// Sinkhorn solves.
-    pub const SOLVER_SINKHORN_SOLVES: &str = "bagscpd_solver_sinkhorn_solves_total";
-    /// Sinkhorn potential-update sweeps.
-    pub const SOLVER_SINKHORN_SWEEPS: &str = "bagscpd_solver_sinkhorn_sweeps_total";
-    /// Tiered-solver decisions, labeled `tier`
-    /// (`centroid`/`projection`/`estimate`/`exact`).
-    pub const SOLVER_TIER_DECIDED: &str = "bagscpd_solver_tier_decided_total";
     /// Wall-clock seconds per EMD solve (histogram).
     pub const SOLVER_SOLVE_SECONDS: &str = "bagscpd_solver_solve_seconds";
     /// CSV rows parsed into bag members, across all sources.

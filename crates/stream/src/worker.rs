@@ -83,10 +83,10 @@ pub(crate) fn stream_seed(master: u64, name: &str) -> u64 {
 /// at pool construction, so the evaluation loop only touches atomics —
 /// no registry lock, no allocation, nothing on the hot path.
 ///
-/// Solver work (exact solves, pivots, Sinkhorn solves/sweeps) is
-/// counted *inside* the solver scratches as plain integers (the solver
-/// crates know nothing of telemetry); the worker folds the per-tick
-/// deltas into the shared counters here.
+/// Solver work (exact solves, pivots) is counted *inside* the solver
+/// scratch as plain integers (the solver crates know nothing of
+/// telemetry); the worker folds the per-tick deltas into the shared
+/// counters here.
 pub(crate) struct WorkerTelemetry {
     /// Evaluation ticks of this worker.
     ticks: Counter,
@@ -104,18 +104,6 @@ pub(crate) struct WorkerTelemetry {
     exact_solves: Counter,
     /// Simplex pivots (shared).
     pivots: Counter,
-    /// Sinkhorn solves (shared).
-    sinkhorn_solves: Counter,
-    /// Sinkhorn sweeps (shared).
-    sinkhorn_sweeps: Counter,
-    /// Tiered-solver decisions settled by the centroid bound (shared).
-    tier_centroid: Counter,
-    /// Decisions settled by the projected 1-D bound (shared).
-    tier_projection: Counter,
-    /// Decisions settled by the Sinkhorn estimate (shared).
-    tier_estimate: Counter,
-    /// Decisions that fell through to the exact simplex (shared).
-    tier_exact: Counter,
     /// Solve-latency probe, cloned into the worker's [`EmdScratch`].
     solve_timer: SolveTimer,
     /// Solver-scratch counter values at the last fold.
@@ -164,31 +152,6 @@ impl WorkerTelemetry {
                 names::SOLVER_PIVOTS,
                 "Stepping-stone pivots across exact solves",
             ),
-            sinkhorn_solves: registry.counter(names::SOLVER_SINKHORN_SOLVES, "Sinkhorn solves"),
-            sinkhorn_sweeps: registry.counter(
-                names::SOLVER_SINKHORN_SWEEPS,
-                "Sinkhorn potential-update sweeps",
-            ),
-            tier_centroid: registry.counter_labeled(
-                names::SOLVER_TIER_DECIDED,
-                "Tiered-solver decisions by deciding tier",
-                &[("tier", "centroid")],
-            ),
-            tier_projection: registry.counter_labeled(
-                names::SOLVER_TIER_DECIDED,
-                "Tiered-solver decisions by deciding tier",
-                &[("tier", "projection")],
-            ),
-            tier_estimate: registry.counter_labeled(
-                names::SOLVER_TIER_DECIDED,
-                "Tiered-solver decisions by deciding tier",
-                &[("tier", "estimate")],
-            ),
-            tier_exact: registry.counter_labeled(
-                names::SOLVER_TIER_DECIDED,
-                "Tiered-solver decisions by deciding tier",
-                &[("tier", "exact")],
-            ),
             solve_timer: SolveTimer::new(solve_hist, registry.clock()),
             last: SolverStats::default(),
         }
@@ -206,17 +169,6 @@ impl WorkerTelemetry {
         self.exact_solves
             .add(stats.exact_solves - self.last.exact_solves);
         self.pivots.add(stats.pivots - self.last.pivots);
-        self.sinkhorn_solves
-            .add(stats.sinkhorn_solves - self.last.sinkhorn_solves);
-        self.sinkhorn_sweeps
-            .add(stats.sinkhorn_sweeps - self.last.sinkhorn_sweeps);
-        self.tier_centroid
-            .add(stats.tier_centroid - self.last.tier_centroid);
-        self.tier_projection
-            .add(stats.tier_projection - self.last.tier_projection);
-        self.tier_estimate
-            .add(stats.tier_estimate - self.last.tier_estimate);
-        self.tier_exact.add(stats.tier_exact - self.last.tier_exact);
         self.last = stats;
     }
 }

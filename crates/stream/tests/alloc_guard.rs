@@ -16,8 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bagcpd::{
-    Bag, BootstrapConfig, Detector, DetectorConfig, EmdSolver, EvalScratch, ScoreKind,
-    SignatureMethod, TieredConfig,
+    Bag, BootstrapConfig, Detector, DetectorConfig, EvalScratch, ScoreKind, SignatureMethod,
 };
 use stream::telemetry::{names, LATENCY_BUCKETS};
 use stream::{Clock, EmdScratch, MetricsRegistry, OnlineDetector, SolveTimer};
@@ -134,61 +133,6 @@ fn warm_push_allocates_exactly_nothing() {
              over {MEASURED} pushes)"
         );
     }
-}
-
-/// The same guarantee under the tiered solver in bounded-error mode:
-/// the bound ladder (centroid buffers, projection event list, Sinkhorn
-/// estimate) must run entirely out of the ladder scratch carried by
-/// [`EmdScratch`], with exact fallbacks drawing on the same transport
-/// tableau the exact solver uses.
-#[cfg(debug_assertions)]
-#[test]
-fn warm_tiered_push_allocates_exactly_nothing() {
-    const SEED: u64 = 7;
-    const WARM: usize = 24;
-    const MEASURED: usize = 16;
-
-    let detector = Detector::new(DetectorConfig {
-        tau: 4,
-        tau_prime: 3,
-        signature: SignatureMethod::Histogram { width: 0.5 },
-        solver: EmdSolver::Tiered(TieredConfig {
-            epsilon: Some(0.05),
-            ..Default::default()
-        }),
-        bootstrap: BootstrapConfig {
-            replicates: 64,
-            ..Default::default()
-        },
-        ..Default::default()
-    })
-    .expect("valid config");
-
-    let mut online = OnlineDetector::new(detector, SEED);
-    let mut eval = EvalScratch::new();
-    let mut emd = EmdScratch::new();
-
-    let warm_bags: Vec<Bag> = (0..WARM).map(bag_at).collect();
-    let measured_bags: Vec<Bag> = (WARM..WARM + MEASURED).map(bag_at).collect();
-    for bag in warm_bags {
-        online
-            .push_with(bag, &mut eval, &mut emd)
-            .expect("warm-up push");
-    }
-
-    let before = alloc_events();
-    for bag in measured_bags {
-        online
-            .push_with(bag, &mut eval, &mut emd)
-            .expect("measured push");
-    }
-    let push_allocs = alloc_events() - before;
-    assert_eq!(
-        push_allocs, 0,
-        "a warm tiered push_with must not allocate: every bound-ladder \
-         tier and every exact fallback must run out of the scratches \
-         ({push_allocs} events over {MEASURED} pushes)"
-    );
 }
 
 /// The same guarantee for every clustering signature method: once warm,

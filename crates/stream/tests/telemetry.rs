@@ -57,7 +57,10 @@ fn registry_survives_concurrent_recording_and_rendering() {
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 20_000;
     let registry = MetricsRegistry::new();
-    let barrier = Arc::new(Barrier::new(THREADS));
+    // The main thread joins the barrier too: every worker has registered
+    // both families before the first render, and the renders still
+    // overlap the recording.
+    let barrier = Arc::new(Barrier::new(THREADS + 1));
     let workers: Vec<_> = (0..THREADS)
         .map(|i| {
             let registry = registry.clone();
@@ -79,6 +82,7 @@ fn registry_survives_concurrent_recording_and_rendering() {
             })
         })
         .collect();
+    barrier.wait();
     for _ in 0..200 {
         let text = registry.render();
         assert!(text.contains("# TYPE bagscpd_test_events_total counter"));

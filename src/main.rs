@@ -79,7 +79,6 @@
 //! only after the covered output was delivered — so `kill -9` loses
 //! nothing past the last checkpoint.
 
-use bags_cpd::emd::SinkhornConfig;
 use bags_cpd::follow::{decode_checkpoint, FOLLOW_STREAM};
 use bags_cpd::stream::ingest::parse_row;
 use bags_cpd::stream::ingest::{
@@ -92,8 +91,8 @@ use bags_cpd::stream::{
     ScoreStore, Sink, StderrAlertSink, Tee,
 };
 use bags_cpd::{
-    Bag, BootstrapConfig, DetectError, Detector, DetectorConfig, EmdSolver, ScoreKind,
-    SignatureMethod, TieredConfig, Weighting,
+    Bag, BootstrapConfig, DetectError, Detector, DetectorConfig, ScoreKind, SignatureMethod,
+    Weighting,
 };
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -122,7 +121,6 @@ struct Options {
     score: ScoreKind,
     weighting: Weighting,
     signature: SignatureMethod,
-    solver: EmdSolver,
     alpha: f64,
     replicates: usize,
     seed: u64,
@@ -220,12 +218,6 @@ options:
                          window weighting (default equal)
   --k <n>                k-means signature size (default 8)
   --histogram <width>    use histogram signatures with this bin width
-  --solver <s>           EMD solver: exact (default), sinkhorn[:eps]
-                         (entropic approximation with regularization
-                         eps), or tiered[:eps] — a lower-bound ladder
-                         that prunes exact solves; without :eps results
-                         stay bit-identical to exact, with :eps any
-                         distance may be off by at most eps
   --alpha <a>            significance level for the CIs (default 0.05)
   --replicates <T>       bootstrap replicates (default 200)
   --seed <s>             RNG seed (default 42)
@@ -293,7 +285,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         score: ScoreKind::SymmetrizedKl,
         weighting: Weighting::Equal,
         signature: SignatureMethod::KMeans { k: 8 },
-        solver: EmdSolver::Exact,
         alpha: 0.05,
         replicates: 200,
         seed: 42,
@@ -364,47 +355,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--histogram: {e}"))?;
                 opts.signature = SignatureMethod::Histogram { width };
-            }
-            "--solver" => {
-                let spec = take("--solver")?;
-                let (kind, eps) = match spec.split_once(':') {
-                    Some((kind, eps)) => (kind, Some(eps)),
-                    None => (spec.as_str(), None),
-                };
-                opts.solver = match kind {
-                    "exact" => {
-                        if eps.is_some() {
-                            return Err("--solver: exact takes no epsilon".to_string());
-                        }
-                        EmdSolver::Exact
-                    }
-                    "sinkhorn" => {
-                        let mut cfg = SinkhornConfig::default();
-                        if let Some(eps) = eps {
-                            cfg.epsilon = eps
-                                .parse()
-                                .map_err(|e| format!("--solver sinkhorn: bad epsilon: {e}"))?;
-                        }
-                        EmdSolver::Sinkhorn(cfg)
-                    }
-                    "tiered" => {
-                        let epsilon = eps
-                            .map(|eps| {
-                                eps.parse::<f64>()
-                                    .map_err(|e| format!("--solver tiered: bad epsilon: {e}"))
-                            })
-                            .transpose()?;
-                        EmdSolver::Tiered(TieredConfig {
-                            epsilon,
-                            ..Default::default()
-                        })
-                    }
-                    other => {
-                        return Err(format!(
-                            "--solver: unknown solver '{other}' (exact|sinkhorn[:eps]|tiered[:eps])"
-                        ))
-                    }
-                };
             }
             "--alpha" => {
                 opts.alpha = take("--alpha")?
@@ -706,7 +656,6 @@ fn detector_config(opts: &Options) -> DetectorConfig {
         score: opts.score,
         weighting: opts.weighting,
         signature: opts.signature.clone(),
-        solver: opts.solver,
         bootstrap: BootstrapConfig {
             alpha: opts.alpha,
             replicates: opts.replicates,

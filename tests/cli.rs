@@ -142,71 +142,30 @@ fn follow_mode_streams_points_and_alerts() {
 }
 
 #[test]
-fn tiered_solver_exact_mode_is_byte_identical_to_exact() {
-    let dir = std::env::temp_dir().join("bags_cpd_cli_tiered1");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let input = dir.join("bags.csv");
-    write_test_csv(&input, 24, 12);
-
-    // Batch mode: `--solver tiered` without an epsilon is the exact
-    // mode of the bound ladder — every decided distance is provably the
-    // exact EMD, so the output must match the default solver byte for
-    // byte.
-    let exact = bin()
-        .arg(&input)
-        .args(["--tau", "5", "--tau-prime", "5", "--seed", "7"])
-        .output()
-        .expect("binary runs");
-    assert!(exact.status.success());
-    let tiered = bin()
-        .arg(&input)
-        .args(["--tau", "5", "--tau-prime", "5", "--seed", "7"])
-        .args(["--solver", "tiered"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        tiered.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&tiered.stderr)
-    );
-    assert_eq!(
-        exact.stdout, tiered.stdout,
-        "tiered exact mode must be byte-identical to the exact solver"
-    );
-
-    // Follow mode under the tiered solver agrees with its own batch
-    // output, so the whole streaming surface is covered too.
-    let follow = bin()
-        .arg("follow")
-        .arg(&input)
-        .args(["--tau", "5", "--tau-prime", "5", "--seed", "7"])
-        .args(["--solver", "tiered"])
-        .output()
-        .expect("binary runs");
-    assert!(follow.status.success());
-    assert_eq!(
-        follow.stdout, exact.stdout,
-        "tiered follow mode must match the exact batch output"
-    );
-}
-
-#[test]
 fn rejects_bad_solver_values() {
-    let dir = std::env::temp_dir().join("bags_cpd_cli_tiered2");
+    // The exact simplex is the only solver, so the `--solver` flag is
+    // gone: every value, including the old spellings, is an unknown
+    // option.
+    let dir = std::env::temp_dir().join("bags_cpd_cli_solver");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let input = dir.join("bags.csv");
     write_test_csv(&input, 8, 4);
 
-    for bad in ["frobnicate", "tiered:not_a_number", "exact:0.1"] {
+    for value in ["exact", "sinkhorn", "tiered", "tiered:0.05", "frobnicate"] {
         let out = bin()
             .arg(&input)
-            .args(["--solver", bad])
+            .args(["--solver", value])
             .output()
             .expect("binary runs");
         assert_eq!(
             out.status.code(),
             Some(2),
-            "--solver {bad} must be rejected"
+            "--solver {value} must be rejected"
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown option --solver"),
+            "--solver {value}: {}",
+            String::from_utf8_lossy(&out.stderr)
         );
     }
 }
