@@ -167,7 +167,7 @@ impl Detection {
     pub fn peak(&self) -> Option<&ScorePoint> {
         self.points
             .iter()
-            .max_by(|a, b| a.score.partial_cmp(&b.score).expect("finite scores"))
+            .max_by(|a, b| a.score.total_cmp(&b.score))
     }
 
     /// Segment the sequence at the alerts: returns half-open `[start,
@@ -272,9 +272,8 @@ impl Detector {
     /// # Errors
     /// As [`Detector::analyze`].
     pub fn score_series(&self, bags: &[Bag], seed: u64) -> Result<Vec<(usize, f64)>, DetectError> {
-        let (sigs, band) = self.prepare(bags, seed)?;
+        let (sigs, band, last) = self.prepare(bags, seed)?;
         let layout = self.layout();
-        let last = layout.last_t(bags.len()).expect("validated in prepare");
         let mut out = Vec::with_capacity(last + 1 - layout.first_t());
         for t in layout.first_t()..=last {
             let scorer = self.window_scorer(&sigs, &band, t)?;
@@ -292,9 +291,8 @@ impl Detector {
     /// [`DetectError::DimensionMismatch`] for ragged dimensions, or EMD
     /// failures.
     pub fn analyze(&self, bags: &[Bag], seed: u64) -> Result<Detection, DetectError> {
-        let (sigs, band) = self.prepare(bags, seed)?;
+        let (sigs, band, last) = self.prepare(bags, seed)?;
         let layout = self.layout();
-        let last = layout.last_t(bags.len()).expect("validated in prepare");
 
         let mut scratch = EvalScratch::new();
         let mut points: Vec<ScorePoint> = Vec::with_capacity(last + 1 - layout.first_t());
@@ -385,19 +383,21 @@ impl Detector {
     }
 
     /// Shared front half: validate, build signatures, compute the banded
-    /// distance matrix (pairs closer than one window width).
+    /// distance matrix (pairs closer than one window width), and find
+    /// the last inspection point.
     fn prepare(
         &self,
         bags: &[Bag],
         seed: u64,
-    ) -> Result<(Vec<Signature>, DistanceMatrix), DetectError> {
+    ) -> Result<(Vec<Signature>, DistanceMatrix, usize), DetectError> {
         let need = self.cfg.tau + self.cfg.tau_prime;
-        if bags.len() < need {
-            return Err(DetectError::SequenceTooShort {
+        let last = self
+            .layout()
+            .last_t(bags.len())
+            .ok_or(DetectError::SequenceTooShort {
                 got: bags.len(),
                 need,
-            });
-        }
+            })?;
         let sigs = self.signatures(bags, seed)?;
         // One solver scratch across the whole band: the batch sweep pays
         // for its simplex tableaus once, exactly like the streaming
@@ -419,7 +419,7 @@ impl Detector {
                 data[j * n + i] = d;
             }
         }
-        Ok((sigs, DistanceMatrix::from_vec(n, n, data)))
+        Ok((sigs, DistanceMatrix::from_vec(n, n, data), last))
     }
 
     /// Extract the window block of the banded matrix as a scorer.

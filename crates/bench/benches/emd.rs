@@ -1,5 +1,6 @@
 //! P1 — EMD solver scaling: transportation-simplex solve time as a
-//! function of signature size, plus the 1-D fast path for comparison.
+//! function of signature size, plus the closed-form 1-D oracle for
+//! comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emd::{emd, emd_1d, emd_with, Euclidean, Signature, TransportScratch};

@@ -10,10 +10,15 @@
 //!
 //! The solver is a from-scratch transportation simplex
 //! (northwest-corner initialization, MODI/u-v optimality test,
-//! stepping-stone pivots with Bland's anti-cycling fallback). Unequal masses are balanced with a
-//! zero-cost slack node, the textbook reduction. A closed-form `O(n log
-//! n)` solver for the 1-D equal-mass case is provided both as a fast path
-//! and as an independent oracle for property tests.
+//! stepping-stone pivots with Bland's anti-cycling fallback). Unequal
+//! masses are balanced with a zero-cost slack node, the textbook
+//! reduction. The basis is kept across pivots as a rooted spanning tree,
+//! as in the network simplex: a pivot walks only the cycle it closes and
+//! re-hangs only the subtree it moves, recomputing the potentials there,
+//! and gives bit-for-bit the results of rebuilding the tree every pivot.
+//! A closed-form `O(n log n)` solver for the 1-D equal-mass case,
+//! [`emd_1d`], is the independent oracle of the property tests; nothing
+//! in the detector calls it.
 
 pub mod error;
 pub mod ground;

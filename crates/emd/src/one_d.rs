@@ -3,8 +3,9 @@
 //! For two distributions on the line with equal total mass and
 //! `d(x, y) = |x - y|`, the EMD equals the L1 distance between the CDFs:
 //! `EMD = ∫ |F_a(x) - F_b(x)| dx / W` where `W` is the common mass.
-//! This is both a fast path (`O(n log n)` vs simplex) and an independent
-//! oracle the property tests compare the general solver against.
+//! It runs in `O(n log n)`, but nothing in the detector calls it: it is
+//! the independent oracle the property tests compare the general solver
+//! against.
 
 use crate::error::EmdError;
 

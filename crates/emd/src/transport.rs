@@ -12,7 +12,15 @@
 //! 4. MODI (u-v) optimality testing with stepping-stone pivots improves
 //!    it to optimality. Entering variables are chosen by most-negative
 //!    reduced cost, switching to Bland's smallest-index rule after a
-//!    grace period so cycling under degeneracy is impossible.
+//!    grace period so cycling under degeneracy is impossible. The basis
+//!    is kept as one spanning tree rooted at row 0 — the network
+//!    simplex's representation, built by the northwest-corner rule
+//!    itself. A pivot finds its cycle by walking the entering cell's two
+//!    endpoints up to where they meet, re-hangs the subtree that the
+//!    leaving cell cuts off under the entering cell, and recomputes
+//!    depths and potentials inside that subtree only. A potential
+//!    depends only on its node's path to the root, so it is
+//!    bit-identical to a recomputation over the whole tree.
 //!
 //! There is exactly one solver body, and it runs entirely out of a
 //! [`TransportScratch`]: the allocating [`solve_transportation`] is a
@@ -22,7 +30,6 @@
 //! heap in steady state.
 
 use crate::error::EmdError;
-use std::collections::VecDeque;
 
 /// An optimal transportation plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,13 +65,46 @@ struct BasicCell {
     flow: f64,
 }
 
+/// Absent tree link (no parent, child or sibling).
+const NONE: usize = usize::MAX;
+
+/// A node of the basis tree. Rows are nodes `0..m` and columns
+/// `m..m + n`; each basic cell is the edge between its row and column.
+#[derive(Debug, Clone, Copy)]
+struct TreeNode {
+    /// Parent node (`NONE` at the root, row 0).
+    parent: usize,
+    /// Basis slot of the cell joining this node to its parent.
+    edge: usize,
+    /// Edges between this node and the root.
+    depth: usize,
+    /// Head of this node's child list.
+    first_child: usize,
+    /// Next sibling in the parent's child list.
+    next: usize,
+    /// Previous sibling in the parent's child list.
+    prev: usize,
+}
+
+impl TreeNode {
+    const DETACHED: TreeNode = TreeNode {
+        parent: NONE,
+        edge: NONE,
+        depth: 0,
+        first_child: NONE,
+        next: NONE,
+        prev: NONE,
+    };
+}
+
 /// Every buffer the transportation simplex touches, reusable across
 /// solves: the filtered row/column index maps, the balanced tableau
-/// (costs and marginals), the basic-cell set, the MODI potentials, the
-/// basis-tree adjacency, and the stepping-stone path. One scratch serves
-/// problems of any shape — buffers are resized (never shrunk) per solve,
-/// so after the largest problem has been seen once, further solves
-/// allocate nothing.
+/// (costs and marginals), the basic-cell set, the basis tree with its
+/// MODI potentials, and the stepping-stone path. The basis tree is kept
+/// across pivots rather than rebuilt: a pivot touches only the cycle it
+/// closes and the subtree it moves. One scratch serves problems of any
+/// shape — buffers are resized (never shrunk) per solve, so after the
+/// largest problem has been seen once, further solves allocate nothing.
 ///
 /// Results are bit-identical to the allocating entry points regardless
 /// of what a previous solve left behind: every cell of every buffer that
@@ -85,30 +125,12 @@ pub struct TransportScratch {
     basis: Vec<BasicCell>,
     /// Membership mask over tableau cells.
     is_basic: Vec<bool>,
-    /// Row potentials.
-    u: Vec<f64>,
-    /// Column potentials.
-    v: Vec<f64>,
-    /// Which row potentials have been propagated.
-    known_u: Vec<bool>,
-    /// Which column potentials have been propagated.
-    known_v: Vec<bool>,
-    /// CSR adjacency of the basis tree: node offsets (`m + n + 1`).
-    adj_start: Vec<usize>,
-    /// CSR fill cursors (scratch for the counting sort).
-    adj_pos: Vec<usize>,
-    /// CSR adjacency items: basis-cell indices, two per cell.
-    adj_items: Vec<usize>,
-    /// DFS stack for potential propagation.
-    stack: Vec<usize>,
-    /// BFS queue for the stepping-stone path search.
-    bfs: VecDeque<usize>,
-    /// BFS parent edge per node.
-    parent_edge: Vec<usize>,
-    /// BFS parent node per node.
-    parent_node: Vec<usize>,
-    /// BFS visited mask.
-    visited: Vec<bool>,
+    /// The basis as a spanning tree over the `m + n` row and column
+    /// nodes, rooted at row 0.
+    tree: Vec<TreeNode>,
+    /// MODI potentials by tree node: row potentials `u`, then column
+    /// potentials `v`.
+    potential: Vec<f64>,
     /// The stepping-stone cycle (basis-cell indices).
     path: Vec<usize>,
     /// Ground-distance cost matrix for the crate-root `emd_with` entry
@@ -302,7 +324,7 @@ fn solve_core(
 
     // The marginals are working copies: the northwest-corner rule
     // consumes them in place (nothing reads them afterwards).
-    northwest_corner(&mut s.a, &mut s.b, &mut s.basis);
+    northwest_corner(&mut s.a, &mut s.b, &mut s.basis, &mut s.tree);
     debug_assert_eq!(s.basis.len(), m + n - 1);
 
     let max_iters = (200 * (m + n) * (m + n)).max(2000);
@@ -316,54 +338,26 @@ fn solve_core(
         s.is_basic[cell.i * n + cell.j] = true;
     }
 
-    s.u.clear();
-    s.u.resize(m, 0.0);
-    s.v.clear();
-    s.v.resize(n, 0.0);
+    s.potential.clear();
+    s.potential.resize(m + n, 0.0);
+    relabel(s, n, 0);
 
     for iter in 0..max_iters {
-        // The basis tree changed by one edge (or is new): rebuild its
-        // adjacency once per pivot and share it between the potential
-        // propagation and the path search below.
-        build_adjacency(
-            &s.basis,
-            m,
-            &mut s.adj_start,
-            &mut s.adj_pos,
-            &mut s.adj_items,
-        );
-        compute_potentials(
-            &s.basis,
-            &s.c,
-            m,
-            n,
-            &mut s.u,
-            &mut s.v,
-            &mut s.known_u,
-            &mut s.known_v,
-            &s.adj_start,
-            &s.adj_items,
-            &mut s.stack,
-        );
-
-        // Entering variable selection.
+        // Entering variable selection. A cell is looked up in the basis
+        // mask only once its reduced cost beats the best so far.
+        let (u, v) = s.potential.split_at(m);
         let mut enter: Option<(usize, usize)> = None;
         let mut best = -tol;
-        'scan: for i in 0..m {
-            for j in 0..n {
-                if s.is_basic[i * n + j] {
-                    continue;
-                }
-                let r = s.c[i * n + j] - s.u[i] - s.v[j];
-                if iter >= bland_after {
-                    // Bland: first improving cell in index order.
-                    if r < -tol {
-                        enter = Some((i, j));
+        'scan: for (i, (row, &ui)) in s.c.chunks_exact(n).zip(u).enumerate() {
+            for (j, (&cij, &vj)) in row.iter().zip(v).enumerate() {
+                let r = cij - ui - vj;
+                if r < best && !s.is_basic[i * n + j] {
+                    enter = Some((i, j));
+                    if iter >= bland_after {
+                        // Bland: first improving cell in index order.
                         break 'scan;
                     }
-                } else if r < best {
                     best = r;
-                    enter = Some((i, j));
                 }
             }
         }
@@ -377,25 +371,12 @@ fn solve_core(
         };
         s.pivots += 1;
 
-        // Unique cycle: path in the basis tree from col node ej to row
-        // node ei, prepended with the entering cell.
-        tree_path(
-            &s.basis,
-            m,
-            n,
-            ej,
-            ei,
-            &s.adj_start,
-            &s.adj_items,
-            &mut s.parent_edge,
-            &mut s.parent_node,
-            &mut s.visited,
-            &mut s.bfs,
-            &mut s.path,
-        );
+        // Unique cycle: the entering cell closes the tree path from col
+        // node ej to row node ei.
+        let split = tree_path(&s.tree, m + ej, ei, &mut s.path);
 
-        // Flow change theta: minimum flow among odd-position (donor)
-        // cells of the cycle. Position 0 is the entering cell (+).
+        // Flow change theta: minimum flow among the donor cells of the
+        // cycle (the entering cell itself receives +theta).
         let mut theta = f64::INFINITY;
         let mut leave_pos = usize::MAX;
         for (pos, &cell_idx) in s.path.iter().enumerate() {
@@ -434,6 +415,22 @@ fn solve_core(
             j: ej,
             flow: theta,
         };
+
+        // The leaving cell cuts off the subtree below its deeper node.
+        // The entering cell's endpoint on that side of the cycle becomes
+        // the subtree's top, hung under the other endpoint.
+        let cut = if s.tree[leaving.i].depth > s.tree[m + leaving.j].depth {
+            leaving.i
+        } else {
+            m + leaving.j
+        };
+        let (top, anchor) = if leave_pos < split {
+            (m + ej, ei)
+        } else {
+            (ei, m + ej)
+        };
+        rehang(&mut s.tree, top, anchor, cut, leaving_idx);
+        relabel(s, n, top);
     }
     Err(EmdError::DidNotConverge)
 }
@@ -468,14 +465,27 @@ fn tableau_index(cell: &BasicCell, n: usize) -> usize {
 /// Northwest-corner initial basic feasible solution: exactly
 /// `m + n - 1` basic cells (some possibly zero-flow). Consumes the
 /// marginals in place.
-fn northwest_corner(a: &mut [f64], b: &mut [f64], cells: &mut Vec<BasicCell>) {
+///
+/// The staircase is also the first basis tree, rooted at row 0: each
+/// cell hangs one node — column 0 for the first cell, then the row or
+/// column the corner advanced into — under the node it shares with the
+/// previous cell.
+fn northwest_corner(
+    a: &mut [f64],
+    b: &mut [f64],
+    cells: &mut Vec<BasicCell>,
+    tree: &mut Vec<TreeNode>,
+) {
     let m = a.len();
     let n = b.len();
     cells.clear();
     cells.reserve(m + n - 1);
-    let (mut i, mut j) = (0usize, 0usize);
+    tree.clear();
+    tree.resize(m + n, TreeNode::DETACHED);
+    let (mut i, mut j, mut node, mut parent) = (0usize, 0usize, m, 0usize);
     loop {
         let f = a[i].min(b[j]).max(0.0);
+        link(tree, node, parent, cells.len());
         cells.push(BasicCell { i, j, flow: f });
         a[i] -= f;
         b[j] -= f;
@@ -486,161 +496,130 @@ fn northwest_corner(a: &mut [f64], b: &mut [f64], cells: &mut Vec<BasicCell>) {
         // direction remains legal.
         if i + 1 < m && (j + 1 == n || a[i] <= b[j]) {
             i += 1;
+            (node, parent) = (i, m + j);
         } else {
             j += 1;
+            (node, parent) = (m + j, i);
         }
     }
 }
 
-/// CSR adjacency of the basis tree: node ids `0..m` are rows, `m..m+n`
-/// columns; each basic cell is an edge incident to two nodes. The
-/// counting sort preserves basis order within each node's list, so
-/// traversals visit edges in exactly the order the old per-node `Vec`
-/// lists produced.
-fn build_adjacency(
-    basis: &[BasicCell],
-    m: usize,
-    start: &mut Vec<usize>,
-    pos: &mut Vec<usize>,
-    items: &mut Vec<usize>,
-) {
-    // m + n == basis.len() + 1 for a spanning tree.
-    let nodes = basis.len() + 1;
-    start.clear();
-    start.resize(nodes + 1, 0);
-    for cell in basis {
-        start[cell.i + 1] += 1;
-        start[m + cell.j + 1] += 1;
+/// Put node `x` at the head of `parent`'s child list, joined to it by
+/// the cell in basis slot `edge`.
+fn link(tree: &mut [TreeNode], x: usize, parent: usize, edge: usize) {
+    let head = tree[parent].first_child;
+    if head != NONE {
+        tree[head].prev = x;
     }
-    for k in 0..nodes {
-        start[k + 1] += start[k];
+    tree[parent].first_child = x;
+    let node = &mut tree[x];
+    (node.parent, node.edge, node.next, node.prev) = (parent, edge, head, NONE);
+}
+
+/// Take node `x` out of its parent's child list; its own subtree stays
+/// below it.
+fn unlink(tree: &mut [TreeNode], x: usize) {
+    let TreeNode {
+        parent, next, prev, ..
+    } = tree[x];
+    if prev == NONE {
+        tree[parent].first_child = next;
+    } else {
+        tree[prev].next = next;
     }
-    pos.clear();
-    pos.extend_from_slice(&start[..nodes]);
-    items.clear();
-    items.resize(2 * basis.len(), 0);
-    for (idx, cell) in basis.iter().enumerate() {
-        items[pos[cell.i]] = idx;
-        pos[cell.i] += 1;
-        items[pos[m + cell.j]] = idx;
-        pos[m + cell.j] += 1;
+    if next != NONE {
+        tree[next].prev = prev;
     }
 }
 
-/// Solve for the dual potentials over the basis spanning tree
-/// (`u[0] = 0` is the normalization).
-#[allow(clippy::too_many_arguments)]
-fn compute_potentials(
-    basis: &[BasicCell],
-    c: &[f64],
-    m: usize,
-    n: usize,
-    u: &mut [f64],
-    v: &mut [f64],
-    known_u: &mut Vec<bool>,
-    known_v: &mut Vec<bool>,
-    adj_start: &[usize],
-    adj_items: &[usize],
-    stack: &mut Vec<usize>,
-) {
-    known_u.clear();
-    known_u.resize(m, false);
-    known_v.clear();
-    known_v.resize(n, false);
-    u[0] = 0.0;
-    known_u[0] = true;
-    stack.clear();
-    stack.push(0); // node ids
-    while let Some(node) = stack.pop() {
-        for &idx in &adj_items[adj_start[node]..adj_start[node + 1]] {
-            let cell = &basis[idx];
-            if node < m {
-                // row node: propagate to the column.
-                if !known_v[cell.j] {
-                    v[cell.j] = c[cell.i * n + cell.j] - u[cell.i];
-                    known_v[cell.j] = true;
-                    stack.push(m + cell.j);
-                }
-            } else if !known_u[cell.i] {
-                u[cell.i] = c[cell.i * n + cell.j] - v[cell.j];
-                known_u[cell.i] = true;
-                stack.push(cell.i);
-            }
-        }
-    }
-    debug_assert!(
-        known_u.iter().all(|&k| k) && known_v.iter().all(|&k| k),
-        "basis is not a spanning tree"
-    );
-}
-
-/// Path (as basis-cell indices) in the basis tree from column node
-/// `start_col` to row node `goal_row`, written into `path`.
+/// Path in the basis tree from column node `from` to row node `to`, as
+/// basis-cell indices written into `path`: the edges up from `from` to
+/// the apex where the two walks meet, then the edges down from there to
+/// `to`. Returns the number of edges on the `from` side.
 ///
-/// The first edge on the path is incident to `start_col` and is a donor
-/// (receives `-theta`): adding `+theta` at the entering cell `(goal_row,
-/// start_col)` over-fills column `start_col`, so the basic edge leaving it
-/// must shed flow. Donor/receiver then alternate along the path, so even
+/// The first edge on the path is incident to `from` and is a donor
+/// (receives `-theta`): adding `+theta` at the entering cell `(to,
+/// from)` over-fills that column, so the basic edge leaving it must shed
+/// flow. Donor/receiver then alternate along the path, so even
 /// positions are donors.
-#[allow(clippy::too_many_arguments)]
-fn tree_path(
-    basis: &[BasicCell],
-    m: usize,
-    n: usize,
-    start_col: usize,
-    goal_row: usize,
-    adj_start: &[usize],
-    adj_items: &[usize],
-    parent_edge: &mut Vec<usize>,
-    parent_node: &mut Vec<usize>,
-    visited: &mut Vec<bool>,
-    bfs: &mut VecDeque<usize>,
-    path: &mut Vec<usize>,
-) {
-    let num_nodes = m + n;
-    // BFS from col node to row node.
-    let start = m + start_col;
-    let goal = goal_row;
-    parent_edge.clear();
-    parent_edge.resize(num_nodes, usize::MAX);
-    parent_node.clear();
-    parent_node.resize(num_nodes, usize::MAX);
-    visited.clear();
-    visited.resize(num_nodes, false);
-    visited[start] = true;
-    bfs.clear();
-    // Capacity is pinned to the node count, not to whatever high-water
-    // mark earlier searches happened to reach: each node enters the
-    // queue at most once, so this makes the queue shape-bound and keeps
-    // warm solves allocation-free even when a deeper basis tree shows
-    // up late in a stream.
-    bfs.reserve(num_nodes);
-    bfs.push_back(start);
-    while let Some(node) = bfs.pop_front() {
-        if node == goal {
-            break;
-        }
-        for &idx in &adj_items[adj_start[node]..adj_start[node + 1]] {
-            let cell = &basis[idx];
-            let other = if node < m { m + cell.j } else { cell.i };
-            if !visited[other] {
-                visited[other] = true;
-                parent_edge[other] = idx;
-                parent_node[other] = node;
-                bfs.push_back(other);
-            }
+fn tree_path(tree: &[TreeNode], from: usize, to: usize, path: &mut Vec<usize>) -> usize {
+    let (mut x, mut y) = (from, to);
+    while x != y {
+        if tree[x].depth >= tree[y].depth {
+            x = tree[x].parent;
+        } else {
+            y = tree[y].parent;
         }
     }
-    debug_assert!(visited[goal], "basis tree disconnected");
-    // Walk back from goal to start; then reverse so the path starts at
-    // the column side (first edge = donor adjacent to entering column).
+    let apex = x;
     path.clear();
-    let mut node = goal;
-    while node != start {
-        path.push(parent_edge[node]);
-        node = parent_node[node];
+    // A path has fewer edges than the tree has nodes, so this pins the
+    // capacity to the shape and keeps warm solves allocation-free.
+    path.reserve(tree.len());
+    let mut x = from;
+    while x != apex {
+        path.push(tree[x].edge);
+        x = tree[x].parent;
     }
-    path.reverse();
+    let split = path.len();
+    let mut y = to;
+    while y != apex {
+        path.push(tree[y].edge);
+        y = tree[y].parent;
+    }
+    path[split..].reverse();
+    split
+}
+
+/// After a pivot, move the subtree below `cut` (the deeper node of the
+/// leaving cell) so that it hangs from `top` (its node on the entering
+/// cell) under `anchor`, joined by the cell now in basis slot `edge`.
+/// The parent links from `top` up to `cut` are reversed.
+fn rehang(tree: &mut [TreeNode], top: usize, anchor: usize, cut: usize, edge: usize) {
+    let (mut x, mut parent, mut edge) = (top, anchor, edge);
+    loop {
+        let old = tree[x];
+        unlink(tree, x);
+        link(tree, x, parent, edge);
+        if x == cut {
+            return;
+        }
+        (x, parent, edge) = (old.parent, x, old.edge);
+    }
+}
+
+/// Set the depth and MODI potential of `top` and of every node below
+/// it, in preorder. The root (row 0) gets depth 0 and `u[0] = 0`, the
+/// normalization; any other node's potential is its parent cell's cost
+/// minus the parent's potential (`v[j] = c[ij] - u[i]` or
+/// `u[i] = c[ij] - v[j]`), so it depends only on the node's path to the
+/// root.
+fn relabel(s: &mut TransportScratch, n: usize, top: usize) {
+    let mut x = top;
+    loop {
+        let node = s.tree[x];
+        if node.parent == NONE {
+            s.tree[x].depth = 0;
+            s.potential[x] = 0.0;
+        } else {
+            let cell = s.basis[node.edge];
+            s.tree[x].depth = s.tree[node.parent].depth + 1;
+            s.potential[x] = s.c[cell.i * n + cell.j] - s.potential[node.parent];
+        }
+        // Next in preorder: the first child, else the next sibling of
+        // the nearest node (up to `top`) that has one.
+        if node.first_child != NONE {
+            x = node.first_child;
+            continue;
+        }
+        while x != top && s.tree[x].next == NONE {
+            x = s.tree[x].parent;
+        }
+        if x == top {
+            return;
+        }
+        x = s.tree[x].next;
+    }
 }
 
 #[cfg(test)]
@@ -650,6 +629,36 @@ mod tests {
     fn solve(costs: &[&[f64]], supplies: &[f64], demands: &[f64]) -> TransportPlan {
         let flat: Vec<f64> = costs.iter().flat_map(|r| r.iter().copied()).collect();
         solve_transportation(&flat, supplies, demands).unwrap()
+    }
+
+    /// `tree` spans the `m` row and remaining column nodes from the root,
+    /// row 0: every other node reaches the root through its parents, is
+    /// joined to its parent by its edge's cell, and sits exactly once in
+    /// its parent's (consistently linked) child list.
+    fn assert_spanning_tree(cells: &[BasicCell], tree: &[TreeNode], m: usize) {
+        assert_eq!(cells.len() + 1, tree.len());
+        assert_eq!(tree[0].parent, NONE, "row 0 is the root");
+        for (x, node) in tree.iter().enumerate().skip(1) {
+            let cell = cells[node.edge];
+            let joins = |p: usize, q: usize| (p, q) == (cell.i, m + cell.j);
+            assert!(
+                joins(x, node.parent) || joins(node.parent, x),
+                "node {x}: its edge does not join it to its parent"
+            );
+            let (mut up, mut steps) = (x, 0);
+            while up != 0 {
+                up = tree[up].parent;
+                steps += 1;
+                assert!(steps < tree.len(), "node {x} does not reach the root");
+            }
+            let (mut sibling, mut prev, mut seen) = (tree[node.parent].first_child, NONE, 0);
+            while sibling != NONE {
+                assert_eq!(tree[sibling].prev, prev, "broken sibling links");
+                seen += usize::from(sibling == x);
+                (prev, sibling) = (sibling, tree[sibling].next);
+            }
+            assert_eq!(seen, 1, "node {x} listed {seen} times under its parent");
+        }
     }
 
     #[test]
@@ -787,9 +796,10 @@ mod tests {
     fn nw_corner_cell_count() {
         let mut a = [1.0, 2.0, 3.0];
         let mut b = [2.0, 2.0, 2.0];
-        let mut cells = Vec::new();
-        northwest_corner(&mut a, &mut b, &mut cells);
+        let (mut cells, mut tree) = (Vec::new(), Vec::new());
+        northwest_corner(&mut a, &mut b, &mut cells, &mut tree);
         assert_eq!(cells.len(), 5);
+        assert_spanning_tree(&cells, &tree, 3);
         let total: f64 = cells.iter().map(|c| c.flow).sum();
         assert!((total - 6.0).abs() < 1e-12);
     }
@@ -799,11 +809,41 @@ mod tests {
         // Supplies exactly match demands pairwise -> degenerate cells.
         let mut a = [2.0, 2.0];
         let mut b = [2.0, 2.0];
-        let mut cells = Vec::new();
-        northwest_corner(&mut a, &mut b, &mut cells);
+        let (mut cells, mut tree) = (Vec::new(), Vec::new());
+        northwest_corner(&mut a, &mut b, &mut cells, &mut tree);
         assert_eq!(cells.len(), 3);
+        assert_spanning_tree(&cells, &tree, 2);
         let total: f64 = cells.iter().map(|c| c.flow).sum();
         assert!((total - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn kept_tree_matches_a_full_relabel_after_every_solve() {
+        // The tree a solve leaves behind must still span the optimal
+        // basis, and relabelling it from the root must reproduce every
+        // depth and potential bit for bit: a pivot that missed a moved
+        // node would leave a stale value here.
+        let mut s = TransportScratch::new();
+        for (m, n) in [(3, 4), (7, 5), (12, 12), (1, 6)] {
+            let costs: Vec<f64> = (0..m * n)
+                .map(|k| (((k * 7 + 3) % 11) as f64).sqrt())
+                .collect();
+            let supplies: Vec<f64> = (0..m).map(|i| (i % 3 + 1) as f64).collect();
+            let demands: Vec<f64> = (0..n).map(|j| (j % 4 + 1) as f64).collect();
+            let dims = solve_core(&costs, &supplies, &demands, &mut s, None).unwrap();
+            assert_spanning_tree(&s.basis, &s.tree, s.tree.len() - dims.n);
+            let (tree, potential) = (s.tree.clone(), s.potential.clone());
+            relabel(&mut s, dims.n, 0);
+            for (x, (kept, fresh)) in tree.iter().zip(&s.tree).enumerate() {
+                assert_eq!(kept.depth, fresh.depth, "depth of node {x}");
+                assert_eq!(
+                    potential[x].to_bits(),
+                    s.potential[x].to_bits(),
+                    "potential of node {x}"
+                );
+            }
+        }
+        assert!(s.stats().pivots > 0, "the instances must pivot");
     }
 
     #[test]
@@ -886,6 +926,27 @@ mod tests {
         let (cost, flow) = finish(&scratch, &dims, |_, _, _| {});
         assert!((flow - 6.0).abs() < 1e-12);
         assert!((cost - 18.0).abs() < 1e-12);
+
+        // A 24 x 24 assignment between the points of a 6 x 4 grid and the
+        // same points reordered (column j is point 5j mod 24): Euclidean
+        // costs tie everywhere, and the zero-cost optimum lies far from
+        // the northwest corner's staircase, so the tree is re-hung on
+        // many degenerate Bland pivots.
+        let point = |k: usize| ((k % 6) as f64, (k / 6) as f64);
+        let grid: Vec<f64> = (0..24 * 24)
+            .map(|k| {
+                let ((x0, y0), (x1, y1)) = (point(k / 24), point(k % 24 * 5 % 24));
+                ((x0 - x1).powi(2) + (y0 - y1).powi(2)).sqrt()
+            })
+            .collect();
+        let ones24 = vec![1.0; 24];
+        let before = scratch.stats().pivots;
+        let dims = solve_core(&grid, &ones24, &ones24, &mut scratch, Some(0)).unwrap();
+        let (cost, flow) = finish(&scratch, &dims, |_, _, _| {});
+        assert!(scratch.stats().pivots - before > 24, "expected many pivots");
+        assert_spanning_tree(&scratch.basis, &scratch.tree, 24);
+        assert!((flow - 24.0).abs() < 1e-12);
+        assert!(cost.abs() < 1e-12, "bland cost {cost}");
 
         // And the default path agrees on the first instance.
         let plan = solve_transportation(&costs, &ones, &ones).unwrap();

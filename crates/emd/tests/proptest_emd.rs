@@ -3,9 +3,11 @@
 //! Two independent oracles: on 1-D equal-mass inputs the transportation
 //! simplex must agree with the closed-form CDF solver, and on integer
 //! masses — balanced or not, degenerate or not, in any dimension — with
-//! a min-cost-flow solver written separately below. Plus metric
-//! properties (non-negativity, symmetry, identity, triangle inequality)
-//! on random 2-D signatures.
+//! a min-cost-flow solver written separately below. A third check pins
+//! the kept basis tree to a copy of the solver that rebuilt its tree on
+//! every pivot: same pivots, same bits. Plus metric properties
+//! (non-negativity, symmetry, identity, triangle inequality) on random
+//! 2-D signatures.
 
 use emd::{
     emd, emd_1d, emd_with, solve_transportation, solve_transportation_with, EmdError, Euclidean,
@@ -155,6 +157,523 @@ mod min_cost_flow {
             .map(|&e| arcs[e ^ 1].cap as f64 * arcs[e].cost)
             .sum();
         (cost, flow)
+    }
+}
+
+/// Strategy: a transportation problem of up to 40 × 40, the size of a
+/// k = 32 signature pair's tableau with room to spare. Costs are small
+/// integers or square roots of small integers (the ties of Euclidean
+/// distances on a grid). Marginals are small multiples of 0.5 or of
+/// 1/7 with zeros included, so filtered rows and columns, unbalanced
+/// totals, exact ties and rounded masses all occur.
+fn large_transport_problem() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>)> {
+    ((1usize..=40), (1usize..=40), (0u8..2), (0u8..2)).prop_flat_map(|(m, n, roots, sevenths)| {
+        let cost = (0u8..20).prop_map(move |c| {
+            if roots == 1 {
+                f64::from(c).sqrt()
+            } else {
+                f64::from(c % 4)
+            }
+        });
+        let unit = if sevenths == 1 { 1.0 / 7.0 } else { 0.5 };
+        let mass = (0u8..5).prop_map(move |w| f64::from(w) * unit);
+        (
+            prop::collection::vec(cost, m * n),
+            prop::collection::vec(mass.clone(), m),
+            prop::collection::vec(mass, n),
+        )
+    })
+}
+
+/// Test-only verbatim copy of the transportation simplex as it was
+/// before it kept its basis tree across pivots: every pivot rebuilt a
+/// CSR adjacency over the basic cells, recomputed every potential by a
+/// DFS from row 0 and found the stepping-stone path by BFS. Its
+/// northwest-corner start, pricing, tie-breaks and plan extraction are
+/// the ones the kept tree must reproduce pivot for pivot.
+mod rebuilt_tree {
+    use emd::EmdError;
+    use std::collections::VecDeque;
+
+    /// A solved problem: `(flows, total cost, total flow, pivots)`.
+    pub type Solved = (Vec<(usize, usize, f64)>, f64, f64, u64);
+
+    pub fn solve(costs: &[f64], supplies: &[f64], demands: &[f64]) -> Result<Solved, EmdError> {
+        let mut s = Scratch::default();
+        let dims = solve_core(costs, supplies, demands, &mut s, None)?;
+        let mut flows = Vec::new();
+        let (total_cost, total_flow) = finish(&s, &dims, |i, j, f| flows.push((i, j, f)));
+        Ok((flows, total_cost, total_flow, s.pivots))
+    }
+
+    /// Internal basic cell of the simplex tableau.
+    #[derive(Debug, Clone, Copy)]
+    struct BasicCell {
+        i: usize,
+        j: usize,
+        flow: f64,
+    }
+
+    #[derive(Debug, Clone, Default)]
+    pub struct Scratch {
+        /// Original indices of the retained (positive-supply) rows.
+        rows: Vec<usize>,
+        /// Original indices of the retained (positive-demand) columns.
+        cols: Vec<usize>,
+        /// Balanced cost matrix, row-major `m x n` (slack cells cost zero).
+        c: Vec<f64>,
+        /// Balanced supplies (consumed by the northwest-corner rule).
+        a: Vec<f64>,
+        /// Balanced demands (consumed by the northwest-corner rule).
+        b: Vec<f64>,
+        /// Basic cells of the current tableau (`m + n - 1` of them).
+        basis: Vec<BasicCell>,
+        /// Membership mask over tableau cells.
+        is_basic: Vec<bool>,
+        /// Row potentials.
+        u: Vec<f64>,
+        /// Column potentials.
+        v: Vec<f64>,
+        /// Which row potentials have been propagated.
+        known_u: Vec<bool>,
+        /// Which column potentials have been propagated.
+        known_v: Vec<bool>,
+        /// CSR adjacency of the basis tree: node offsets (`m + n + 1`).
+        adj_start: Vec<usize>,
+        /// CSR fill cursors (scratch for the counting sort).
+        adj_pos: Vec<usize>,
+        /// CSR adjacency items: basis-cell indices, two per cell.
+        adj_items: Vec<usize>,
+        /// DFS stack for potential propagation.
+        stack: Vec<usize>,
+        /// BFS queue for the stepping-stone path search.
+        bfs: VecDeque<usize>,
+        /// BFS parent edge per node.
+        parent_edge: Vec<usize>,
+        /// BFS parent node per node.
+        parent_node: Vec<usize>,
+        /// BFS visited mask.
+        visited: Vec<bool>,
+        /// The stepping-stone cycle (basis-cell indices).
+        path: Vec<usize>,
+        /// Pivots applied by the latest solve.
+        pivots: u64,
+    }
+
+    /// Shape of a solved (balanced) tableau, for plan extraction.
+    struct Dims {
+        /// Columns of the balanced tableau.
+        n: usize,
+        /// Leading rows that map to real supplies (the rest is slack).
+        real_rows: usize,
+        /// Leading columns that map to real demands (the rest is slack).
+        real_cols: usize,
+    }
+
+    fn solve_core(
+        costs: &[f64],
+        supplies: &[f64],
+        demands: &[f64],
+        s: &mut Scratch,
+        bland_after: Option<usize>,
+    ) -> Result<Dims, EmdError> {
+        let m0 = supplies.len();
+        let n0 = demands.len();
+        assert_eq!(
+            costs.len(),
+            m0 * n0,
+            "solve_transportation: cost matrix shape mismatch"
+        );
+        if supplies
+            .iter()
+            .chain(demands)
+            .any(|x| !x.is_finite() || *x < 0.0)
+            || costs.iter().any(|c| !c.is_finite())
+        {
+            return Err(EmdError::NonFiniteInput);
+        }
+
+        // Filter zero-mass rows/columns, remembering original indices.
+        s.rows.clear();
+        s.rows.extend((0..m0).filter(|&i| supplies[i] > 0.0));
+        s.cols.clear();
+        s.cols.extend((0..n0).filter(|&j| demands[j] > 0.0));
+        if s.rows.is_empty() || s.cols.is_empty() {
+            return Err(EmdError::ZeroMass);
+        }
+
+        let sa: f64 = s.rows.iter().map(|&i| supplies[i]).sum();
+        let sb: f64 = s.cols.iter().map(|&j| demands[j]).sum();
+        let diff = sa - sb;
+        // Tolerance for treating the problem as balanced.
+        let scale = sa.max(sb);
+        let balanced = diff.abs() <= 1e-12 * scale;
+
+        // Dimensions of the balanced tableau (possibly one slack row/col).
+        let extra_col = !balanced && diff > 0.0;
+        let extra_row = !balanced && diff < 0.0;
+        let m = s.rows.len() + usize::from(extra_row);
+        let n = s.cols.len() + usize::from(extra_col);
+
+        // Balanced cost matrix and marginals. Slack cells cost zero.
+        s.c.clear();
+        s.c.resize(m * n, 0.0);
+        for (ri, &i) in s.rows.iter().enumerate() {
+            for (cj, &j) in s.cols.iter().enumerate() {
+                s.c[ri * n + cj] = costs[i * n0 + j];
+            }
+        }
+        s.a.clear();
+        s.a.extend(s.rows.iter().map(|&i| supplies[i]));
+        s.b.clear();
+        s.b.extend(s.cols.iter().map(|&j| demands[j]));
+        if extra_col {
+            s.b.push(diff);
+        }
+        if extra_row {
+            s.a.push(-diff);
+        }
+        if balanced {
+            // Snap the (tiny) imbalance onto the largest demand so row and
+            // column sums agree exactly. The demands are finite and positive
+            // (checked above) and `s.b` is non-empty, so this always snaps.
+            if let Some((jmax, _)) = s.b.iter().enumerate().max_by(|x, y| x.1.total_cmp(y.1)) {
+                s.b[jmax] += diff;
+            }
+        }
+
+        // The marginals are working copies: the northwest-corner rule
+        // consumes them in place (nothing reads them afterwards).
+        northwest_corner(&mut s.a, &mut s.b, &mut s.basis);
+        debug_assert_eq!(s.basis.len(), m + n - 1);
+
+        let max_iters = (200 * (m + n) * (m + n)).max(2000);
+        let bland_after = bland_after.unwrap_or(max_iters / 2);
+        let cost_scale = s.c.iter().fold(1.0f64, |acc, &x| acc.max(x.abs()));
+        let tol = 1e-10 * cost_scale;
+
+        s.is_basic.clear();
+        s.is_basic.resize(m * n, false);
+        for cell in &s.basis {
+            s.is_basic[cell.i * n + cell.j] = true;
+        }
+
+        s.u.clear();
+        s.u.resize(m, 0.0);
+        s.v.clear();
+        s.v.resize(n, 0.0);
+
+        for iter in 0..max_iters {
+            // The basis tree changed by one edge (or is new): rebuild its
+            // adjacency once per pivot and share it between the potential
+            // propagation and the path search below.
+            build_adjacency(
+                &s.basis,
+                m,
+                &mut s.adj_start,
+                &mut s.adj_pos,
+                &mut s.adj_items,
+            );
+            compute_potentials(
+                &s.basis,
+                &s.c,
+                m,
+                n,
+                &mut s.u,
+                &mut s.v,
+                &mut s.known_u,
+                &mut s.known_v,
+                &s.adj_start,
+                &s.adj_items,
+                &mut s.stack,
+            );
+
+            // Entering variable selection.
+            let mut enter: Option<(usize, usize)> = None;
+            let mut best = -tol;
+            'scan: for i in 0..m {
+                for j in 0..n {
+                    if s.is_basic[i * n + j] {
+                        continue;
+                    }
+                    let r = s.c[i * n + j] - s.u[i] - s.v[j];
+                    if iter >= bland_after {
+                        // Bland: first improving cell in index order.
+                        if r < -tol {
+                            enter = Some((i, j));
+                            break 'scan;
+                        }
+                    } else if r < best {
+                        best = r;
+                        enter = Some((i, j));
+                    }
+                }
+            }
+            let Some((ei, ej)) = enter else {
+                return Ok(Dims {
+                    n,
+                    real_rows: s.rows.len(),
+                    real_cols: s.cols.len(),
+                });
+            };
+            s.pivots += 1;
+
+            // Unique cycle: path in the basis tree from col node ej to row
+            // node ei, prepended with the entering cell.
+            tree_path(
+                &s.basis,
+                m,
+                n,
+                ej,
+                ei,
+                &s.adj_start,
+                &s.adj_items,
+                &mut s.parent_edge,
+                &mut s.parent_node,
+                &mut s.visited,
+                &mut s.bfs,
+                &mut s.path,
+            );
+
+            // Flow change theta: minimum flow among odd-position (donor)
+            // cells of the cycle. Position 0 is the entering cell (+).
+            let mut theta = f64::INFINITY;
+            let mut leave_pos = usize::MAX;
+            for (pos, &cell_idx) in s.path.iter().enumerate() {
+                if pos % 2 == 0 {
+                    // positions 0,2,4.. in `path` are donors (see tree_path).
+                    let f = s.basis[cell_idx].flow;
+                    // Bland-compatible tie-break: smallest tableau index.
+                    if f < theta - 1e-15
+                        || (f < theta + 1e-15
+                            && leave_pos != usize::MAX
+                            && tableau_index(&s.basis[cell_idx], n)
+                                < tableau_index(&s.basis[s.path[leave_pos]], n))
+                    {
+                        theta = f;
+                        leave_pos = pos;
+                    }
+                }
+            }
+            debug_assert!(leave_pos != usize::MAX, "cycle must contain a donor cell");
+            let theta = theta.max(0.0);
+
+            // Apply the pivot: donors lose theta, receivers gain theta.
+            for (pos, &cell_idx) in s.path.iter().enumerate() {
+                if pos % 2 == 0 {
+                    s.basis[cell_idx].flow -= theta;
+                } else {
+                    s.basis[cell_idx].flow += theta;
+                }
+            }
+            let leaving_idx = s.path[leave_pos];
+            let leaving = s.basis[leaving_idx];
+            s.is_basic[leaving.i * n + leaving.j] = false;
+            s.is_basic[ei * n + ej] = true;
+            s.basis[leaving_idx] = BasicCell {
+                i: ei,
+                j: ej,
+                flow: theta,
+            };
+        }
+        Err(EmdError::DidNotConverge)
+    }
+
+    fn finish(s: &Scratch, dims: &Dims, mut on_flow: impl FnMut(usize, usize, f64)) -> (f64, f64) {
+        let mut total_cost = 0.0;
+        let mut total_flow = 0.0;
+        for cell in &s.basis {
+            if cell.flow <= 0.0 || cell.i >= dims.real_rows || cell.j >= dims.real_cols {
+                continue;
+            }
+            total_cost += cell.flow * s.c[cell.i * dims.n + cell.j];
+            total_flow += cell.flow;
+            on_flow(s.rows[cell.i], s.cols[cell.j], cell.flow);
+        }
+        (total_cost, total_flow)
+    }
+
+    #[inline]
+    fn tableau_index(cell: &BasicCell, n: usize) -> usize {
+        cell.i * n + cell.j
+    }
+
+    /// Northwest-corner initial basic feasible solution: exactly
+    /// `m + n - 1` basic cells (some possibly zero-flow). Consumes the
+    /// marginals in place.
+    fn northwest_corner(a: &mut [f64], b: &mut [f64], cells: &mut Vec<BasicCell>) {
+        let m = a.len();
+        let n = b.len();
+        cells.clear();
+        cells.reserve(m + n - 1);
+        let (mut i, mut j) = (0usize, 0usize);
+        loop {
+            let f = a[i].min(b[j]).max(0.0);
+            cells.push(BasicCell { i, j, flow: f });
+            a[i] -= f;
+            b[j] -= f;
+            if i + 1 == m && j + 1 == n {
+                break;
+            }
+            // Advance toward the exhausted side; at the borders only one
+            // direction remains legal.
+            if i + 1 < m && (j + 1 == n || a[i] <= b[j]) {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+    }
+
+    /// CSR adjacency of the basis tree: node ids `0..m` are rows, `m..m+n`
+    /// columns; each basic cell is an edge incident to two nodes. The
+    /// counting sort preserves basis order within each node's list, so
+    /// traversals visit edges in exactly the order the old per-node `Vec`
+    /// lists produced.
+    fn build_adjacency(
+        basis: &[BasicCell],
+        m: usize,
+        start: &mut Vec<usize>,
+        pos: &mut Vec<usize>,
+        items: &mut Vec<usize>,
+    ) {
+        // m + n == basis.len() + 1 for a spanning tree.
+        let nodes = basis.len() + 1;
+        start.clear();
+        start.resize(nodes + 1, 0);
+        for cell in basis {
+            start[cell.i + 1] += 1;
+            start[m + cell.j + 1] += 1;
+        }
+        for k in 0..nodes {
+            start[k + 1] += start[k];
+        }
+        pos.clear();
+        pos.extend_from_slice(&start[..nodes]);
+        items.clear();
+        items.resize(2 * basis.len(), 0);
+        for (idx, cell) in basis.iter().enumerate() {
+            items[pos[cell.i]] = idx;
+            pos[cell.i] += 1;
+            items[pos[m + cell.j]] = idx;
+            pos[m + cell.j] += 1;
+        }
+    }
+
+    /// Solve for the dual potentials over the basis spanning tree
+    /// (`u[0] = 0` is the normalization).
+    #[allow(clippy::too_many_arguments)]
+    fn compute_potentials(
+        basis: &[BasicCell],
+        c: &[f64],
+        m: usize,
+        n: usize,
+        u: &mut [f64],
+        v: &mut [f64],
+        known_u: &mut Vec<bool>,
+        known_v: &mut Vec<bool>,
+        adj_start: &[usize],
+        adj_items: &[usize],
+        stack: &mut Vec<usize>,
+    ) {
+        known_u.clear();
+        known_u.resize(m, false);
+        known_v.clear();
+        known_v.resize(n, false);
+        u[0] = 0.0;
+        known_u[0] = true;
+        stack.clear();
+        stack.push(0); // node ids
+        while let Some(node) = stack.pop() {
+            for &idx in &adj_items[adj_start[node]..adj_start[node + 1]] {
+                let cell = &basis[idx];
+                if node < m {
+                    // row node: propagate to the column.
+                    if !known_v[cell.j] {
+                        v[cell.j] = c[cell.i * n + cell.j] - u[cell.i];
+                        known_v[cell.j] = true;
+                        stack.push(m + cell.j);
+                    }
+                } else if !known_u[cell.i] {
+                    u[cell.i] = c[cell.i * n + cell.j] - v[cell.j];
+                    known_u[cell.i] = true;
+                    stack.push(cell.i);
+                }
+            }
+        }
+        debug_assert!(
+            known_u.iter().all(|&k| k) && known_v.iter().all(|&k| k),
+            "basis is not a spanning tree"
+        );
+    }
+
+    /// Path (as basis-cell indices) in the basis tree from column node
+    /// `start_col` to row node `goal_row`, written into `path`.
+    ///
+    /// The first edge on the path is incident to `start_col` and is a donor
+    /// (receives `-theta`): adding `+theta` at the entering cell `(goal_row,
+    /// start_col)` over-fills column `start_col`, so the basic edge leaving it
+    /// must shed flow. Donor/receiver then alternate along the path, so even
+    /// positions are donors.
+    #[allow(clippy::too_many_arguments)]
+    fn tree_path(
+        basis: &[BasicCell],
+        m: usize,
+        n: usize,
+        start_col: usize,
+        goal_row: usize,
+        adj_start: &[usize],
+        adj_items: &[usize],
+        parent_edge: &mut Vec<usize>,
+        parent_node: &mut Vec<usize>,
+        visited: &mut Vec<bool>,
+        bfs: &mut VecDeque<usize>,
+        path: &mut Vec<usize>,
+    ) {
+        let num_nodes = m + n;
+        // BFS from col node to row node.
+        let start = m + start_col;
+        let goal = goal_row;
+        parent_edge.clear();
+        parent_edge.resize(num_nodes, usize::MAX);
+        parent_node.clear();
+        parent_node.resize(num_nodes, usize::MAX);
+        visited.clear();
+        visited.resize(num_nodes, false);
+        visited[start] = true;
+        bfs.clear();
+        // Capacity is pinned to the node count, not to whatever high-water
+        // mark earlier searches happened to reach: each node enters the
+        // queue at most once, so this makes the queue shape-bound and keeps
+        // warm solves allocation-free even when a deeper basis tree shows
+        // up late in a stream.
+        bfs.reserve(num_nodes);
+        bfs.push_back(start);
+        while let Some(node) = bfs.pop_front() {
+            if node == goal {
+                break;
+            }
+            for &idx in &adj_items[adj_start[node]..adj_start[node + 1]] {
+                let cell = &basis[idx];
+                let other = if node < m { m + cell.j } else { cell.i };
+                if !visited[other] {
+                    visited[other] = true;
+                    parent_edge[other] = idx;
+                    parent_node[other] = node;
+                    bfs.push_back(other);
+                }
+            }
+        }
+        debug_assert!(visited[goal], "basis tree disconnected");
+        // Walk back from goal to start; then reverse so the path starts at
+        // the column side (first edge = donor adjacent to entering column).
+        path.clear();
+        let mut node = goal;
+        while node != start {
+            path.push(parent_edge[node]);
+            node = parent_node[node];
+        }
+        path.reverse();
     }
 }
 
@@ -385,6 +904,42 @@ proptest! {
             Err(e) => {
                 prop_assert_eq!(e, EmdError::ZeroMass);
                 prop_assert_eq!(flow, 0);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The kept basis tree takes the same pivots as the solver that
+    /// rebuilt its tree on every pivot and returns the same bits: total
+    /// cost, total flow, every flow in order, and the pivot count read
+    /// from `TransportScratch::stats`, through one scratch reused across
+    /// problems of different shapes.
+    #[test]
+    fn kept_tree_is_bit_identical_to_rebuilt_tree(
+        problems in prop::collection::vec(large_transport_problem(), 1..4),
+    ) {
+        let mut scratch = TransportScratch::new();
+        for (costs, supplies, demands) in &problems {
+            let before = scratch.stats().pivots;
+            let kept = solve_transportation_with(costs, supplies, demands, &mut scratch);
+            let pivots = scratch.stats().pivots - before;
+            match (kept, rebuilt_tree::solve(costs, supplies, demands)) {
+                (Ok(plan), Ok((flows, total_cost, total_flow, rebuilt_pivots))) => {
+                    prop_assert_eq!(pivots, rebuilt_pivots);
+                    prop_assert_eq!(plan.total_cost().to_bits(), total_cost.to_bits());
+                    prop_assert_eq!(plan.total_flow().to_bits(), total_flow.to_bits());
+                    prop_assert_eq!(plan.flows().len(), flows.len());
+                    for (kept, rebuilt) in plan.flows().iter().zip(&flows) {
+                        prop_assert_eq!(
+                            (kept.0, kept.1, kept.2.to_bits()),
+                            (rebuilt.0, rebuilt.1, rebuilt.2.to_bits())
+                        );
+                    }
+                }
+                (kept, rebuilt) => prop_assert_eq!(kept.err(), rebuilt.err()),
             }
         }
     }

@@ -51,9 +51,11 @@ pub mod names {
     pub const ENGINE_STREAM_ERRORS: &str = "bagscpd_engine_stream_errors_total";
     /// Evaluation ticks, labeled `worker`.
     pub const ENGINE_TICKS: &str = "bagscpd_engine_ticks_total";
-    /// Messages drained in the latest tick, labeled `worker` — the
-    /// observable proxy for queue depth behind `sync_channel`.
-    pub const ENGINE_QUEUE_DEPTH: &str = "bagscpd_engine_queue_depth";
+    /// Messages (bags and control messages) the worker drained in its
+    /// latest tick, labeled `worker`. It is the size of the last batch,
+    /// not a queue depth: `sync_channel` exposes no length, and after a
+    /// fully drained run it still holds the final batch's size.
+    pub const ENGINE_TICK_MESSAGES: &str = "bagscpd_engine_tick_messages";
     /// Exact transportation-simplex solves.
     pub const SOLVER_EXACT_SOLVES: &str = "bagscpd_solver_exact_solves_total";
     /// Stepping-stone pivots across exact solves.

@@ -90,10 +90,9 @@ pub(crate) fn stream_seed(master: u64, name: &str) -> u64 {
 pub(crate) struct WorkerTelemetry {
     /// Evaluation ticks of this worker.
     ticks: Counter,
-    /// Messages drained in the latest tick (the queue-depth proxy:
-    /// `sync_channel` exposes no len, but what a tick drains is exactly
-    /// what was waiting).
-    depth: Gauge,
+    /// Messages drained in the latest tick (the last batch's size, not
+    /// a queue depth).
+    tick_messages: Gauge,
     /// Bags evaluated (shared across workers).
     bags: Counter,
     /// Score points emitted (shared).
@@ -127,8 +126,8 @@ impl WorkerTelemetry {
                 "Evaluation ticks per worker",
                 &labels,
             ),
-            depth: registry.gauge_labeled(
-                names::ENGINE_QUEUE_DEPTH,
+            tick_messages: registry.gauge_labeled(
+                names::ENGINE_TICK_MESSAGES,
                 "Messages drained in the latest tick per worker",
                 &labels,
             ),
@@ -160,7 +159,7 @@ impl WorkerTelemetry {
     /// Record one tick that drained `drained` messages.
     fn tick(&self, drained: usize) {
         self.ticks.inc();
-        self.depth.set(drained as f64);
+        self.tick_messages.set(drained as f64);
     }
 
     /// Fold the solver-scratch deltas since the previous fold into the

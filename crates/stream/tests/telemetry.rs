@@ -24,8 +24,9 @@ fn prometheus_exposition_is_golden() {
     let registry = MetricsRegistry::with_clock(Clock::manual());
     let pushes = registry.counter(names::ENGINE_PUSHES, "Bags accepted");
     pushes.add(3);
-    let depth = registry.gauge_labeled(names::ENGINE_QUEUE_DEPTH, "Depth", &[("worker", "0")]);
-    depth.set(2.5);
+    let messages =
+        registry.gauge_labeled(names::ENGINE_TICK_MESSAGES, "Messages", &[("worker", "0")]);
+    messages.set(2.5);
     let hist = registry.histogram("bagscpd_test_seconds", "Test latency", &[0.25, 4.0]);
     hist.observe(0.125);
     hist.observe(0.5);
@@ -35,9 +36,9 @@ fn prometheus_exposition_is_golden() {
 # HELP bagscpd_engine_pushes_total Bags accepted
 # TYPE bagscpd_engine_pushes_total counter
 bagscpd_engine_pushes_total 3
-# HELP bagscpd_engine_queue_depth Depth
-# TYPE bagscpd_engine_queue_depth gauge
-bagscpd_engine_queue_depth{worker=\"0\"} 2.5
+# HELP bagscpd_engine_tick_messages Messages
+# TYPE bagscpd_engine_tick_messages gauge
+bagscpd_engine_tick_messages{worker=\"0\"} 2.5
 # HELP bagscpd_test_seconds Test latency
 # TYPE bagscpd_test_seconds histogram
 bagscpd_test_seconds_bucket{le=\"0.25\"} 1

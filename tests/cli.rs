@@ -1061,7 +1061,7 @@ fn serve_mode_metrics_endpoint_answers_prometheus_scrapes() {
     for (family, kind) in [
         ("bagscpd_engine_pushes_total", "counter"),
         ("bagscpd_engine_ticks_total", "counter"),
-        ("bagscpd_engine_queue_depth", "gauge"),
+        ("bagscpd_engine_tick_messages", "gauge"),
         ("bagscpd_ingest_bags_total", "counter"),
         ("bagscpd_ingest_tcp_lines_total", "counter"),
         ("bagscpd_ingest_poll_seconds", "histogram"),
