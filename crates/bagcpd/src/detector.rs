@@ -453,65 +453,6 @@ impl Detector {
     }
 }
 
-/// Streaming wrapper: push bags one at a time, get a [`ScorePoint`] as
-/// soon as each inspection point completes (i.e. with a delay of τ'
-/// bags).
-#[derive(Debug, Clone)]
-pub struct StreamingDetector {
-    detector: Detector,
-    bags: Vec<Bag>,
-    emitted: usize,
-    seed: u64,
-}
-
-impl StreamingDetector {
-    /// Wrap a detector for online use.
-    pub fn new(detector: Detector, seed: u64) -> Self {
-        StreamingDetector {
-            detector,
-            bags: Vec::new(),
-            emitted: 0,
-            seed,
-        }
-    }
-
-    /// Number of bags consumed so far.
-    pub fn len(&self) -> usize {
-        self.bags.len()
-    }
-
-    /// Whether no bags have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.bags.is_empty()
-    }
-
-    /// Push the next bag; returns the newly completed score points (0 or
-    /// 1 of them, once warm).
-    ///
-    /// # Errors
-    /// As [`Detector::analyze`]. Note the analysis is recomputed over the
-    /// retained window, reusing the same seed, so results match the batch
-    /// API on the same prefix.
-    pub fn push(&mut self, bag: Bag) -> Result<Vec<ScorePoint>, DetectError> {
-        self.bags.push(bag);
-        let layout = self.detector.layout();
-        let Some(last) = layout.last_t(self.bags.len()) else {
-            return Ok(Vec::new());
-        };
-        let first = layout.first_t();
-        let pending: Vec<usize> = (first..=last).skip(self.emitted).collect();
-        if pending.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Recompute over the full retained sequence; deterministic seed
-        // keeps this consistent with batch analysis.
-        let detection = self.detector.analyze(&self.bags, self.seed)?;
-        let newly: Vec<ScorePoint> = detection.points.into_iter().skip(self.emitted).collect();
-        self.emitted += newly.len();
-        Ok(newly)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,24 +652,6 @@ mod tests {
         let det = Detector::new(small_config()).unwrap();
         let out = det.analyze(&bags, 31).unwrap();
         assert_eq!(out.segments(20), vec![0..20]);
-    }
-
-    #[test]
-    fn streaming_matches_batch() {
-        let bags = shifted_bags(20, 10, 3.0);
-        let det = Detector::new(small_config()).unwrap();
-        let batch = det.analyze(&bags, 4).unwrap();
-
-        let mut stream = StreamingDetector::new(det, 4);
-        let mut streamed: Vec<ScorePoint> = Vec::new();
-        for bag in bags {
-            streamed.extend(stream.push(bag).unwrap());
-        }
-        assert_eq!(batch.points.len(), streamed.len());
-        for (a, b) in batch.points.iter().zip(&streamed) {
-            assert_eq!(a.t, b.t);
-            assert!((a.score - b.score).abs() < 1e-12);
-        }
     }
 
     #[test]

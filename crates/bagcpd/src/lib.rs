@@ -52,9 +52,7 @@ pub use bag::Bag;
 pub use bootstrap::{
     bootstrap_ci, bootstrap_ci_with, BootstrapConfig, BootstrapScratch, ConfidenceInterval,
 };
-pub use detector::{
-    bootstrap_seed, Detection, Detector, DetectorConfig, EvalScratch, ScorePoint, StreamingDetector,
-};
+pub use detector::{bootstrap_seed, Detection, Detector, DetectorConfig, EvalScratch, ScorePoint};
 pub use error::DetectError;
 pub use feature_select::{per_dimension_scores, OnlineFeatureSelector};
 pub use parametric::{parametric_distance_matrix, GaussianFit};

@@ -4,10 +4,7 @@
 //! detector errors, stream quarantines, operational notes, committed
 //! checkpoints — arrives through one ordered event stream, delivered by
 //! [`crate::StreamEngine::drain_events`] / `Mux::drain_events` and
-//! consumed by a [`crate::sink::Sink`]. Earlier releases split this
-//! across a two-variant `StreamEvent` enum plus `Mux` side channels
-//! (`take_notes()`, `quarantined()`, `TickReport::checkpointed`); those
-//! are folded into the variants below.
+//! consumed by a [`crate::sink::Sink`].
 
 use crate::ingest::source::SourceError;
 use bagcpd::ScorePoint;
@@ -141,14 +138,3 @@ impl Event {
         }
     }
 }
-
-/// The previous name of [`Event`]. The `Error` variant is now
-/// [`Event::StreamError`], and what used to be reported through `Mux`
-/// side channels (`take_notes()`, the quarantine list, checkpoint byte
-/// counts in `TickReport`) now arrives inline as [`Event::Note`],
-/// [`Event::Quarantine`], and [`Event::CheckpointWritten`].
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to `Event`; the `Error` variant is now `StreamError`"
-)]
-pub type StreamEvent = Event;

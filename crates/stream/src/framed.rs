@@ -1,12 +1,9 @@
-//! The one framed-log core shared by every durable append-only log in
-//! the runtime ([`crate::sink::SpillLog`], [`crate::scorelog`]).
+//! The framed-log core behind the runtime's durable append-only log,
+//! the [`crate::scorelog`] — which is also what degraded-mode egress
+//! spills to. This module owns the on-disk shape:
 //!
-//! Both logs used to hand-roll the same on-disk shape; a fix to one
-//! scanner could silently miss the other. This module owns the layout
-//! once:
-//!
-//! - an 8-byte magic (per log type, carrying its format version digit —
-//!   `BCPDSPL1`, `BCPDSLG1`, …) so a log never parses a foreign file;
+//! - an 8-byte magic (per log type, carrying its format version digit,
+//!   e.g. `BCPDSLG1`) so a log never parses a foreign file;
 //! - frames of `[u32 LE payload length][u64 LE FNV-1a(payload)][payload]`;
 //! - torn tails (a `kill -9` mid-append) detected on open — bad length,
 //!   bad checksum, short read, or a payload the owner refuses — and
@@ -16,7 +13,7 @@
 //! - [`FramedLog::sync`] is an `fsync`, which is what lets a durable
 //!   log participate in the pipeline's two-phase checkpoint contract.
 //!
-//! [`FramedLog`] is the read-write handle (append/scan/clear);
+//! [`FramedLog`] is the read-write handle (append/clear);
 //! [`FrameScanner`] is the read-only side for tooling that inspects a
 //! log another process may still be writing (it stops at the torn tail
 //! instead of truncating it).
@@ -134,32 +131,6 @@ impl FramedLog {
     /// I/O failure; the caller must not treat pending frames as durable.
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
-    }
-
-    /// Visit every frame payload from the start, in append order; the
-    /// write position is restored afterwards. The scan stops silently at
-    /// a torn/corrupt tail (open already truncated one, so this only
-    /// happens under concurrent corruption); a callback error aborts the
-    /// scan and propagates.
-    ///
-    /// # Errors
-    /// I/O failure, or the first error the callback returns.
-    pub fn scan(&mut self, f: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(MAGIC_LEN as u64))?;
-        let mut header = [0u8; FRAME_HEADER];
-        let mut payload = Vec::new();
-        let result = loop {
-            match read_frame(&mut self.file, &mut header, &mut payload) {
-                Ok(FrameRead::Frame) => {}
-                Ok(FrameRead::Torn) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-            if let Err(e) = f(&payload) {
-                break Err(e);
-            }
-        };
-        self.file.seek(SeekFrom::End(0))?;
-        result
     }
 
     /// Drop every frame: truncate back to the magic and sync.
@@ -422,14 +393,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, vec![b"alpha".to_vec(), b"beta-beta".to_vec()]);
-        let mut scanned = Vec::new();
-        log.scan(&mut |p| {
-            scanned.push(p.to_vec());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(scanned, seen);
-        // Scan leaves the log appendable.
         log.append(b"gamma").unwrap();
 
         let mut offsets = Vec::new();

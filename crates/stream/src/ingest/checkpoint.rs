@@ -17,12 +17,8 @@
 //! snapshot  …       stream::snapshot engine checkpoint (every stream)
 //! ```
 //!
-//! The predecessor format (`BCPDFLW1`) carried exactly one unnamed
-//! cursor — the CLI's single `follow` stream. It is still read:
-//! [`decode_checkpoint`] migrates it to one cursor named
-//! [`FOLLOW_STREAM`], so pre-multi-source `--state` files resume
-//! losslessly. The first checkpoint written afterwards uses the current
-//! format.
+//! This is the only layout read. Files in the retired single-source
+//! `BCPDFLW1` layout are refused as [`StateError::BadMagic`].
 //!
 //! Everything parses through [`crate::snapshot::Reader`], inheriting
 //! its truncation-safe, allocation-guarded discipline, and the error
@@ -39,15 +35,12 @@ use std::sync::Arc;
 /// Magic bytes of the multi-source checkpoint format.
 pub const STATE_MAGIC: &[u8; 8] = b"BCPDFLW2";
 
-/// Magic bytes of the legacy single-source format (read + migrated).
-pub const LEGACY_STATE_MAGIC: &[u8; 8] = b"BCPDFLW1";
-
 /// Sentinel for "no time" in cursor fields.
 pub const NO_TIME: i64 = i64::MIN;
 // lint:fingerprint-end(checkpoint-header)
 
 /// Name under which the CLI `follow` stream lives in the engine
-/// snapshot — and the cursor name a legacy checkpoint migrates to.
+/// snapshot and the cursor table.
 pub const FOLLOW_STREAM: &str = "cli-follow";
 
 /// Checkpoint parse/validation failures, with truncation, wrong file
@@ -57,7 +50,9 @@ pub enum StateError {
     /// The file ended before the checkpoint structure did — a short or
     /// torn write, *not* a foreign file.
     Truncated,
-    /// The magic bytes are wrong: this is not a follow/serve checkpoint.
+    /// The magic bytes are wrong: this is not a current bags-cpd
+    /// checkpoint (a foreign file, or one in the retired `BCPDFLW1`
+    /// layout).
     BadMagic,
     /// Structurally invalid header content (reason attached).
     Corrupt(String),
@@ -71,7 +66,11 @@ impl std::fmt::Display for StateError {
             StateError::Truncated => {
                 write!(f, "truncated checkpoint (file ends before its structure)")
             }
-            StateError::BadMagic => write!(f, "not a bags-cpd follow checkpoint"),
+            StateError::BadMagic => write!(
+                f,
+                "not a bags-cpd checkpoint (expected BCPDFLW2; BCPDFLW1 files from \
+                 older builds are no longer read)"
+            ),
             StateError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
             StateError::Snapshot(e) => write!(f, "checkpoint snapshot: {e}"),
         }
@@ -122,12 +121,6 @@ fn put_cursor(w: &mut Writer, cursor: &StreamCursor) {
     }
 }
 
-/// Read the flag-less v1 cursor body (shared tail with the current
-/// layout).
-fn read_legacy_cursor(r: &mut Reader<'_>) -> Result<StreamCursor, StateError> {
-    read_cursor_fields(r, false)
-}
-
 fn read_cursor(r: &mut Reader<'_>) -> Result<StreamCursor, StateError> {
     let quarantined = match r.take(1).map_err(StateError::from)? {
         [0] => false,
@@ -139,10 +132,6 @@ fn read_cursor(r: &mut Reader<'_>) -> Result<StreamCursor, StateError> {
             )))
         }
     };
-    read_cursor_fields(r, quarantined)
-}
-
-fn read_cursor_fields(r: &mut Reader<'_>, quarantined: bool) -> Result<StreamCursor, StateError> {
     let completed_time = r.i64()?;
     let completed_time = (completed_time != NO_TIME).then_some(completed_time);
     let pending_time = r.i64()?;
@@ -192,47 +181,9 @@ pub fn encode_checkpoint<S: AsRef<str>>(cursors: &[(S, StreamCursor)], snapshot:
     w.into_bytes()
 }
 
-/// Serialize a checkpoint in the retired single-source `BCPDFLW1`
-/// framing. Kept only so tests can fabricate legacy files against one
-/// authoritative description of the old layout; nothing in production
-/// writes it.
-#[doc(hidden)]
-pub fn encode_checkpoint_v1(cursor: &StreamCursor, snapshot: &[u8]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(64 + snapshot.len());
-    w.bytes(LEGACY_STATE_MAGIC);
-    // The v1 layout had no quarantine flag: cursor fields only.
-    w.i64(cursor.completed_time.unwrap_or(NO_TIME));
-    match &cursor.pending {
-        Some((t, rows)) if !rows.is_empty() => {
-            w.i64(*t);
-            w.u64(cursor.consumed);
-            w.u64(cursor.prefix_hash);
-            w.u32(rows[0].len() as u32);
-            w.u32(rows.len() as u32);
-            for row in rows {
-                for &x in row {
-                    w.f64(x);
-                }
-            }
-        }
-        _ => {
-            w.i64(NO_TIME);
-            w.u64(cursor.consumed);
-            w.u64(cursor.prefix_hash);
-            w.u32(0);
-            w.u32(0);
-        }
-    }
-    w.bytes(snapshot);
-    w.into_bytes()
-}
-
 /// Parse a checkpoint into its cursor table and the borrowed engine
 /// snapshot bytes (decode those with [`crate::snapshot::decode_engine`]
 /// or [`crate::StreamEngine::restore`]).
-///
-/// A legacy `BCPDFLW1` file decodes to one cursor named
-/// [`FOLLOW_STREAM`].
 ///
 /// # Errors
 /// [`StateError::Truncated`] for a short file, [`StateError::BadMagic`]
@@ -242,11 +193,6 @@ pub fn encode_checkpoint_v1(cursor: &StreamCursor, snapshot: &[u8]) -> Vec<u8> {
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<(NamedCursors, &[u8]), StateError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(8).map_err(|_| StateError::Truncated)?;
-    if magic == LEGACY_STATE_MAGIC {
-        let mut cursor = read_legacy_cursor(&mut r)?;
-        cursor.quarantined = false; // the flag postdates the v1 layout
-        return Ok((vec![(FOLLOW_STREAM.to_string(), cursor)], r.rest()));
-    }
     if magic != STATE_MAGIC {
         return Err(StateError::BadMagic);
     }
@@ -310,14 +256,6 @@ pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), String> 
     Ok(())
 }
 
-/// Build the cursor map [`super::Source::restore`] expects from a
-/// decoded cursor table.
-pub fn cursor_map(
-    cursors: Vec<(String, StreamCursor)>,
-) -> std::collections::HashMap<String, StreamCursor> {
-    cursors.into_iter().collect()
-}
-
 /// Convenience alias used by sources when reporting cursors.
 pub type CursorList = Vec<(Arc<str>, StreamCursor)>;
 
@@ -358,15 +296,6 @@ mod tests {
         let (back, snap) = decode_checkpoint(&bytes).unwrap();
         assert_eq!(back, cursors);
         assert_eq!(snap, snapshot);
-    }
-
-    #[test]
-    fn legacy_v1_migrates_to_follow_stream_cursor() {
-        let c = cursor(7); // odd t -> quarantined=false (v1 has no flag)
-        let bytes = encode_checkpoint_v1(&c, b"SNAP");
-        let (cursors, snap) = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(cursors, vec![(FOLLOW_STREAM.to_string(), c)]);
-        assert_eq!(snap, b"SNAP");
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! - [`scorelog`] — a durable binary record of the event stream
 //!   ([`ScoreLogSink`]), replayable and diffable against a fresh run
 //!   ([`ReplayDiffSink`]) and queryable through a per-stream index
-//!   ([`ScoreStore`]); built, like [`SpillLog`], on the checksummed
-//!   append-only framing in [`framed`].
+//!   ([`ScoreStore`]); built on the checksummed append-only framing in
+//!   [`framed`]. Degraded-mode egress spills to the same format.
 //! - [`Pipeline`] — the builder facade owning the whole
 //!   read→detect→deliver→checkpoint loop, with delivery-acked
 //!   checkpoints: a checkpoint commits only after every event it
@@ -43,11 +43,11 @@
 //!   gauges, and latency histograms wired through every layer above
 //!   (engine, ingest, solvers, pipeline) without touching the
 //!   allocation-free hot path, rendered as Prometheus text exposition
-//!   by a [`MetricsSink`] or scraped live from a [`MetricsServer`].
+//!   and scraped live from a [`MetricsServer`].
 //! - [`testkit`] — deterministic fault injection ([`testkit::ChaosSink`],
 //!   [`testkit::ChaosSource`]) for exercising the fault-domain layer
-//!   ([`RetryingSink`], [`SpillLog`] degraded mode) without real
-//!   failures, clocks, or sleeps.
+//!   ([`RetryingSink`], [`PipelineBuilder::spill_dir`] degraded mode)
+//!   without real failures, clocks, or sleeps.
 //!
 //! ```
 //! use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, SignatureMethod};
@@ -88,8 +88,6 @@ mod worker;
 
 pub use cache::{EmdScratch, SignatureWindow};
 pub use engine::{EngineConfig, EngineError, StreamEngine, StreamId};
-#[allow(deprecated)]
-pub use event::StreamEvent;
 pub use event::{DiffOutcome, Event, QuarantineRecord};
 pub use ingest::{CheckpointPolicy, Mux, MuxConfig, Source, SourceStatus};
 pub use online::{OnlineDetector, OnlineState};
@@ -99,8 +97,8 @@ pub use scorelog::{
     ScoreStore, StreamSummary,
 };
 pub use sink::{
-    CsvSchema, CsvSink, JsonLinesSink, MemorySink, MetricsSink, RetryPolicy, RetryingSink, Sink,
-    SpillLog, StderrAlertSink, Tee,
+    CsvSchema, CsvSink, JsonLinesSink, MemorySink, RetryPolicy, RetryingSink, Sink,
+    StderrAlertSink, Tee,
 };
 pub use snapshot::SnapshotError;
 pub use telemetry::{

@@ -43,8 +43,7 @@ pub struct OnlineState {
 /// Cost per push is one signature build plus at most `tau + tau' - 1`
 /// EMD solves (each pair solved once and reused across the inspection
 /// points it participates in); memory is bounded by the window width
-/// regardless of stream length — unlike `bagcpd::StreamingDetector`,
-/// which retains and re-analyzes the whole prefix.
+/// regardless of stream length.
 #[derive(Debug, Clone)]
 pub struct OnlineDetector {
     detector: Detector,

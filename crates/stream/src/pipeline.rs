@@ -18,13 +18,15 @@
 //!   `kill -9` at any instant loses nothing;
 //! - **graceful degradation** (opt-in via
 //!   [`PipelineBuilder::spill_dir`]) — a sink that keeps refusing
-//!   delivery spills to a durable [`SpillLog`] instead of killing the
-//!   run, and replays the backlog in order when it recovers.
+//!   delivery spills to a durable score log ([`ScoreLogSink`]) instead
+//!   of killing the run, and replays the backlog in order when it
+//!   recovers.
 
 use crate::engine::{EngineConfig, StreamEngine};
 use crate::event::{Event, QuarantineRecord};
 use crate::ingest::{CheckpointPolicy, Mux, MuxConfig, MuxError, Source, StreamCursor};
-use crate::sink::{Sink, SpillLog};
+use crate::scorelog::{ScoreLogReader, ScoreLogSink};
+use crate::sink::Sink;
 use crate::telemetry::{
     names, Clock, Counter, Gauge, Histogram, MetricSample, MetricsRegistry, MetricsServer,
     NoisyStreams, LATENCY_BUCKETS,
@@ -216,16 +218,18 @@ impl PipelineBuilder {
 
     /// Enable degraded-mode egress: when a sink's `deliver` fails
     /// (after whatever retrying a [`crate::sink::RetryingSink`] wrapper
-    /// did), the pipeline spills that sink's events to a durable
-    /// [`SpillLog`] under `dir` instead of aborting. An
-    /// [`Event::Degraded`] flows through the surviving sinks, a
-    /// checkpoint commit counts "durably spilled" as delivered (the
-    /// spill is fsynced before the commit), and every later delivery or
-    /// flush probes the sink — on success the backlog replays in order
-    /// *before* any new event, an [`Event::Recovered`] is announced,
-    /// and the spill file is removed. A build that finds a non-empty
-    /// spill file under `dir` (a crash mid-degraded) starts that sink
-    /// degraded and replays the same way.
+    /// did), the pipeline spills that sink's events to a durable score
+    /// log ([`ScoreLogSink`], file `sink-{idx}-{kind}.spill` under
+    /// `dir`, readable by `bags-cpd replay` and `query`) instead of
+    /// aborting. An [`Event::Degraded`] flows through the surviving
+    /// sinks, a checkpoint commit counts "durably spilled" as delivered
+    /// (the spill is fsynced before the commit), and every later
+    /// delivery or flush probes the sink — on success the backlog
+    /// replays in order *before* any new event, an [`Event::Recovered`]
+    /// is announced, and the spill file is removed. A build that finds
+    /// a non-empty spill file under `dir` (a crash mid-degraded) starts
+    /// that sink degraded and replays the same way; a leftover file
+    /// that is not a score log fails the build and is left untouched.
     ///
     /// Without this, a failed sink aborts the run with the pending
     /// checkpoint uncommitted (the pre-existing behavior). `flush_durable`
@@ -584,7 +588,7 @@ struct SinkStation {
     delivered: Counter,
     deliver_seconds: Histogram,
     flush_seconds: Histogram,
-    spill: Option<SpillLog>,
+    spill: Option<ScoreLogSink>,
 }
 
 /// The delivery half of the pipeline: every sink with its metrics, the
@@ -690,13 +694,13 @@ impl Egress {
             if !path.exists() {
                 continue;
             }
-            let log = SpillLog::open(&path).map_err(PipelineError::Sink)?;
+            let log = ScoreLogSink::open(&path).map_err(PipelineError::Sink)?;
             if log.is_empty() {
                 continue;
             }
             self.pending.push(Event::Degraded {
                 sink: self.stations[idx].kind.to_string(),
-                reason: format!("resumed with {} spilled events", log.len()),
+                reason: format!("resumed with {} spilled events", log.events()),
             });
             self.stations[idx].spill = Some(log);
         }
@@ -778,7 +782,7 @@ impl Egress {
         if self.stations[idx].spill.is_some() && !self.try_recover(idx)? {
             let station = &mut self.stations[idx];
             if let Some(spill) = station.spill.as_mut() {
-                spill.append(events).map_err(PipelineError::Sink)?;
+                spill.deliver(events).map_err(PipelineError::Sink)?;
             }
             self.spilled.add(events.len() as u64);
             return Ok(());
@@ -811,8 +815,8 @@ impl Egress {
         };
         let station = &mut self.stations[idx];
         let path = Egress::spill_path(&dir, idx, station.kind);
-        let mut spill = SpillLog::open(&path).map_err(PipelineError::Sink)?;
-        spill.append(undelivered).map_err(PipelineError::Sink)?;
+        let mut spill = ScoreLogSink::open(&path).map_err(PipelineError::Sink)?;
+        spill.deliver(undelivered).map_err(PipelineError::Sink)?;
         self.spilled.add(undelivered.len() as u64);
         station.spill = Some(spill);
         self.pending.push(Event::Degraded {
@@ -834,7 +838,7 @@ impl Egress {
         let Some(spill) = station.spill.as_mut() else {
             return Ok(true);
         };
-        let backlog = spill.replay().map_err(PipelineError::Sink)?;
+        let backlog = ScoreLogReader::read_all(spill.path()).map_err(PipelineError::Sink)?;
         if station.sink.deliver(&backlog).is_err() || station.sink.flush_durable().is_err() {
             return Ok(false);
         }
@@ -863,7 +867,7 @@ impl Egress {
             if self.stations[idx].spill.is_some() && !self.try_recover(idx)? {
                 let station = &mut self.stations[idx];
                 if let Some(spill) = station.spill.as_mut() {
-                    spill.sync().map_err(PipelineError::Sink)?;
+                    spill.flush_durable().map_err(PipelineError::Sink)?;
                 }
                 continue;
             }
@@ -881,7 +885,7 @@ impl Egress {
     fn spilled_remaining(&self) -> u64 {
         self.stations
             .iter()
-            .filter_map(|s| s.spill.as_ref().map(SpillLog::len))
+            .filter_map(|s| s.spill.as_ref().map(ScoreLogSink::events))
             .sum()
     }
 }

@@ -13,15 +13,20 @@ use std::path::Path;
 /// recorded (not just points), but stream names are interned and
 /// numbers stay binary, so a point record costs ~a few dozen bytes.
 ///
-/// Crash safety follows the spill log: each delivered batch is one
-/// checksummed frame, a torn tail from a crashed writer is truncated on
-/// reopen, and [`Sink::flush_durable`] fsyncs — so under the pipeline's
+/// Crash safety: each delivered batch is one checksummed frame, a torn
+/// tail from a crashed writer is truncated on reopen, and
+/// [`Sink::flush_durable`] fsyncs — so under the pipeline's
 /// two-phase checkpoint contract a committed checkpoint never covers a
 /// record the log could lose. The flip side of that contract is that a
 /// resumed session re-delivers the uncheckpointed tail, so a log that
 /// lived through a `kill -9` may hold duplicate `(stream, t)` records —
 /// bit-identical by the determinism guarantee; readers
 /// ([`super::ScoreStore`], [`super::ReplayDiffSink`]) dedup on id.
+///
+/// The same sink is degraded-mode egress's spill file (see
+/// [`crate::PipelineBuilder::spill_dir`]): a refusing sink's backlog is
+/// delivered here, read back with [`super::ScoreLogReader::read_all`]
+/// on recovery, and dropped with [`ScoreLogSink::clear`].
 pub struct ScoreLogSink {
     log: FramedLog,
     enc: Encoder,
@@ -88,6 +93,25 @@ impl ScoreLogSink {
     /// Whether the log holds no events.
     pub fn is_empty(&self) -> bool {
         self.events == 0
+    }
+
+    /// Where this log lives.
+    pub fn path(&self) -> &Path {
+        self.log.path()
+    }
+
+    /// Drop every recorded event: truncate the file back to its magic,
+    /// sync, and forget the stream-name intern table along with the
+    /// event count — the next batch defines its streams afresh, so a
+    /// reopen decodes it.
+    ///
+    /// # Errors
+    /// I/O failure.
+    pub fn clear(&mut self) -> io::Result<()> {
+        self.log.clear()?;
+        self.enc = Encoder::new();
+        self.events = 0;
+        Ok(())
     }
 }
 
@@ -172,6 +196,29 @@ mod tests {
         let events = super::super::ScoreLogReader::read_all(&path).unwrap();
         assert_eq!(events.len(), 3);
         assert_eq!(events[2], point("b", 1, 3.0));
+    }
+
+    #[test]
+    fn clear_forgets_the_intern_table_with_the_events() {
+        let path = tempdir().join("cleared.slog");
+        let _ = std::fs::remove_file(&path);
+        let mut sink = ScoreLogSink::open(&path).unwrap();
+        sink.deliver(&[point("a", 0, 1.0), point("b", 0, 2.0)])
+            .unwrap();
+        sink.clear().unwrap();
+        assert_eq!(sink.path(), path.as_path());
+        assert_eq!(ScoreLogSink::open(&path).unwrap().events(), 0);
+
+        // "b" was defined before the clear; the batch after it must
+        // define the name again, or a reopen would truncate its record
+        // as a torn tail.
+        let after = [point("b", 1, 3.0), point("c", 1, 4.0)];
+        sink.deliver(&after).unwrap();
+        sink.flush_durable().unwrap();
+        assert_eq!(sink.events(), 2);
+        assert_eq!(ScoreLogSink::open(&path).unwrap().events(), 2);
+        let events = super::super::ScoreLogReader::read_all(&path).unwrap();
+        assert_eq!(events, after);
     }
 
     #[test]

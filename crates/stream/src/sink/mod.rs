@@ -23,8 +23,6 @@
 //! - [`StderrAlertSink`] — the CLI's stderr diagnostics (ALERT lines,
 //!   warnings, quarantine reports, notes, checkpoint sizes), with an
 //!   optional repeat-warning rate limit.
-//! - [`MetricsSink`] — the telemetry registry rendered as Prometheus
-//!   text exposition on every durable flush.
 //! - [`Tee`] — deliver to two sinks; both always see every batch, and
 //!   the first error is reported after both ran.
 //! - [`MemorySink`] — collect events in memory behind a shared handle
@@ -32,23 +30,20 @@
 //! - [`RetryingSink`] — wrap any sink with a [`RetryPolicy`]: bounded
 //!   exponential backoff with deterministic jitter for transient I/O
 //!   errors.
-//! - [`SpillLog`] — the durable append-only event log degraded-mode
-//!   egress spills to (see the fault-tolerance notes on
-//!   [`crate::PipelineBuilder::spill_dir`]).
+//!
+//! Degraded-mode egress spills a refusing sink's backlog to a
+//! [`crate::ScoreLogSink`] (see the fault-tolerance notes on
+//! [`crate::PipelineBuilder::spill_dir`]).
 
 mod alert;
 mod csv;
 mod json;
-mod metrics;
 mod retry;
-mod spill;
 
 pub use alert::StderrAlertSink;
 pub use csv::{CsvSchema, CsvSink};
 pub use json::JsonLinesSink;
-pub use metrics::MetricsSink;
 pub use retry::{RetryPolicy, RetryingSink};
-pub use spill::SpillLog;
 
 use crate::event::Event;
 use std::io;

@@ -24,8 +24,8 @@
 //! ([`crate::EngineConfig::telemetry`]), the ingestion mux and sources,
 //! the EMD solver (via a [`SolveTimer`] carried in
 //! [`crate::EmdScratch`]), and the [`crate::Pipeline`] — which also
-//! exposes it over HTTP with a [`MetricsServer`] and to files with
-//! [`crate::sink::MetricsSink`].
+//! exposes it over HTTP with a [`MetricsServer`]. The CLI's `--stats`
+//! prints a snapshot of it at exit.
 
 mod server;
 

@@ -13,11 +13,14 @@
 
 use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
 use stream::ingest::CsvFileSource;
-use stream::sink::{CsvSchema, CsvSink, MemorySink, RetryPolicy, RetryingSink, SpillLog};
+use stream::sink::{CsvSchema, CsvSink, MemorySink, RetryPolicy, RetryingSink, Sink};
 use stream::testkit::{
     ChaosSink, ChaosSource, DeliverFault, FaultSchedule, FlushFault, SourceFault,
 };
-use stream::{CheckpointPolicy, Event, MetricsRegistry, Pipeline, PipelineBuilder};
+use stream::{
+    CheckpointPolicy, Event, MetricsRegistry, Pipeline, PipelineBuilder, ScoreLogReader,
+    ScoreLogSink,
+};
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -393,7 +396,11 @@ fn degraded_checkpoints_cover_spilled_events_and_resume_replays_them() {
     // either in the delivered prefix or durably spilled — nothing the
     // checkpoint covers is merely in memory.
     let spill_path = spill.join("sink-0-csv.spill");
-    let backlog = SpillLog::open(&spill_path).unwrap().replay().unwrap();
+    assert!(
+        std::fs::read(&spill_path).unwrap().starts_with(b"BCPDSLG1"),
+        "a spill file is a score log"
+    );
+    let backlog = ScoreLogReader::read_all(&spill_path).unwrap();
     let spilled_points = backlog
         .iter()
         .filter(|e| matches!(e, Event::Point { .. }))
@@ -446,6 +453,46 @@ fn degraded_checkpoints_cover_spilled_events_and_resume_replays_them() {
     let csv2 = String::from_utf8(buf2.lock().unwrap().clone()).unwrap();
     let combined: Vec<&str> = rows(&csv1).into_iter().chain(rows(&csv2)).collect();
     assert_eq!(combined, rows(&want));
+}
+
+#[test]
+fn leftover_spill_in_the_retired_format_fails_the_build_untouched() {
+    let dir = tmp_dir("retired_spill");
+    let input = fixture(&dir);
+    let spill = dir.join("spill");
+    std::fs::create_dir_all(&spill).unwrap();
+    // One well-formed frame behind the magic an older build wrote.
+    let spill_path = spill.join("sink-0-csv.spill");
+    let mut log = ScoreLogSink::open(&spill_path).unwrap();
+    log.deliver(&[Event::Note("backlog".into())]).unwrap();
+    log.flush_durable().unwrap();
+    drop(log);
+    let mut bytes = std::fs::read(&spill_path).unwrap();
+    bytes[..8].copy_from_slice(b"BCPDSPL1");
+    std::fs::write(&spill_path, &bytes).unwrap();
+
+    let err = pipeline(&input, &dir.join("state.snap"))
+        .spill_dir(&spill)
+        .sink(CsvSink::with_schema(
+            io::sink(),
+            CsvSchema::legacy_stdout(false),
+        ))
+        .build()
+        .err()
+        .expect("a spill file that is not a score log must fail the build")
+        .to_string();
+    assert!(
+        err.contains(&format!(
+            "{} is not a score log (bad magic)",
+            spill_path.display()
+        )),
+        "{err}"
+    );
+    assert_eq!(
+        std::fs::read(&spill_path).unwrap(),
+        bytes,
+        "the refused file is left as it was"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -54,8 +54,6 @@
 //! assert!((peak.t as i64 - 12).abs() <= 1);
 //! ```
 
-pub mod follow;
-
 pub use bagcpd::*;
 
 pub use baselines;

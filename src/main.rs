@@ -79,16 +79,17 @@
 //! only after the covered output was delivered — so `kill -9` loses
 //! nothing past the last checkpoint.
 
-use bags_cpd::follow::{decode_checkpoint, FOLLOW_STREAM};
+use bags_cpd::stream::ingest::checkpoint::{decode_checkpoint, FOLLOW_STREAM};
 use bags_cpd::stream::ingest::parse_row;
 use bags_cpd::stream::ingest::{
     CsvFileSource, DirSource, MemorySource, TcpLimits, TcpSource, ThreadedLineSource,
 };
+use bags_cpd::stream::snapshot::decode_engine;
 use bags_cpd::stream::testkit::{ChaosSink, DeliverFault, FaultSchedule};
 use bags_cpd::stream::{
     CheckpointPolicy, CsvSchema, CsvSink, Event, MemorySink, MetricSample, MetricsRegistry,
-    Pipeline, PipelineBuilder, Query, ReplayDiffSink, RetryPolicy, RetryingSink, ScoreLogReader,
-    ScoreStore, Sink, StderrAlertSink, Tee,
+    OnlineState, Pipeline, PipelineBuilder, Query, ReplayDiffSink, RetryPolicy, RetryingSink,
+    ScoreLogReader, ScoreStore, Sink, StderrAlertSink, Tee,
 };
 use bags_cpd::{
     Bag, BootstrapConfig, DetectError, Detector, DetectorConfig, ScoreKind, SignatureMethod,
@@ -826,31 +827,33 @@ fn run_follow(opts: &Options) -> Result<(), String> {
 
     let mut base_bags = 0u64;
     let mut base_points = 0u64;
-    if let Some(bytes) = pipeline.restored_state() {
-        // The single-source view of the restored state (the very bytes
-        // the pipeline resumed from), for resume diagnostics and the
-        // seed-conflict warning.
-        let path = opts.state.as_deref().unwrap_or_default();
-        if let Ok(view) = decode_checkpoint(bytes, &detector_config(opts)) {
-            if opts.seed_explicit && view.master_seed != opts.seed {
-                eprintln!(
-                    "warning: --seed {} ignored; the checkpoint continues under seed \
-                     {} (a stream's seed is fixed at its first session)",
-                    opts.seed, view.master_seed
-                );
-            }
-            base_bags = view.state.pushed;
-            base_points = view.state.emitted;
+    // Resume diagnostics and the seed-conflict warning, from the very
+    // bytes the pipeline resumed from.
+    let restored = pipeline
+        .restored_state()
+        .and_then(|bytes| restored_follow_state(bytes, &detector_config(opts)));
+    if let (Some(cursor), Some((master_seed, state))) =
+        (pipeline.resume_cursors().get(FOLLOW_STREAM), restored)
+    {
+        if opts.seed_explicit && master_seed != opts.seed {
             eprintln!(
-                "resumed from {path}: {} bags seen, {} points emitted, {} input bytes consumed{}",
-                base_bags,
-                base_points,
-                view.consumed,
-                view.pending.as_ref().map_or(String::new(), |(t, rows)| {
-                    format!(", {} buffered rows for t = {t}", rows.len())
-                })
+                "warning: --seed {} ignored; the checkpoint continues under seed \
+                 {} (a stream's seed is fixed at its first session)",
+                opts.seed, master_seed
             );
         }
+        base_bags = state.pushed;
+        base_points = state.emitted;
+        eprintln!(
+            "resumed from {}: {} bags seen, {} points emitted, {} input bytes consumed{}",
+            opts.state.as_deref().unwrap_or_default(),
+            base_bags,
+            base_points,
+            cursor.consumed,
+            cursor.pending.as_ref().map_or(String::new(), |(t, rows)| {
+                format!(", {} buffered rows for t = {t}", rows.len())
+            })
+        );
     }
 
     let summary = pipeline.run().map_err(|e| e.to_string())?;
@@ -863,6 +866,16 @@ fn run_follow(opts: &Options) -> Result<(), String> {
         print_stats(&summary.metrics);
     }
     Ok(())
+}
+
+/// The follow stream's detector state in a checkpoint, with the master
+/// seed it runs under.
+fn restored_follow_state(bytes: &[u8], cfg: &DetectorConfig) -> Option<(u64, OnlineState)> {
+    let (_, snapshot) = decode_checkpoint(bytes).ok()?;
+    let snap = decode_engine(snapshot, cfg).ok()?;
+    let id = snap.names.iter().position(|n| n == FOLLOW_STREAM)?;
+    let (_, state) = snap.streams.into_iter().find(|(i, _)| *i as usize == id)?;
+    Some((snap.master_seed, state))
 }
 
 /// Add one [`CsvFileSource`] per `--csv` path, each stream named by the

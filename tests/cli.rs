@@ -561,77 +561,44 @@ fn follow_mode_rejects_backwards_time() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("time went backwards"));
 }
 
-/// Legacy single-source (`BCPDFLW1`) state files written by earlier
-/// builds must still load and resume losslessly: re-frame a modern
-/// checkpoint in the v1 layout mid-sequence and let the second session
-/// continue from it.
+/// A `--state` file in the retired single-source `BCPDFLW1` layout is
+/// refused with one clear error, never misread, and left untouched.
 #[test]
-fn follow_mode_legacy_v1_state_file_still_loads() {
-    use bags_cpd::follow::{decode_checkpoint, encode_checkpoint_v1};
-    use bags_cpd::{BootstrapConfig, DetectorConfig};
-
-    let dir = std::env::temp_dir().join("bags_cpd_cli_legacy1");
+fn follow_mode_refuses_a_bcpdflw1_state_file() {
+    let dir = std::env::temp_dir().join("bags_cpd_cli_bcpdflw1");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    let full = dir.join("full.csv");
-    write_test_csv(&full, 18, 9);
-    let text = std::fs::read_to_string(&full).expect("read");
-    let (part1, part2): (Vec<&str>, Vec<&str>) = text
-        .lines()
-        .skip(1)
-        .partition(|l| l.split(',').next().unwrap().parse::<i64>().unwrap() < 8);
-    std::fs::write(dir.join("part1.csv"), part1.join("\n") + "\n").unwrap();
-    std::fs::write(dir.join("part2.csv"), part2.join("\n") + "\n").unwrap();
-
+    let csv = dir.join("in.csv");
+    write_test_csv(&csv, 12, 6);
     let state = dir.join("ck.snap");
-    let ref_state = dir.join("ref.snap");
-    let args = ["--tau", "3", "--tau-prime", "2", "--replicates", "50"];
-    let run = |input: &std::path::Path, state: &std::path::Path| -> String {
-        let out = bin()
+    let run = || {
+        bin()
             .arg("follow")
-            .arg(input)
-            .args(args)
+            .arg(&csv)
+            .args(["--tau", "3", "--tau-prime", "2", "--replicates", "50"])
             .arg("--state")
-            .arg(state)
+            .arg(&state)
             .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
+            .expect("binary runs")
     };
+    assert!(run().status.success());
 
-    let uninterrupted = run(&full, &ref_state);
-    let first = run(&dir.join("part1.csv"), &state);
+    let mut bytes = std::fs::read(&state).expect("checkpoint written");
+    assert_eq!(&bytes[..8], b"BCPDFLW2");
+    bytes[..8].copy_from_slice(b"BCPDFLW1");
+    std::fs::write(&state, &bytes).unwrap();
 
-    // Downgrade the checkpoint to the legacy layout in place.
-    let cfg = DetectorConfig {
-        tau: 3,
-        tau_prime: 2,
-        bootstrap: BootstrapConfig {
-            replicates: 50,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let bytes = std::fs::read(&state).expect("checkpoint written");
-    assert_eq!(
-        &bytes[..8],
-        b"BCPDFLW2",
-        "new sessions write the current format"
+    let out = run();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "not a bags-cpd checkpoint (expected BCPDFLW2; BCPDFLW1 files from older builds \
+             are no longer read)"
+        ),
+        "stderr: {stderr}"
     );
-    let view = decode_checkpoint(&bytes, &cfg).expect("decodes");
-    std::fs::write(&state, encode_checkpoint_v1(&cfg, &view)).unwrap();
-
-    let second = run(&dir.join("part2.csv"), &state);
-    let resumed: Vec<&str> = first.lines().chain(second.lines().skip(1)).collect();
-    let expected: Vec<&str> = uninterrupted.lines().collect();
-    assert_eq!(expected, resumed, "legacy-format resume must lose nothing");
-    // The next checkpoint is migrated to the current format.
-    let rewritten = std::fs::read(&state).unwrap();
-    assert_eq!(&rewritten[..8], b"BCPDFLW2");
+    assert_eq!(std::fs::read(&state).unwrap(), bytes, "file left untouched");
 }
 
 /// Write one serve-mode sensor CSV (change at `change_at` when `shift`).

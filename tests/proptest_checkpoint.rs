@@ -1,21 +1,21 @@
-//! Property tests of the CLI follow-checkpoint format: corrupting or
+//! Property tests of the `--state` checkpoint format: corrupting or
 //! truncating a checkpoint at an arbitrary byte offset must always
 //! yield a clean error — never a panic, an allocation blow-up, or a
 //! silently lossy resume (pending rows dropped on the floor).
 
 use bags_cpd::emd::Signature;
-use bags_cpd::follow::{
-    decode_checkpoint, encode_checkpoint, encode_checkpoint_v1, FollowCheckpoint, StateError,
-    FOLLOW_STREAM, NO_TIME,
+use bags_cpd::stream::ingest::checkpoint::{
+    decode_checkpoint, encode_checkpoint, StateError, FOLLOW_STREAM, NO_TIME,
 };
+use bags_cpd::stream::ingest::StreamCursor;
+use bags_cpd::stream::snapshot::{decode_engine, encode_engine};
 use bags_cpd::stream::OnlineState;
 use bags_cpd::{BootstrapConfig, DetectorConfig};
 use proptest::prelude::*;
 
-/// Byte offset of the pending-time field in a current-format
-/// single-source checkpoint: magic (8) + cursor count (4) + name
-/// length (4) + the name itself + quarantine flag (1) +
-/// completed_time (8).
+/// Byte offset of the pending-time field in a single-stream
+/// checkpoint: magic (8) + cursor count (4) + name length (4) + the
+/// name itself + quarantine flag (1) + completed_time (8).
 const PENDING_TIME_AT: usize = 8 + 4 + 4 + FOLLOW_STREAM.len() + 1 + 8;
 
 fn cfg() -> DetectorConfig {
@@ -28,6 +28,51 @@ fn cfg() -> DetectorConfig {
         },
         ..Default::default()
     }
+}
+
+/// Everything a single-stream checkpoint restores, as `follow --state`
+/// writes it: one cursor and one stream's detector state, both named
+/// [`FOLLOW_STREAM`].
+#[derive(Debug, Clone, PartialEq)]
+struct Single {
+    master_seed: u64,
+    cursor: StreamCursor,
+    state: OnlineState,
+}
+
+fn encode(ck: &Single) -> Vec<u8> {
+    let snapshot = encode_engine(
+        &cfg(),
+        ck.master_seed,
+        &[FOLLOW_STREAM],
+        vec![(0, ck.state.clone())],
+    );
+    encode_checkpoint(&[(FOLLOW_STREAM, ck.cursor.clone())], &snapshot)
+}
+
+fn decode(bytes: &[u8]) -> Result<Single, StateError> {
+    let (cursors, snapshot) = decode_checkpoint(bytes)?;
+    let missing = || StateError::Corrupt(format!("no '{FOLLOW_STREAM}' in the checkpoint"));
+    let cursor = cursors
+        .into_iter()
+        .find_map(|(name, c)| (name == FOLLOW_STREAM).then_some(c))
+        .ok_or_else(missing)?;
+    let snap = decode_engine(snapshot, &cfg())?;
+    let id = snap
+        .names
+        .iter()
+        .position(|n| n == FOLLOW_STREAM)
+        .ok_or_else(missing)?;
+    let state = snap
+        .streams
+        .into_iter()
+        .find_map(|(i, s)| (i as usize == id).then_some(s))
+        .ok_or_else(missing)?;
+    Ok(Single {
+        master_seed: snap.master_seed,
+        cursor,
+        state,
+    })
 }
 
 /// A structurally valid `OnlineState` with `k` retained signatures
@@ -57,13 +102,16 @@ fn checkpoint(
     pending: Option<(i64, Vec<Vec<f64>>)>,
     consumed: u64,
     prefix_hash: u64,
-) -> FollowCheckpoint {
-    FollowCheckpoint {
+) -> Single {
+    Single {
         master_seed: seed,
-        completed_time: completed,
-        pending,
-        consumed,
-        prefix_hash,
+        cursor: StreamCursor {
+            completed_time: completed,
+            pending,
+            consumed,
+            prefix_hash,
+            quarantined: false,
+        },
         state: state(seed, k),
     }
 }
@@ -94,10 +142,11 @@ proptest! {
         pending in pending_strategy(),
         consumed in 0u64..u64::MAX,
         prefix_hash in 0u64..u64::MAX,
+        quarantined in 0u8..2,
     ) {
-        let ck = checkpoint(seed, k, completed, pending, consumed, prefix_hash);
-        let bytes = encode_checkpoint(&cfg(), &ck);
-        let back = decode_checkpoint(&bytes, &cfg()).expect("valid checkpoint decodes");
+        let mut ck = checkpoint(seed, k, completed, pending, consumed, prefix_hash);
+        ck.cursor.quarantined = quarantined == 1;
+        let back = decode(&encode(&ck)).expect("valid checkpoint decodes");
         prop_assert_eq!(back, ck);
     }
 
@@ -108,16 +157,13 @@ proptest! {
         cut_frac in 0.0..1.0f64,
         pending in pending_strategy(),
     ) {
-        let ck = checkpoint(7, 2, Some(5), pending, 100, 42);
-        let bytes = encode_checkpoint(&cfg(), &ck);
+        let bytes = encode(&checkpoint(7, 2, Some(5), pending, 100, 42));
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         prop_assert!(cut < bytes.len());
-        let err = decode_checkpoint(&bytes[..cut], &cfg())
-            .expect_err("a strict prefix must never decode");
         // A short file reads as truncation (or, with the magic intact
         // but content cut, whichever structural error hit first) — but
         // never as a successful, silently shorter resume.
-        let _ = err;
+        decode(&bytes[..cut]).expect_err("a strict prefix must never decode");
     }
 
     /// Flipping any single byte never panics; if the result still
@@ -129,12 +175,11 @@ proptest! {
         flip in 1u8..=255,
         pending in pending_strategy(),
     ) {
-        let ck = checkpoint(3, 2, Some(1), pending, 9, 11);
-        let mut bytes = encode_checkpoint(&cfg(), &ck);
+        let mut bytes = encode(&checkpoint(3, 2, Some(1), pending, 9, 11));
         let at = ((bytes.len() as f64) * at_frac) as usize % bytes.len();
         bytes[at] ^= flip;
-        if let Ok(decoded) = decode_checkpoint(&bytes, &cfg()) {
-            if let Some((_, rows)) = &decoded.pending {
+        if let Ok(decoded) = decode(&bytes) {
+            if let Some((_, rows)) = &decoded.cursor.pending {
                 prop_assert!(!rows.is_empty(), "pending present implies rows");
                 let dim = rows[0].len();
                 prop_assert!(rows.iter().all(|r| r.len() == dim), "ragged pending rows");
@@ -150,10 +195,10 @@ fn pending_rows_without_pending_time_are_rejected_not_dropped() {
     // discarded the buffered rows — data loss on resume. It must be a
     // hard error.
     let ck = checkpoint(1, 2, Some(4), Some((5, vec![vec![0.5], vec![1.5]])), 10, 2);
-    let mut bytes = encode_checkpoint(&cfg(), &ck);
+    let mut bytes = encode(&ck);
     // Clear pending_time only.
     bytes[PENDING_TIME_AT..PENDING_TIME_AT + 8].copy_from_slice(&NO_TIME.to_le_bytes());
-    match decode_checkpoint(&bytes, &cfg()) {
+    match decode(&bytes) {
         Err(StateError::Corrupt(why)) => {
             assert!(why.contains("pending rows"), "unexpected reason: {why}")
         }
@@ -163,81 +208,36 @@ fn pending_rows_without_pending_time_are_rejected_not_dropped() {
 
 #[test]
 fn truncated_and_foreign_files_are_distinguished() {
-    // Regression: a short write used to be reported as "not a bags-cpd
-    // follow checkpoint"; it must surface as truncation instead.
-    let ck = checkpoint(1, 2, None, None, 0, 0);
-    let bytes = encode_checkpoint(&cfg(), &ck);
+    // Regression: a short write used to be reported as a foreign file;
+    // it must surface as truncation instead.
+    let bytes = encode(&checkpoint(1, 2, None, None, 0, 0));
 
     assert_eq!(
-        decode_checkpoint(&bytes[..20], &cfg()),
+        decode(&bytes[..20]),
         Err(StateError::Truncated),
         "short file is truncation, not a foreign file"
     );
     assert_eq!(
-        decode_checkpoint(&bytes[..3], &cfg()),
+        decode(&bytes[..3]),
         Err(StateError::Truncated),
         "shorter than the magic is still truncation"
     );
 
-    let mut foreign = bytes;
-    foreign[..8].copy_from_slice(b"NOTBAGS!");
-    assert_eq!(
-        decode_checkpoint(&foreign, &cfg()),
-        Err(StateError::BadMagic),
-        "wrong magic is a foreign file"
-    );
+    for magic in [b"NOTBAGS!", b"BCPDFLW1"] {
+        let mut foreign = bytes.clone();
+        foreign[..8].copy_from_slice(magic);
+        assert_eq!(
+            decode(&foreign),
+            Err(StateError::BadMagic),
+            "wrong magic is a foreign file, and the retired layout is one"
+        );
+    }
 }
 
 #[test]
 fn pending_time_without_rows_is_rejected() {
-    let ck = checkpoint(1, 2, None, None, 0, 0);
-    let mut bytes = encode_checkpoint(&cfg(), &ck);
+    let mut bytes = encode(&checkpoint(1, 2, None, None, 0, 0));
     // Set pending_time, keep the row count 0.
     bytes[PENDING_TIME_AT..PENDING_TIME_AT + 8].copy_from_slice(&7i64.to_le_bytes());
-    assert!(matches!(
-        decode_checkpoint(&bytes, &cfg()),
-        Err(StateError::Corrupt(_))
-    ));
-}
-
-#[test]
-fn legacy_v1_checkpoints_still_load_and_migrate() {
-    // A --state file written by the pre-multi-source builds (BCPDFLW1:
-    // one unnamed cursor, fixed offsets) must decode to the same
-    // checkpoint, and re-encoding writes the current format.
-    let ck = checkpoint(
-        9,
-        3,
-        Some(6),
-        Some((7, vec![vec![0.5, 1.0], vec![1.5, 2.0]])),
-        123,
-        456,
-    );
-    let legacy = encode_checkpoint_v1(&cfg(), &ck);
-    assert_eq!(&legacy[..8], b"BCPDFLW1");
-    let decoded = decode_checkpoint(&legacy, &cfg()).expect("legacy file loads");
-    assert_eq!(decoded, ck);
-
-    let migrated = encode_checkpoint(&cfg(), &decoded);
-    assert_eq!(&migrated[..8], b"BCPDFLW2", "re-encode migrates");
-    assert_eq!(decode_checkpoint(&migrated, &cfg()).unwrap(), ck);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Truncating a *legacy* checkpoint at any offset also fails
-    /// cleanly (the migration path inherits the error discipline).
-    #[test]
-    fn legacy_truncation_errors_cleanly(
-        cut_frac in 0.0..1.0f64,
-        pending in pending_strategy(),
-    ) {
-        let ck = checkpoint(7, 2, Some(5), pending, 100, 42);
-        let bytes = encode_checkpoint_v1(&cfg(), &ck);
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        prop_assert!(cut < bytes.len());
-        decode_checkpoint(&bytes[..cut], &cfg())
-            .expect_err("a strict prefix must never decode");
-    }
+    assert!(matches!(decode(&bytes), Err(StateError::Corrupt(_))));
 }
