@@ -1,5 +1,16 @@
 //! The bag-of-data observation type (§2, Eq. 3).
 
+/// Largest coordinate magnitude ingest accepts (`parse_row` in the
+/// `stream` crate rejects a row with `|x| > MAX_ABS_COORD`).
+///
+/// Below it, no quantity the detector derives from coordinates can
+/// overflow: a squared coordinate difference is at most `(2e150)² =
+/// 4e300`, so a squared ground distance summed over `d` dimensions stays
+/// finite for any `d` below 4.5e7, and so do the k-means Lloyd sums and
+/// LVQ steps. A larger finite value could make a center or an EMD cost
+/// infinite and fail every later score of its stream.
+pub const MAX_ABS_COORD: f64 = 1e150;
+
 /// A bag `B_t = {x_i}_{i=1..n_t}` of `d`-dimensional vectors observed at
 /// one time step. Bag sizes may differ across time; dimensions may not.
 #[derive(Debug, Clone, PartialEq)]

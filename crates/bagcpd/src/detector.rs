@@ -5,7 +5,9 @@ use crate::bag::Bag;
 use crate::bootstrap::{bootstrap_ci_with, BootstrapConfig, BootstrapScratch, ConfidenceInterval};
 use crate::error::DetectError;
 use crate::score::{EmdSolver, ScoreKind, ScoreScratch, SolverScratch, WindowScorer};
-use crate::signature_builder::{derive_seed, signature_at, GroundMetric, SignatureMethod};
+use crate::signature_builder::{
+    derive_seed, signature_at_with, GroundMetric, SignatureMethod, SignatureScratch,
+};
 use crate::window::{window_weights, window_weights_into, Weighting, WindowLayout};
 use emd::Signature;
 use infoest::{DistanceMatrix, EstimatorConfig};
@@ -108,8 +110,7 @@ impl DetectorConfig {
 /// [`Detector::evaluate_point_with`] fills these instead of allocating;
 /// a long-lived caller (the per-worker tick loop in `crates/stream`)
 /// keeps one scratch and reuses it across every stream and every
-/// inspection point it evaluates. Results are bit-identical to the
-/// allocating [`Detector::evaluate_point`].
+/// inspection point it evaluates.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     /// Nominal reference-window weights.
@@ -222,8 +223,9 @@ impl Detector {
     /// Quantize every bag into a signature (deterministic in `seed`).
     ///
     /// Each bag's quantizer stream depends only on `(seed, position)`
-    /// (see [`signature_at`]), so an online consumer can reproduce any
-    /// single signature without the bags before it.
+    /// (see [`signature_at_with`]), so an online consumer can reproduce
+    /// any single signature without the bags before it. One
+    /// [`SignatureScratch`] serves every build of the call.
     ///
     /// # Errors
     /// [`DetectError::DimensionMismatch`] if bag dimensions disagree.
@@ -235,10 +237,11 @@ impl Detector {
         if bags.iter().any(|b| b.dim() != d) {
             return Err(DetectError::DimensionMismatch);
         }
+        let mut scratch = SignatureScratch::new();
         Ok(bags
             .iter()
             .enumerate()
-            .map(|(i, b)| signature_at(b, &self.cfg.signature, seed, i as u64))
+            .map(|(i, b)| signature_at_with(b, &self.cfg.signature, seed, i as u64, &mut scratch))
             .collect())
     }
 
@@ -317,21 +320,10 @@ impl Detector {
     ///
     /// This is the single evaluation path shared by [`Detector::analyze`]
     /// and the incremental detector in `crates/stream`, which is what
-    /// guarantees stream/batch score and alert parity.
-    pub fn evaluate_point(
-        &self,
-        scorer: &WindowScorer,
-        t: usize,
-        prev_ci_up: Option<f64>,
-        seed: u64,
-    ) -> ScorePoint {
-        self.evaluate_point_with(scorer, t, prev_ci_up, seed, &mut EvalScratch::new())
-    }
-
-    /// As [`Detector::evaluate_point`], but allocation-free: every
-    /// buffer (nominal weights, bootstrap seeds/weights/scores) comes
-    /// from `scratch`, which the caller keeps alive across inspection
-    /// points and streams. Bit-identical to the allocating form.
+    /// guarantees stream/batch score and alert parity. It allocates
+    /// nothing: every buffer (nominal weights, bootstrap
+    /// seeds/weights/scores) comes from `scratch`, which the caller keeps
+    /// alive across inspection points and streams.
     pub fn evaluate_point_with(
         &self,
         scorer: &WindowScorer,

@@ -48,7 +48,7 @@ pub mod score;
 pub mod signature_builder;
 pub mod window;
 
-pub use bag::Bag;
+pub use bag::{Bag, MAX_ABS_COORD};
 pub use bootstrap::{
     bootstrap_ci, bootstrap_ci_with, BootstrapConfig, BootstrapScratch, ConfidenceInterval,
 };
@@ -61,8 +61,7 @@ pub use score::{
     WindowScorer,
 };
 pub use signature_builder::{
-    build_signature, derive_seed, signature_at, signature_at_with, GroundMetric, SignatureMethod,
-    SignatureScratch,
+    derive_seed, signature_at_with, GroundMetric, SignatureMethod, SignatureScratch,
 };
 pub use window::{
     discounted_weights, discounted_weights_into, equal_weights, equal_weights_into, Weighting,

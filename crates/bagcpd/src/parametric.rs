@@ -183,12 +183,13 @@ mod tests {
             "Gaussian fits cannot see the mode split: distance {d}"
         );
         // The EMD does see it: compare against the nonparametric path.
-        use crate::signature_builder::{build_signature, GroundMetric, SignatureMethod};
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        use crate::signature_builder::{
+            signature_at_with, GroundMetric, SignatureMethod, SignatureScratch,
+        };
+        let mut scratch = SignatureScratch::new();
         let method = SignatureMethod::Histogram { width: 0.25 };
-        let s_uni = build_signature(&uni, &method, &mut rng);
-        let s_bi = build_signature(&bi, &method, &mut rng);
+        let s_uni = signature_at_with(&uni, &method, 1, 0, &mut scratch);
+        let s_bi = signature_at_with(&bi, &method, 1, 1, &mut scratch);
         let emd_dist = emd::emd(&s_uni, &s_bi, &GroundMetric::Euclidean).expect("emd");
         assert!(
             emd_dist > 5.0 * d.max(0.01),

@@ -3,11 +3,10 @@
 use crate::bag::Bag;
 use emd::{Chebyshev, Euclidean, GroundDistance, Manhattan, Signature};
 use quantize::{
-    histogram_grid, histogram_grid_with, kmeans, kmeans_with, kmedoids, kmedoids_with,
-    lvq_quantize, lvq_quantize_with, ClusterScratch, HistogramScratch, HistogramSpec, KMeansConfig,
-    KMedoidsConfig, LvqConfig,
+    histogram_grid_with, kmeans_with, kmedoids_with, lvq_quantize_with, ClusterScratch,
+    HistogramScratch, HistogramSpec, KMeansConfig, KMedoidsConfig, LvqConfig,
 };
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// How to turn a bag into a signature.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,25 +87,6 @@ pub fn derive_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Build the signature of the bag at sequence position `index`,
-/// deterministically in `(master_seed, index)`.
-///
-/// This is the incremental entry point shared by [`crate::Detector`] and
-/// the online detector in `crates/stream`: both produce identical
-/// signatures for the same bag at the same position.
-///
-/// # Panics
-/// As [`build_signature`].
-pub fn signature_at(
-    bag: &Bag,
-    method: &SignatureMethod,
-    master_seed: u64,
-    index: u64,
-) -> Signature {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(master_seed, index));
-    build_signature(bag, method, &mut rng)
-}
-
 /// Buffer-recycling state for [`signature_at_with`]: histogram working
 /// tables plus pools of dismantled signatures ([`SignatureScratch::recycle`])
 /// whose point lists and weight buffers seed the next build.
@@ -120,7 +100,7 @@ pub struct SignatureScratch {
     hist: HistogramScratch,
     /// Reused binning spec (rewritten in place per build — its two
     /// per-dimension vectors are the only other per-build storage).
-    spec: Option<HistogramSpec>,
+    spec: HistogramSpec,
     /// Working state for the scratch-backed clustering quantizers.
     cluster: ClusterScratch,
     /// Recycled point lists (outer vector plus its inner vectors).
@@ -129,8 +109,8 @@ pub struct SignatureScratch {
     weights: Vec<Vec<f64>>,
 }
 
-/// Pools are capped so a caller that recycles without ever drawing (a
-/// clustering-method stream) stays bounded.
+/// Pools are capped so a caller that recycles more signatures than it
+/// builds stays bounded.
 const SIG_POOL_CAP: usize = 8;
 
 impl SignatureScratch {
@@ -152,14 +132,26 @@ impl SignatureScratch {
     }
 }
 
-/// As [`signature_at`], but drawing the signature's buffers from a
-/// caller-kept [`SignatureScratch`] — bit-identical output. With a warm
-/// scratch the build touches no heap for any method: the histogram is
-/// rebinned into recycled tables, and the clustering quantizers run
-/// their scratch-backed `*_with` variants on recycled center rows.
+/// Build the signature of the bag at sequence position `index`,
+/// deterministically in `(master_seed, index)`, drawing its buffers from
+/// a caller-kept [`SignatureScratch`].
+///
+/// This is the one signature builder: [`crate::Detector`], the online
+/// detector in `crates/stream` and every serve worker call it, so all of
+/// them produce identical signatures for the same bag at the same
+/// position. The quantizer's RNG is seeded from
+/// [`derive_seed`]`(master_seed, index)` (histograms ignore it). With a
+/// warm scratch the build touches no heap for any method: the histogram
+/// is rebinned into recycled tables, and the clustering quantizers run
+/// on recycled center rows.
 ///
 /// # Panics
-/// As [`build_signature`].
+/// Panics on invalid method parameters (zero `k`, non-positive width) —
+/// these are caught earlier by `DetectorConfig::validate` when used
+/// through the detector. Also panics if a quantizer emits a center that
+/// is not finite; ingest rejects coordinates beyond
+/// [`crate::MAX_ABS_COORD`], and below that bound no center can
+/// overflow.
 pub fn signature_at_with(
     bag: &Bag,
     method: &SignatureMethod,
@@ -167,92 +159,59 @@ pub fn signature_at_with(
     index: u64,
     scratch: &mut SignatureScratch,
 ) -> Signature {
-    let SignatureMethod::Histogram { width } = method else {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(master_seed, index));
-        let mut centers = scratch.points.pop().unwrap_or_default();
-        let mut sig_weights = scratch.weights.pop().unwrap_or_default();
-        match method {
-            SignatureMethod::KMeans { k } => kmeans_with(
-                bag.points(),
-                &KMeansConfig::with_k(*k),
-                &mut rng,
-                &mut scratch.cluster,
-                &mut centers,
-                &mut sig_weights,
-            ),
-            SignatureMethod::KMedoids { k } => kmedoids_with(
-                bag.points(),
-                &KMedoidsConfig::with_k(*k),
-                &mut rng,
-                &mut scratch.cluster,
-                &mut centers,
-                &mut sig_weights,
-            ),
-            SignatureMethod::Lvq { k } => lvq_quantize_with(
-                bag.points(),
-                &LvqConfig::with_k(*k),
-                &mut rng,
-                &mut scratch.cluster,
-                &mut centers,
-                &mut sig_weights,
-            ),
-            // lint:allow(NO_PANIC_SURFACE, the let-else above diverted every histogram request)
-            SignatureMethod::Histogram { .. } => unreachable!("handled by the let-else above"),
-        }
-        return Signature::new(centers, sig_weights)
-            // lint:allow(NO_PANIC_SURFACE, quantizers emit non-empty positive-weight clusters by construction)
-            .expect("quantization always yields a valid signature");
-    };
-    let SignatureScratch {
-        hist,
-        spec,
-        points,
-        weights,
-        ..
-    } = scratch;
-    // Empty vecs: filled by the resizes below, no allocation here.
-    let spec = spec.get_or_insert_with(HistogramSpec::default);
-    spec.origin.clear();
-    spec.origin.resize(bag.dim(), 0.0);
-    spec.width.clear();
-    spec.width.resize(bag.dim(), *width);
-    let mut centers = points.pop().unwrap_or_default();
-    let mut sig_weights = weights.pop().unwrap_or_default();
-    histogram_grid_with(bag.points(), spec, hist, &mut centers, &mut sig_weights);
-    Signature::new(centers, sig_weights).expect("quantization always yields a valid signature")
-}
-
-/// Build the signature of one bag with the chosen method.
-///
-/// The RNG drives quantizer initialization (k-means++ seeding etc.);
-/// histograms ignore it.
-///
-/// # Panics
-/// Panics on invalid method parameters (zero `k`, non-positive width) —
-/// these are caught earlier by `DetectorConfig::validate` when used
-/// through the detector.
-pub fn build_signature(bag: &Bag, method: &SignatureMethod, rng: &mut impl Rng) -> Signature {
-    let q = match method {
-        SignatureMethod::KMeans { k } => kmeans(bag.points(), &KMeansConfig::with_k(*k), rng),
-        SignatureMethod::KMedoids { k } => kmedoids(bag.points(), &KMedoidsConfig::with_k(*k), rng),
-        SignatureMethod::Lvq { k } => lvq_quantize(bag.points(), &LvqConfig::with_k(*k), rng),
-        SignatureMethod::Histogram { width } => histogram_grid(
+    let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(master_seed, index));
+    let mut centers = scratch.points.pop().unwrap_or_default();
+    let mut weights = scratch.weights.pop().unwrap_or_default();
+    match method {
+        SignatureMethod::KMeans { k } => kmeans_with(
             bag.points(),
-            &HistogramSpec::uniform(bag.dim(), 0.0, *width),
+            &KMeansConfig::with_k(*k),
+            &mut rng,
+            &mut scratch.cluster,
+            &mut centers,
+            &mut weights,
         ),
-    };
-    Signature::from_counts(q.centers, &q.counts)
-        .expect("quantization always yields a valid signature")
+        SignatureMethod::KMedoids { k } => kmedoids_with(
+            bag.points(),
+            &KMedoidsConfig::with_k(*k),
+            &mut rng,
+            &mut scratch.cluster,
+            &mut centers,
+            &mut weights,
+        ),
+        SignatureMethod::Lvq { k } => lvq_quantize_with(
+            bag.points(),
+            &LvqConfig::with_k(*k),
+            &mut rng,
+            &mut scratch.cluster,
+            &mut centers,
+            &mut weights,
+        ),
+        SignatureMethod::Histogram { width } => {
+            let spec = &mut scratch.spec;
+            spec.origin.clear();
+            spec.origin.resize(bag.dim(), 0.0);
+            spec.width.clear();
+            spec.width.resize(bag.dim(), *width);
+            histogram_grid_with(
+                bag.points(),
+                spec,
+                &mut scratch.hist,
+                &mut centers,
+                &mut weights,
+            );
+        }
+    }
+    Signature::new(centers, weights).expect("quantization always yields a valid signature")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(99)
+    /// One build through a fresh scratch.
+    fn build(bag: &Bag, method: &SignatureMethod, index: u64) -> Signature {
+        signature_at_with(bag, method, 99, index, &mut SignatureScratch::new())
     }
 
     fn bag() -> Bag {
@@ -265,71 +224,69 @@ mod tests {
 
     #[test]
     fn kmeans_signature_mass_equals_bag_size() {
-        let s = build_signature(&bag(), &SignatureMethod::KMeans { k: 4 }, &mut rng());
+        let s = build(&bag(), &SignatureMethod::KMeans { k: 4 }, 0);
         assert_eq!(s.total_weight(), 60.0);
         assert!(s.len() <= 4);
     }
 
     #[test]
     fn kmedoids_signature() {
-        let s = build_signature(&bag(), &SignatureMethod::KMedoids { k: 3 }, &mut rng());
+        let s = build(&bag(), &SignatureMethod::KMedoids { k: 3 }, 0);
         assert_eq!(s.total_weight(), 60.0);
         assert!(s.len() <= 3);
     }
 
     #[test]
     fn lvq_signature() {
-        let s = build_signature(&bag(), &SignatureMethod::Lvq { k: 5 }, &mut rng());
+        let s = build(&bag(), &SignatureMethod::Lvq { k: 5 }, 0);
         assert_eq!(s.total_weight(), 60.0);
     }
 
     #[test]
-    fn histogram_signature_is_deterministic() {
-        let a = build_signature(
-            &bag(),
-            &SignatureMethod::Histogram { width: 1.0 },
-            &mut rng(),
-        );
-        let b = build_signature(
-            &bag(),
-            &SignatureMethod::Histogram { width: 1.0 },
-            &mut rng(),
-        );
+    fn histogram_signature_ignores_position() {
+        let method = SignatureMethod::Histogram { width: 1.0 };
+        let a = build(&bag(), &method, 0);
+        let b = build(&bag(), &method, 1);
         assert_eq!(a, b);
         assert_eq!(a.total_weight(), 60.0);
     }
 
     #[test]
-    fn signature_at_with_matches_signature_at() {
-        let mut scratch = SignatureScratch::new();
-        // Histogram path through a dirty, recycling scratch; shapes vary.
-        for t in 0..6u64 {
-            let b = Bag::new(
-                (0..30 + 7 * t as usize)
-                    .map(|i| vec![(i % (3 + t as usize)) as f64 * 0.4, (i % 5) as f64])
+    fn dirty_recycling_scratch_matches_fresh_scratch() {
+        let bits = |s: &Signature| -> (Vec<Vec<u64>>, Vec<u64>) {
+            (
+                s.points()
+                    .iter()
+                    .map(|p| p.iter().map(|x| x.to_bits()).collect())
                     .collect(),
-            );
-            let method = SignatureMethod::Histogram { width: 0.5 };
-            let plain = signature_at(&b, &method, 7, t);
-            let pooled = signature_at_with(&b, &method, 7, t, &mut scratch);
-            assert_eq!(plain, pooled, "histogram build must be bit-identical");
-            scratch.recycle(pooled);
-        }
-        // Clustering methods run their scratch-backed builds — still
-        // bit-identical through the same dirty, recycling scratch.
-        for (t, method) in [
+                s.weights().iter().map(|w| w.to_bits()).collect(),
+            )
+        };
+        let mut scratch = SignatureScratch::new();
+        // Every method through one dirty, recycling scratch, with bag
+        // shapes and dimensions that vary from build to build.
+        let methods = [
+            SignatureMethod::Histogram { width: 0.5 },
             SignatureMethod::KMeans { k: 4 },
             SignatureMethod::KMedoids { k: 3 },
             SignatureMethod::Lvq { k: 5 },
             SignatureMethod::KMeans { k: 9 },
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let b = bag();
-            let plain = signature_at(&b, &method, 7, t as u64);
-            let pooled = signature_at_with(&b, &method, 7, t as u64, &mut scratch);
-            assert_eq!(plain, pooled, "{method:?} build must be bit-identical");
+        ];
+        for t in 0..12u64 {
+            let dim = 1 + (t % 3) as usize;
+            let b = Bag::new(
+                (0..30 + 7 * t as usize)
+                    .map(|i| {
+                        (0..dim)
+                            .map(|j| ((i * (j + 1)) % (3 + t as usize)) as f64 * 0.4)
+                            .collect()
+                    })
+                    .collect(),
+            );
+            let method = &methods[t as usize % methods.len()];
+            let pooled = signature_at_with(&b, method, 7, t, &mut scratch);
+            let fresh = signature_at_with(&b, method, 7, t, &mut SignatureScratch::new());
+            assert_eq!(bits(&pooled), bits(&fresh), "{method:?} at t={t}");
             scratch.recycle(pooled);
         }
     }
@@ -345,11 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn signature_at_is_position_deterministic() {
+    fn signature_is_position_deterministic() {
         let b = bag();
         let method = SignatureMethod::KMeans { k: 4 };
-        let a1 = signature_at(&b, &method, 7, 3);
-        let a2 = signature_at(&b, &method, 7, 3);
+        let a1 = build(&b, &method, 3);
+        let a2 = build(&b, &method, 3);
         assert_eq!(a1, a2, "same (seed, index) -> same signature");
         // Different positions draw different quantizer streams.
         assert_ne!(derive_seed(7, 3), derive_seed(7, 4));

@@ -1,8 +1,8 @@
 //! Property-based tests for the core detector's invariants.
 
 use bagcpd::{
-    bootstrap_ci, equal_weights, BootstrapConfig, GroundMetric, ScoreKind, ScoreScratch,
-    WindowScorer,
+    bootstrap_ci, equal_weights, Bag, BootstrapConfig, Detector, DetectorConfig, GroundMetric,
+    ScoreKind, ScoreScratch, SignatureMethod, WindowScorer,
 };
 use emd::Signature;
 use infoest::{DistanceMatrix, EstimatorConfig};
@@ -356,5 +356,115 @@ proptest! {
         let tight = ci_at(0.5);
         let wide = ci_at(0.05);
         prop_assert!(wide.up - wide.lo >= tight.up - tight.lo - 1e-12);
+    }
+}
+
+/// A fixed 16-bag 2-D sequence built from a formula (no RNG): bag sizes
+/// cycle through 20..=24 and the level moves at t = 8.
+fn formula_bags() -> Vec<Bag> {
+    (0..16usize)
+        .map(|t| {
+            let level = if t < 8 { 0.0 } else { 1.5 };
+            Bag::new(
+                (0..20 + t % 5)
+                    .map(|i| {
+                        vec![
+                            level + ((i * 7 + t * 3) % 13) as f64 * 0.25,
+                            ((i * 5 + t) % 11) as f64 * 0.2 - 0.5 * level,
+                        ]
+                    })
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+/// `[score, ci.lo, ci.up]` bits of every inspection point of
+/// `Detector::analyze(&formula_bags(), 17)` under each quantizer, as an
+/// earlier version of the batch detector produced them. k-medoids and
+/// LVQ have no CLI flag, so no recorded score log can reach them: this
+/// table is what pins their bits across versions.
+const PINNED: [(SignatureMethod, [[u64; 3]; 9]); 4] = [
+    (
+        SignatureMethod::KMeans { k: 4 },
+        [
+            [0xbfc5c09622be3ace, 0xbfdecb9c38b8b123, 0x3fc5d83f5b4720f1],
+            [0xbf936686fbfaeed8, 0xbfd46ba459130fc4, 0x3fdf06ea1e43012a],
+            [0x3fbbc56020b55615, 0xbfd485558c804e2a, 0x3fe3a243f439f203],
+            [0x3fd516ee14cea69b, 0xbfc54960146faafc, 0x3fe798f0dcb26751],
+            [0x3fea8947bed4f4ca, 0x3fe5705e73c926bc, 0x3ff1e3134d290d94],
+            [0x3fd8f63fb94bf300, 0xbfce41895ae6db02, 0x3ff045c03c7a83e3],
+            [0xbf89650932309e20, 0xbfdab588be075069, 0x3fdf887dc39049b2],
+            [0xbfc77774759b8680, 0xbfdf0fd92a8c13bc, 0x3fce38464336e6c9],
+            [0xbfc5d7e3f8ed8995, 0xbfdd742f4e8a5248, 0x3fcbc547d5eabac4],
+        ],
+    ),
+    (
+        SignatureMethod::KMedoids { k: 3 },
+        [
+            [0xbfcf52254c90cedc, 0xbfe3577b946cf2b7, 0x3fc517062e96e3a8],
+            [0xbfc9f30f7c8c0894, 0xbfe3a1bae8e212b3, 0x3fd0dccf1ce830ea],
+            [0x3face1de4051268c, 0xbfde02b7d32eb683, 0x3fe40af2cbb3072b],
+            [0x3fd6139b8437523b, 0xbfc49f68d4f0e43e, 0x3fea677625bb57da],
+            [0x3fe989c1e015d1e3, 0x3fe3c104651fef78, 0x3ff1a7fc925da1eb],
+            [0x3fd4e60e33199e8d, 0xbfc945f83fbe60c0, 0x3fe7d9dc6459746f],
+            [0x3fa6d05d942fac84, 0xbfd2f23439dde5d0, 0x3fe02d94af03234e],
+            [0xbfbf22e6c9195604, 0xbfd9041cd1654353, 0x3fcabe2757c3a608],
+            [0xbfa51d43fe5abf80, 0xbfd734f4bb349ea4, 0x3fe0a5bfdee47666],
+        ],
+    ),
+    (
+        SignatureMethod::Lvq { k: 5 },
+        [
+            [0xbfc704eac1805a80, 0xbfdda317f02ee621, 0x3fc6157d8e45ac56],
+            [0xbfbe2acfaf81f9e2, 0xbfde426f779ad6fc, 0x3fd693d618b84a94],
+            [0x3fb136d9958b17a3, 0xbfdd7a58246c6f5e, 0x3fe34f7e890dd7e2],
+            [0x3fd83f607a1e9614, 0xbfc14e472364e8bc, 0x3fec3d12b53f3c30],
+            [0x3fee1565f7b7c8f8, 0x3fe677ed45add06f, 0x3ff7727f411b758e],
+            [0x3fda772c8a68154f, 0xbfdcccf221b42342, 0x3ff5aabfe882da3c],
+            [0xbfa9e72695aa7d44, 0xbfe7607e1c9a1a15, 0x3fe536a882b110bb],
+            [0xbfd69326b0912b62, 0xbfe9e235f13184c4, 0x3fc9895b9d4bea08],
+            [0xbfc3750a208f48c2, 0xbfe5f1693855af12, 0x3fe49b34a9c0c5e6],
+        ],
+    ),
+    (
+        SignatureMethod::Histogram { width: 0.5 },
+        [
+            [0xbfd0c116d6ddb434, 0xbfe87ed171b4603a, 0x3fd9a0548dbc85fd],
+            [0xbfd3cb96be61935a, 0xbfeecf7a8d0731b0, 0x3fd777e6e30b5d95],
+            [0x3fa2ff401188a2f4, 0xbfeae7a845fc4c5c, 0x3fece1671102af10],
+            [0x3fdf4ae1d720ab24, 0xbfd265e082ea47ef, 0x3ff4652d649e5c97],
+            [0x3ff35bd5cb7c682c, 0x3feb1cad990cb52f, 0x3ffe5a5b5df009a9],
+            [0x3fdbb31808a543c6, 0xbfe352e6ce9bc784, 0x3ff77f1a80736613],
+            [0xbfa91fda5369e56c, 0xbfeaf4e70305db0e, 0x3fe8a7b2d85130aa],
+            [0xbfd63be4651e91f6, 0xbfecc0ab9ceac640, 0x3fde56faca094a9e],
+            [0xbfc25ec6163cb158, 0xbfe8cbb8bdf72e8f, 0x3fefc000abd0405a],
+        ],
+    ),
+];
+
+#[test]
+fn batch_detector_bits_match_recorded_values() {
+    let bags = formula_bags();
+    for (method, expected) in PINNED {
+        let detector = Detector::new(DetectorConfig {
+            tau: 4,
+            tau_prime: 4,
+            signature: method.clone(),
+            ..DetectorConfig::default()
+        })
+        .expect("valid config");
+        let actual: Vec<[u64; 3]> = detector
+            .analyze(&bags, 17)
+            .expect("analysis runs")
+            .points
+            .iter()
+            .map(|p| [p.score.to_bits(), p.ci.lo.to_bits(), p.ci.up.to_bits()])
+            .collect();
+        let table: String = actual
+            .iter()
+            .map(|[s, lo, up]| format!("[{s:#018x}, {lo:#018x}, {up:#018x}],\n"))
+            .collect();
+        assert_eq!(actual, expected, "{method:?} bits moved; now:\n{table}");
     }
 }

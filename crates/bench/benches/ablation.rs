@@ -1,9 +1,11 @@
 //! P4 (timing half) — cost of the quantizer choices: signature
-//! construction time per method at matched K, on a realistic bag.
+//! construction time per method at matched K, on a realistic bag. Each
+//! build runs the production builder, `signature_at_with`, through one
+//! warm scratch that takes every built signature back, as a serve worker
+//! does with the signatures its windows evict.
 
-use bagcpd::{build_signature, Bag, SignatureMethod};
+use bagcpd::{signature_at_with, Bag, SignatureMethod, SignatureScratch};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::SeedableRng;
 use stats::{seeded_rng, GaussianMixture1d};
 
 fn make_bag(size: usize) -> Bag {
@@ -23,9 +25,12 @@ fn bench_signature_methods(c: &mut Criterion) {
     ];
     for (name, method) in methods {
         group.bench_with_input(BenchmarkId::from_parameter(name), &method, |bench, m| {
+            let mut scratch = SignatureScratch::new();
             bench.iter(|| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-                build_signature(&bag, m, &mut rng)
+                let sig = signature_at_with(&bag, m, 3, 0, &mut scratch);
+                let atoms = sig.len();
+                scratch.recycle(sig);
+                atoms
             });
         });
     }
@@ -37,9 +42,13 @@ fn bench_bag_size_scaling(c: &mut Criterion) {
     for &size in &[100usize, 300, 1000, 3000] {
         let bag = make_bag(size);
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |bench, _| {
+            let mut scratch = SignatureScratch::new();
             bench.iter(|| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-                build_signature(&bag, &SignatureMethod::KMeans { k: 8 }, &mut rng)
+                let sig =
+                    signature_at_with(&bag, &SignatureMethod::KMeans { k: 8 }, 4, 0, &mut scratch);
+                let atoms = sig.len();
+                scratch.recycle(sig);
+                atoms
             });
         });
     }

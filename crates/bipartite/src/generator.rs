@@ -123,7 +123,9 @@ fn generate_fixed_total(spec: &CommunitySpec, total: u64, rng: &mut impl Rng) ->
     ];
     let alloc = stats::Categorical::new(&weights).sample_counts(total, rng);
 
-    let mut acc: std::collections::HashMap<(u32, u32), u64> = std::collections::HashMap::new();
+    // Ordered by (source, dest), so the edge list — and everything built
+    // from it — is the same in every process.
+    let mut acc: std::collections::BTreeMap<(u32, u32), u64> = std::collections::BTreeMap::new();
     for (c, &count) in alloc.iter().enumerate() {
         let plist = &pairs[c / 2][c % 2];
         if plist.is_empty() || count == 0 {
@@ -241,9 +243,17 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = generate_community_graph(&base_spec(), &mut rng(5));
-        let b = generate_community_graph(&base_spec(), &mut rng(5));
-        assert_eq!(a, b);
+        for spec in [
+            base_spec(),
+            CommunitySpec {
+                fixed_total_weight: Some(5000),
+                ..base_spec()
+            },
+        ] {
+            let a = generate_community_graph(&spec, &mut rng(5));
+            let b = generate_community_graph(&spec, &mut rng(5));
+            assert_eq!(a, b, "{spec:?}");
+        }
     }
 
     #[test]

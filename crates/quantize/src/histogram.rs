@@ -8,7 +8,6 @@
 //! are omitted (that is what makes it a signature rather than a dense
 //! histogram).
 
-use crate::Quantization;
 use std::collections::HashMap;
 
 /// Specification of a fixed-width binning of `R^d`.
@@ -21,32 +20,6 @@ pub struct HistogramSpec {
 }
 
 impl HistogramSpec {
-    /// Uniform spec: the same origin and width in every dimension.
-    pub fn uniform(dim: usize, origin: f64, width: f64) -> Self {
-        HistogramSpec {
-            origin: vec![origin; dim],
-            width: vec![width; dim],
-        }
-    }
-
-    /// Bin index vector of a point.
-    fn bin_of(&self, p: &[f64]) -> Vec<i64> {
-        p.iter()
-            .zip(&self.origin)
-            .zip(&self.width)
-            .map(|((&x, &o), &w)| ((x - o) / w).floor() as i64)
-            .collect()
-    }
-
-    /// Center of a bin index vector.
-    fn center_of(&self, bin: &[i64]) -> Vec<f64> {
-        bin.iter()
-            .zip(&self.origin)
-            .zip(&self.width)
-            .map(|((&b, &o), &w)| o + (b as f64 + 0.5) * w)
-            .collect()
-    }
-
     fn validate(&self, dim: usize) {
         assert_eq!(self.origin.len(), dim, "histogram: origin dim mismatch");
         assert_eq!(self.width.len(), dim, "histogram: width dim mismatch");
@@ -73,9 +46,8 @@ pub struct HistogramScratch {
     key: Vec<i64>,
     /// Recycled bin-key vectors (returned here by the post-build drain).
     free_keys: Vec<Vec<i64>>,
-    /// Recycled center vectors (fed by [`HistogramScratch::recycle_centers`]
-    /// and by builds that produced fewer bins than their output buffer
-    /// already held).
+    /// Recycled center vectors (returned by builds that produced fewer
+    /// bins than their output buffer already held).
     free_centers: Vec<Vec<f64>>,
 }
 
@@ -84,27 +56,25 @@ impl HistogramScratch {
     pub fn new() -> Self {
         HistogramScratch::default()
     }
-
-    /// Return center vectors — typically the points of a retired
-    /// signature — to the pool for the next build to reuse.
-    pub fn recycle_centers(&mut self, centers: impl IntoIterator<Item = Vec<f64>>) {
-        self.free_centers.extend(centers);
-    }
 }
 
-/// As [`histogram_grid`], but writing the occupied bins (first-seen
-/// order) and their occupancies into caller-kept buffers: `centers`'
-/// existing inner vectors are reused in place, extras come from (and
-/// return to) the scratch's pools, and `weights[id]` accumulates the
-/// occupancy of bin `id` as an exact small integer — bit-identical to
-/// `histogram_grid`'s counts cast to `f64`. Once the scratch and the
+/// Histogram a bag of `d`-dimensional points into occupied fixed-width
+/// bins, writing the bins' centers (first-seen order) and occupancies
+/// into `centers` and `weights`.
+///
+/// A point `x` falls in the bin with index `floor((x_j - origin_j) /
+/// width_j)` in each dimension `j`, so bins are left-inclusive; a bin's
+/// center is `origin_j + (index_j + 0.5) · width_j`. Empty bins are never
+/// emitted, and `weights[id]` accumulates the occupancy of bin `id` as an
+/// exact small integer.
+///
+/// `centers`' existing inner vectors are reused in place, extras come
+/// from (and return to) the scratch's pools; once the scratch and the
 /// buffers are warm, a build performs zero heap allocations.
 ///
-/// Assignments are not produced — this is the signature-build fast path,
-/// which never needs them.
-///
 /// # Panics
-/// As [`histogram_grid`].
+/// Panics on an empty bag, dimension mismatches, or widths that are not
+/// finite and positive.
 pub fn histogram_grid_with(
     points: &[Vec<f64>],
     spec: &HistogramSpec,
@@ -156,85 +126,57 @@ pub fn histogram_grid_with(
     }
 }
 
-/// Histogram a bag of `d`-dimensional points into occupied fixed-width
-/// bins.
-///
-/// # Panics
-/// Panics on an empty bag, dimension mismatches, or non-positive widths.
-pub fn histogram_grid(points: &[Vec<f64>], spec: &HistogramSpec) -> Quantization {
-    assert!(!points.is_empty(), "histogram: empty bag");
-    let d = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == d),
-        "histogram: inconsistent point dimensions"
-    );
-    spec.validate(d);
-
-    // Map each occupied bin to a compact cluster id, preserving first-seen
-    // order so results are deterministic.
-    let mut bin_ids: HashMap<Vec<i64>, usize> = HashMap::new();
-    let mut bins: Vec<Vec<i64>> = Vec::new();
-    let mut counts: Vec<u64> = Vec::new();
-    let mut assignments = Vec::with_capacity(points.len());
-
-    for p in points {
-        let b = spec.bin_of(p);
-        let id = *bin_ids.entry(b.clone()).or_insert_with(|| {
-            bins.push(b);
-            counts.push(0);
-            bins.len() - 1
-        });
-        counts[id] += 1;
-        assignments.push(id);
-    }
-
-    Quantization {
-        centers: bins.iter().map(|b| spec.center_of(b)).collect(),
-        counts,
-        assignments,
-    }
-}
-
-/// Convenience: 1-D histogram of scalars with the given origin and width.
-///
-/// # Panics
-/// As [`histogram_grid`].
-pub fn histogram_1d(values: &[f64], origin: f64, width: f64) -> Quantization {
-    let pts: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
-    histogram_grid(&pts, &HistogramSpec::uniform(1, origin, width))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::row_bits;
+
+    /// One build through a fresh scratch and fresh output buffers, with
+    /// the same `origin` and `width` in every dimension.
+    fn fresh(points: &[Vec<f64>], origin: f64, width: f64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let dim = points.first().map_or(1, Vec::len);
+        let spec = HistogramSpec {
+            origin: vec![origin; dim],
+            width: vec![width; dim],
+        };
+        let (mut centers, mut weights) = (Vec::new(), Vec::new());
+        histogram_grid_with(
+            points,
+            &spec,
+            &mut HistogramScratch::new(),
+            &mut centers,
+            &mut weights,
+        );
+        (centers, weights)
+    }
+
+    fn scalars(values: &[f64]) -> Vec<Vec<f64>> {
+        values.iter().map(|&v| vec![v]).collect()
+    }
 
     #[test]
     fn simple_1d_binning() {
-        let q = histogram_1d(&[0.1, 0.2, 0.9, 1.1, 1.9, 3.5], 0.0, 1.0);
+        let (centers, weights) = fresh(&scalars(&[0.1, 0.2, 0.9, 1.1, 1.9, 3.5]), 0.0, 1.0);
         // Bins [0,1): 3 points; [1,2): 2 points; [3,4): 1 point.
-        assert_eq!(q.centers.len(), 3);
-        assert_eq!(q.counts, vec![3, 2, 1]);
-        assert_eq!(q.centers[0], vec![0.5]);
-        assert_eq!(q.centers[1], vec![1.5]);
-        assert_eq!(q.centers[2], vec![3.5]);
-        assert_eq!(q.total_count(), 6);
+        assert_eq!(centers, vec![vec![0.5], vec![1.5], vec![3.5]]);
+        assert_eq!(weights, vec![3.0, 2.0, 1.0]);
     }
 
     #[test]
     fn negative_values_bin_correctly() {
-        let q = histogram_1d(&[-0.5, -1.5, 0.5], 0.0, 1.0);
-        assert_eq!(q.counts, vec![1, 1, 1]);
-        assert_eq!(q.centers[0], vec![-0.5]); // bin [-1, 0)
-        assert_eq!(q.centers[1], vec![-1.5]); // bin [-2, -1)
-        assert_eq!(q.centers[2], vec![0.5]); // bin [0, 1)
+        let (centers, weights) = fresh(&scalars(&[-0.5, -1.5, 0.5]), 0.0, 1.0);
+        assert_eq!(weights, vec![1.0, 1.0, 1.0]);
+        assert_eq!(centers[0], vec![-0.5]); // bin [-1, 0)
+        assert_eq!(centers[1], vec![-1.5]); // bin [-2, -1)
+        assert_eq!(centers[2], vec![0.5]); // bin [0, 1)
     }
 
     #[test]
     fn bin_edges_are_left_inclusive() {
-        let q = histogram_1d(&[1.0, 0.999999], 0.0, 1.0);
+        let (centers, _) = fresh(&scalars(&[1.0, 0.999999]), 0.0, 1.0);
         assert_eq!(
-            q.centers.len(),
-            2,
+            centers,
+            vec![vec![1.5], vec![0.5]],
             "1.0 belongs to [1,2), 0.999999 to [0,1)"
         );
     }
@@ -247,10 +189,10 @@ mod tests {
             vec![1.5, 0.5],
             vec![0.5, 1.5],
         ];
-        let q = histogram_grid(&pts, &HistogramSpec::uniform(2, 0.0, 1.0));
-        assert_eq!(q.centers.len(), 3);
-        assert_eq!(q.counts, vec![2, 1, 1]);
-        assert_eq!(q.centers[0], vec![0.5, 0.5]);
+        let (centers, weights) = fresh(&pts, 0.0, 1.0);
+        assert_eq!(centers.len(), 3);
+        assert_eq!(weights, vec![2.0, 1.0, 1.0]);
+        assert_eq!(centers[0], vec![0.5, 0.5]);
     }
 
     #[test]
@@ -260,29 +202,29 @@ mod tests {
             width: vec![1.0, 10.0],
         };
         let pts = vec![vec![0.5, 5.0], vec![0.5, 9.0], vec![0.5, 15.0]];
-        let q = histogram_grid(&pts, &spec);
-        assert_eq!(q.counts, vec![2, 1]);
-        assert_eq!(q.centers[0], vec![0.5, 5.0]);
-        assert_eq!(q.centers[1], vec![0.5, 15.0]);
-    }
-
-    #[test]
-    fn assignments_round_trip() {
-        let q = histogram_1d(&[0.1, 5.3, 0.2, 5.4], 0.0, 1.0);
-        assert_eq!(q.assignments, vec![0, 1, 0, 1]);
+        let (mut centers, mut weights) = (Vec::new(), Vec::new());
+        histogram_grid_with(
+            &pts,
+            &spec,
+            &mut HistogramScratch::new(),
+            &mut centers,
+            &mut weights,
+        );
+        assert_eq!(weights, vec![2.0, 1.0]);
+        assert_eq!(centers[0], vec![0.5, 5.0]);
+        assert_eq!(centers[1], vec![0.5, 15.0]);
     }
 
     #[test]
     fn mass_conservation() {
         let values: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
-        let q = histogram_1d(&values, 0.0, 0.5);
-        assert_eq!(q.total_count(), 1000);
-        let mass: u64 = q.counts.iter().sum();
-        assert_eq!(mass, 1000);
+        let (_, weights) = fresh(&scalars(&values), 0.0, 0.5);
+        assert_eq!(weights.iter().sum::<f64>(), 1000.0);
+        assert!(weights.iter().all(|&w| w >= 1.0 && w.fract() == 0.0));
     }
 
     #[test]
-    fn grid_with_matches_allocating_grid_bit_for_bit() {
+    fn dirty_scratch_matches_fresh_scratch_bit_for_bit() {
         let mut scratch = HistogramScratch::new();
         let mut centers = Vec::new();
         let mut weights = Vec::new();
@@ -292,39 +234,26 @@ mod tests {
             let pts: Vec<Vec<f64>> = (0..n)
                 .map(|i| vec![(i as f64 * 0.61).sin() * 4.0, (i % 5) as f64])
                 .collect();
-            let spec = HistogramSpec::uniform(2, 0.0, 0.75);
-            let q = histogram_grid(&pts, &spec);
+            let spec = HistogramSpec {
+                origin: vec![0.0; 2],
+                width: vec![0.75; 2],
+            };
             histogram_grid_with(&pts, &spec, &mut scratch, &mut centers, &mut weights);
-            assert_eq!(centers, q.centers);
-            assert_eq!(weights.len(), q.counts.len());
-            for (w, &c) in weights.iter().zip(&q.counts) {
-                assert_eq!(w.to_bits(), (c as f64).to_bits());
-            }
+            let (fresh_centers, fresh_weights) = fresh(&pts, 0.0, 0.75);
+            assert_eq!(row_bits(&centers), row_bits(&fresh_centers), "n={n}");
+            assert_eq!(weights, fresh_weights, "n={n}");
         }
-    }
-
-    #[test]
-    fn grid_with_recycles_donated_centers() {
-        let mut scratch = HistogramScratch::new();
-        scratch.recycle_centers(vec![vec![9.0; 8], vec![7.0; 8]]);
-        let mut centers = Vec::new();
-        let mut weights = Vec::new();
-        let pts = vec![vec![0.1], vec![0.2], vec![5.0]];
-        let spec = HistogramSpec::uniform(1, 0.0, 1.0);
-        histogram_grid_with(&pts, &spec, &mut scratch, &mut centers, &mut weights);
-        assert_eq!(centers, vec![vec![0.5], vec![5.5]]);
-        assert_eq!(weights, vec![2.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "widths must be > 0")]
     fn zero_width_panics() {
-        histogram_1d(&[1.0], 0.0, 0.0);
+        fresh(&scalars(&[1.0]), 0.0, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "empty bag")]
     fn empty_bag_panics() {
-        histogram_1d(&[], 0.0, 1.0);
+        fresh(&[], 0.0, 1.0);
     }
 }

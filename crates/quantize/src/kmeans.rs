@@ -4,10 +4,10 @@
 //! bag is clustered into `K` centers, and the per-center member counts
 //! become the signature weights `w_k`.
 
-use crate::{compact_non_empty, nearest_center, set_row, sq_dist, ClusterScratch, Quantization};
+use crate::{compact_non_empty, nearest_center, set_row, sq_dist, ClusterScratch};
 use rand::Rng;
 
-/// Configuration for [`kmeans`].
+/// Configuration for [`kmeans_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeansConfig {
     /// Number of clusters requested. If the bag has fewer distinct points
@@ -39,83 +39,27 @@ impl KMeansConfig {
     }
 }
 
-/// Run k-means++ + Lloyd on `points`.
+/// Run k-means++ seeding and Lloyd iterations on `points`, writing the
+/// non-empty centers and their member counts (as `f64`) into `centers`
+/// and `weights`.
 ///
-/// Returns a [`Quantization`] with at most `cfg.k` non-empty clusters
-/// (empty clusters are dropped, so `centers.len() <= k`).
+/// The first center is a uniformly drawn bag member; each further one is
+/// drawn with probability proportional to the squared distance to the
+/// nearest center chosen so far, and seeding stops early once every
+/// point coincides with a center. Lloyd iterations then alternate
+/// nearest-center assignment and centroid updates (an empty cluster
+/// keeps its stale center) until the total squared center movement is
+/// at most `cfg.tol` or `cfg.max_iters` is reached. Final counts are
+/// taken against the converged centers, and empty clusters are dropped
+/// in stable order, so `centers.len() <= min(k, points.len())`.
+///
+/// `centers`' existing inner vectors are reused in place, extras come
+/// from (and return to) the scratch's row pool; once the scratch and
+/// buffers are warm, a build performs zero heap allocations.
 ///
 /// # Panics
 /// Panics if `points` is empty, `cfg.k == 0`, or points have inconsistent
 /// dimension.
-pub fn kmeans(points: &[Vec<f64>], cfg: &KMeansConfig, rng: &mut impl Rng) -> Quantization {
-    assert!(!points.is_empty(), "kmeans: empty bag");
-    assert!(cfg.k > 0, "kmeans: k must be > 0");
-    let d = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == d),
-        "kmeans: inconsistent point dimensions"
-    );
-    let k = cfg.k.min(points.len());
-
-    let mut centers = kmeanspp_init(points, k, rng);
-    let mut assignments = vec![0usize; points.len()];
-
-    for _ in 0..cfg.max_iters {
-        // Assignment step.
-        for (a, p) in assignments.iter_mut().zip(points) {
-            *a = nearest_center(p, &centers).0;
-        }
-        // Update step.
-        let mut sums = vec![vec![0.0; d]; centers.len()];
-        let mut counts = vec![0u64; centers.len()];
-        for (&a, p) in assignments.iter().zip(points) {
-            counts[a] += 1;
-            for (s, &x) in sums[a].iter_mut().zip(p) {
-                *s += x;
-            }
-        }
-        let mut movement = 0.0;
-        for (kc, (sum, &count)) in sums.iter().zip(&counts).enumerate() {
-            if count == 0 {
-                continue; // keep the stale center; it may attract points later
-            }
-            let new_center: Vec<f64> = sum.iter().map(|s| s / count as f64).collect();
-            movement += sq_dist(&new_center, &centers[kc]);
-            centers[kc] = new_center;
-        }
-        if movement <= cfg.tol {
-            break;
-        }
-    }
-
-    // Final assignment and counts against the converged centers.
-    let mut counts = vec![0u64; centers.len()];
-    for (a, p) in assignments.iter_mut().zip(points) {
-        *a = nearest_center(p, &centers).0;
-        counts[*a] += 1;
-    }
-
-    Quantization {
-        centers,
-        counts,
-        assignments,
-    }
-    .drop_empty()
-}
-
-/// As [`kmeans`], but writing the non-empty centers (stable order) and
-/// their member counts as `f64` into caller-kept buffers: `centers`'
-/// existing inner vectors are reused in place, extras come from (and
-/// return to) the scratch's row pool. Consumes the RNG exactly like
-/// [`kmeans`], so centers and weights are bit-identical to its
-/// `centers` / `counts as f64`. Once the scratch and buffers are warm, a
-/// build performs zero heap allocations.
-///
-/// Assignments are not produced — this is the signature-build fast path,
-/// which never needs them.
-///
-/// # Panics
-/// As [`kmeans`].
 pub fn kmeans_with(
     points: &[Vec<f64>],
     cfg: &KMeansConfig,
@@ -133,8 +77,7 @@ pub fn kmeans_with(
     );
     let k = cfg.k.min(points.len());
 
-    // k-means++ seeding into recycled rows — the draw sequence of
-    // `kmeanspp_init`, verbatim.
+    // k-means++ seeding into recycled rows.
     set_row(
         centers,
         &mut scratch.pool,
@@ -149,6 +92,8 @@ pub fn kmeans_with(
     while used < k {
         let total: f64 = scratch.d2.iter().sum();
         if total <= 0.0 {
+            // Every point coincides with a chosen center; further
+            // centers would be duplicates.
             break;
         }
         let mut u = rng.gen_range(0.0..total);
@@ -211,7 +156,7 @@ pub fn kmeans_with(
     }
 
     // Final counts against the converged centers, then stable compaction
-    // of the non-empty clusters (the `drop_empty` order).
+    // of the non-empty clusters.
     scratch.counts.clear();
     scratch.counts.resize(used, 0);
     for p in points {
@@ -220,60 +165,29 @@ pub fn kmeans_with(
     compact_non_empty(centers, used, &scratch.counts, &mut scratch.pool, weights);
 }
 
-/// k-means++ seeding: first center uniform, subsequent centers drawn with
-/// probability proportional to squared distance from the nearest chosen
-/// center.
-fn kmeanspp_init(points: &[Vec<f64>], k: usize, rng: &mut impl Rng) -> Vec<Vec<f64>> {
-    let mut centers: Vec<Vec<f64>> = Vec::with_capacity(k);
-    centers.push(points[rng.gen_range(0..points.len())].clone());
-    let mut d2: Vec<f64> = points.iter().map(|p| sq_dist(p, &centers[0])).collect();
-
-    while centers.len() < k {
-        let total: f64 = d2.iter().sum();
-        if total <= 0.0 {
-            // All remaining points coincide with existing centers; any
-            // further centers would be duplicates. Stop early.
-            break;
-        }
-        let mut u = rng.gen_range(0.0..total);
-        let mut chosen = points.len() - 1;
-        for (i, &w) in d2.iter().enumerate() {
-            if u < w {
-                chosen = i;
-                break;
-            }
-            u -= w;
-        }
-        centers.push(points[chosen].clone());
-        let c = centers.last().expect("just pushed");
-        for (dist, p) in d2.iter_mut().zip(points) {
-            let nd = sq_dist(p, c);
-            if nd < *dist {
-                *dist = nd;
-            }
-        }
-    }
-    centers
-}
-
-/// Within-cluster sum of squares of a quantization against its points —
-/// the k-means objective, exposed for tests and diagnostics.
-pub fn wcss(points: &[Vec<f64>], q: &Quantization) -> f64 {
-    points
-        .iter()
-        .zip(&q.assignments)
-        .map(|(p, &a)| sq_dist(p, &q.centers[a]))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{row_bits, wcss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// One build through a fresh scratch and fresh output buffers.
+    fn fresh(points: &[Vec<f64>], k: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let (mut centers, mut weights) = (Vec::new(), Vec::new());
+        kmeans_with(
+            points,
+            &KMeansConfig::with_k(k),
+            &mut rng(seed),
+            &mut ClusterScratch::new(),
+            &mut centers,
+            &mut weights,
+        );
+        (centers, weights)
     }
 
     fn two_blobs() -> Vec<Vec<f64>> {
@@ -289,81 +203,69 @@ mod tests {
     #[test]
     fn separates_two_blobs() {
         let pts = two_blobs();
-        let q = kmeans(&pts, &KMeansConfig::with_k(2), &mut rng(1));
-        assert_eq!(q.centers.len(), 2);
-        assert_eq!(q.total_count(), 100);
+        let (centers, weights) = fresh(&pts, 2, 1);
+        assert_eq!(centers.len(), 2);
+        assert_eq!(weights.iter().sum::<f64>(), 100.0);
         // Centers should sit near (-4.75, 0.25) and (4.75, 9.75).
-        let mut cs = q.centers.clone();
+        let mut cs = centers.clone();
         cs.sort_by(|a, b| a[0].partial_cmp(&b[0]).unwrap());
         assert!((cs[0][0] + 4.75).abs() < 0.5, "center {:?}", cs[0]);
         assert!((cs[1][0] - 4.75).abs() < 0.5, "center {:?}", cs[1]);
         // Both clusters get half the mass.
-        assert_eq!(
-            q.counts.iter().copied().max(),
-            q.counts.iter().copied().min()
-        );
+        assert_eq!(weights, vec![50.0, 50.0]);
     }
 
     #[test]
-    fn counts_match_assignments() {
+    fn weights_count_each_point_at_its_nearest_center() {
         let pts = two_blobs();
-        let q = kmeans(&pts, &KMeansConfig::with_k(4), &mut rng(2));
-        let mut recount = vec![0u64; q.centers.len()];
-        for &a in &q.assignments {
-            recount[a] += 1;
+        let (centers, weights) = fresh(&pts, 4, 2);
+        let mut recount = vec![0.0; centers.len()];
+        for p in &pts {
+            recount[nearest_center(p, &centers).0] += 1.0;
         }
-        assert_eq!(recount, q.counts);
-        assert_eq!(q.total_count() as usize, pts.len());
+        assert_eq!(recount, weights);
     }
 
     #[test]
     fn k_larger_than_points() {
         let pts = vec![vec![0.0], vec![1.0], vec![2.0]];
-        let q = kmeans(&pts, &KMeansConfig::with_k(10), &mut rng(3));
-        assert!(q.centers.len() <= 3);
-        assert_eq!(q.total_count(), 3);
+        let (centers, weights) = fresh(&pts, 10, 3);
+        assert!(centers.len() <= 3);
+        assert_eq!(weights.iter().sum::<f64>(), 3.0);
     }
 
     #[test]
     fn duplicate_points_collapse() {
         let pts = vec![vec![1.0, 1.0]; 20];
-        let q = kmeans(&pts, &KMeansConfig::with_k(5), &mut rng(4));
-        assert_eq!(q.centers.len(), 1, "identical points need one center");
-        assert_eq!(q.counts, vec![20]);
+        let (centers, weights) = fresh(&pts, 5, 4);
+        assert_eq!(centers.len(), 1, "identical points need one center");
+        assert_eq!(weights, vec![20.0]);
     }
 
     #[test]
     fn single_point_bag() {
         let pts = vec![vec![3.0, -1.0]];
-        let q = kmeans(&pts, &KMeansConfig::with_k(3), &mut rng(5));
-        assert_eq!(q.centers, vec![vec![3.0, -1.0]]);
-        assert_eq!(q.counts, vec![1]);
-        assert_eq!(q.assignments, vec![0]);
+        let (centers, weights) = fresh(&pts, 3, 5);
+        assert_eq!(centers, vec![vec![3.0, -1.0]]);
+        assert_eq!(weights, vec![1.0]);
     }
 
     #[test]
     fn wcss_decreases_with_more_clusters() {
         let pts = two_blobs();
-        let q1 = kmeans(&pts, &KMeansConfig::with_k(1), &mut rng(6));
-        let q2 = kmeans(&pts, &KMeansConfig::with_k(2), &mut rng(6));
-        let q8 = kmeans(&pts, &KMeansConfig::with_k(8), &mut rng(6));
-        assert!(wcss(&pts, &q2) < wcss(&pts, &q1));
-        assert!(wcss(&pts, &q8) <= wcss(&pts, &q2) + 1e-9);
+        let w1 = wcss(&pts, &fresh(&pts, 1, 6).0);
+        let w2 = wcss(&pts, &fresh(&pts, 2, 6).0);
+        let w8 = wcss(&pts, &fresh(&pts, 8, 6).0);
+        assert!(w2 < w1);
+        assert!(w8 <= w2 + 1e-9);
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let pts = two_blobs();
-        let a = kmeans(&pts, &KMeansConfig::with_k(3), &mut rng(7));
-        let b = kmeans(&pts, &KMeansConfig::with_k(3), &mut rng(7));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn with_matches_allocating_kmeans_bit_for_bit() {
-        // One dirty scratch and output buffers reused across shapes: the
-        // scratch-backed build must reproduce the allocating build exactly,
-        // center coordinates and weights to the bit.
+    fn dirty_scratch_matches_fresh_scratch_bit_for_bit() {
+        // One scratch and one pair of output buffers carried across
+        // shapes whose cluster counts shrink and grow, so in-place reuse,
+        // pool draws and surplus returns all happen: every build must
+        // equal a fresh-scratch build, coordinates and weights to the bit.
         let mut scratch = ClusterScratch::new();
         let mut centers = Vec::new();
         let mut weights = Vec::new();
@@ -373,57 +275,34 @@ mod tests {
             (100, 8, 3),
             (3, 10, 4),
             (64, 2, 5),
+            (64, 2, 5),
         ] {
             let pts: Vec<Vec<f64>> = (0..n)
                 .map(|i| vec![(i as f64 * 0.37).sin() * 4.0, (i % 9) as f64])
                 .collect();
-            let cfg = KMeansConfig::with_k(k);
-            let q = kmeans(&pts, &cfg, &mut rng(seed));
             kmeans_with(
                 &pts,
-                &cfg,
+                &KMeansConfig::with_k(k),
                 &mut rng(seed),
                 &mut scratch,
                 &mut centers,
                 &mut weights,
             );
-            assert_eq!(centers, q.centers, "centers diverge at n={n} k={k}");
-            assert_eq!(weights.len(), q.counts.len());
-            for (w, &c) in weights.iter().zip(&q.counts) {
-                assert_eq!(w.to_bits(), (c as f64).to_bits());
-            }
+            let (fresh_centers, fresh_weights) = fresh(&pts, k, seed);
+            assert_eq!(row_bits(&centers), row_bits(&fresh_centers), "n={n} k={k}");
+            assert_eq!(weights, fresh_weights, "n={n} k={k}");
         }
-    }
-
-    #[test]
-    fn with_recycles_donated_centers() {
-        let pts = two_blobs();
-        let mut scratch = ClusterScratch::new();
-        let mut centers = Vec::new();
-        let mut weights = Vec::new();
-        // Donate rows as a retired signature would.
-        scratch.recycle_centers((0..8).map(|_| vec![0.0; 2]));
-        kmeans_with(
-            &pts,
-            &KMeansConfig::with_k(3),
-            &mut rng(11),
-            &mut scratch,
-            &mut centers,
-            &mut weights,
-        );
-        let q = kmeans(&pts, &KMeansConfig::with_k(3), &mut rng(11));
-        assert_eq!(centers, q.centers);
     }
 
     #[test]
     #[should_panic(expected = "empty bag")]
     fn empty_bag_panics() {
-        kmeans(&[], &KMeansConfig::default(), &mut rng(8));
+        fresh(&[], 8, 8);
     }
 
     #[test]
     #[should_panic(expected = "k must be > 0")]
     fn zero_k_panics() {
-        kmeans(&[vec![0.0]], &KMeansConfig::with_k(0), &mut rng(9));
+        fresh(&[vec![0.0]], 0, 9);
     }
 }

@@ -4,11 +4,11 @@
 //! outliers and meaningful for ground distances that are not Euclidean.
 //! The paper lists k-medoids as an alternative quantizer for §3.1.
 
-use crate::{compact_non_empty, set_row, sq_dist, ClusterScratch, Quantization};
+use crate::{compact_non_empty, set_row, sq_dist, ClusterScratch};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Configuration for [`kmedoids`].
+/// Configuration for [`kmedoids_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMedoidsConfig {
     /// Number of medoids requested.
@@ -36,110 +36,23 @@ impl KMedoidsConfig {
     }
 }
 
-/// Run k-medoids on `points` (squared-Euclidean dissimilarity).
+/// Run k-medoids on `points` (squared-Euclidean dissimilarity), writing
+/// the non-empty medoids and their member counts (as `f64`) into
+/// `centers` and `weights`.
 ///
-/// Uses Voronoi iteration: assign each point to its nearest medoid, then
-/// within each cluster pick the member minimizing total dissimilarity to
-/// the cluster. Deterministic given the RNG.
+/// Uses Voronoi iteration: `min(k, n)` distinct initial medoids are drawn
+/// by shuffling the member indices; then each point is assigned to its
+/// nearest medoid, and within each cluster the member minimizing the
+/// total dissimilarity to the cluster becomes its medoid, until no
+/// medoid changes or `cfg.max_iters` is reached. Medoids are bag
+/// members, and empty clusters are dropped in stable order.
+/// Deterministic given the RNG.
+///
+/// Output rows are drawn from the scratch's recycled rows; once warm, a
+/// build performs zero heap allocations.
 ///
 /// # Panics
 /// Panics if `points` is empty, `cfg.k == 0`, or dimensions disagree.
-pub fn kmedoids(points: &[Vec<f64>], cfg: &KMedoidsConfig, rng: &mut impl Rng) -> Quantization {
-    assert!(!points.is_empty(), "kmedoids: empty bag");
-    assert!(cfg.k > 0, "kmedoids: k must be > 0");
-    let d = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == d),
-        "kmedoids: inconsistent point dimensions"
-    );
-    let n = points.len();
-    let k = cfg.k.min(n);
-
-    // Random distinct initial medoids.
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-    let mut medoids: Vec<usize> = idx[..k].to_vec();
-    let mut assignments = vec![0usize; n];
-
-    for _ in 0..cfg.max_iters {
-        // Assign points to nearest medoid.
-        for (a, p) in assignments.iter_mut().zip(points) {
-            let mut best = 0;
-            let mut best_d = f64::INFINITY;
-            for (m, &mi) in medoids.iter().enumerate() {
-                let dist = sq_dist(p, &points[mi]);
-                if dist < best_d {
-                    best_d = dist;
-                    best = m;
-                }
-            }
-            *a = best;
-        }
-        // Recompute each cluster's medoid.
-        let mut changed = false;
-        #[allow(clippy::needless_range_loop)] // m indexes both medoids and assignments
-        for m in 0..medoids.len() {
-            let members: Vec<usize> = (0..n).filter(|&i| assignments[i] == m).collect();
-            if members.is_empty() {
-                continue;
-            }
-            let mut best = medoids[m];
-            let mut best_cost = f64::INFINITY;
-            for &cand in &members {
-                let cost: f64 = members
-                    .iter()
-                    .map(|&j| sq_dist(&points[cand], &points[j]))
-                    .sum();
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = cand;
-                }
-            }
-            if best != medoids[m] {
-                medoids[m] = best;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Final assignment pass.
-    let mut counts = vec![0u64; medoids.len()];
-    for (a, p) in assignments.iter_mut().zip(points) {
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for (m, &mi) in medoids.iter().enumerate() {
-            let dist = sq_dist(p, &points[mi]);
-            if dist < best_d {
-                best_d = dist;
-                best = m;
-            }
-        }
-        *a = best;
-        counts[*a] += 1;
-    }
-
-    Quantization {
-        centers: medoids.iter().map(|&i| points[i].clone()).collect(),
-        counts,
-        assignments,
-    }
-    .drop_empty()
-}
-
-/// As [`kmedoids`], but writing the non-empty medoids (stable order) and
-/// their member counts as `f64` into caller-kept buffers through the
-/// scratch's recycled rows. Consumes the RNG exactly like [`kmedoids`],
-/// so centers and weights are bit-identical to its `centers` /
-/// `counts as f64`. Once warm, a build performs zero heap allocations.
-///
-/// Assignments are not produced — this is the signature-build fast path,
-/// which never needs them.
-///
-/// # Panics
-/// As [`kmedoids`].
 pub fn kmedoids_with(
     points: &[Vec<f64>],
     cfg: &KMedoidsConfig,
@@ -169,7 +82,7 @@ pub fn kmedoids_with(
         ..
     } = scratch;
 
-    // Random distinct initial medoids — the draw of `kmedoids`, verbatim.
+    // Random distinct initial medoids.
     idx.clear();
     idx.extend(0..n);
     idx.shuffle(rng);
@@ -224,7 +137,7 @@ pub fn kmedoids_with(
     }
 
     // Final counts, then materialize medoid points and compact the
-    // non-empty clusters (the `drop_empty` order).
+    // non-empty clusters in stable order.
     counts.clear();
     counts.resize(medoids.len(), 0);
     for p in points {
@@ -248,6 +161,8 @@ pub fn kmedoids_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nearest_center;
+    use crate::test_support::row_bits;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -255,11 +170,25 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    /// One build through a fresh scratch and fresh output buffers.
+    fn fresh(points: &[Vec<f64>], k: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let (mut centers, mut weights) = (Vec::new(), Vec::new());
+        kmedoids_with(
+            points,
+            &KMedoidsConfig::with_k(k),
+            &mut rng(seed),
+            &mut ClusterScratch::new(),
+            &mut centers,
+            &mut weights,
+        );
+        (centers, weights)
+    }
+
     #[test]
     fn medoids_are_input_points() {
         let pts: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, (i % 7) as f64]).collect();
-        let q = kmedoids(&pts, &KMedoidsConfig::with_k(4), &mut rng(1));
-        for c in &q.centers {
+        let (centers, _) = fresh(&pts, 4, 1);
+        for c in &centers {
             assert!(
                 pts.iter().any(|p| p == c),
                 "medoid {c:?} is not an input point"
@@ -274,13 +203,13 @@ mod tests {
             pts.push(vec![0.0 + i as f64 * 0.01]);
             pts.push(vec![100.0 - i as f64 * 0.01]);
         }
-        let q = kmedoids(&pts, &KMedoidsConfig::with_k(2), &mut rng(2));
-        assert_eq!(q.centers.len(), 2);
-        let mut centers: Vec<f64> = q.centers.iter().map(|c| c[0]).collect();
-        centers.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert!(centers[0] < 1.0);
-        assert!(centers[1] > 99.0);
-        assert_eq!(q.counts, vec![20, 20]);
+        let (centers, weights) = fresh(&pts, 2, 2);
+        assert_eq!(centers.len(), 2);
+        let mut xs: Vec<f64> = centers.iter().map(|c| c[0]).collect();
+        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert!(xs[0] < 1.0);
+        assert!(xs[1] > 99.0);
+        assert_eq!(weights, vec![20.0, 20.0]);
     }
 
     #[test]
@@ -289,64 +218,55 @@ mod tests {
         // k-means center.
         let mut pts: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 * 0.1]).collect();
         pts.push(vec![1000.0]);
-        let q = kmedoids(&pts, &KMedoidsConfig::with_k(1), &mut rng(3));
-        assert!(
-            q.centers[0][0] < 2.0,
-            "medoid dragged to {}",
-            q.centers[0][0]
-        );
+        let (centers, _) = fresh(&pts, 1, 3);
+        assert!(centers[0][0] < 2.0, "medoid dragged to {}", centers[0][0]);
     }
 
     #[test]
-    fn counts_match_assignments() {
+    fn weights_count_each_point_at_its_nearest_medoid() {
         let pts: Vec<Vec<f64>> = (0..25).map(|i| vec![(i * i % 13) as f64]).collect();
-        let q = kmedoids(&pts, &KMedoidsConfig::with_k(3), &mut rng(4));
-        let mut recount = vec![0u64; q.centers.len()];
-        for &a in &q.assignments {
-            recount[a] += 1;
+        let (centers, weights) = fresh(&pts, 3, 4);
+        let mut recount = vec![0.0; centers.len()];
+        for p in &pts {
+            recount[nearest_center(p, &centers).0] += 1.0;
         }
-        assert_eq!(recount, q.counts);
+        assert_eq!(recount, weights);
     }
 
     #[test]
     fn k_clamped_to_n() {
         let pts = vec![vec![1.0], vec![2.0]];
-        let q = kmedoids(&pts, &KMedoidsConfig::with_k(5), &mut rng(5));
-        assert!(q.centers.len() <= 2);
-        assert_eq!(q.total_count(), 2);
+        let (centers, weights) = fresh(&pts, 5, 5);
+        assert!(centers.len() <= 2);
+        assert_eq!(weights.iter().sum::<f64>(), 2.0);
     }
 
     #[test]
-    fn with_matches_allocating_kmedoids_bit_for_bit() {
-        use crate::ClusterScratch;
+    fn dirty_scratch_matches_fresh_scratch_bit_for_bit() {
         let mut scratch = ClusterScratch::new();
         let mut centers = Vec::new();
         let mut weights = Vec::new();
-        for (n, k, seed) in [(30, 4, 1u64), (9, 3, 2), (60, 6, 3), (2, 5, 4)] {
+        for (n, k, seed) in [(30, 4, 1u64), (9, 3, 2), (60, 6, 3), (2, 5, 4), (30, 4, 1)] {
             let pts: Vec<Vec<f64>> = (0..n)
                 .map(|i| vec![((i * i) % 17) as f64, (i % 5) as f64 * 0.5])
                 .collect();
-            let cfg = KMedoidsConfig::with_k(k);
-            let q = kmedoids(&pts, &cfg, &mut rng(seed));
             kmedoids_with(
                 &pts,
-                &cfg,
+                &KMedoidsConfig::with_k(k),
                 &mut rng(seed),
                 &mut scratch,
                 &mut centers,
                 &mut weights,
             );
-            assert_eq!(centers, q.centers, "centers diverge at n={n} k={k}");
-            assert_eq!(weights.len(), q.counts.len());
-            for (w, &c) in weights.iter().zip(&q.counts) {
-                assert_eq!(w.to_bits(), (c as f64).to_bits());
-            }
+            let (fresh_centers, fresh_weights) = fresh(&pts, k, seed);
+            assert_eq!(row_bits(&centers), row_bits(&fresh_centers), "n={n} k={k}");
+            assert_eq!(weights, fresh_weights, "n={n} k={k}");
         }
     }
 
     #[test]
     #[should_panic(expected = "empty bag")]
     fn empty_bag_panics() {
-        kmedoids(&[], &KMedoidsConfig::default(), &mut rng(6));
+        fresh(&[], 8, 6);
     }
 }

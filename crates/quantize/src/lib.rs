@@ -7,71 +7,21 @@
 //! fixed-width histograms as the natural special case for low-dimensional
 //! data. All four are implemented here.
 //!
-//! The output type [`Quantization`] is deliberately minimal (centers,
-//! counts, assignments); the `emd` crate wraps it into its `Signature`
-//! type for distance computation.
+//! Every quantizer writes its non-empty centers and their member counts
+//! (as `f64` weights) into caller-kept buffers, drawing its working state
+//! from a reusable scratch ([`ClusterScratch`] or [`HistogramScratch`]);
+//! once warm, a build performs no heap allocation. The `emd` crate wraps
+//! the two buffers into its `Signature` type for distance computation.
 
 pub mod histogram;
 pub mod kmeans;
 pub mod kmedoids;
 pub mod lvq;
-pub mod select_k;
 
-pub use histogram::{
-    histogram_1d, histogram_grid, histogram_grid_with, HistogramScratch, HistogramSpec,
-};
-pub use kmeans::{kmeans, kmeans_with, KMeansConfig};
-pub use kmedoids::{kmedoids, kmedoids_with, KMedoidsConfig};
-pub use lvq::{lvq_quantize, lvq_quantize_with, LvqConfig};
-pub use select_k::{mean_silhouette, select_k, KCriterion};
-
-/// Result of quantizing a bag: representative centers with member counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Quantization {
-    /// Cluster representatives `u_k` (rows of length `d`).
-    pub centers: Vec<Vec<f64>>,
-    /// Number of bag members assigned to each center (`w_k`). Same length
-    /// as `centers`.
-    pub counts: Vec<u64>,
-    /// For each input point, the index of its center.
-    pub assignments: Vec<usize>,
-}
-
-impl Quantization {
-    /// Number of clusters with at least one member.
-    pub fn num_nonempty(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
-    /// Total mass (sum of counts) — equals the bag size.
-    pub fn total_count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Drop empty clusters, compacting `centers`/`counts` and remapping
-    /// `assignments`.
-    pub fn drop_empty(mut self) -> Quantization {
-        let mut remap = vec![usize::MAX; self.centers.len()];
-        let mut centers = Vec::with_capacity(self.centers.len());
-        let mut counts = Vec::with_capacity(self.counts.len());
-        for (k, (center, &count)) in self.centers.iter().zip(&self.counts).enumerate() {
-            if count > 0 {
-                remap[k] = centers.len();
-                centers.push(center.clone());
-                counts.push(count);
-            }
-        }
-        for a in &mut self.assignments {
-            *a = remap[*a];
-            debug_assert_ne!(*a, usize::MAX, "assignment pointed at empty cluster");
-        }
-        Quantization {
-            centers,
-            counts,
-            assignments: self.assignments,
-        }
-    }
-}
+pub use histogram::{histogram_grid_with, HistogramScratch, HistogramSpec};
+pub use kmeans::{kmeans_with, KMeansConfig};
+pub use kmedoids::{kmedoids_with, KMedoidsConfig};
+pub use lvq::{lvq_quantize_with, LvqConfig};
 
 /// Reusable working state for the scratch-backed quantizer builds
 /// ([`kmeans_with`], [`kmedoids_with`], [`lvq_quantize_with`]):
@@ -108,12 +58,6 @@ impl ClusterScratch {
     pub fn new() -> Self {
         ClusterScratch::default()
     }
-
-    /// Return center vectors — typically the points of a retired
-    /// signature — to the pool for the next build to reuse.
-    pub fn recycle_centers(&mut self, centers: impl IntoIterator<Item = Vec<f64>>) {
-        self.pool.extend(centers);
-    }
 }
 
 /// Write `values` into row `at` of `centers`, appending a recycled row
@@ -132,10 +76,9 @@ pub(crate) fn set_row(
     row.extend_from_slice(values);
 }
 
-/// Shared tail of the scratch-backed builds: keep the non-empty clusters
-/// of `centers[..used]` in stable order (the order
-/// [`Quantization::drop_empty`] produces), fill `weights` with their
-/// counts as `f64`, and return surplus rows to `pool`.
+/// Shared tail of the clustering builds: keep the non-empty clusters of
+/// `centers[..used]` in their original relative order, fill `weights`
+/// with their counts as `f64`, and return surplus rows to `pool`.
 pub(crate) fn compact_non_empty(
     centers: &mut Vec<Vec<f64>>,
     used: usize,
@@ -182,23 +125,38 @@ pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// Helpers shared by the quantizers' unit tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use crate::nearest_center;
+
+    /// Bit patterns of a row list, for bit-for-bit comparisons.
+    pub(crate) fn row_bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|r| r.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// Within-cluster sum of squares, each point charged to its nearest
+    /// center — the k-means objective.
+    pub(crate) fn wcss(points: &[Vec<f64>], centers: &[Vec<f64>]) -> f64 {
+        points.iter().map(|p| nearest_center(p, centers).1).sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn quantization_helpers() {
-        let q = Quantization {
-            centers: vec![vec![0.0], vec![1.0], vec![2.0]],
-            counts: vec![3, 0, 2],
-            assignments: vec![0, 0, 0, 2, 2],
-        };
-        assert_eq!(q.num_nonempty(), 2);
-        assert_eq!(q.total_count(), 5);
-        let q = q.drop_empty();
-        assert_eq!(q.centers.len(), 2);
-        assert_eq!(q.counts, vec![3, 2]);
-        assert_eq!(q.assignments, vec![0, 0, 0, 1, 1]);
+    fn compact_keeps_non_empty_clusters_in_order() {
+        let mut centers = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]];
+        let mut pool = Vec::new();
+        let mut weights = vec![9.0];
+        compact_non_empty(&mut centers, 3, &[3, 0, 2], &mut pool, &mut weights);
+        assert_eq!(centers, vec![vec![0.0], vec![2.0]]);
+        assert_eq!(weights, vec![3.0, 2.0]);
+        assert_eq!(pool.len(), 2, "the empty cluster's row and the unused row");
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! each presented point the winning prototype moves toward the point by a
 //! decaying learning rate.
 
-use crate::{compact_non_empty, nearest_center, set_row, ClusterScratch, Quantization};
+use crate::{compact_non_empty, nearest_center, set_row, ClusterScratch};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Configuration for [`lvq_quantize`].
+/// Configuration for [`lvq_quantize_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LvqConfig {
     /// Number of prototypes.
@@ -41,72 +41,23 @@ impl LvqConfig {
     }
 }
 
-/// Quantize a bag with competitive-learning VQ.
+/// Quantize a bag with competitive-learning VQ, writing the non-empty
+/// prototypes and their member counts (as `f64`) into `centers` and
+/// `weights`.
 ///
-/// Prototypes are seeded from random distinct bag members, then trained
-/// with a linearly decaying learning rate; presentation order is
-/// reshuffled every epoch.
+/// `min(k, n)` prototypes are seeded from random distinct bag members,
+/// then trained for `cfg.epochs` passes: each presented point moves its
+/// nearest prototype toward it by a learning rate decaying linearly from
+/// `cfg.learning_rate` to zero, and the presentation order is reshuffled
+/// every epoch. Each point is then counted at its nearest prototype, and
+/// empty prototypes are dropped in stable order.
+///
+/// Prototypes are trained inside the caller-kept buffers through the
+/// scratch's recycled rows; once warm, a build performs zero heap
+/// allocations.
 ///
 /// # Panics
 /// Panics if `points` is empty, `cfg.k == 0`, or dimensions disagree.
-pub fn lvq_quantize(points: &[Vec<f64>], cfg: &LvqConfig, rng: &mut impl Rng) -> Quantization {
-    assert!(!points.is_empty(), "lvq: empty bag");
-    assert!(cfg.k > 0, "lvq: k must be > 0");
-    let d = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == d),
-        "lvq: inconsistent point dimensions"
-    );
-    let n = points.len();
-    let k = cfg.k.min(n);
-
-    // Seed prototypes from distinct random members.
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-    let mut prototypes: Vec<Vec<f64>> = idx[..k].iter().map(|&i| points[i].clone()).collect();
-
-    let total_steps = (cfg.epochs * n).max(1);
-    let mut step = 0usize;
-    let mut order: Vec<usize> = (0..n).collect();
-    for _ in 0..cfg.epochs {
-        order.shuffle(rng);
-        for &i in &order {
-            let rate = cfg.learning_rate * (1.0 - step as f64 / total_steps as f64);
-            step += 1;
-            let (w, _) = nearest_center(&points[i], &prototypes);
-            let proto = &mut prototypes[w];
-            for (pj, &xj) in proto.iter_mut().zip(&points[i]) {
-                *pj += rate * (xj - *pj);
-            }
-        }
-    }
-
-    let mut counts = vec![0u64; prototypes.len()];
-    let mut assignments = vec![0usize; n];
-    for (a, p) in assignments.iter_mut().zip(points) {
-        *a = nearest_center(p, &prototypes).0;
-        counts[*a] += 1;
-    }
-
-    Quantization {
-        centers: prototypes,
-        counts,
-        assignments,
-    }
-    .drop_empty()
-}
-
-/// As [`lvq_quantize`], but training prototypes inside caller-kept
-/// buffers through the scratch's recycled rows. Consumes the RNG exactly
-/// like [`lvq_quantize`], so centers and weights are bit-identical to its
-/// `centers` / `counts as f64`. Once warm, a build performs zero heap
-/// allocations.
-///
-/// Assignments are not produced — this is the signature-build fast path,
-/// which never needs them.
-///
-/// # Panics
-/// As [`lvq_quantize`].
 pub fn lvq_quantize_with(
     points: &[Vec<f64>],
     cfg: &LvqConfig,
@@ -125,8 +76,7 @@ pub fn lvq_quantize_with(
     let n = points.len();
     let k = cfg.k.min(n);
 
-    // Seed prototypes from distinct random members — the draw of
-    // `lvq_quantize`, verbatim.
+    // Seed prototypes from distinct random members.
     scratch.idx.clear();
     scratch.idx.extend(0..n);
     scratch.idx.shuffle(rng);
@@ -163,12 +113,27 @@ pub fn lvq_quantize_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmeans::wcss;
+    use crate::test_support::{row_bits, wcss};
+    use crate::{kmeans_with, KMeansConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// One build through a fresh scratch and fresh output buffers.
+    fn fresh(points: &[Vec<f64>], k: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let (mut centers, mut weights) = (Vec::new(), Vec::new());
+        lvq_quantize_with(
+            points,
+            &LvqConfig::with_k(k),
+            &mut rng(seed),
+            &mut ClusterScratch::new(),
+            &mut centers,
+            &mut weights,
+        );
+        (centers, weights)
     }
 
     fn two_blobs() -> Vec<Vec<f64>> {
@@ -184,9 +149,9 @@ mod tests {
     #[test]
     fn prototypes_move_into_blobs() {
         let pts = two_blobs();
-        let q = lvq_quantize(&pts, &LvqConfig::with_k(2), &mut rng(1));
-        assert_eq!(q.centers.len(), 2);
-        let mut xs: Vec<f64> = q.centers.iter().map(|c| c[0]).collect();
+        let (centers, _) = fresh(&pts, 2, 1);
+        assert_eq!(centers.len(), 2);
+        let mut xs: Vec<f64> = centers.iter().map(|c| c[0]).collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(xs[0] < 0.0, "left prototype at {}", xs[0]);
         assert!(xs[1] > 0.0, "right prototype at {}", xs[1]);
@@ -197,59 +162,55 @@ mod tests {
         // LVQ is stochastic but should land within 3x of the k-means WCSS
         // on an easy dataset.
         let pts = two_blobs();
-        let lvq = lvq_quantize(&pts, &LvqConfig::with_k(4), &mut rng(2));
-        let km = crate::kmeans::kmeans(&pts, &crate::KMeansConfig::with_k(4), &mut rng(2));
-        assert!(wcss(&pts, &lvq) < 3.0 * wcss(&pts, &km) + 1e-9);
+        let (lvq_centers, _) = fresh(&pts, 4, 2);
+        let (mut km_centers, mut km_weights) = (Vec::new(), Vec::new());
+        kmeans_with(
+            &pts,
+            &KMeansConfig::with_k(4),
+            &mut rng(2),
+            &mut ClusterScratch::new(),
+            &mut km_centers,
+            &mut km_weights,
+        );
+        assert!(wcss(&pts, &lvq_centers) < 3.0 * wcss(&pts, &km_centers) + 1e-9);
     }
 
     #[test]
-    fn counts_and_assignments_consistent() {
+    fn weights_count_each_point_at_its_nearest_prototype() {
         let pts = two_blobs();
-        let q = lvq_quantize(&pts, &LvqConfig::with_k(3), &mut rng(3));
-        let mut recount = vec![0u64; q.centers.len()];
-        for &a in &q.assignments {
-            recount[a] += 1;
+        let (centers, weights) = fresh(&pts, 3, 3);
+        let mut recount = vec![0.0; centers.len()];
+        for p in &pts {
+            recount[nearest_center(p, &centers).0] += 1.0;
         }
-        assert_eq!(recount, q.counts);
-        assert_eq!(q.total_count() as usize, pts.len());
+        assert_eq!(recount, weights);
+        assert_eq!(weights.iter().sum::<f64>(), pts.len() as f64);
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let pts = two_blobs();
-        let a = lvq_quantize(&pts, &LvqConfig::with_k(3), &mut rng(4));
-        let b = lvq_quantize(&pts, &LvqConfig::with_k(3), &mut rng(4));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn with_matches_allocating_lvq_bit_for_bit() {
+    fn dirty_scratch_matches_fresh_scratch_bit_for_bit() {
         let mut scratch = ClusterScratch::new();
         let mut centers = Vec::new();
         let mut weights = Vec::new();
-        for (k, seed) in [(2usize, 1u64), (3, 2), (8, 3), (50, 4)] {
-            let pts = two_blobs();
-            let cfg = LvqConfig::with_k(k);
-            let q = lvq_quantize(&pts, &cfg, &mut rng(seed));
+        let pts = two_blobs();
+        for (k, seed) in [(2usize, 1u64), (3, 2), (8, 3), (50, 4), (3, 2)] {
             lvq_quantize_with(
                 &pts,
-                &cfg,
+                &LvqConfig::with_k(k),
                 &mut rng(seed),
                 &mut scratch,
                 &mut centers,
                 &mut weights,
             );
-            assert_eq!(centers, q.centers, "centers diverge at k={k}");
-            assert_eq!(weights.len(), q.counts.len());
-            for (w, &c) in weights.iter().zip(&q.counts) {
-                assert_eq!(w.to_bits(), (c as f64).to_bits());
-            }
+            let (fresh_centers, fresh_weights) = fresh(&pts, k, seed);
+            assert_eq!(row_bits(&centers), row_bits(&fresh_centers), "k={k}");
+            assert_eq!(weights, fresh_weights, "k={k}");
         }
     }
 
     #[test]
     #[should_panic(expected = "empty bag")]
     fn empty_bag_panics() {
-        lvq_quantize(&[], &LvqConfig::default(), &mut rng(5));
+        fresh(&[], 8, 5);
     }
 }

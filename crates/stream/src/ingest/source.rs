@@ -12,6 +12,7 @@
 //! every source kind shares one battle-tested implementation.
 
 use crate::telemetry::{Counter, MetricsRegistry};
+use bagcpd::MAX_ABS_COORD;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -160,6 +161,9 @@ pub trait Source {
 /// line read after a mid-file resume. Public because it is the one
 /// authoritative definition of the row format (the CLI batch mode
 /// parses with it too).
+///
+/// A coordinate that is not finite, or whose magnitude exceeds
+/// [`MAX_ABS_COORD`], is a data error naming the line and the value.
 pub fn parse_row(
     line: &str,
     lineno: usize,
@@ -192,6 +196,12 @@ pub fn parse_row(
         if !x.is_finite() {
             return Err(SourceError::Data(format!(
                 "{origin}:{}: non-finite coordinate '{f}'",
+                lineno + 1
+            )));
+        }
+        if x.abs() > MAX_ABS_COORD {
+            return Err(SourceError::Data(format!(
+                "{origin}:{}: coordinate '{f}' exceeds the supported magnitude {MAX_ABS_COORD:e}",
                 lineno + 1
             )));
         }
@@ -467,6 +477,24 @@ mod tests {
         let mut out = Vec::new();
         let err = a.line("0,inf", 0, "test", &mut out).unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");
+    }
+
+    #[test]
+    fn coordinates_beyond_the_magnitude_bound_are_data_errors() {
+        for ok in ["1e150", "-1e150"] {
+            let row = parse_row(&format!("3,0.5,{ok}"), 0, "test", false).unwrap();
+            assert_eq!(row, Some((3, vec![0.5, ok.parse().unwrap()])));
+        }
+        for bad in ["1e151", "-1e151", "1e308"] {
+            let err = parse_row(&format!("3,0.5,{bad}"), 6, "test", false).unwrap_err();
+            assert!(matches!(err, SourceError::Data(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.starts_with("test:7: "), "{msg}");
+            assert!(
+                msg.contains(&format!("'{bad}'")) && msg.contains("1e150"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 ///
 /// No RNG state appears here: signature quantization and bootstrap
 /// replicates are pure functions of `(seed, position)` (see
-/// `bagcpd::signature_at` / `bagcpd::bootstrap_seed`), so position
+/// `bagcpd::signature_at_with` / `bagcpd::bootstrap_seed`), so position
 /// counters are sufficient to resume bit-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineState {

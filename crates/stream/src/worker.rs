@@ -185,7 +185,7 @@ struct StreamMeta {
 /// detectors, and the evaluation scratches shared by *all* streams the
 /// worker ticks over — one set of bootstrap buffers (`EvalScratch`) and
 /// one set of EMD solver buffers (`EmdScratch`) per worker, not one per
-/// `evaluate_point` or per EMD solve.
+/// inspection point or per EMD solve.
 struct Shard {
     registry: HashMap<StreamId, StreamMeta>,
     streams: HashMap<StreamId, OnlineDetector>,

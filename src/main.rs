@@ -55,8 +55,9 @@
 //! without losing window context. Resume is content-addressed: the
 //! same, grown (append-only) file continues exactly at the recorded
 //! offset; a rotated or rewritten input is detected by the hash and
-//! read from the top with already-pushed times skipped. `--state` files
-//! written by the previous single-source format are still read.
+//! read from the top with already-pushed times skipped. A `--state` file
+//! in the retired single-source layout (`BCPDFLW1`) is refused, not
+//! migrated.
 //!
 //! # Serve mode
 //!

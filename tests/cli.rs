@@ -896,6 +896,94 @@ fn serve_mode_rejects_missing_sources_and_misplaced_flags() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("serve-mode"));
 }
 
+/// Write a sensor CSV whose bag at t = 5 is three rows of `1e308`: each
+/// value is finite, but a k-means sum over them overflows.
+fn write_overflowing_csv(path: &std::path::Path) {
+    let mut f = std::fs::File::create(path).expect("create csv");
+    writeln!(f, "t,x").expect("header");
+    for t in 0..12 {
+        if t == 5 {
+            for _ in 0..3 {
+                writeln!(f, "{t},1e308").expect("row");
+            }
+            continue;
+        }
+        for i in 0..24 {
+            writeln!(f, "{t},{}", (i as f64 + 0.5) / 24.0 - 0.5).expect("row");
+        }
+    }
+}
+
+/// A stream with finite coordinates beyond `bagcpd::MAX_ABS_COORD` is
+/// quarantined once at ingest, and the other streams score exactly as
+/// they do without it.
+#[test]
+fn serve_quarantines_a_stream_with_overflowing_coordinates() {
+    let dir = std::env::temp_dir().join("bags_cpd_cli_overflow_serve");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (fleet, healthy) = (dir.join("fleet"), dir.join("healthy"));
+    for d in [&fleet, &healthy] {
+        std::fs::create_dir_all(d).expect("tmp dir");
+        write_sensor_csv(&d.join("a.csv"), 12, 5, true);
+        write_sensor_csv(&d.join("b.csv"), 12, 5, false);
+    }
+    write_overflowing_csv(&fleet.join("bad.csv"));
+
+    let serve = |src: &std::path::Path| {
+        let out = bin()
+            .arg("serve")
+            .arg("--dir")
+            .arg(src)
+            .args(["--tau", "3", "--tau-prime", "2", "--replicates", "30"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "stderr: {stderr}");
+        let mut rows: Vec<String> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| l.starts_with("a,") || l.starts_with("b,"))
+            .map(str::to_owned)
+            .collect();
+        rows.sort();
+        (rows, stderr)
+    };
+    let (rows, stderr) = serve(&fleet);
+    let (expected, _) = serve(&healthy);
+    assert!(!expected.is_empty());
+    assert_eq!(rows, expected, "healthy streams must be unaffected");
+    let quarantines: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("quarantined stream 'bad'"))
+        .collect();
+    assert_eq!(quarantines.len(), 1, "stderr: {stderr}");
+    assert!(
+        quarantines[0].contains("bad.csv:122") && quarantines[0].contains("'1e308'"),
+        "{}",
+        quarantines[0]
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn batch_rejects_overflowing_coordinates_without_panicking() {
+    let dir = std::env::temp_dir().join("bags_cpd_cli_overflow_batch");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let input = dir.join("bad.csv");
+    write_overflowing_csv(&input);
+    let out = bin()
+        .arg(&input)
+        .args(["--tau", "3", "--tau-prime", "2", "--replicates", "30"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("bad.csv:122: coordinate '1e308' exceeds"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
 #[test]
 fn state_flag_rejected_in_batch_mode() {
     let out = bin()
