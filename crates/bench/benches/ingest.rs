@@ -1,16 +1,25 @@
-//! Ingestion throughput: CSV rows/sec through the `Mux` + engine as
-//! the concurrent source count grows (1, 64, 1024 in-memory sources,
-//! one stream each) — the front-end's cost on top of the engine's
+//! Ingestion throughput: CSV rows/sec through the `Pipeline` as the
+//! concurrent source count grows (1, 64, 1024 CSV files in one
+//! directory, one stream each, read by a `DirSource` — the path
+//! `serve --dir` takes) — the front-end's cost on top of the engine's
 //! `engine_bags_per_sec` trajectory.
+//!
+//! A `DirSource` keeps every file open until the run ends, so the
+//! 1,024-source case needs an open-file limit above 1,024
+//! (`ulimit -n 4096`). Under a lower limit the last files fail to
+//! open, and `run_pipeline` panics rather than time a partial run.
 
 use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::io::Cursor;
-use stream::ingest::{LineSource, Mux, MuxConfig};
-use stream::{EngineConfig, StreamEngine};
+use std::path::{Path, PathBuf};
+use stream::ingest::DirSource;
+use stream::Pipeline;
 
 const BAGS_PER_STREAM: usize = 8;
 const ROWS_PER_BAG: usize = 12;
+/// Score points per stream: one per bag once the first
+/// `tau + tau_prime = 5` bags fill the window.
+const POINTS_PER_STREAM: usize = BAGS_PER_STREAM - 4;
 
 fn detector_config() -> DetectorConfig {
     DetectorConfig {
@@ -26,7 +35,7 @@ fn detector_config() -> DetectorConfig {
 }
 
 /// CSV body for one source (header + BAGS_PER_STREAM bags).
-fn csv_for(source: usize) -> Vec<u8> {
+fn csv_for(source: usize) -> String {
     let mut text = String::from("t,x\n");
     for t in 0..BAGS_PER_STREAM {
         let level = if t >= BAGS_PER_STREAM / 2 { 3.0 } else { 0.0 };
@@ -35,57 +44,60 @@ fn csv_for(source: usize) -> Vec<u8> {
             text.push_str(&format!("{t},{x}\n"));
         }
     }
-    text.into_bytes()
+    text
 }
 
-/// One full ingestion lifecycle: spawn the engine, mux `sources`
-/// in-memory CSV sources through it, drain, shut down. Returns the
-/// event count (observable, so the work cannot be optimized away).
-fn run_mux(bodies: &[Vec<u8>]) -> usize {
-    let engine = StreamEngine::new(EngineConfig {
-        detector: detector_config(),
-        seed: 1,
-        workers: 4,
-        queue_capacity: 1024,
-        batch_size: 128,
-        event_capacity: 1 << 17,
-        telemetry: None,
-    })
-    .expect("engine spawns");
-    let mut mux = Mux::new(engine, MuxConfig::default());
-    for (s, body) in bodies.iter().enumerate() {
-        mux.add_source(Box::new(LineSource::new(
-            Cursor::new(body.clone()),
-            format!("mem-{s}"),
-            format!("s{s}"),
-        )));
+/// Write `sources` CSV files into a fresh temp directory, once per
+/// benchmark parameter.
+fn fleet(sources: usize) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "bags_cpd_bench_ingest_{}_{sources}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create fleet dir");
+    for s in 0..sources {
+        std::fs::write(dir.join(format!("s{s}.csv")), csv_for(s)).expect("write fleet file");
     }
-    let mut events = 0usize;
-    loop {
-        let report = mux.tick().expect("tick");
-        events += mux.drain_events().len();
-        if report.done {
-            break;
-        }
-    }
-    events + mux.finish().expect("finish").events.len()
+    dir
+}
+
+/// One full ingestion lifecycle: build a pipeline over the `sources`
+/// files in `dir`, run it to completion, shut down. Returns the point
+/// count (observable, so the work cannot be optimized away). Panics
+/// unless every stream was scored in full: a file that cannot be
+/// opened quarantines its stream instead of failing the run.
+fn run_pipeline(dir: &Path, sources: usize) -> u64 {
+    let summary = Pipeline::builder(detector_config())
+        .seed(1)
+        .workers(4)
+        .source(DirSource::new(dir.to_string_lossy().into_owned(), false))
+        .build()
+        .expect("pipeline builds")
+        .run()
+        .expect("run");
+    assert_eq!(
+        summary.quarantined_total,
+        0,
+        "streams quarantined, first: {:?}",
+        summary.quarantined.first()
+    );
+    assert_eq!(summary.points, (sources * POINTS_PER_STREAM) as u64);
+    summary.points
 }
 
 fn bench_ingest_source_count(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest_rows_per_sec");
     group.sample_size(10);
     for &sources in &[1usize, 64, 1024] {
-        let bodies: Vec<Vec<u8>> = (0..sources).map(csv_for).collect();
+        let dir = fleet(sources);
         group.throughput(Throughput::Elements(
             (sources * BAGS_PER_STREAM * ROWS_PER_BAG) as u64,
         ));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(sources),
-            &bodies,
-            |b, bodies| {
-                b.iter(|| run_mux(bodies));
-            },
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(sources), &dir, |b, dir| {
+            b.iter(|| run_pipeline(dir, sources));
+        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
 }

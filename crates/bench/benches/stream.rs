@@ -1,7 +1,6 @@
 //! P3 — streaming throughput: bags/sec through the online detector and
 //! through the sharded engine as the concurrent stream count grows
-//! (1, 64, 1024 named streams), plus a head-to-head of the name-keyed
-//! push path against the interned `StreamId` path.
+//! (1, 64, 1024 named streams).
 
 use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, SignatureMethod};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -27,9 +26,9 @@ fn bag_for(s: usize, t: usize) -> Bag {
     Bag::from_scalars((0..16).map(move |i| level + ((i * 3 + s + t) % 7) as f64 * 0.1))
 }
 
-/// One full engine lifecycle: spawn, push `streams * BAGS_PER_STREAM`
-/// bags, drain, shut down. Returns the event count (kept observable so
-/// the work cannot be optimized away).
+/// One full engine lifecycle: spawn, resolve every stream once, push
+/// `streams * BAGS_PER_STREAM` bags by id, drain, shut down. Returns the
+/// event count (kept observable so the work cannot be optimized away).
 fn run_engine(streams: usize, telemetry: Option<MetricsRegistry>) -> usize {
     let mut engine = StreamEngine::new(EngineConfig {
         detector: detector_config(),
@@ -41,10 +40,13 @@ fn run_engine(streams: usize, telemetry: Option<MetricsRegistry>) -> usize {
         telemetry,
     })
     .expect("engine spawns");
+    let ids: Vec<StreamId> = (0..streams)
+        .map(|s| engine.resolve(&format!("s{s}")).expect("resolve"))
+        .collect();
     let mut events = 0usize;
     for t in 0..BAGS_PER_STREAM {
-        for s in 0..streams {
-            engine.push(&format!("s{s}"), bag_for(s, t)).expect("push");
+        for (s, &id) in ids.iter().enumerate() {
+            engine.push_id(id, bag_for(s, t)).expect("push");
         }
         events += engine.drain_events().len();
     }
@@ -79,91 +81,6 @@ fn bench_engine_instrumented(c: &mut Criterion) {
     group.finish();
 }
 
-/// An engine whose single worker is pinned inside a huge bootstrap
-/// evaluation behind a tiny queue, so every push attempt bounces: what
-/// remains measurable is the pure producer-side cost of one push —
-/// routing, message assembly, and (for the name path) the per-push
-/// intern-table lookup. This is exactly the path that used to pay an
-/// `Arc::from(name)` allocation per *rejected* push.
-fn saturated_engine(streams: usize) -> (StreamEngine, Vec<String>, Vec<StreamId>) {
-    let mut engine = StreamEngine::new(EngineConfig {
-        detector: DetectorConfig {
-            tau: 1,
-            tau_prime: 1,
-            signature: SignatureMethod::Histogram { width: 0.5 },
-            bootstrap: BootstrapConfig {
-                replicates: 500_000, // one inspection point takes seconds
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-        seed: 1,
-        workers: 1,
-        queue_capacity: 2,
-        batch_size: 1,
-        event_capacity: 1 << 17,
-        telemetry: None,
-    })
-    .expect("engine spawns");
-    // Production-shaped names (the per-push lookup hashes every byte).
-    let names: Vec<String> = (0..streams)
-        .map(|s| format!("tenant-{:06}/sensor-{:06}/bags", s % 53, s))
-        .collect();
-    let ids: Vec<StreamId> = names
-        .iter()
-        .map(|n| engine.resolve(n).expect("resolve"))
-        .collect();
-    // Saturate: feed one stream until the worker is mid-evaluation and
-    // the queue refuses.
-    let mut t = 0usize;
-    loop {
-        if engine
-            .try_push_id(ids[0], bag_for(0, t))
-            .expect("try_push")
-            .is_some()
-        {
-            break;
-        }
-        t += 1;
-    }
-    (engine, names, ids)
-}
-
-fn bench_push_keying(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_push_attempt");
-    group.sample_size(20);
-    for &streams in &[64usize, 1024] {
-        group.throughput(Throughput::Elements(1));
-        group.bench_with_input(BenchmarkId::new("name", streams), &streams, |b, &n| {
-            let (mut engine, names, _ids) = saturated_engine(n);
-            let mut bag = Some(bag_for(0, 0));
-            let mut s = 0usize;
-            b.iter(|| {
-                s = (s + 1) % n;
-                let attempt = bag.take().expect("bag cycles");
-                bag = match engine.try_push(&names[s], attempt).expect("engine alive") {
-                    Some(back) => Some(back),
-                    None => Some(bag_for(0, 0)), // rare: a slot freed up
-                };
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("id", streams), &streams, |b, &n| {
-            let (mut engine, _names, ids) = saturated_engine(n);
-            let mut bag = Some(bag_for(0, 0));
-            let mut s = 0usize;
-            b.iter(|| {
-                s = (s + 1) % n;
-                let attempt = bag.take().expect("bag cycles");
-                bag = match engine.try_push_id(ids[s], attempt).expect("engine alive") {
-                    Some(back) => Some(back),
-                    None => Some(bag_for(0, 0)), // rare: a slot freed up
-                };
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Per-push cost of the incremental single-stream core (no engine, no
 /// threads): the steady-state hot path.
 fn bench_online_push(c: &mut Criterion) {
@@ -191,7 +108,6 @@ criterion_group!(
     benches,
     bench_engine_stream_count,
     bench_engine_instrumented,
-    bench_push_keying,
     bench_online_push
 );
 criterion_main!(benches);

@@ -7,17 +7,16 @@ use crate::worker::{self, Msg, WorkerTelemetry};
 use bagcpd::{Bag, DetectError, Detector, DetectorConfig};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Interned handle of a named stream within one [`StreamEngine`].
 ///
-/// Obtained from [`StreamEngine::resolve`] (or implicitly by the
-/// name-keyed wrappers); pushing by id skips the per-push name hash and
-/// map lookup entirely, which is what makes the multi-stream hot path
-/// allocation-free. Ids are dense (`0, 1, 2, …` in intern order),
+/// Obtained from [`StreamEngine::resolve`]; pushing by id skips the
+/// per-push name hash and map lookup entirely, which is what makes the
+/// multi-stream hot path allocation-free. Ids are dense (`0, 1, 2, …` in intern order),
 /// stable for the life of the engine — including across
 /// [`StreamEngine::retire_id`] and a [`StreamEngine::snapshot`] /
 /// [`StreamEngine::restore`] round trip (the snapshot persists the
@@ -43,8 +42,8 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Worker threads (streams are hash-sharded across them).
     pub workers: usize,
-    /// Bound of each worker's input queue. A full queue makes `push`
-    /// block — backpressure instead of unbounded buffering.
+    /// Bound of each worker's input queue. A full queue makes `push_id`
+    /// wait — backpressure instead of unbounded buffering.
     pub queue_capacity: usize,
     /// Maximum messages a worker drains per evaluation tick.
     pub batch_size: usize,
@@ -107,27 +106,24 @@ impl From<SnapshotError> for EngineError {
 /// [`crate::OnlineDetector`]s behind bounded channels.
 ///
 /// - **Interning** — a stream name is hashed exactly once, at
-///   [`Self::resolve`] (or the first name-keyed push), into a dense
-///   [`StreamId`]; the id-keyed entry points ([`Self::push_id`],
-///   [`Self::try_push_id`], [`Self::retire_id`]) then move nothing but
-///   an integer and the bag — no per-push allocation, hashing, or map
-///   lookup. Snapshots persist the intern table, so ids stay valid
+///   [`Self::resolve`], into a dense [`StreamId`]; the id-keyed entry
+///   points ([`Self::push_id`], [`Self::retire_id`]) then move nothing
+///   but an integer and the bag — no per-push allocation, hashing, or
+///   map lookup. Snapshots persist the intern table, so ids stay valid
 ///   across [`Self::restore`].
 /// - **Sharding** — a stream name is FNV-hashed to one worker, so each
 ///   stream's bags are processed in order by a single thread, and a
 ///   stream's results are independent of the pool size.
 /// - **Backpressure** — input and event queues are bounded, so the
 ///   *in-flight pipeline* (queued bags plus undelivered events) is
-///   bounded; [`Self::push`] waits when the target worker is saturated
-///   rather than queueing without limit, and [`Self::try_push`] hands
-///   the bag back instead of waiting.
+///   bounded; [`Self::push_id`] waits when the target worker is
+///   saturated rather than queueing without limit.
 /// - **Checkpointing** — [`Self::snapshot`] serializes every stream's
 ///   state into one buffer; [`Self::restore`] resumes an identical
 ///   engine from it (subsequent outputs are bit-identical to never
 ///   having stopped).
 ///
-/// Consume results with [`Self::drain_events`] / [`Self::next_event`].
-/// Completed results are never dropped: while a push waits, ready
+/// Consume results with [`Self::drain_events`]. Completed results are never dropped: while a push waits, ready
 /// events are moved into an engine-side stash that `drain_events`
 /// returns first. That stash is the *consumer's* buffer — it grows
 /// with every result the caller has not yet drained (exactly as if the
@@ -283,8 +279,8 @@ impl StreamEngine {
     /// first sighting of a name hashes it once (shard + seed), records
     /// it in the intern table, and registers it with its worker;
     /// every later call is a single map lookup. Hot-path producers
-    /// resolve once and then use [`Self::push_id`] /
-    /// [`Self::try_push_id`], which touch no string at all.
+    /// resolve once and then use [`Self::push_id`], which touches no
+    /// string at all.
     ///
     /// Resolving does not create stream state — that still happens on
     /// the first push — and never needs to be repeated: the id survives
@@ -349,31 +345,13 @@ impl StreamEngine {
         self.ids.get(stream).copied()
     }
 
-    /// The name behind an id of this engine.
-    pub fn name_of(&self, id: StreamId) -> Option<&str> {
-        self.names.get(id.0 as usize).map(|n| &**n)
-    }
-
-    /// Feed one bag to the named stream (interned and created on first
-    /// push), waiting while the stream's worker queue is full. While
-    /// waiting, ready events are moved into the internal stash
-    /// (returned by [`Self::drain_events`]) — so a single-threaded
-    /// producer that pushes a long burst before draining cannot
-    /// deadlock against a worker parked on the full event queue.
-    ///
-    /// Equivalent to [`Self::resolve`] + [`Self::push_id`]; after the
-    /// name's first sighting the only extra cost is the map lookup.
-    ///
-    /// # Errors
-    /// [`EngineError::Closed`] if the worker pool has exited.
-    pub fn push(&mut self, stream: &str, bag: Bag) -> Result<(), EngineError> {
-        let id = self.resolve(stream)?;
-        self.push_id(id, bag)
-    }
-
     /// Feed one bag to a resolved stream — the allocation-free hot
-    /// path: no hash, no lookup, no `Arc` clone; blocking like
-    /// [`Self::push`].
+    /// path: no hash, no lookup, no `Arc` clone. Waits while the
+    /// stream's worker queue is full; while waiting, ready events are
+    /// moved into the internal stash (returned by
+    /// [`Self::drain_events`]), so a single-threaded producer that
+    /// pushes a long burst before draining cannot deadlock against a
+    /// worker parked on the full event queue.
     ///
     /// # Errors
     /// [`EngineError::Closed`] if the worker pool has exited.
@@ -395,59 +373,10 @@ impl StreamEngine {
         Ok(())
     }
 
-    /// Non-blocking push: returns the bag back when the worker queue is
-    /// full, so the caller can apply its own backpressure policy.
-    ///
-    /// The name is interned on first sight (which registers it with its
-    /// worker); after that this is [`Self::try_push_id`] plus one map
-    /// lookup — in particular, a bounced push no longer pays an
-    /// `Arc::from(stream)` allocation for a message that is immediately
-    /// unwrapped again.
-    ///
-    /// # Errors
-    /// [`EngineError::Closed`] if the worker pool has exited.
-    pub fn try_push(&mut self, stream: &str, bag: Bag) -> Result<Option<Bag>, EngineError> {
-        let id = self.resolve(stream)?;
-        self.try_push_id(id, bag)
-    }
-
-    /// Non-blocking id-keyed push. The message is assembled from the id
-    /// and the caller's bag alone — nothing is allocated for the
-    /// attempt, and on a full queue the bag is handed straight back.
-    ///
-    /// # Errors
-    /// [`EngineError::Closed`] if the worker pool has exited.
-    ///
-    /// # Panics
-    /// Panics if `id` did not come from this engine's [`Self::resolve`].
-    pub fn try_push_id(&mut self, id: StreamId, bag: Bag) -> Result<Option<Bag>, EngineError> {
-        let shard = self.shard_of_id(id);
-        // Count first (see push_id): a successful try_send makes the bag
-        // visible to the worker immediately.
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        match self.senders[shard].try_send(Msg::Push { stream: id, bag }) {
-            Ok(()) => {
-                if let Some(pushes) = &self.pushes {
-                    pushes.inc();
-                }
-                Ok(None)
-            }
-            Err(TrySendError::Full(Msg::Push { bag, .. })) => {
-                self.in_flight.fetch_sub(1, Ordering::Relaxed);
-                Ok(Some(bag))
-            }
-            Err(TrySendError::Full(_)) => unreachable!("we only sent a push"),
-            Err(TrySendError::Disconnected(_)) => {
-                self.in_flight.fetch_sub(1, Ordering::Relaxed);
-                Err(EngineError::Closed)
-            }
-        }
-    }
-
     /// Fraction of the worker pool's bounded input capacity occupied by
     /// accepted-but-unevaluated bags, in `[0, 1]` — the live
     /// backpressure signal ingestion layers use to warn producers
-    /// *before* [`Self::push`] starts blocking. (Bags being evaluated
+    /// *before* [`Self::push_id`] starts blocking. (Bags being evaluated
     /// in the current tick still count until the tick completes, so the
     /// signal errs toward "busy" rather than "ready".)
     pub fn queue_load(&self) -> f64 {
@@ -462,17 +391,6 @@ impl StreamEngine {
             out.push(e);
         }
         out
-    }
-
-    /// Next event, waiting up to `timeout`.
-    pub fn next_event(&mut self, timeout: Duration) -> Option<Event> {
-        if let Some(e) = self.stash.pop_front() {
-            return Some(e);
-        }
-        match self.events.recv_timeout(timeout) {
-            Ok(e) => Some(e),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
     }
 
     /// Retire a stream: evaluate everything already queued for it, then
@@ -594,7 +512,7 @@ impl StreamEngine {
     /// thread that drains events would deadlock — instead retry
     /// `try_send` while draining events into the stash (which is what
     /// eventually unparks the worker). Used by both the control plane
-    /// and the blocking [`Self::push`].
+    /// and the blocking [`Self::push_id`].
     fn send_control(&mut self, shard: usize, msg: Msg) -> Result<(), EngineError> {
         let senders = &self.senders;
         let mut msg = Some(msg);
@@ -716,6 +634,12 @@ mod tests {
         Bag::from_scalars((0..20).map(|i| level + (i % 5) as f64 * 0.1))
     }
 
+    /// Resolve `stream` and push `bag` to it.
+    fn push(engine: &mut StreamEngine, stream: &str, bag: Bag) {
+        let id = engine.resolve(stream).unwrap();
+        engine.push_id(id, bag).unwrap();
+    }
+
     #[test]
     fn rejects_bad_config() {
         assert!(StreamEngine::new(EngineConfig {
@@ -733,8 +657,8 @@ mod tests {
         let mut engine = StreamEngine::new(small_cfg()).unwrap();
         for t in 0..8 {
             let level = if t < 4 { 0.0 } else { 6.0 };
-            engine.push("a", bag(level)).unwrap();
-            engine.push("b", bag(0.0)).unwrap();
+            push(&mut engine, "a", bag(level));
+            push(&mut engine, "b", bag(0.0));
         }
         assert_eq!(engine.flush().unwrap(), 2);
         let events = engine.shutdown();
@@ -757,7 +681,7 @@ mod tests {
         for t in 0..10 {
             let level = if t < 5 { 0.0 } else { 4.0 };
             expected.extend(reference.push(bag(level)).unwrap());
-            engine.push("ref-stream", bag(level)).unwrap();
+            push(&mut engine, "ref-stream", bag(level));
         }
         engine.flush().unwrap();
         let got: Vec<_> = engine
@@ -771,11 +695,11 @@ mod tests {
     #[test]
     fn bad_bags_emit_error_events_and_stream_survives() {
         let mut engine = StreamEngine::new(small_cfg()).unwrap();
-        engine.push("s", bag(0.0)).unwrap();
+        push(&mut engine, "s", bag(0.0));
         // Wrong dimension: dropped with an error event.
-        engine.push("s", Bag::new(vec![vec![1.0, 2.0]; 4])).unwrap();
+        push(&mut engine, "s", Bag::new(vec![vec![1.0, 2.0]; 4]));
         for _ in 0..6 {
-            engine.push("s", bag(0.0)).unwrap();
+            push(&mut engine, "s", bag(0.0));
         }
         engine.flush().unwrap();
         let events = engine.shutdown();
@@ -793,28 +717,43 @@ mod tests {
         // Regression: with the worker parked on a full event queue and
         // its input queue full, flush()'s control message must be
         // delivered via try_send + event draining; a blocking send
-        // would deadlock before wait_reply ever ran.
+        // would deadlock before wait_reply ever ran. The queue is filled
+        // with bare try_sends, which (unlike push_id) never drain
+        // events, until it bounces 50 times in a row.
         let mut cfg = small_cfg();
         cfg.workers = 1;
         cfg.event_capacity = 1;
         cfg.queue_capacity = 2;
         cfg.batch_size = 1;
         let mut engine = StreamEngine::new(cfg).unwrap();
+        let id = engine.resolve("s").unwrap();
+        let shard = engine.shard_of_id(id);
         let mut accepted = 0usize;
         let mut consecutive_bounces = 0usize;
         while consecutive_bounces < 50 && accepted < 40 {
-            match engine.try_push("s", bag(0.0)).unwrap() {
-                None => {
+            // Counted in flight before it is visible, as push_id does.
+            engine.in_flight.fetch_add(1, Ordering::Relaxed);
+            let msg = Msg::Push {
+                stream: id,
+                bag: bag(0.0),
+            };
+            match engine.senders[shard].try_send(msg) {
+                Ok(()) => {
                     accepted += 1;
                     consecutive_bounces = 0;
                 }
-                Some(_) => {
+                Err(TrySendError::Full(_)) => {
+                    engine.in_flight.fetch_sub(1, Ordering::Relaxed);
                     consecutive_bounces += 1;
                     std::thread::sleep(Duration::from_millis(1));
                 }
+                Err(TrySendError::Disconnected(_)) => panic!("worker exited"),
             }
         }
-        assert!(accepted >= 7, "queues should saturate warm ({accepted})");
+        assert!(
+            consecutive_bounces == 50 && accepted >= 7,
+            "queues should saturate warm ({accepted} accepted, {consecutive_bounces} bounces)"
+        );
         assert_eq!(engine.flush().unwrap(), 1);
         let points = engine
             .drain_events()
@@ -835,7 +774,7 @@ mod tests {
         cfg.event_capacity = 1;
         let mut engine = StreamEngine::new(cfg).unwrap();
         for _ in 0..12 {
-            engine.push("s", bag(0.0)).unwrap();
+            push(&mut engine, "s", bag(0.0));
         }
         // 12 bags, window 5 -> 8 points, far more than the queue holds;
         // never drained until shutdown itself.
@@ -847,8 +786,8 @@ mod tests {
     fn retire_frees_stream_state() {
         let mut engine = StreamEngine::new(small_cfg()).unwrap();
         for _ in 0..6 {
-            engine.push("keep", bag(0.0)).unwrap();
-            engine.push("drop", bag(0.0)).unwrap();
+            push(&mut engine, "keep", bag(0.0));
+            push(&mut engine, "drop", bag(0.0));
         }
         assert_eq!(engine.flush().unwrap(), 2);
         assert!(engine.retire("drop").unwrap());
@@ -868,7 +807,7 @@ mod tests {
         // Re-pushing the retired name starts a brand-new stream, under
         // the same id as before.
         let drop_id = engine.id_of("drop").unwrap();
-        engine.push("drop", bag(0.0)).unwrap();
+        push(&mut engine, "drop", bag(0.0));
         assert_eq!(engine.id_of("drop").unwrap(), drop_id);
         assert_eq!(engine.flush().unwrap(), 2);
         engine.shutdown();
@@ -884,34 +823,11 @@ mod tests {
         assert_eq!(engine.resolve("a").unwrap(), a, "resolve is idempotent");
         assert_eq!(engine.id_of("a"), Some(a));
         assert_eq!(engine.id_of("never"), None);
-        assert_eq!(engine.name_of(b), Some("b"));
-        assert_eq!(engine.name_of(StreamId(9)), None);
         // Resolving alone creates no stream state.
         assert_eq!(engine.flush().unwrap(), 0);
         // Pushing by id creates it.
         engine.push_id(a, bag(0.0)).unwrap();
         assert_eq!(engine.flush().unwrap(), 1);
         engine.shutdown();
-    }
-
-    #[test]
-    fn try_push_returns_bag_on_backpressure() {
-        // One worker, tiny queue, and nothing draining: the queue must
-        // fill and hand the bag back instead of buffering without bound.
-        let mut cfg = small_cfg();
-        cfg.workers = 1;
-        cfg.queue_capacity = 2;
-        cfg.batch_size = 1;
-        cfg.detector.bootstrap.replicates = 2000; // make evaluation slow
-        let mut engine = StreamEngine::new(cfg).unwrap();
-        let mut bounced = false;
-        for _ in 0..2000 {
-            if engine.try_push("s", bag(0.0)).unwrap().is_some() {
-                bounced = true;
-                break;
-            }
-        }
-        assert!(bounced, "a bounded queue must eventually refuse");
-        drop(engine);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Everything a host can observe — completed score points, per-bag
 //! detector errors, stream quarantines, operational notes, committed
-//! checkpoints — arrives through one ordered event stream, delivered by
-//! [`crate::StreamEngine::drain_events`] / `Mux::drain_events` and
-//! consumed by a [`crate::sink::Sink`].
+//! checkpoints — arrives through one ordered event stream, which
+//! [`crate::Pipeline`] gathers from its sources and
+//! [`crate::StreamEngine::drain_events`] and delivers to every
+//! [`crate::sink::Sink`].
 
 use crate::ingest::source::SourceError;
 use bagcpd::ScorePoint;

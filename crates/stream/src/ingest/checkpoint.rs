@@ -43,6 +43,35 @@ pub const NO_TIME: i64 = i64::MIN;
 /// snapshot and the cursor table.
 pub const FOLLOW_STREAM: &str = "cli-follow";
 
+/// When the engine state (plus every source cursor) is persisted.
+///
+/// Both triggers may be set; whichever fires first wins and both
+/// counters reset. With neither set (the default), only the final
+/// checkpoint at [`crate::Pipeline::finish`] is written.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckpointPolicy {
+    /// Checkpoint after this many bags have been pushed since the last
+    /// checkpoint.
+    pub every_bags: Option<u64>,
+    /// Checkpoint after this many ticks since the last checkpoint.
+    pub every_ticks: Option<u64>,
+}
+
+impl CheckpointPolicy {
+    /// No periodic checkpoints (final-only).
+    pub fn disabled() -> Self {
+        CheckpointPolicy::default()
+    }
+
+    /// Whether the counters have crossed a trigger. `dirty` gates the
+    /// tick trigger: a fully idle session must not re-snapshot and
+    /// fsync identical state every N ticks forever.
+    pub(crate) fn due(&self, bags_since: u64, ticks_since: u64, dirty: bool) -> bool {
+        self.every_bags.is_some_and(|n| bags_since >= n)
+            || (dirty && self.every_ticks.is_some_and(|n| ticks_since >= n))
+    }
+}
+
 /// Checkpoint parse/validation failures, with truncation, wrong file
 /// type, and structural corruption kept distinct.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,6 +1,6 @@
 //! CSV-backed sources: an incrementally tailed file with
-//! content-addressed resume ([`CsvFileSource`]) and a generic
-//! reader-backed source for stdin or in-memory input ([`LineSource`]).
+//! content-addressed resume ([`CsvFileSource`]) and a reader-backed
+//! source for stdin or any other reader ([`ThreadedLineSource`]).
 
 use super::source::{BagAssembler, Source, SourceError, SourceItem, SourceStatus, StreamCursor};
 use crate::hash::Fnv1a;
@@ -29,7 +29,7 @@ pub(crate) const ROWS_HELP: &str = "Data rows parsed across all sources";
 /// - **hold-back** — a completed line is only ever consumed whole: a
 ///   trailing fragment with no newline is neither parsed, hashed, nor
 ///   counted (the producer may still be writing it), and the trailing
-///   bag is completed only by [`Source::finish`] — which the mux calls
+///   bag is completed only by [`Source::finish`] — which the pipeline calls
 ///   solely on non-checkpointing runs, where EOF proves the data final.
 pub struct CsvFileSource {
     path: String,
@@ -262,149 +262,17 @@ impl Source for CsvFileSource {
     }
 }
 
-/// A source over any [`Read`]er whose data is already complete — an
-/// in-memory buffer, a regular file, a closed pipe. Reads may block,
-/// so a **live** pipe (stdin fed by a running producer) must use
-/// [`ThreadedLineSource`] instead: a blocking `read_line` inside poll
-/// would park the whole ingestion loop — and the engine's pending
-/// events — until the producer speaks again.
-///
-/// No byte position is recorded (the cursor's `consumed` stays 0): a
-/// resumed session re-reads from the top and skips already-pushed
-/// times, exactly like the original stdin follow mode.
-pub struct LineSource<R> {
-    origin: String,
-    reader: R,
-    assembler: BagAssembler,
-    line: String,
-    partial: String,
-    lineno: usize,
-    done: bool,
-    quarantined: bool,
-}
-
-impl<R: BufRead> LineSource<R> {
-    /// Source reading `reader`, feeding the stream named `stream`.
-    pub fn new(reader: R, origin: impl Into<String>, stream: impl Into<String>) -> Self {
-        LineSource {
-            origin: origin.into(),
-            reader,
-            assembler: BagAssembler::new(Arc::from(stream.into().as_str()), true),
-            line: String::new(),
-            partial: String::new(),
-            lineno: 0,
-            done: false,
-            quarantined: false,
-        }
-    }
-
-    /// The stream this source feeds.
-    pub fn stream(&self) -> &Arc<str> {
-        self.assembler.stream()
-    }
-}
-
-impl<R: BufRead> Source for LineSource<R> {
-    fn origin(&self) -> &str {
-        &self.origin
-    }
-
-    fn poll(&mut self, out: &mut Vec<SourceItem>) -> Result<SourceStatus, SourceError> {
-        if self.done || self.quarantined {
-            return Ok(SourceStatus::Done);
-        }
-        let handed_over = out.len();
-        for _ in 0..LINES_PER_POLL {
-            // A blocking reader (live stdin) must not sit on completed
-            // bags while waiting for more input: hand each bag to the
-            // mux as soon as it closes, exactly like the original
-            // per-line follow loop.
-            if out.len() > handed_over {
-                return Ok(SourceStatus::Active);
-            }
-            self.line.clear();
-            let n = self
-                .reader
-                .read_line(&mut self.line)
-                .map_err(|e| SourceError::Io(format!("{}: {e}", self.origin)))?;
-            if n == 0 {
-                self.done = true;
-                // A final line with no newline is final data (the pipe
-                // is closed; nothing can complete it later).
-                if !self.partial.is_empty() {
-                    let line = std::mem::take(&mut self.partial);
-                    let lineno = self.lineno;
-                    self.lineno += 1;
-                    if let Err(e) = self.assembler.line(&line, lineno, &self.origin, out) {
-                        self.quarantined = true;
-                        out.push(SourceItem::Quarantine {
-                            stream: self.assembler.stream().clone(),
-                            error: e,
-                        });
-                    }
-                }
-                return Ok(SourceStatus::Done);
-            }
-            if !self.line.ends_with('\n') {
-                self.partial.push_str(&self.line);
-                continue;
-            }
-            if !self.partial.is_empty() {
-                self.partial.push_str(&self.line);
-                std::mem::swap(&mut self.partial, &mut self.line);
-                self.partial.clear();
-            }
-            let lineno = self.lineno;
-            self.lineno += 1;
-            let line = std::mem::take(&mut self.line);
-            let r = self.assembler.line(&line, lineno, &self.origin, out);
-            self.line = line;
-            if let Err(e) = r {
-                self.quarantined = true;
-                out.push(SourceItem::Quarantine {
-                    stream: self.assembler.stream().clone(),
-                    error: e,
-                });
-                return Ok(SourceStatus::Done);
-            }
-        }
-        Ok(SourceStatus::Active)
-    }
-
-    fn cursors(&self, out: &mut Vec<(Arc<str>, StreamCursor)>) {
-        let mut cursor = self.assembler.cursor(0, 0);
-        cursor.quarantined = self.quarantined;
-        out.push((self.assembler.stream().clone(), cursor));
-    }
-
-    fn restore(&mut self, cursors: &HashMap<String, StreamCursor>) {
-        if let Some(c) = cursors.get(self.assembler.stream().as_ref()) {
-            self.quarantined = c.quarantined;
-            self.assembler.restore_cursor(c, true);
-        }
-    }
-
-    fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        self.assembler
-            .set_row_counter(registry.counter(names::INGEST_ROWS, ROWS_HELP));
-    }
-
-    fn finish(&mut self, out: &mut Vec<SourceItem>) -> Result<(), SourceError> {
-        if !self.quarantined {
-            self.assembler.flush(out);
-        }
-        Ok(())
-    }
-}
-
 /// A line source whose (blocking) reader runs on its own thread, so
 /// [`Source::poll`] never parks the ingestion loop: lines cross over a
 /// channel and poll consumes whatever has arrived, keeping per-bag
 /// output latency on a live pipe while the engine's events keep
-/// draining. This is the CLI's stdin front-end.
+/// draining. This is the CLI's stdin front-end, and it takes any
+/// [`BufRead`] + `Send` reader — a regular file, a closed pipe, an
+/// in-memory buffer.
 ///
-/// Resume semantics match [`LineSource`] (no byte position; a restored
-/// cursor is time-addressed).
+/// No byte position is recorded (the cursor's `consumed` stays 0): a
+/// resumed session re-reads from the top and skips already-pushed
+/// times, exactly like the original stdin follow mode.
 pub struct ThreadedLineSource {
     origin: String,
     assembler: BagAssembler,

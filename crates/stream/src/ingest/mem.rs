@@ -4,7 +4,7 @@ use super::source::{Source, SourceError, SourceItem, SourceStatus};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Bags handed to the mux per poll, so a huge in-memory backlog still
+/// Bags handed to the pipeline per poll, so a huge in-memory backlog still
 /// interleaves fairly with live sources and the engine's queues.
 const BAGS_PER_POLL: usize = 64;
 

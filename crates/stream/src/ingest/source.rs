@@ -137,7 +137,7 @@ pub trait Source {
         Ok(())
     }
 
-    /// Register this source's metric handles in `registry` (the mux
+    /// Register this source's metric handles in `registry` (the pipeline
     /// calls this once, before the first poll). The default does
     /// nothing; implementations with per-row or per-line work register
     /// counters here so polling itself stays allocation-free.
@@ -145,9 +145,9 @@ pub trait Source {
         let _ = registry;
     }
 
-    /// Engine queue pressure report, called by the mux before each poll
-    /// with `load` in `[0, 1]` (fraction of the engine's bounded input
-    /// queues currently in flight). Interactive sources use it to signal
+    /// Engine queue pressure report, called by the pipeline before each
+    /// poll with `load` in `[0, 1]` (fraction of the engine's bounded
+    /// input queues currently in flight). Interactive sources use it to signal
     /// backpressure to their producers (the TCP source's `!busy` /
     /// `!ready` lines); the default ignores it.
     fn pressure(&mut self, load: f64) {

@@ -789,9 +789,9 @@ impl Source for TcpSource {
     }
 
     fn finish(&mut self, out: &mut Vec<SourceItem>) -> Result<(), SourceError> {
-        // Flush trailing bags of non-quarantined streams. The mux only
-        // calls finish() on a non-checkpointing, winding-down session,
-        // where no further TCP data can ever complete them.
+        // Flush trailing bags of non-quarantined streams. The pipeline
+        // only calls finish() on a non-checkpointing, winding-down
+        // session, where no further TCP data can ever complete them.
         let mut streams: Vec<Arc<str>> = self.assemblers.keys().cloned().collect();
         streams.sort();
         for s in streams {

@@ -25,8 +25,8 @@
 //!   stream's state; restoring yields outputs bit-identical to an
 //!   engine that never stopped.
 //! - [`ingest`] — [`Source`]s (CSV files, directories, pipes, TCP,
-//!   memory) multiplexed into the engine by the [`Mux`], with
-//!   per-stream resume cursors and quarantine isolation.
+//!   memory) with per-stream resume cursors, and the `cursors + engine
+//!   snapshot` checkpoint format.
 //! - [`sink`] — [`Sink`]s (CSV, JSON lines, stderr diagnostics, tees,
 //!   memory) receiving everything the session observes as one typed
 //!   [`Event`] stream.
@@ -35,9 +35,11 @@
 //!   ([`ReplayDiffSink`]) and queryable through a per-stream index
 //!   ([`ScoreStore`]); built on the checksummed append-only framing in
 //!   [`framed`]. Degraded-mode egress spills to the same format.
-//! - [`Pipeline`] — the builder facade owning the whole
-//!   read→detect→deliver→checkpoint loop, with delivery-acked
-//!   checkpoints: a checkpoint commits only after every event it
+//! - [`Pipeline`] — the one session driver, owning the whole
+//!   read→detect→deliver→checkpoint loop: it polls the sources
+//!   round-robin, routes their bags into the engine, quarantines
+//!   failing streams instead of aborting, and commits delivery-acked
+//!   checkpoints — a checkpoint commits only after every event it
 //!   covers was delivered and every sink flushed durably.
 //! - [`telemetry`] — a lock-cheap [`MetricsRegistry`] of counters,
 //!   gauges, and latency histograms wired through every layer above
@@ -89,9 +91,11 @@ mod worker;
 pub use cache::{EmdScratch, SignatureWindow};
 pub use engine::{EngineConfig, EngineError, StreamEngine, StreamId};
 pub use event::{DiffOutcome, Event, QuarantineRecord};
-pub use ingest::{CheckpointPolicy, Mux, MuxConfig, Source, SourceStatus};
+pub use ingest::{CheckpointPolicy, Source, SourceStatus};
 pub use online::{OnlineDetector, OnlineState};
-pub use pipeline::{Pipeline, PipelineBuilder, PipelineError, PipelineSummary, StepReport};
+pub use pipeline::{
+    Pipeline, PipelineBuilder, PipelineError, PipelineSummary, StepReport, RETAINED_QUARANTINES,
+};
 pub use scorelog::{
     DiffSummary, DiffTracker, Query, QueryRow, ReplayDiffSink, ScoreLogReader, ScoreLogSink,
     ScoreStore, StreamSummary,

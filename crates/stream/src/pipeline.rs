@@ -1,13 +1,10 @@
-//! The [`Pipeline`] facade: read → detect → deliver → checkpoint as one
-//! owned loop.
-//!
-//! Every online host used to hand-assemble the same four-step dance —
-//! build an engine, wrap it in a [`Mux`], poll sources, print events,
-//! and re-implement the two-phase durable-checkpoint protocol by
-//! convention. The pipeline owns all of it behind a builder:
+//! The [`Pipeline`]: read → detect → deliver → checkpoint as one owned
+//! loop, and the only way to drive a session.
 //!
 //! - **sources in** — any [`crate::ingest::Source`] (files, dirs, TCP,
-//!   stdin, memory), multiplexed round-robin;
+//!   stdin, memory), polled round-robin; their bags are routed into
+//!   the [`StreamEngine`] by interned id, and a stream whose input
+//!   fails is quarantined instead of killing the process;
 //! - **events out** — one ordered [`Event`] stream, delivered to any
 //!   [`Sink`] (CSV, JSONL, stderr diagnostics, tees, memory);
 //! - **delivery-acked checkpoints** — a checkpoint is committed only
@@ -22,20 +19,23 @@
 //!   of killing the run, and replays the backlog in order when it
 //!   recovers.
 
-use crate::engine::{EngineConfig, StreamEngine};
+use crate::engine::{EngineConfig, EngineError, StreamEngine, StreamId};
 use crate::event::{Event, QuarantineRecord};
-use crate::ingest::{CheckpointPolicy, Mux, MuxConfig, MuxError, Source, StreamCursor};
+use crate::ingest::checkpoint::{decode_checkpoint, encode_checkpoint, write_atomic, CursorList};
+use crate::ingest::{
+    CheckpointPolicy, Source, SourceError, SourceItem, SourceStatus, StreamCursor,
+};
 use crate::scorelog::{ScoreLogReader, ScoreLogSink};
 use crate::sink::Sink;
 use crate::telemetry::{
     names, Clock, Counter, Gauge, Histogram, MetricSample, MetricsRegistry, MetricsServer,
     NoisyStreams, LATENCY_BUCKETS,
 };
-use bagcpd::DetectorConfig;
+use bagcpd::{Bag, DetectorConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long [`Pipeline::run`] sleeps between ticks when every source is
 /// idle.
@@ -48,14 +48,26 @@ const TOPK_WINDOW_POINTS: u64 = 512;
 /// How many streams each top-K family keeps per window.
 const TOPK_K: usize = 8;
 
+/// Most recent quarantine records a pipeline retains for its
+/// [`PipelineSummary`]. The lifetime *count* is unbounded
+/// ([`PipelineSummary::quarantined_total`] and the ingest telemetry
+/// counter); the record list is capped so a pathological source
+/// emitting quarantines forever cannot grow the process without bound.
+pub const RETAINED_QUARANTINES: usize = 256;
+
 /// Pipeline failure modes.
 #[derive(Debug)]
 pub enum PipelineError {
     /// Construction failed (bad configuration, unreadable state file).
     Build(String),
-    /// The ingestion layer or engine failed (strict-mode data errors
-    /// included).
-    Mux(MuxError),
+    /// The engine refused or died.
+    Engine(EngineError),
+    /// A source-fatal failure (strict mode also routes per-stream data
+    /// errors here).
+    Source(SourceError),
+    /// Checkpoint persistence failed, or two sources claimed one
+    /// stream.
+    State(String),
     /// A sink refused delivery or failed to flush; no checkpoint was
     /// committed over the affected events.
     Sink(std::io::Error),
@@ -71,8 +83,9 @@ pub enum PipelineError {
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PipelineError::Build(why) => write!(f, "{why}"),
-            PipelineError::Mux(e) => write!(f, "{e}"),
+            PipelineError::Build(why) | PipelineError::State(why) => write!(f, "{why}"),
+            PipelineError::Engine(e) => write!(f, "{e}"),
+            PipelineError::Source(e) => write!(f, "{e}"),
             PipelineError::Sink(e) => write!(f, "output sink: {e}"),
             PipelineError::StreamFailed { stream, message } => {
                 write!(f, "stream '{stream}': {message}")
@@ -83,9 +96,9 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-impl From<MuxError> for PipelineError {
-    fn from(e: MuxError) -> Self {
-        PipelineError::Mux(e)
+impl From<EngineError> for PipelineError {
+    fn from(e: EngineError) -> Self {
+        PipelineError::Engine(e)
     }
 }
 
@@ -107,14 +120,14 @@ pub struct StepReport {
 pub struct PipelineSummary {
     /// Score points delivered to the sinks.
     pub points: u64,
-    /// Bags pushed over the run.
+    /// Bags pushed over the run (restored history excluded).
     pub bags: u64,
     /// Checkpoints committed (periodic + final).
     pub checkpoints: u64,
     /// Size of the final checkpoint, if one was written.
     pub checkpoint_bytes: Option<usize>,
     /// Every stream quarantined over the run (most recent, capped at
-    /// [`crate::ingest::RETAINED_QUARANTINES`] records).
+    /// [`RETAINED_QUARANTINES`] records).
     pub quarantined: Vec<QuarantineRecord>,
     /// Total quarantines over the run (may exceed `quarantined.len()`).
     pub quarantined_total: u64,
@@ -294,35 +307,31 @@ impl PipelineBuilder {
             telemetry: Some(registry.clone()),
             ..self.engine
         };
-        let mux_cfg = MuxConfig {
-            policy: self.policy,
-            state_path: self.state_path.clone(),
-            strict: self.strict,
-        };
         let mut restored_state = None;
-        let mut mux = match &self.state_path {
+        let mut resume = HashMap::new();
+        let mut engine = match &self.state_path {
             Some(path) if path.exists() => {
-                let bytes = std::fs::read(path)
-                    .map_err(|e| PipelineError::Build(format!("{}: {e}", path.display())))?;
-                let mux = Mux::restore(&bytes, engine_cfg, mux_cfg)
-                    .map_err(|e| PipelineError::Build(format!("{}: {e}", path.display())))?;
+                let in_state = |e: &dyn std::fmt::Display| {
+                    PipelineError::Build(format!("{}: {e}", path.display()))
+                };
+                let bytes = std::fs::read(path).map_err(|e| in_state(&e))?;
+                let (cursors, snapshot) = decode_checkpoint(&bytes).map_err(|e| in_state(&e))?;
+                let engine =
+                    StreamEngine::restore(snapshot, engine_cfg).map_err(|e| in_state(&e))?;
+                resume = cursors.into_iter().collect();
                 restored_state = Some(bytes);
-                mux
+                engine
             }
-            _ => {
-                let engine = StreamEngine::new(engine_cfg)
-                    .map_err(|e| PipelineError::Build(e.to_string()))?;
-                Mux::new(engine, mux_cfg)
-            }
+            _ => StreamEngine::new(engine_cfg).map_err(|e| PipelineError::Build(e.to_string()))?,
         };
-        mux.set_telemetry(&registry);
+        let mut ingest = Ingest::new(&registry, self.strict, resume);
         for (stream, seed) in &self.stream_seeds {
-            mux.engine_mut()
+            engine
                 .resolve_seeded(stream, *seed)
                 .map_err(|e| PipelineError::Build(e.to_string()))?;
         }
         for source in self.sources {
-            mux.add_source(source);
+            ingest.add_source(source, &registry);
         }
         let checkpoint_seconds = registry.histogram(
             names::PIPELINE_CHECKPOINT_SECONDS,
@@ -330,8 +339,13 @@ impl PipelineBuilder {
             LATENCY_BUCKETS,
         );
         let mut pipeline = Pipeline {
-            mux,
+            engine,
+            ingest,
             egress: Egress::new(self.sinks, self.strict, &registry, self.spill_dir)?,
+            policy: self.policy,
+            state_path: self.state_path,
+            since_commit: SinceCommit::default(),
+            checkpoints: 0,
             restored_state,
             registry,
             server,
@@ -344,8 +358,8 @@ impl PipelineBuilder {
 
 /// The owned read→detect→deliver→checkpoint loop. Construct with
 /// [`Pipeline::builder`], then either hand over control with
-/// [`Pipeline::run`] / [`Pipeline::run_until`] or drive tick-by-tick
-/// with [`Pipeline::step`] + [`Pipeline::finish`].
+/// [`Pipeline::run`] or drive tick-by-tick with [`Pipeline::step`] +
+/// [`Pipeline::finish`].
 ///
 /// ```
 /// use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
@@ -379,14 +393,34 @@ impl PipelineBuilder {
 /// # Ok::<(), stream::PipelineError>(())
 /// ```
 pub struct Pipeline {
-    mux: Mux,
+    engine: StreamEngine,
+    ingest: Ingest,
     egress: Egress,
+    policy: CheckpointPolicy,
+    /// Where checkpoints go; `None` disables checkpointing and makes
+    /// [`Pipeline::finish`] complete trailing bags instead of holding
+    /// them back.
+    state_path: Option<PathBuf>,
+    since_commit: SinceCommit,
+    /// Checkpoints committed so far (periodic + final).
+    checkpoints: u64,
     /// The checkpoint bytes the build restored from, if any.
     restored_state: Option<Vec<u8>>,
     registry: MetricsRegistry,
     /// The scrape endpoint, polled from [`Pipeline::step`].
     server: Option<MetricsServer>,
     checkpoint_seconds: Histogram,
+}
+
+/// What happened since the last commit: the [`CheckpointPolicy`]'s
+/// inputs.
+#[derive(Default)]
+struct SinceCommit {
+    bags: u64,
+    ticks: u64,
+    /// Anything happened (bags, active sources, quarantines) — gates
+    /// the tick trigger.
+    dirty: bool,
 }
 
 impl Pipeline {
@@ -427,12 +461,13 @@ impl Pipeline {
 
     /// The restored cursor table (empty unless [`Pipeline::resumed`]).
     pub fn resume_cursors(&self) -> &HashMap<String, StreamCursor> {
-        self.mux.resume_cursors()
+        &self.ingest.resume
     }
 
-    /// The underlying engine (resolve ids, inspect the master seed, …).
-    pub fn engine_mut(&mut self) -> &mut StreamEngine {
-        self.mux.engine_mut()
+    /// The engine's master seed: [`PipelineBuilder::seed`] on a fresh
+    /// start, the checkpoint's own seed on a resumed one.
+    pub fn master_seed(&self) -> u64 {
+        self.engine.master_seed()
     }
 
     /// Score points delivered so far.
@@ -454,38 +489,36 @@ impl Pipeline {
     }
 
     /// One tick: poll every source, push completed bags, deliver every
-    /// finished event — and, when the checkpoint policy comes due, run
-    /// the delivery-acked commit (barrier-flush the engine, deliver,
-    /// `flush_durable` every sink, only then write the checkpoint).
+    /// finished event — and, when the checkpoint policy comes due,
+    /// commit a checkpoint within the same step (see
+    /// [`Pipeline::finish`] for the commit order).
     ///
     /// # Errors
-    /// Source/engine/state failures ([`PipelineError::Mux`]), sink I/O
-    /// failures ([`PipelineError::Sink`] — the pending checkpoint is
-    /// *not* committed), or, in strict mode, the first stream failure.
+    /// Engine, source and checkpoint failures
+    /// ([`PipelineError::Engine`], [`PipelineError::Source`],
+    /// [`PipelineError::State`]), sink I/O failures
+    /// ([`PipelineError::Sink`] — the pending checkpoint is *not*
+    /// committed), or, in strict mode, the first stream failure.
     pub fn step(&mut self) -> Result<StepReport, PipelineError> {
         if let Some(server) = &mut self.server {
             server.poll();
         }
-        let report = self.mux.tick()?;
-        let events = self.mux.drain_events();
+        let (report, eventful) = self.ingest.poll(&mut self.engine)?;
+        let since = &mut self.since_commit;
+        since.bags += report.bags as u64;
+        since.ticks += 1;
+        since.dirty |= eventful;
+        let due =
+            self.state_path.is_some() && self.policy.due(since.bags, since.ticks, since.dirty);
+        let events = self.drain_events();
         self.egress.deliver(&events)?;
-        if report.checkpoint_due {
+        if due {
             let t0 = self.egress.clock.now_ns();
-            let events = self.mux.flush_events()?;
-            self.egress.deliver(&events)?;
-            self.egress.flush()?;
-            self.mux.checkpoint_now()?;
-            // Announce the commit through the same stream.
-            let events = self.mux.drain_events();
-            self.egress.deliver(&events)?;
+            self.commit()?;
             self.checkpoint_seconds
                 .observe_ns(self.egress.clock.now_ns().saturating_sub(t0));
         }
-        Ok(StepReport {
-            bags: report.bags,
-            done: report.done,
-            idle: report.idle,
-        })
+        Ok(report)
     }
 
     /// Step until every source is exhausted (sleeping briefly while
@@ -507,55 +540,38 @@ impl Pipeline {
         self.finish()
     }
 
-    /// As [`Pipeline::run`], but return control at `deadline` instead
-    /// of finishing; returns whether the sources are exhausted. Call
-    /// again to keep going, or [`Pipeline::finish`] to wind down (which
-    /// a drained pipeline still needs, for the final events and
-    /// checkpoint).
+    /// Wind down. Without a state path, EOF means the data is final:
+    /// the events already evaluated are delivered, then every source
+    /// completes its trailing bag. With one, trailing bags stay held
+    /// back in the cursors. Either way the run ends in the commit every
+    /// periodic checkpoint takes too:
     ///
-    /// # Errors
-    /// As [`Pipeline::step`].
-    pub fn run_until(&mut self, deadline: Instant) -> Result<bool, PipelineError> {
-        loop {
-            let step = self.step()?;
-            if step.done {
-                return Ok(true);
-            }
-            if Instant::now() >= deadline {
-                return Ok(false);
-            }
-            if step.idle {
-                std::thread::sleep(
-                    IDLE_SLEEP.min(deadline.saturating_duration_since(Instant::now())),
-                );
-            }
-        }
-    }
-
-    /// Wind down: barrier-flush the engine, deliver everything, flush
-    /// the sinks durably, and only then let the mux write its final
-    /// checkpoint (non-checkpointing runs complete trailing bags here
-    /// instead). The final events — including the closing
-    /// [`Event::CheckpointWritten`] — go through the sinks too.
+    /// 1. barrier-flush the engine and deliver every event;
+    /// 2. `flush_durable` every sink;
+    /// 3. write cursors + engine snapshot (with a state path);
+    /// 4. announce the commit as [`Event::CheckpointWritten`].
     ///
     /// # Errors
     /// As [`Pipeline::step`]; a sink failure leaves the final
     /// checkpoint unwritten, so a resumed session replays the
     /// undelivered tail.
-    pub fn finish(self) -> Result<PipelineSummary, PipelineError> {
+    pub fn finish(mut self) -> Result<PipelineSummary, PipelineError> {
+        if self.state_path.is_none() {
+            // Points already evaluated go out ahead of whatever the
+            // sources' wind-down reports.
+            self.settle()?;
+            self.ingest.finish(&mut self.engine)?;
+        }
+        let checkpoint_bytes = self.commit()?;
         let Pipeline {
-            mut mux,
+            engine,
+            ingest,
             mut egress,
+            checkpoints,
             registry,
             ..
         } = self;
-        // Deliver everything already evaluated and make it durable
-        // before the final checkpoint can cover it.
-        let events = mux.flush_events()?;
-        egress.deliver(&events)?;
-        egress.flush()?;
-        let finish = mux.finish()?;
-        egress.deliver(&finish.events)?;
+        egress.deliver(&engine.shutdown())?;
         egress.flush()?;
         // Announcements raised by the final flush (a sink recovering at
         // the last moment) still go through the surviving sinks.
@@ -567,14 +583,321 @@ impl Pipeline {
         }
         Ok(PipelineSummary {
             points: egress.points,
-            bags: finish.bags_pushed,
-            checkpoints: finish.checkpoints_written,
-            checkpoint_bytes: finish.checkpoint_bytes,
-            quarantined: finish.quarantined,
-            quarantined_total: finish.quarantined_total,
+            bags: ingest.bags,
+            checkpoints,
+            checkpoint_bytes,
+            quarantined: ingest.quarantined,
+            quarantined_total: ingest.quarantined_total,
             spilled_events: egress.spilled_remaining(),
             metrics: registry.snapshot(),
         })
+    }
+
+    /// Completed events, without blocking: ingest-side events (notes,
+    /// quarantines) in occurrence order, then everything the engine has
+    /// finished.
+    fn drain_events(&mut self) -> Vec<Event> {
+        let mut out = std::mem::take(&mut self.ingest.pending);
+        out.extend(self.engine.drain_events());
+        out
+    }
+
+    /// Barrier-flush the engine and deliver every event it completed.
+    fn settle(&mut self) -> Result<(), PipelineError> {
+        self.engine.flush()?;
+        let events = self.drain_events();
+        self.egress.deliver(&events)
+    }
+
+    /// The one commit order (see [`Pipeline::finish`]): no bag is pushed
+    /// between the barrier and the snapshot, so the checkpoint covers
+    /// exactly what was delivered and flushed. Returns the checkpoint's
+    /// size, or `None` without a state path.
+    fn commit(&mut self) -> Result<Option<usize>, PipelineError> {
+        self.settle()?;
+        self.egress.flush()?;
+        let Some(path) = self.state_path.clone() else {
+            return Ok(None);
+        };
+        let cursors = self.ingest.cursors()?;
+        let snapshot = self.engine.snapshot()?;
+        let bytes = encode_checkpoint(&cursors, &snapshot);
+        write_atomic(&path, &bytes).map_err(PipelineError::State)?;
+        self.since_commit = SinceCommit::default();
+        self.checkpoints += 1;
+        self.egress.deliver(&[Event::CheckpointWritten {
+            bytes: bytes.len(),
+            bags: self.ingest.bags,
+        }])?;
+        Ok(Some(bytes.len()))
+    }
+}
+
+/// The ingestion half of the pipeline: every source with its status,
+/// the routing table, quarantine records and the ingest metrics.
+struct Ingest {
+    sources: Vec<(Box<dyn Source>, SourceStatus)>,
+    /// Fail on the first per-stream data error instead of quarantining.
+    strict: bool,
+    /// Cursor map handed to every source added (restore path).
+    resume: HashMap<String, StreamCursor>,
+    /// First source to push each stream, plus the interned id — the
+    /// per-bag routing cache and the cross-source collision guard.
+    claims: HashMap<Arc<str>, (usize, StreamId)>,
+    items: Vec<SourceItem>,
+    /// Notes and quarantines awaiting delivery; drained ahead of the
+    /// engine's events.
+    pending: Vec<Event>,
+    /// Most recent quarantine records (capped at
+    /// [`RETAINED_QUARANTINES`]; oldest dropped first).
+    quarantined: Vec<QuarantineRecord>,
+    /// Lifetime quarantine count (unlike the record list, never capped).
+    quarantined_total: u64,
+    /// Bags pushed over the run.
+    bags: u64,
+    clock: Clock,
+    bags_routed: Counter,
+    quarantines: Counter,
+    evictions: Counter,
+    /// Per-source poll histograms (labeled by origin), parallel to
+    /// `sources`.
+    polls: Vec<Histogram>,
+}
+
+impl Ingest {
+    fn new(
+        registry: &MetricsRegistry,
+        strict: bool,
+        resume: HashMap<String, StreamCursor>,
+    ) -> Self {
+        Ingest {
+            sources: Vec::new(),
+            strict,
+            resume,
+            claims: HashMap::new(),
+            items: Vec::new(),
+            pending: Vec::new(),
+            quarantined: Vec::new(),
+            quarantined_total: 0,
+            bags: 0,
+            clock: registry.clock(),
+            bags_routed: registry.counter(
+                names::INGEST_BAGS,
+                "Completed bags routed into the engine by the pipeline",
+            ),
+            quarantines: registry.counter(
+                names::INGEST_QUARANTINES,
+                "Streams quarantined at ingestion",
+            ),
+            evictions: registry.counter(
+                names::INGEST_STREAMS_EVICTED,
+                "Streams retired from service by source eviction policies (idle timeouts)",
+            ),
+            polls: Vec::new(),
+        }
+    }
+
+    /// Add a source: it adopts any restored cursors for its streams and
+    /// registers its own metrics; its poll histogram is registered here.
+    fn add_source(&mut self, mut source: Box<dyn Source>, registry: &MetricsRegistry) {
+        source.restore(&self.resume);
+        source.attach_telemetry(registry);
+        self.polls.push(registry.histogram_labeled(
+            names::INGEST_POLL_SECONDS,
+            "Wall-clock seconds per source poll",
+            LATENCY_BUCKETS,
+            &[("source", source.origin())],
+        ));
+        self.sources.push((source, SourceStatus::Idle));
+    }
+
+    /// One round-robin pass over every live source: report the engine's
+    /// queue load, poll, and route what the poll produced. Also returns
+    /// whether anything happened (bags, active sources, quarantines).
+    fn poll(&mut self, engine: &mut StreamEngine) -> Result<(StepReport, bool), PipelineError> {
+        let mut report = StepReport::default();
+        let mut active_sources = 0usize;
+        let quarantined_before = self.quarantined_total;
+        for idx in 0..self.sources.len() {
+            if self.sources[idx].1 == SourceStatus::Done {
+                continue;
+            }
+            let mut items = std::mem::take(&mut self.items);
+            items.clear();
+            // Tell the source how full the engine's bounded queues are
+            // before it reads more input, so interactive sources can
+            // push back on their producers instead of stalling in
+            // `push_id`.
+            self.sources[idx].0.pressure(engine.queue_load());
+            let t0 = self.clock.now_ns();
+            let polled = self.sources[idx].0.poll(&mut items);
+            self.polls[idx].observe_ns(self.clock.now_ns().saturating_sub(t0));
+            let routed = self.route(idx, &mut items, engine);
+            self.items = items;
+            report.bags += routed?;
+            match polled {
+                Ok(status) => {
+                    self.sources[idx].1 = status;
+                    if status == SourceStatus::Active {
+                        active_sources += 1;
+                    }
+                }
+                Err(e) => {
+                    // Source-fatal: the source is out, the rest live on
+                    // (or the whole session dies, in strict mode).
+                    self.sources[idx].1 = SourceStatus::Done;
+                    if self.strict {
+                        return Err(PipelineError::Source(e));
+                    }
+                    self.pending.push(Event::Note(format!(
+                        "source {} failed and was dropped: {e}",
+                        self.sources[idx].0.origin()
+                    )));
+                }
+            }
+        }
+        report.done = self
+            .sources
+            .iter()
+            .all(|(_, status)| *status == SourceStatus::Done);
+        report.idle = active_sources == 0 && report.bags == 0;
+        let eventful = !report.idle || self.quarantined_total > quarantined_before;
+        Ok((report, eventful))
+    }
+
+    /// Let every source complete its trailing bag, and route it.
+    fn finish(&mut self, engine: &mut StreamEngine) -> Result<(), PipelineError> {
+        for idx in 0..self.sources.len() {
+            let mut items = std::mem::take(&mut self.items);
+            items.clear();
+            let finished = self.sources[idx].0.finish(&mut items);
+            let routed = self.route(idx, &mut items, engine);
+            self.items = items;
+            routed?;
+            if let Err(e) = finished {
+                if self.strict {
+                    return Err(PipelineError::Source(e));
+                }
+                self.pending.push(Event::Note(format!(
+                    "source {}: {e}",
+                    self.sources[idx].0.origin()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Route one source's items into the engine and the records, and
+    /// return how many bags were pushed. The claims table interns each
+    /// stream once (per-bag cost: one map lookup, no hashing of the
+    /// engine's seed scheme) and rejects a second source feeding an
+    /// already-claimed stream — two inputs interleaved into one detector
+    /// would silently corrupt its scores, so that is a configuration
+    /// error in every mode.
+    fn route(
+        &mut self,
+        source_idx: usize,
+        items: &mut Vec<SourceItem>,
+        engine: &mut StreamEngine,
+    ) -> Result<usize, PipelineError> {
+        let mut bags = 0;
+        for item in items.drain(..) {
+            match item {
+                SourceItem::Bag { stream, rows, .. } => {
+                    let id = match self.claims.get(&stream) {
+                        Some(&(owner, id)) => {
+                            if owner != source_idx {
+                                return Err(PipelineError::State(format!(
+                                    "stream '{stream}' is fed by two sources ({} and {}); \
+                                     a stream must have exactly one input",
+                                    self.sources[owner].0.origin(),
+                                    self.sources[source_idx].0.origin()
+                                )));
+                            }
+                            id
+                        }
+                        None => {
+                            let id = engine.resolve(&stream)?;
+                            self.claims.insert(stream.clone(), (source_idx, id));
+                            id
+                        }
+                    };
+                    engine.push_id(id, Bag::new(rows))?;
+                    bags += 1;
+                    self.bags += 1;
+                    self.bags_routed.inc();
+                }
+                SourceItem::Quarantine { stream, error } => {
+                    if self.strict {
+                        return Err(PipelineError::Source(error));
+                    }
+                    self.quarantined_total += 1;
+                    self.quarantines.inc();
+                    let record = QuarantineRecord { stream, error };
+                    self.pending.push(Event::Quarantine(record.clone()));
+                    if self.quarantined.len() >= RETAINED_QUARANTINES {
+                        // Quarantines are rare; on the pathological path
+                        // an O(n) shift of 256 records is irrelevant.
+                        self.quarantined.remove(0);
+                    }
+                    self.quarantined.push(record);
+                }
+                SourceItem::Note(n) => self.pending.push(Event::Note(n)),
+                SourceItem::Retire { stream } => {
+                    // Source-initiated retirement (idle eviction). Drop
+                    // the claim too: if the stream speaks again it
+                    // re-resolves to the same interned id but starts a
+                    // fresh detector — the documented eviction
+                    // semantics. Retirement stays name-keyed: the
+                    // stream may be a restored one that has not routed
+                    // a bag in this session.
+                    self.claims.remove(&stream);
+                    if engine.retire(&stream)? {
+                        self.evictions.inc();
+                        self.pending.push(Event::Note(format!(
+                            "stream '{stream}' evicted after idling; it restarts fresh if it \
+                             returns"
+                        )));
+                    }
+                }
+            }
+        }
+        Ok(bags)
+    }
+
+    /// Every source's resume cursors, sorted by stream name, plus the
+    /// restored cursors of streams no source has reported.
+    ///
+    /// # Errors
+    /// [`PipelineError::State`] if two sources report a cursor for the
+    /// same stream (resume would be ambiguous).
+    fn cursors(&self) -> Result<CursorList, PipelineError> {
+        let mut cursors: CursorList = Vec::new();
+        for (source, _) in &self.sources {
+            source.cursors(&mut cursors);
+        }
+        let mut seen = std::collections::HashSet::with_capacity(cursors.len());
+        for (name, _) in &cursors {
+            if !seen.insert(name.as_ref()) {
+                return Err(PipelineError::State(format!(
+                    "two sources report a cursor for stream '{name}' — resume would be \
+                     ambiguous; feed a stream from one source only"
+                )));
+            }
+        }
+        // Restored cursors of streams no source has claimed (a directory
+        // file that has not re-appeared yet, a TCP stream that has not
+        // spoken) must survive the rewrite, or their hold-back rows and
+        // positions would be lost.
+        let unclaimed: CursorList = self
+            .resume
+            .iter()
+            .filter(|(name, _)| !seen.contains(name.as_str()))
+            .map(|(name, cursor)| (Arc::from(name.as_str()), cursor.clone()))
+            .collect();
+        cursors.extend(unclaimed);
+        cursors.sort_by(|(a, _), (b, _)| a.cmp(b));
+        Ok(cursors)
     }
 }
 

@@ -21,8 +21,8 @@
 //!   sleeping.
 //!
 //! The registry is wired through every layer of the runtime: the engine
-//! ([`crate::EngineConfig::telemetry`]), the ingestion mux and sources,
-//! the EMD solver (via a [`SolveTimer`] carried in
+//! ([`crate::EngineConfig::telemetry`]), ingestion (the sources and the
+//! pipeline's routing), the EMD solver (via a [`SolveTimer`] carried in
 //! [`crate::EmdScratch`]), and the [`crate::Pipeline`] — which also
 //! exposes it over HTTP with a [`MetricsServer`]. The CLI's `--stats`
 //! prints a snapshot of it at exit.
@@ -64,7 +64,7 @@ pub mod names {
     pub const SOLVER_SOLVE_SECONDS: &str = "bagscpd_solver_solve_seconds";
     /// CSV rows parsed into bag members, across all sources.
     pub const INGEST_ROWS: &str = "bagscpd_ingest_rows_total";
-    /// Completed bags routed into the engine by the mux.
+    /// Completed bags routed into the engine by the pipeline.
     pub const INGEST_BAGS: &str = "bagscpd_ingest_bags_total";
     /// Streams quarantined at ingestion.
     pub const INGEST_QUARANTINES: &str = "bagscpd_ingest_quarantines_total";

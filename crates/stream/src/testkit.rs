@@ -255,7 +255,7 @@ pub enum SourceFault {
     /// that has hung without closing.
     Stall,
     /// Fail the poll with a connection-refused I/O error. Poll errors
-    /// are source-fatal: a non-strict mux drops the source and keeps
+    /// are source-fatal: a non-strict pipeline drops the source and keeps
     /// the session alive, a strict one aborts.
     Refuse,
 }

@@ -9,7 +9,7 @@
 //! - a session killed while degraded keeps committing checkpoints over
 //!   its spilled events, and the next session replays them losslessly;
 //! - chaos at the source (stalls, refused connections) either vanishes
-//!   from the output or aborts, by the mux's strictness.
+//!   from the output or aborts, by the pipeline's strictness.
 
 use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
 use stream::ingest::CsvFileSource;
@@ -496,7 +496,7 @@ fn leftover_spill_in_the_retired_format_fails_the_build_untouched() {
 }
 
 // ---------------------------------------------------------------------
-// Source chaos: stalls are invisible, refusals follow mux strictness.
+// Source chaos: stalls are invisible, refusals follow strictness.
 // ---------------------------------------------------------------------
 
 #[test]

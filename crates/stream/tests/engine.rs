@@ -33,6 +33,12 @@ fn bag_for(s: usize, t: usize) -> Bag {
     Bag::from_scalars((0..12).map(move |i| level + ((i * 3 + s + t) % 7) as f64 * 0.1))
 }
 
+/// Resolve `stream` and push `bag` to it.
+fn push(engine: &mut StreamEngine, stream: &str, bag: Bag) {
+    let id = engine.resolve(stream).unwrap();
+    engine.push_id(id, bag).unwrap();
+}
+
 /// Group point events per stream.
 fn points_by_stream(events: Vec<stream::Event>) -> HashMap<String, Vec<ScorePoint>> {
     let mut map: HashMap<String, Vec<ScorePoint>> = HashMap::new();
@@ -59,7 +65,7 @@ fn thousand_streams_push_through_bounded_engine() {
     for t in 0..BAGS {
         for s in 0..STREAMS {
             let name = format!("stream-{s:04}");
-            engine.push(&name, bag_for(s, t)).unwrap();
+            push(&mut engine, &name, bag_for(s, t));
         }
         // Drain as we go, as a production consumer would; the bounded
         // queues mean an undrained engine would block, not balloon.
@@ -97,7 +103,7 @@ fn thousand_streams_push_through_bounded_engine() {
     // worker count reproduces identical points.
     let mut single = StreamEngine::new(engine_config(1)).unwrap();
     for t in 0..BAGS {
-        single.push("stream-0007", bag_for(7, t)).unwrap();
+        push(&mut single, "stream-0007", bag_for(7, t));
     }
     single.flush().unwrap();
     let solo = points_by_stream(single.shutdown());
@@ -114,7 +120,7 @@ fn snapshot_mid_window_then_restore_yields_identical_alerts() {
     let mut reference = StreamEngine::new(engine_config(2)).unwrap();
     for t in 0..TOTAL {
         for s in 0..STREAMS {
-            reference.push(&format!("s{s}"), bag_for(s, t)).unwrap();
+            push(&mut reference, &format!("s{s}"), bag_for(s, t));
         }
     }
     reference.flush().unwrap();
@@ -125,7 +131,7 @@ fn snapshot_mid_window_then_restore_yields_identical_alerts() {
     let mut first = StreamEngine::new(engine_config(2)).unwrap();
     for t in 0..CUT {
         for s in 0..STREAMS {
-            first.push(&format!("s{s}"), bag_for(s, t)).unwrap();
+            push(&mut first, &format!("s{s}"), bag_for(s, t));
         }
     }
     let bytes = first.snapshot().unwrap();
@@ -141,7 +147,7 @@ fn snapshot_mid_window_then_restore_yields_identical_alerts() {
     assert_eq!(restored.flush().unwrap(), STREAMS, "streams resumed");
     for t in CUT..TOTAL {
         for s in 0..STREAMS {
-            restored.push(&format!("s{s}"), bag_for(s, t)).unwrap();
+            push(&mut restored, &format!("s{s}"), bag_for(s, t));
         }
     }
     restored.flush().unwrap();
@@ -168,63 +174,6 @@ fn snapshot_mid_window_then_restore_yields_identical_alerts() {
 }
 
 #[test]
-fn id_keyed_pushes_match_name_keyed_bit_for_bit() {
-    // The satellite equivalence guarantee: resolving once and pushing
-    // by StreamId produces the same event stream and the same snapshot
-    // bytes as pushing by name every time.
-    const STREAMS: usize = 16;
-    const BAGS: usize = 8;
-
-    let mut by_name = StreamEngine::new(engine_config(3)).unwrap();
-    let mut by_id = StreamEngine::new(engine_config(3)).unwrap();
-    // Intern in the same order the name-keyed engine will (s ascending).
-    let ids: Vec<stream::StreamId> = (0..STREAMS)
-        .map(|s| by_id.resolve(&format!("s{s}")).unwrap())
-        .collect();
-
-    for t in 0..BAGS {
-        for (s, &id) in ids.iter().enumerate() {
-            by_name.push(&format!("s{s}"), bag_for(s, t)).unwrap();
-            by_id.push_id(id, bag_for(s, t)).unwrap();
-        }
-    }
-    by_name.flush().unwrap();
-    by_id.flush().unwrap();
-
-    let snap_name = by_name.snapshot().unwrap();
-    let snap_id = by_id.snapshot().unwrap();
-    assert_eq!(snap_name, snap_id, "snapshots must be byte-identical");
-
-    let events_name = points_by_stream(by_name.shutdown());
-    let events_id = points_by_stream(by_id.shutdown());
-    assert_eq!(events_name, events_id, "event streams must be identical");
-
-    // And the non-blocking id path agrees too (drained immediately, so
-    // the tiny queues never refuse here).
-    let mut by_try = StreamEngine::new(engine_config(3)).unwrap();
-    let try_ids: Vec<stream::StreamId> = (0..STREAMS)
-        .map(|s| by_try.resolve(&format!("s{s}")).unwrap())
-        .collect();
-    for t in 0..BAGS {
-        for (s, &id) in try_ids.iter().enumerate() {
-            let mut bag = bag_for(s, t);
-            loop {
-                match by_try.try_push_id(id, bag).unwrap() {
-                    None => break,
-                    Some(back) => {
-                        bag = back;
-                        by_try.drain_events();
-                    }
-                }
-            }
-        }
-    }
-    by_try.flush().unwrap();
-    assert_eq!(by_try.snapshot().unwrap(), snap_id);
-    by_try.shutdown();
-}
-
-#[test]
 fn stream_ids_survive_snapshot_restore() {
     let mut engine = StreamEngine::new(engine_config(2)).unwrap();
     let a = engine.resolve("alpha").unwrap();
@@ -241,7 +190,6 @@ fn stream_ids_survive_snapshot_restore() {
     let mut restored = StreamEngine::restore(&bytes, engine_config(3)).unwrap();
     assert_eq!(restored.id_of("alpha"), Some(a));
     assert_eq!(restored.id_of("beta"), Some(b));
-    assert_eq!(restored.name_of(a), Some("alpha"));
     for t in 4..8 {
         restored.push_id(a, bag_for(0, t)).unwrap();
         restored.push_id(b, bag_for(1, t)).unwrap();
@@ -253,8 +201,8 @@ fn stream_ids_survive_snapshot_restore() {
     // Reference: the same bags through one uninterrupted engine.
     let mut reference = StreamEngine::new(engine_config(2)).unwrap();
     for t in 0..8 {
-        reference.push("alpha", bag_for(0, t)).unwrap();
-        reference.push("beta", bag_for(1, t)).unwrap();
+        push(&mut reference, "alpha", bag_for(0, t));
+        push(&mut reference, "beta", bag_for(1, t));
     }
     reference.flush().unwrap();
     let expected = points_by_stream(reference.shutdown());
@@ -264,7 +212,7 @@ fn stream_ids_survive_snapshot_restore() {
 #[test]
 fn restore_rejects_mismatched_config() {
     let mut engine = StreamEngine::new(engine_config(2)).unwrap();
-    engine.push("s", bag_for(0, 0)).unwrap();
+    push(&mut engine, "s", bag_for(0, 0));
     let bytes = engine.snapshot().unwrap();
     engine.shutdown();
 

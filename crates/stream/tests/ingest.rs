@@ -1,13 +1,15 @@
 //! Integration tests of the multi-source ingestion layer: sources,
-//! mux, quarantine isolation, and periodic checkpointing.
+//! routing through the pipeline, quarantine isolation, and periodic
+//! checkpointing.
 
 use bagcpd::Detector;
 use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
 use stream::ingest::{
-    CheckpointPolicy, CsvFileSource, DirSource, LineSource, Mux, MuxConfig, Source, SourceItem,
-    SourceStatus, TcpLimits, TcpSource,
+    CheckpointPolicy, CsvFileSource, DirSource, Source, SourceItem, SourceStatus, TcpLimits,
+    TcpSource, ThreadedLineSource,
 };
-use stream::{derive_stream_seed, EngineConfig, Event, StreamEngine};
+use stream::sink::MemorySink;
+use stream::{derive_stream_seed, Event, Pipeline, PipelineBuilder, PipelineSummary};
 
 use std::io::Cursor;
 use std::io::Write as _;
@@ -26,20 +28,16 @@ fn detector_cfg() -> DetectorConfig {
     }
 }
 
-fn engine_cfg(seed: u64) -> EngineConfig {
-    EngineConfig {
-        detector: detector_cfg(),
-        seed,
-        workers: 2,
-        queue_capacity: 256,
-        batch_size: 64,
-        event_capacity: 4096,
-        telemetry: None,
-    }
+fn pipeline(seed: u64) -> PipelineBuilder {
+    Pipeline::builder(detector_cfg()).seed(seed).workers(2)
 }
 
-fn fresh_mux(seed: u64, cfg: MuxConfig) -> Mux {
-    Mux::new(StreamEngine::new(engine_cfg(seed)).unwrap(), cfg)
+/// Run `builder` to completion into a memory sink: the summary plus
+/// every delivered event.
+fn run(builder: PipelineBuilder) -> (PipelineSummary, Vec<Event>) {
+    let sink = MemorySink::new();
+    let summary = builder.sink(sink.clone()).build().unwrap().run().unwrap();
+    (summary, sink.events())
 }
 
 /// CSV text: `bags` bags of 20 rows each, with a level shift at
@@ -57,27 +55,6 @@ fn csv_text(bags: usize, change_at: usize, salt: u64, header: bool) -> String {
         }
     }
     s
-}
-
-fn drive_to_done(mux: &mut Mux) -> Vec<Event> {
-    let mut events = Vec::new();
-    for _ in 0..10_000 {
-        let report = mux.tick().unwrap();
-        events.extend(mux.drain_events());
-        if report.checkpoint_due {
-            // The host-side durable-checkpoint protocol: deliver the
-            // barrier-flushed events, then commit.
-            events.extend(mux.flush_events().unwrap());
-            mux.checkpoint_now().unwrap();
-        }
-        if report.done {
-            return events;
-        }
-        if report.idle {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-    panic!("mux never drained");
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -100,17 +77,16 @@ fn points_of<'a>(
 #[test]
 fn line_sources_match_standalone_detectors_bit_for_bit() {
     let seed = 11;
-    let mut mux = fresh_mux(seed, MuxConfig::default());
+    let mut builder = pipeline(seed);
     for s in 0..4u64 {
         let text = csv_text(12, 6, s, s % 2 == 0);
-        mux.add_source(Box::new(LineSource::new(
+        builder = builder.source(ThreadedLineSource::spawn(
             Cursor::new(text.into_bytes()),
             format!("mem-{s}"),
             format!("stream-{s}"),
-        )));
+        ));
     }
-    let mut events = drive_to_done(&mut mux);
-    events.extend(mux.finish().unwrap().events);
+    let (_, events) = run(builder);
 
     let detector = Detector::new(detector_cfg()).unwrap();
     for s in 0..4u64 {
@@ -139,30 +115,30 @@ fn dir_source_serves_one_stream_per_file_and_picks_up_new_files() {
 
     // Watch mode: the directory is re-scanned, so a file written
     // mid-session joins the fleet (and the source never reports Done).
-    let mut mux = fresh_mux(3, MuxConfig::default());
-    mux.add_source(Box::new(DirSource::new(
-        dir.to_string_lossy().into_owned(),
-        true,
-    )));
-    // First tick discovers a+b; write a third file mid-session.
-    let _ = mux.tick().unwrap();
+    let sink = MemorySink::new();
+    let mut pipeline = pipeline(3)
+        .source(DirSource::new(dir.to_string_lossy().into_owned(), true))
+        .sink(sink.clone())
+        .build()
+        .unwrap();
+    // First step discovers a+b; write a third file mid-session.
+    let _ = pipeline.step().unwrap();
     std::fs::write(dir.join("c.csv"), csv_text(9, 99, 3, true)).unwrap();
-    // 9 bags, window 5: 4 points per stream stream while tailing (the
-    // trailing bag stays pending until finish completes it).
-    let mut events = Vec::new();
+    // 9 bags, window 5: 4 points per stream while tailing (the trailing
+    // bag stays pending until finish completes it).
     for _ in 0..1000 {
-        let _ = mux.tick().unwrap();
-        events.extend(mux.drain_events());
-        let done: Vec<_> = ["a", "b", "c"]
+        let _ = pipeline.step().unwrap();
+        let events = sink.events();
+        if ["a", "b", "c"]
             .iter()
-            .filter(|n| points_of(&events, n).count() >= 4)
-            .collect();
-        if done.len() == 3 {
+            .all(|n| points_of(&events, n).count() >= 4)
+        {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    events.extend(mux.finish().unwrap().events);
+    pipeline.finish().unwrap();
+    let events = sink.events();
     for name in ["a", "b", "c"] {
         assert_eq!(points_of(&events, name).count(), 5, "stream {name}");
     }
@@ -174,13 +150,8 @@ fn dir_source_without_watch_drains_and_completes() {
     let dir = tmp_dir("dir_drain");
     std::fs::write(dir.join("a.csv"), csv_text(9, 99, 1, true)).unwrap();
     std::fs::write(dir.join("b.csv"), csv_text(9, 99, 2, true)).unwrap();
-    let mut mux = fresh_mux(3, MuxConfig::default());
-    mux.add_source(Box::new(DirSource::new(
-        dir.to_string_lossy().into_owned(),
-        false,
-    )));
-    let mut events = drive_to_done(&mut mux);
-    events.extend(mux.finish().unwrap().events);
+    let (_, events) =
+        run(pipeline(3).source(DirSource::new(dir.to_string_lossy().into_owned(), false)));
     for name in ["a", "b"] {
         assert_eq!(points_of(&events, name).count(), 5, "stream {name}");
     }
@@ -195,28 +166,30 @@ fn quarantine_isolates_bad_stream_and_keeps_siblings_alive() {
     // Backwards time.
     std::fs::write(dir.join("back.csv"), "t,x\n5,0.1\n4,0.2\n").unwrap();
 
-    let mut mux = fresh_mux(3, MuxConfig::default());
-    mux.add_source(Box::new(DirSource::new(
-        dir.to_string_lossy().into_owned(),
-        false,
-    )));
-    let mut events = drive_to_done(&mut mux);
-    let finish = mux.finish().unwrap();
-    events.extend(finish.events);
+    let (summary, events) =
+        run(pipeline(3).source(DirSource::new(dir.to_string_lossy().into_owned(), false)));
 
-    assert_eq!(finish.quarantined.len(), 2, "{:?}", finish.quarantined);
-    let mut quarantined: Vec<&str> = finish
+    assert_eq!(summary.quarantined.len(), 2, "{:?}", summary.quarantined);
+    let mut quarantined: Vec<&str> = summary
         .quarantined
         .iter()
         .map(|q| q.stream.as_ref())
         .collect();
     quarantined.sort_unstable();
     assert_eq!(quarantined, ["back", "bad"]);
-    assert!(finish
+    assert!(summary
         .quarantined
         .iter()
         .any(|q| q.error.to_string().contains("bad coordinate")
             || q.error.to_string().contains("bad time")));
+    // Each quarantine also reached the sinks as an event.
+    assert_eq!(
+        events
+            .iter()
+            .filter(|e| matches!(e, Event::Quarantine(_)))
+            .count(),
+        2
+    );
     // The good stream is untouched.
     assert_eq!(points_of(&events, "good").count(), 5);
 }
@@ -226,21 +199,22 @@ fn strict_mode_fails_fast_on_the_first_data_error() {
     let dir = tmp_dir("strict");
     let path = dir.join("bad.csv");
     std::fs::write(&path, "t,x\n5,0.1\n4,0.2\n").unwrap();
-    let mut mux = fresh_mux(
-        3,
-        MuxConfig {
-            strict: true,
-            ..Default::default()
-        },
-    );
-    mux.add_source(Box::new(CsvFileSource::new(
-        path.to_string_lossy().into_owned(),
-        "s",
-        false,
-    )));
+    let mut pipeline = pipeline(3)
+        .strict(true)
+        .source(CsvFileSource::new(
+            path.to_string_lossy().into_owned(),
+            "s",
+            false,
+        ))
+        .build()
+        .unwrap();
     let err = (0..100)
-        .find_map(|_| mux.tick().err())
-        .expect("strict mux must surface the error");
+        .find_map(|_| pipeline.step().err())
+        .expect("a strict pipeline must surface the error");
+    assert!(
+        matches!(err, stream::PipelineError::Source(_)),
+        "strict data errors are source failures: {err:?}"
+    );
     assert!(err.to_string().contains("time went backwards"), "{err}");
 }
 
@@ -249,80 +223,68 @@ fn periodic_checkpoints_fire_by_bags_and_by_ticks() {
     let dir = tmp_dir("policy");
     let input = dir.join("in.csv");
     // Big enough to span several 512-line polls, so the by-bags policy
-    // fires on multiple distinct ticks (checkpoints land at batch
-    // boundaries — one per tick at most).
+    // fires on multiple distinct steps (checkpoints land at batch
+    // boundaries — one per step at most).
     std::fs::write(&input, csv_text(60, 99, 1, true)).unwrap();
+    let source = || CsvFileSource::new(input.to_string_lossy().into_owned(), "s", false);
     let state = dir.join("state.snap");
 
-    let mut mux = fresh_mux(
-        3,
-        MuxConfig {
-            policy: CheckpointPolicy {
+    let (summary, _) = run(pipeline(3)
+        .checkpoint(
+            CheckpointPolicy {
                 every_bags: Some(5),
                 every_ticks: None,
             },
-            state_path: Some(state.clone()),
-            strict: false,
-        },
-    );
-    mux.add_source(Box::new(CsvFileSource::new(
-        input.to_string_lossy().into_owned(),
-        "s",
-        false,
-    )));
-    drive_to_done(&mut mux);
-    let finish = mux.finish().unwrap();
-    // ~25 bags per 512-line tick, 59 completed bags -> at least two
+            &state,
+        )
+        .source(source()));
+    // ~25 bags per 512-line step, 59 completed bags -> at least two
     // periodic checkpoints plus the final one.
     assert!(
-        finish.checkpoints_written >= 3,
+        summary.checkpoints >= 3,
         "{} checkpoints",
-        finish.checkpoints_written
+        summary.checkpoints
     );
     assert!(state.exists());
-    assert!(finish.checkpoint_bytes.is_some());
+    assert!(summary.checkpoint_bytes.is_some());
 
-    // Tick-based trigger: every tick writes (even idle ones).
+    // Tick-based trigger: a due checkpoint commits inside the step that
+    // raised it, after the points it covers reached the sink.
     let state2 = dir.join("state2.snap");
-    let mut mux = fresh_mux(
-        3,
-        MuxConfig {
-            policy: CheckpointPolicy {
+    let sink = MemorySink::new();
+    let mut pipeline = pipeline(3)
+        .checkpoint(
+            CheckpointPolicy {
                 every_bags: None,
                 every_ticks: Some(1),
             },
-            state_path: Some(state2.clone()),
-            strict: false,
-        },
+            &state2,
+        )
+        .source(source())
+        .sink(sink.clone())
+        .build()
+        .unwrap();
+    let step = pipeline.step().unwrap();
+    assert!(step.bags > 4, "the first step completes a window");
+    assert!(state2.exists(), "the due checkpoint commits within step()");
+    let events = sink.events();
+    let Some(Event::CheckpointWritten { bags, .. }) = events.last() else {
+        panic!("the commit is announced last: {events:?}");
+    };
+    assert_eq!(*bags, step.bags as u64);
+    // Window 5: every bag pushed before the commit has been evaluated
+    // and delivered ahead of the announcement.
+    assert_eq!(
+        points_of(&events, "s").count() as u64,
+        bags - 4,
+        "the commit covers only delivered points"
     );
-    mux.add_source(Box::new(CsvFileSource::new(
-        input.to_string_lossy().into_owned(),
-        "s",
-        false,
-    )));
-    // The tick itself never writes — it raises checkpoint_due for the
-    // host's flush-deliver-commit protocol; an unhandled flag is
-    // auto-written at the start of the next tick.
-    let report = mux.tick().unwrap();
-    assert!(report.checkpoint_due);
-    assert_eq!(mux.checkpoints_written(), 0, "host commits, not tick()");
-    mux.checkpoint_now().unwrap();
-    assert_eq!(mux.checkpoints_written(), 1);
-    // Ignore the flag this time: the next tick auto-writes (announced
-    // through the unified event stream, not a side channel).
-    let report = mux.tick().unwrap();
-    assert!(report.checkpoint_due);
-    mux.drain_events();
-    let _ = mux.tick().unwrap();
+    let summary = pipeline.finish().unwrap();
     assert!(
-        mux.drain_events()
-            .iter()
-            .any(|e| matches!(e, Event::CheckpointWritten { .. })),
-        "unhandled flag auto-writes"
+        summary.checkpoints >= 2,
+        "{} checkpoints",
+        summary.checkpoints
     );
-    assert!(mux.checkpoints_written() >= 2);
-    assert!(state2.exists());
-    mux.finish().unwrap();
 }
 
 #[test]
@@ -331,6 +293,7 @@ fn unapplied_resume_cursor_survives_checkpoint_rewrite() {
     // cursor forward verbatim — a checkpoint rewrite while the file is
     // missing must not clobber the stream's saved position.
     use stream::ingest::StreamCursor;
+    use stream::{EngineConfig, StreamEngine};
     let dir = tmp_dir("cursor_carry");
     let state = dir.join("state.snap");
 
@@ -342,29 +305,33 @@ fn unapplied_resume_cursor_survives_checkpoint_rewrite() {
         quarantined: false,
     };
     let cursors = vec![("s".to_string(), saved.clone())];
-    let engine = StreamEngine::new(engine_cfg(1)).unwrap();
-    let mut mux = Mux::new(engine, MuxConfig::default());
-    let snapshot = mux.engine_mut().snapshot().unwrap();
-    let bytes = stream::ingest::checkpoint::encode_checkpoint(&cursors, &snapshot);
-
-    let mut mux = Mux::restore(
-        &bytes,
-        engine_cfg(1),
-        MuxConfig {
-            state_path: Some(state.clone()),
-            ..Default::default()
-        },
-    )
+    let mut engine = StreamEngine::new(EngineConfig {
+        detector: detector_cfg(),
+        seed: 1,
+        ..EngineConfig::default()
+    })
     .unwrap();
+    let snapshot = engine.snapshot().unwrap();
+    engine.shutdown();
+    let bytes = stream::ingest::checkpoint::encode_checkpoint(&cursors, &snapshot);
+    std::fs::write(&state, bytes).unwrap();
+
     // The file does not exist: the first poll fails and (non-strict)
-    // the source is dropped — but its cursor must persist.
-    mux.add_source(Box::new(CsvFileSource::new(
-        dir.join("missing.csv").to_string_lossy().into_owned(),
-        "s",
-        false,
-    )));
-    let _ = mux.tick().unwrap();
-    mux.checkpoint_now().unwrap();
+    // the source is dropped — but its cursor must persist through the
+    // final checkpoint.
+    let (_, events) = run(pipeline(1)
+        .checkpoint(CheckpointPolicy::disabled(), &state)
+        .source(CsvFileSource::new(
+            dir.join("missing.csv").to_string_lossy().into_owned(),
+            "s",
+            false,
+        )));
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, Event::Note(n) if n.contains("failed and was dropped"))),
+        "{events:?}"
+    );
     let (rewritten, _) =
         stream::ingest::checkpoint::decode_checkpoint(&std::fs::read(&state).unwrap()).unwrap();
     let carried = rewritten
@@ -383,16 +350,10 @@ fn dir_source_skips_non_file_csv_entries_with_a_note() {
     // never fed to the engine, and never take its siblings down.
     std::fs::create_dir_all(dir.join("broken.csv")).unwrap();
 
-    let mut mux = fresh_mux(3, MuxConfig::default());
-    mux.add_source(Box::new(DirSource::new(
-        dir.to_string_lossy().into_owned(),
-        false,
-    )));
-    let mut events = drive_to_done(&mut mux);
-    let finish = mux.finish().unwrap();
-    events.extend(finish.events.iter().cloned());
+    let (summary, events) =
+        run(pipeline(3).source(DirSource::new(dir.to_string_lossy().into_owned(), false)));
 
-    assert!(finish.quarantined.is_empty(), "{:?}", finish.quarantined);
+    assert!(summary.quarantined.is_empty(), "{:?}", summary.quarantined);
     assert!(
         events
             .iter()
@@ -424,59 +385,31 @@ fn checkpoint_resume_matches_uninterrupted_run() {
     let b = dir.join("b.csv");
     let state = dir.join("state.snap");
 
-    let add_sources = |mux: &mut Mux| {
+    let session = |seed: u64, state: &std::path::Path| {
+        let mut builder = pipeline(seed).checkpoint(CheckpointPolicy::disabled(), state);
         for (path, name) in [(&a, "a"), (&b, "b")] {
-            mux.add_source(Box::new(CsvFileSource::new(
+            builder = builder.source(CsvFileSource::new(
                 path.to_string_lossy().into_owned(),
                 name,
                 false,
-            )));
+            ));
         }
+        run(builder).1
     };
 
     // Session 1: the truncated inputs, ending in a checkpoint.
     std::fs::write(&a, &cut_a).unwrap();
     std::fs::write(&b, &cut_b).unwrap();
-    let mut mux = fresh_mux(
-        9,
-        MuxConfig {
-            state_path: Some(state.clone()),
-            ..Default::default()
-        },
-    );
-    add_sources(&mut mux);
-    let mut got = drive_to_done(&mut mux);
-    got.extend(mux.finish().unwrap().events);
+    let mut got = session(9, &state);
 
-    // Session 2: the files have grown; resume from the checkpoint.
+    // Session 2: the files have grown; resume from the checkpoint (the
+    // master seed comes from the snapshot).
     std::fs::write(&a, &full_a).unwrap();
     std::fs::write(&b, &full_b).unwrap();
-    let bytes = std::fs::read(&state).unwrap();
-    let mut mux = Mux::restore(
-        &bytes,
-        engine_cfg(0), // master seed comes from the snapshot
-        MuxConfig {
-            state_path: Some(state.clone()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    add_sources(&mut mux);
-    got.extend(drive_to_done(&mut mux));
-    got.extend(mux.finish().unwrap().events);
+    got.extend(session(0, &state));
 
     // Reference: one uninterrupted checkpointing session.
-    let ref_state = dir.join("ref.snap");
-    let mut mux = fresh_mux(
-        9,
-        MuxConfig {
-            state_path: Some(ref_state),
-            ..Default::default()
-        },
-    );
-    add_sources(&mut mux);
-    let mut expected = drive_to_done(&mut mux);
-    expected.extend(mux.finish().unwrap().events);
+    let expected = session(9, &dir.join("ref.snap"));
 
     for name in ["a", "b"] {
         let e: Vec<_> = points_of(&expected, name).cloned().collect();
@@ -489,8 +422,6 @@ fn checkpoint_resume_matches_uninterrupted_run() {
 fn tcp_source_routes_interleaved_streams_and_quarantines_per_stream() {
     let tcp = TcpSource::bind("127.0.0.1:0", false).unwrap();
     let addr = tcp.local_addr().unwrap();
-    let mut mux = fresh_mux(3, MuxConfig::default());
-    mux.add_source(Box::new(tcp));
 
     let writer = std::thread::spawn(move || {
         let mut sock = std::net::TcpStream::connect(addr).unwrap();
@@ -505,15 +436,13 @@ fn tcp_source_routes_interleaved_streams_and_quarantines_per_stream() {
         sock.write_all(b"z,5,1.0\nz,3,0.5\nz,6,1.0\n").unwrap();
     });
 
-    let mut events = drive_to_done(&mut mux);
+    let (summary, events) = run(pipeline(3).source(tcp));
     writer.join().unwrap();
-    let finish = mux.finish().unwrap();
-    events.extend(finish.events);
 
     assert_eq!(points_of(&events, "x").count(), 5, "9 bags, window 5");
     assert_eq!(points_of(&events, "y").count(), 5);
-    assert_eq!(finish.quarantined.len(), 1);
-    assert_eq!(finish.quarantined[0].stream.as_ref(), "z");
+    assert_eq!(summary.quarantined.len(), 1);
+    assert_eq!(summary.quarantined[0].stream.as_ref(), "z");
 }
 
 #[test]
@@ -797,40 +726,36 @@ fn tcp_hostile_unique_names_cannot_grow_bookkeeping_without_bound() {
 }
 
 /// Satellite of the telemetry layer: a fleet where *every* stream
-/// quarantines must not grow the mux's retained-record list without
-/// bound — retention is capped at the most recent
+/// quarantines must not grow the pipeline's retained-record list
+/// without bound — retention is capped at the most recent
 /// [`RETAINED_QUARANTINES`] records, while the full count survives in
 /// `quarantined_total` and the telemetry counter.
 #[test]
 fn quarantine_retention_is_capped_but_counted_in_full() {
-    use stream::ingest::RETAINED_QUARANTINES;
     use stream::telemetry::names;
-    use stream::MetricsRegistry;
+    use stream::{MetricsRegistry, RETAINED_QUARANTINES};
 
-    let registry = MetricsRegistry::new();
-    let mut mux = fresh_mux(1, MuxConfig::default());
-    mux.set_telemetry(&registry);
+    let dir = tmp_dir("retention");
     let n = RETAINED_QUARANTINES + 17;
     for s in 0..n {
-        // One malformed row per stream: quarantined on first poll.
-        mux.add_source(Box::new(LineSource::new(
-            Cursor::new("0,oops\n".to_string()),
-            format!("mem-{s}"),
-            format!("s{s:04}"),
-        )));
+        // One malformed row per stream: quarantined on first poll, in
+        // file-name order.
+        std::fs::write(dir.join(format!("s{s:04}.csv")), "0,oops\n").unwrap();
     }
-    drive_to_done(&mut mux);
-    let finish = mux.finish().unwrap();
+    let registry = MetricsRegistry::new();
+    let (summary, _) = run(pipeline(1)
+        .metrics(registry.clone())
+        .source(DirSource::new(dir.to_string_lossy().into_owned(), false)));
 
-    assert_eq!(finish.quarantined.len(), RETAINED_QUARANTINES);
-    assert_eq!(finish.quarantined_total, n as u64);
+    assert_eq!(summary.quarantined.len(), RETAINED_QUARANTINES);
+    assert_eq!(summary.quarantined_total, n as u64);
     // The *most recent* records are the ones retained.
     assert_eq!(
-        finish.quarantined.last().unwrap().stream.as_ref(),
+        summary.quarantined.last().unwrap().stream.as_ref(),
         format!("s{:04}", n - 1)
     );
     assert_eq!(
-        finish.quarantined[0].stream.as_ref(),
+        summary.quarantined[0].stream.as_ref(),
         format!("s{:04}", n - RETAINED_QUARANTINES)
     );
     let counted = registry

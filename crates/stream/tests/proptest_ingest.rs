@@ -1,13 +1,14 @@
 //! Property tests of ingestion determinism: however many sources are
-//! interleaved through the `Mux`, each stream's emitted points must be
-//! bit-identical to feeding that stream alone through a standalone
-//! `OnlineDetector` — and killing + resuming from a checkpoint at any
-//! batch boundary must be lossless.
+//! interleaved through the `Pipeline`, each stream's emitted points
+//! must be bit-identical to feeding that stream alone through a
+//! standalone `OnlineDetector` — and killing + resuming from a
+//! checkpoint at any batch boundary must be lossless.
 
 use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, SignatureMethod};
 use proptest::prelude::*;
-use stream::ingest::{CsvFileSource, LineSource, Mux, MuxConfig};
-use stream::{derive_stream_seed, EngineConfig, Event, OnlineDetector, StreamEngine};
+use stream::ingest::{CheckpointPolicy, CsvFileSource, ThreadedLineSource};
+use stream::sink::MemorySink;
+use stream::{derive_stream_seed, Event, OnlineDetector, Pipeline, PipelineBuilder};
 
 use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,16 +26,10 @@ fn detector_cfg() -> DetectorConfig {
     }
 }
 
-fn engine_cfg(seed: u64, workers: usize) -> EngineConfig {
-    EngineConfig {
-        detector: detector_cfg(),
-        seed,
-        workers,
-        queue_capacity: 256,
-        batch_size: 32,
-        event_capacity: 4096,
-        telemetry: None,
-    }
+fn pipeline(seed: u64, workers: usize) -> PipelineBuilder {
+    Pipeline::builder(detector_cfg())
+        .seed(seed)
+        .workers(workers)
 }
 
 /// One generated stream: a name plus per-bag row counts and level
@@ -77,23 +72,11 @@ fn csv_for(stream: &GenStream, upto: usize) -> String {
     s
 }
 
-fn drive(mux: &mut Mux) -> Vec<Event> {
-    let mut events = Vec::new();
-    for _ in 0..10_000 {
-        let report = mux.tick().unwrap();
-        events.extend(mux.drain_events());
-        if report.checkpoint_due {
-            events.extend(mux.flush_events().unwrap());
-            mux.checkpoint_now().unwrap();
-        }
-        if report.done {
-            return events;
-        }
-        if report.idle {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-    panic!("mux never drained");
+/// Run `builder` to completion; every event it delivered.
+fn run(builder: PipelineBuilder) -> Vec<Event> {
+    let sink = MemorySink::new();
+    builder.sink(sink.clone()).build().unwrap().run().unwrap();
+    sink.events()
 }
 
 fn points_by_stream(events: &[Event], name: &str) -> Vec<bagcpd::ScorePoint> {
@@ -110,26 +93,24 @@ static CASE: AtomicU64 = AtomicU64::new(0);
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any set of streams interleaved through the Mux produces, per
-    /// stream, exactly the points a solo detector produces.
+    /// Any set of streams interleaved through the pipeline produces,
+    /// per stream, exactly the points a solo detector produces.
     #[test]
-    fn mux_interleaving_matches_solo_detectors(
+    fn pipeline_interleaving_matches_solo_detectors(
         streams in streams_strategy(1..4),
         master_seed in 0u64..1000,
         workers in 1usize..4,
     ) {
-        let engine = StreamEngine::new(engine_cfg(master_seed, workers)).unwrap();
-        let mut mux = Mux::new(engine, MuxConfig::default());
+        let mut builder = pipeline(master_seed, workers);
         for s in &streams {
             let text = csv_for(s, s.bags.len());
-            mux.add_source(Box::new(LineSource::new(
+            builder = builder.source(ThreadedLineSource::spawn(
                 Cursor::new(text.into_bytes()),
                 format!("mem:{}", s.name),
                 s.name.clone(),
-            )));
+            ));
         }
-        let mut events = drive(&mut mux);
-        events.extend(mux.finish().unwrap().events);
+        let events = run(builder);
 
         let detector = Detector::new(detector_cfg()).unwrap();
         for s in &streams {
@@ -172,18 +153,19 @@ proptest! {
             .iter()
             .map(|s| dir.join(format!("{}.csv", s.name)))
             .collect();
-        let add_sources = |mux: &mut Mux| {
+        // A checkpointing session over the csv files; a state file
+        // that exists is resumed (its master seed wins).
+        let session = |seed: u64, state: &std::path::Path| {
+            let mut builder =
+                pipeline(seed, 2).checkpoint(CheckpointPolicy::disabled(), state);
             for (s, p) in streams.iter().zip(&paths) {
-                mux.add_source(Box::new(CsvFileSource::new(
+                builder = builder.source(CsvFileSource::new(
                     p.to_string_lossy().into_owned(),
                     s.name.clone(),
                     false,
-                )));
+                ));
             }
-        };
-        let state_cfg = |p: &std::path::Path| MuxConfig {
-            state_path: Some(p.to_path_buf()),
-            ..Default::default()
+            run(builder)
         };
 
         // Session 1: truncated inputs (an arbitrary per-stream batch
@@ -192,31 +174,19 @@ proptest! {
             let cut = ((s.bags.len() as f64) * cut_frac).ceil() as usize;
             std::fs::write(p, csv_for(s, cut.clamp(1, s.bags.len()))).unwrap();
         }
-        let engine = StreamEngine::new(engine_cfg(master_seed, 2)).unwrap();
-        let mut mux = Mux::new(engine, state_cfg(&state));
-        add_sources(&mut mux);
-        let mut got = drive(&mut mux);
-        got.extend(mux.finish().unwrap().events);
+        let mut got = session(master_seed, &state);
 
         // Session 2: the inputs have grown to full length; resume.
         for (s, p) in streams.iter().zip(&paths) {
             std::fs::write(p, csv_for(s, s.bags.len())).unwrap();
         }
-        let bytes = std::fs::read(&state).unwrap();
-        let mut mux = Mux::restore(&bytes, engine_cfg(0, 2), state_cfg(&state)).unwrap();
-        add_sources(&mut mux);
-        got.extend(drive(&mut mux));
-        got.extend(mux.finish().unwrap().events);
+        got.extend(session(0, &state));
 
         // Reference: one uninterrupted checkpointing session.
         for (s, p) in streams.iter().zip(&paths) {
             std::fs::write(p, csv_for(s, s.bags.len())).unwrap();
         }
-        let engine = StreamEngine::new(engine_cfg(master_seed, 2)).unwrap();
-        let mut mux = Mux::new(engine, state_cfg(&ref_state));
-        add_sources(&mut mux);
-        let mut expected = drive(&mut mux);
-        expected.extend(mux.finish().unwrap().events);
+        let expected = session(master_seed, &ref_state);
 
         for s in &streams {
             prop_assert_eq!(

@@ -375,15 +375,30 @@ fn drain_grace_holds_the_session_open_across_reconnects() {
 }
 
 // ---------------------------------------------------------------------
-// Mux integration: Retire items release engine state (and are counted
-// and announced), and queue pressure reaches every source each tick.
+// Pipeline integration: Retire items release engine state (and are
+// counted and announced), and queue pressure reaches every source each
+// tick.
 // ---------------------------------------------------------------------
 
-#[test]
-fn mux_retires_evicted_streams_and_announces_it() {
+/// The detector the pipeline tests run (window 5, histogram signature).
+fn detector() -> bagcpd::DetectorConfig {
     use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
-    use stream::ingest::{Mux, MuxConfig};
-    use stream::{EngineConfig, Event, StreamEngine};
+    DetectorConfig {
+        tau: 3,
+        tau_prime: 2,
+        signature: SignatureMethod::Histogram { width: 0.5 },
+        bootstrap: BootstrapConfig {
+            replicates: 24,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+#[test]
+fn pipeline_retires_evicted_streams_and_announces_it() {
+    use stream::sink::MemorySink;
+    use stream::{Event, Pipeline};
 
     let clock = Clock::manual();
     let registry = MetricsRegistry::with_clock(clock.clone());
@@ -391,28 +406,15 @@ fn mux_retires_evicted_streams_and_announces_it() {
     tcp.set_evict_idle(Duration::from_secs(60));
     tcp.set_drain_grace(Duration::ZERO);
     let addr = tcp.local_addr().unwrap();
-    let engine = StreamEngine::new(EngineConfig {
-        detector: DetectorConfig {
-            tau: 3,
-            tau_prime: 2,
-            signature: SignatureMethod::Histogram { width: 0.5 },
-            bootstrap: BootstrapConfig {
-                replicates: 24,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-        seed: 7,
-        workers: 1,
-        queue_capacity: 256,
-        batch_size: 32,
-        event_capacity: 4096,
-        telemetry: None,
-    })
-    .unwrap();
-    let mut mux = Mux::new(engine, MuxConfig::default());
-    mux.set_telemetry(&registry);
-    mux.add_source(Box::new(tcp));
+    let sink = MemorySink::new();
+    let mut pipeline = Pipeline::builder(detector())
+        .seed(7)
+        .workers(1)
+        .metrics(registry.clone())
+        .source(tcp)
+        .sink(sink.clone())
+        .build()
+        .unwrap();
 
     let mut sock = TcpStream::connect(addr).unwrap();
     for t in 0..3 {
@@ -420,13 +422,11 @@ fn mux_retires_evicted_streams_and_announces_it() {
         writeln!(sock, "live,{t},0.5").unwrap();
     }
     sock.flush().unwrap();
-    // Tick until both streams' lines are in.
-    let mut events: Vec<Event> = Vec::new();
+    // Step until both streams' lines are in.
     let deadline = Instant::now() + DEADLINE;
     while metric(&registry, "bagscpd_ingest_rows_total") < 6.0 {
         assert!(Instant::now() < deadline, "lines never arrived");
-        let _ = mux.tick().unwrap();
-        events.extend(mux.drain_events());
+        let _ = pipeline.step().unwrap();
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -437,28 +437,23 @@ fn mux_retires_evicted_streams_and_announces_it() {
     let deadline = Instant::now() + DEADLINE;
     while metric(&registry, "bagscpd_ingest_streams_evicted_total") < 1.0 {
         assert!(Instant::now() < deadline, "eviction never routed");
-        let _ = mux.tick().unwrap();
-        events.extend(mux.drain_events());
+        let _ = pipeline.step().unwrap();
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    // The eviction reaches the host's event stream as a note, and the
-    // returning stream is accepted fresh (t=0 again) without error.
+    // The eviction reaches the sinks as a note, and the returning
+    // stream is accepted fresh (t=0 again) without error.
     writeln!(sock, "idle,0,0.7").unwrap();
     writeln!(sock, "idle,1,0.7").unwrap();
     drop(sock);
     let deadline = Instant::now() + DEADLINE;
-    loop {
-        let report = mux.tick().unwrap();
-        events.extend(mux.drain_events());
-        if report.done {
-            break;
-        }
-        assert!(Instant::now() < deadline, "mux never drained");
+    while !pipeline.step().unwrap().done {
+        assert!(Instant::now() < deadline, "pipeline never drained");
         std::thread::sleep(Duration::from_millis(1));
     }
-    events.extend(mux.flush_events().unwrap());
+    pipeline.finish().unwrap();
 
+    let events = sink.events();
     assert!(
         events.iter().any(|e| matches!(
             e,
@@ -478,7 +473,7 @@ fn mux_retires_evicted_streams_and_announces_it() {
     );
 }
 
-/// A source that records every pressure report the mux hands it.
+/// A source that records every pressure report the pipeline hands it.
 struct PressureProbe {
     loads: std::sync::Arc<std::sync::Mutex<Vec<f64>>>,
     polls: u32,
@@ -507,39 +502,23 @@ impl Source for PressureProbe {
 }
 
 #[test]
-fn mux_reports_queue_pressure_to_sources_before_every_poll() {
-    use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
-    use stream::ingest::{Mux, MuxConfig};
-    use stream::{EngineConfig, StreamEngine};
+fn pipeline_reports_queue_pressure_to_sources_before_every_poll() {
+    use stream::Pipeline;
 
-    let engine = StreamEngine::new(EngineConfig {
-        detector: DetectorConfig {
-            tau: 3,
-            tau_prime: 2,
-            signature: SignatureMethod::Histogram { width: 0.5 },
-            bootstrap: BootstrapConfig {
-                replicates: 24,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-        seed: 7,
-        workers: 1,
-        queue_capacity: 256,
-        batch_size: 32,
-        event_capacity: 4096,
-        telemetry: None,
-    })
-    .unwrap();
     let loads = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    let mut mux = Mux::new(engine, MuxConfig::default());
-    mux.add_source(Box::new(PressureProbe {
-        loads: loads.clone(),
-        polls: 0,
-    }));
+    let mut pipeline = Pipeline::builder(detector())
+        .seed(7)
+        .workers(1)
+        .source(PressureProbe {
+            loads: loads.clone(),
+            polls: 0,
+        })
+        .build()
+        .unwrap();
     for _ in 0..3 {
-        let _ = mux.tick().unwrap();
+        let _ = pipeline.step().unwrap();
     }
+    pipeline.finish().unwrap();
     let loads = loads.lock().unwrap();
     assert_eq!(loads.len(), 3, "one report per poll");
     assert!(

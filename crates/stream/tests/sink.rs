@@ -4,7 +4,7 @@
 //! undelivered output").
 
 use bagcpd::{BootstrapConfig, DetectorConfig, ScorePoint, SignatureMethod};
-use stream::ingest::{CsvFileSource, LineSource, MemorySource};
+use stream::ingest::{CsvFileSource, MemorySource, ThreadedLineSource};
 use stream::sink::{CsvSchema, CsvSink, MemorySink, Sink, Tee};
 use stream::{derive_stream_seed, CheckpointPolicy, Event, OnlineDetector, Pipeline};
 
@@ -177,7 +177,7 @@ fn csv_sink_schemas_reproduce_legacy_bytes_for_fixed_points() {
 
 #[test]
 fn follow_shaped_pipeline_is_byte_identical_to_legacy_follow_output() {
-    // A whole pipeline (LineSource -> engine -> CsvSink) must emit the
+    // A whole pipeline (line source -> engine -> CsvSink) must emit the
     // same bytes the old hand-rolled follow loop printed: header first
     // (even with no points), then one legacy row per point.
     let text = csv_text(9, 5, 1, true);
@@ -193,7 +193,11 @@ fn follow_shaped_pipeline_is_byte_identical_to_legacy_follow_output() {
         .workers(1)
         .strict(true)
         .stream_seed("s", seed)
-        .source(LineSource::new(Cursor::new(text.into_bytes()), "mem", "s"))
+        .source(ThreadedLineSource::spawn(
+            Cursor::new(text.into_bytes()),
+            "mem",
+            "s",
+        ))
         .sink(Tee::new(
             CsvSink::with_schema(SharedBuf(csv.clone()), CsvSchema::legacy_stdout(false)),
             sink.clone(),
@@ -509,6 +513,57 @@ fn flush_durable_failure_blocks_the_commit_even_after_delivery() {
         !state.exists(),
         "a checkpoint must not be committed before flush_durable succeeds"
     );
+}
+
+#[test]
+fn flush_durable_failure_blocks_the_final_commit() {
+    // Periodic checkpoints off: the only commit is the one `finish`
+    // takes, and it too must wait for every sink's flush_durable.
+    let dir = tmp_dir("fault_final_flush");
+    let input = fault_fixture(&dir);
+    let state = dir.join("state.snap");
+    let final_only =
+        || fault_pipeline(&input, &state).checkpoint(CheckpointPolicy::disabled(), &state);
+
+    let delivered = Arc::new(Mutex::new(Vec::new()));
+    let mut pipeline = final_only()
+        .sink(NoFlushSink {
+            delivered: delivered.clone(),
+        })
+        .build()
+        .unwrap();
+    while !pipeline.step().unwrap().done {}
+    let err = pipeline
+        .finish()
+        .expect_err("an unflushable sink must fail the wind-down");
+    assert!(matches!(err, stream::PipelineError::Sink(_)), "{err}");
+    assert!(
+        !delivered.lock().unwrap().is_empty(),
+        "delivery itself succeeded"
+    );
+    assert!(
+        !state.exists(),
+        "the final checkpoint must not be committed before flush_durable succeeds"
+    );
+
+    // A healthy re-run reproduces every point.
+    let sink = MemorySink::new();
+    final_only()
+        .sink(sink.clone())
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    let replayed = points_by_t(&sink.events());
+    let reference = reference_points(&csv_text(39, 99, 1, true), 5);
+    assert_eq!(
+        replayed.len(),
+        reference.len(),
+        "39 pushed bags (hold-back)"
+    );
+    for p in &reference {
+        assert_eq!(replayed.get(&p.t), Some(p), "t = {}", p.t);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -163,7 +163,7 @@ fn pipeline_summary_snapshot_covers_every_layer() {
         metric(&summary, names::ENGINE_POINTS),
         summary.points as f64
     );
-    // Ingest layer: the mux routed the same bags, from parsed rows.
+    // Ingest layer: the pipeline routed the same bags, from parsed rows.
     assert_eq!(metric(&summary, names::INGEST_BAGS), 16.0);
     // Solver layer: scoring ran EMD solves and timed each one.
     assert!(metric(&summary, &format!("{}_count", names::SOLVER_SOLVE_SECONDS)) > 0.0);

@@ -16,7 +16,7 @@
 //! one typed event stream, and the session checkpoints on shutdown. A
 //! second pipeline pointed at the same state file resumes the fleet
 //! bit-identically: the restart loses nothing, and no host-side
-//! engine/mux plumbing is involved.
+//! engine plumbing is involved.
 
 use bags_cpd::stats::{seeded_rng, GaussianMixture1d};
 use bags_cpd::stream::ingest::MemorySource;

@@ -735,6 +735,18 @@ fn read_bags(path: &str) -> Result<Vec<Bag>, String> {
 /// only its explicitly pinned seed matters).
 const BATCH_STREAM: &str = "cli-batch";
 
+/// The batch stream's source: the bags [`read_bags`] returns, in time
+/// order, numbered 0, 1, 2, … — shared by batch runs and by
+/// `replay --diff` of a batch recording, so both see the same bags.
+fn batch_source(bags: Vec<Bag>) -> MemorySource {
+    MemorySource::bags(
+        BATCH_STREAM,
+        bags.into_iter()
+            .enumerate()
+            .map(|(t, bag)| (t as i64, bag.into_points())),
+    )
+}
+
 fn run_batch(opts: &Options) -> Result<(), String> {
     build_detector(opts)?; // validate the configuration up front
     let bags = read_bags(&opts.input)?;
@@ -756,20 +768,13 @@ fn run_batch(opts: &Options) -> Result<(), String> {
         .to_string());
     }
 
-    let source = MemorySource::bags(
-        BATCH_STREAM,
-        bags.into_iter()
-            .enumerate()
-            .map(|(t, bag)| (t as i64, bag.into_points())),
-    );
-
     // Stdout keeps the legacy no-xi layout; --output gets the canonical
     // single-stream schema (with xi, full precision) — both are now the
     // same CsvSink with declared elisions instead of divergent writers.
     let collected = MemorySink::new();
     let mut builder = pipeline_builder(opts, 1, true)
         .stream_seed(BATCH_STREAM, opts.seed)
-        .source(source)
+        .source(batch_source(bags))
         .sink(CsvSink::with_schema(
             std::io::stdout(),
             CsvSchema::legacy_stdout(false),
@@ -975,14 +980,14 @@ fn run_serve(opts: &Options) -> Result<(), String> {
         builder = builder.serve_metrics(addr.clone());
     }
 
-    let mut pipeline = builder.build().map_err(|e| e.to_string())?;
+    let pipeline = builder.build().map_err(|e| e.to_string())?;
     if let Some(local) = pipeline.metrics_addr() {
         eprintln!("metrics: listening on {local} (GET /metrics)");
     }
     // A restored engine keeps the snapshot's master seed regardless of
     // --seed; surface a real conflict (any checkpoint, not just ones
     // with a follow stream).
-    let master_seed = pipeline.engine_mut().master_seed();
+    let master_seed = pipeline.master_seed();
     if opts.seed_explicit && master_seed != opts.seed {
         eprintln!(
             "warning: --seed {} ignored; the checkpoint continues under seed {master_seed}",
@@ -1077,14 +1082,19 @@ fn run_replay_diff(opts: &Options, log: &str) -> Result<(), String> {
         // Batch/follow recordings name their one stream internally
         // ("cli-batch"/"cli-follow"): alias the live stream to the
         // log's single recorded name so the diff lines up, and pin its
-        // seed to --seed exactly as batch/follow do.
+        // seed to --seed exactly as batch/follow do. A batch recording
+        // re-reads its input the way batch did (sorted by time, equal
+        // times merged), which follow's tailing reader would refuse.
         let live = match recorded.as_slice() {
             [only] => only.clone(),
             _ => FOLLOW_STREAM.to_string(),
         };
-        builder = builder
-            .stream_seed(live.clone(), opts.seed)
-            .source(CsvFileSource::new(&opts.input, live, false));
+        builder = builder.stream_seed(live.clone(), opts.seed);
+        builder = if live == BATCH_STREAM {
+            builder.source(batch_source(read_bags(&opts.input)?))
+        } else {
+            builder.source(CsvFileSource::new(&opts.input, live, false))
+        };
     }
     builder = add_csv_sources(builder, &opts.csvs, false)?;
     if let Some(dir) = &opts.dir {

@@ -1216,3 +1216,82 @@ fn fault_tolerance_flags_are_validated() {
         assert!(stderr.contains(want), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn replay_diff_rereads_a_batch_recording_of_out_of_order_input() {
+    // Batch sorts rows by time and merges equal times wherever they
+    // appear, so it accepts input an online reader refuses as "time
+    // went backwards". `replay --diff` of a batch recording must read
+    // the input the way batch did.
+    let dir = std::env::temp_dir().join("bags_cpd_cli_replay_unordered");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let x = |t: usize, i: usize| {
+        let u = (i as f64 + 0.5) / 16.0 - 0.5;
+        if t < 8 {
+            u
+        } else {
+            6.0 * u.signum() + u
+        }
+    };
+    // 16 bags of 16 rows: bags in descending time, and bag pairs 0/1,
+    // 2/3, … interleaved row by row.
+    let descending: Vec<(usize, usize)> = (0..16)
+        .rev()
+        .flat_map(|t| (0..16).map(move |i| (t, i)))
+        .collect();
+    let interleaved: Vec<(usize, usize)> = (0..16)
+        .step_by(2)
+        .flat_map(|p| (0..16).flat_map(move |i| [(p, i), (p + 1, i)]))
+        .collect();
+    let args = [
+        "--tau",
+        "3",
+        "--tau-prime",
+        "3",
+        "--replicates",
+        "50",
+        "--seed",
+        "7",
+    ];
+    for (name, layout) in [("descending", descending), ("interleaved", interleaved)] {
+        let input = dir.join(format!("{name}.csv"));
+        let log = dir.join(format!("{name}.slog"));
+        let _ = std::fs::remove_file(&log);
+        let mut text = String::from("t,x\n");
+        for (t, i) in layout {
+            text.push_str(&format!("{t},{}\n", x(t, i)));
+        }
+        std::fs::write(&input, text).expect("write csv");
+
+        let out = bin()
+            .arg(&input)
+            .args(args)
+            .arg("--score-log")
+            .arg(&log)
+            .output()
+            .expect("batch runs");
+        assert!(
+            out.status.success(),
+            "{name}: batch: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let out = bin()
+            .args(["replay", "--diff"])
+            .arg(&log)
+            .arg(&input)
+            .args(args)
+            .output()
+            .expect("replay runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: replay --diff: {stderr}");
+        // 16 bags, window 6: 11 points, every one reproduced bit for bit.
+        assert!(
+            stderr.contains("11 compared (11 bit-equal, 0 within eps 0, 0 diverged)"),
+            "{name}: {stderr}"
+        );
+        assert!(
+            stderr.contains("0 recorded point(s) not reproduced"),
+            "{name}: {stderr}"
+        );
+    }
+}
