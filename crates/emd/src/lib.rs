@@ -8,8 +8,9 @@
 //! well-defined for signatures of unequal total mass — exactly the
 //! situation with bags of varying size.
 //!
-//! The solver is a from-scratch transportation simplex
-//! (northwest-corner initialization, MODI/u-v optimality test,
+//! The solver is a from-scratch transportation simplex (an initial basis
+//! chosen by tableau size — the northwest corner below 128 cells, the
+//! least-cost rule from there on — then MODI/u-v optimality tests and
 //! stepping-stone pivots with Bland's anti-cycling fallback). Unequal
 //! masses are balanced with a zero-cost slack node, the textbook
 //! reduction. The basis is kept across pivots as a rooted spanning tree,

@@ -6,21 +6,25 @@
 //! 2. the unbalanced problem is balanced with a zero-cost slack node on
 //!    the deficit side (the textbook reduction — slack flow is "not
 //!    transported" mass, which Eq. 11 permits);
-//! 3. an initial basic feasible solution comes from the northwest-corner
-//!    rule (which yields exactly `m + n - 1` basic cells including
-//!    degenerate zero-flow ones);
+//! 3. an initial basic feasible solution of exactly `m + n - 1` basic
+//!    cells (degenerate zero-flow ones included) comes from a start
+//!    chosen by the tableau's size: the northwest-corner rule below 128
+//!    cells, which covers every pair of signatures of up to 8 atoms, and
+//!    the least-cost rule from there on, which starts a large tableau
+//!    far fewer pivots from the optimum;
 //! 4. MODI (u-v) optimality testing with stepping-stone pivots improves
 //!    it to optimality. Entering variables are chosen by most-negative
 //!    reduced cost, switching to Bland's smallest-index rule after a
 //!    grace period so cycling under degeneracy is impossible. The basis
 //!    is kept as one spanning tree rooted at row 0 — the network
-//!    simplex's representation, built by the northwest-corner rule
-//!    itself. A pivot finds its cycle by walking the entering cell's two
-//!    endpoints up to where they meet, re-hangs the subtree that the
-//!    leaving cell cuts off under the entering cell, and recomputes
-//!    depths and potentials inside that subtree only. A potential
-//!    depends only on its node's path to the root, so it is
-//!    bit-identical to a recomputation over the whole tree.
+//!    simplex's representation, hung from the start's cells by one tree
+//!    builder whichever start produced them. A pivot finds its cycle by
+//!    walking the entering cell's two endpoints up to where they meet,
+//!    re-hangs the subtree that the leaving cell cuts off under the
+//!    entering cell, and recomputes depths and potentials inside that
+//!    subtree only. A potential depends only on its node's path to the
+//!    root, so it is bit-identical to a recomputation over the whole
+//!    tree.
 //!
 //! There is exactly one solver body, and it runs entirely out of a
 //! [`TransportScratch`]: the allocating [`solve_transportation`] is a
@@ -68,6 +72,13 @@ struct BasicCell {
 /// Absent tree link (no parent, child or sibling).
 const NONE: usize = usize::MAX;
 
+/// Balanced tableaus of at least this many cells start from the
+/// least-cost rule, smaller ones from the northwest corner. Every pair of
+/// signatures of up to 8 atoms stays below it (at most 8 × 9 cells with a
+/// slack line), and keeps the northwest corner's pivots and bits; on
+/// larger tableaus the least-cost start saves more pivots than it costs.
+const LEAST_COST_MIN_CELLS: usize = 128;
+
 /// A node of the basis tree. Rows are nodes `0..m` and columns
 /// `m..m + n`; each basic cell is the edge between its row and column.
 #[derive(Debug, Clone, Copy)]
@@ -99,10 +110,12 @@ impl TreeNode {
 
 /// Every buffer the transportation simplex touches, reusable across
 /// solves: the filtered row/column index maps, the balanced tableau
-/// (costs and marginals), the basic-cell set, the basis tree with its
-/// MODI potentials, and the stepping-stone path. The basis tree is kept
-/// across pivots rather than rebuilt: a pivot touches only the cycle it
-/// closes and the subtree it moves. One scratch serves problems of any
+/// (costs and marginals), the least-cost start's live lines and row
+/// minima, the basic-cell set, the basis tree with the incidence lists
+/// it is hung from and its MODI potentials, and the stepping-stone path.
+/// The basis tree is kept across pivots rather than rebuilt: a pivot
+/// touches only the cycle it closes and the subtree it moves. One
+/// scratch serves problems of any
 /// shape — buffers are resized (never shrunk) per solve, so after the
 /// largest problem has been seen once, further solves allocate nothing.
 ///
@@ -117,14 +130,25 @@ pub struct TransportScratch {
     cols: Vec<usize>,
     /// Balanced cost matrix, row-major `m x n` (slack cells cost zero).
     c: Vec<f64>,
-    /// Balanced supplies (consumed by the northwest-corner rule).
+    /// Balanced supplies (consumed by the initial basic solution).
     a: Vec<f64>,
-    /// Balanced demands (consumed by the northwest-corner rule).
+    /// Balanced demands (consumed by the initial basic solution).
     b: Vec<f64>,
+    /// Least-cost start: whether each row node (`0..m`) and column node
+    /// (`m..m + n`) is still live, i.e. not yet crossed out.
+    live: Vec<bool>,
+    /// Least-cost start: each live row's cheapest live column.
+    row_min: Vec<usize>,
     /// Basic cells of the current tableau (`m + n - 1` of them).
     basis: Vec<BasicCell>,
     /// Membership mask over tableau cells.
     is_basic: Vec<bool>,
+    /// Head of each tree node's list of incident basic cells, read once
+    /// to hang the initial basis from row 0.
+    incident: Vec<usize>,
+    /// Next entry in those lists: entry `2k` is basic cell `k` in its
+    /// row's list, entry `2k + 1` the same cell in its column's list.
+    next_incident: Vec<usize>,
     /// The basis as a spanning tree over the `m + n` row and column
     /// nodes, rooted at row 0.
     tree: Vec<TreeNode>,
@@ -241,9 +265,9 @@ pub(crate) fn solve_cost_flow(
     Ok(finish(scratch, &dims, |_, _, _| {}))
 }
 
-/// The single solver body: filter, balance, northwest-corner start, and
-/// MODI/stepping-stone pivots to optimality, leaving the optimal basis
-/// (and index maps) in `scratch`.
+/// The single solver body: filter, balance, a northwest-corner or
+/// least-cost start by tableau size, and MODI/stepping-stone pivots to
+/// optimality, leaving the optimal basis (and index maps) in `scratch`.
 ///
 /// `bland_after` overrides the anti-cycling grace period (iterations of
 /// most-negative-reduced-cost selection before switching to Bland's
@@ -322,10 +346,15 @@ fn solve_core(
         }
     }
 
-    // The marginals are working copies: the northwest-corner rule
-    // consumes them in place (nothing reads them afterwards).
-    northwest_corner(&mut s.a, &mut s.b, &mut s.basis, &mut s.tree);
+    // The marginals are working copies: the start consumes them in
+    // place (nothing reads them afterwards).
+    if m * n >= LEAST_COST_MIN_CELLS {
+        least_cost(s);
+    } else {
+        northwest_corner(&mut s.a, &mut s.b, &mut s.basis);
+    }
     debug_assert_eq!(s.basis.len(), m + n - 1);
+    build_tree(s);
 
     let max_iters = (200 * (m + n) * (m + n)).max(2000);
     let bland_after = bland_after.unwrap_or(max_iters / 2);
@@ -465,27 +494,14 @@ fn tableau_index(cell: &BasicCell, n: usize) -> usize {
 /// Northwest-corner initial basic feasible solution: exactly
 /// `m + n - 1` basic cells (some possibly zero-flow). Consumes the
 /// marginals in place.
-///
-/// The staircase is also the first basis tree, rooted at row 0: each
-/// cell hangs one node — column 0 for the first cell, then the row or
-/// column the corner advanced into — under the node it shares with the
-/// previous cell.
-fn northwest_corner(
-    a: &mut [f64],
-    b: &mut [f64],
-    cells: &mut Vec<BasicCell>,
-    tree: &mut Vec<TreeNode>,
-) {
+fn northwest_corner(a: &mut [f64], b: &mut [f64], cells: &mut Vec<BasicCell>) {
     let m = a.len();
     let n = b.len();
     cells.clear();
     cells.reserve(m + n - 1);
-    tree.clear();
-    tree.resize(m + n, TreeNode::DETACHED);
-    let (mut i, mut j, mut node, mut parent) = (0usize, 0usize, m, 0usize);
+    let (mut i, mut j) = (0usize, 0usize);
     loop {
         let f = a[i].min(b[j]).max(0.0);
-        link(tree, node, parent, cells.len());
         cells.push(BasicCell { i, j, flow: f });
         a[i] -= f;
         b[j] -= f;
@@ -496,11 +512,132 @@ fn northwest_corner(
         // direction remains legal.
         if i + 1 < m && (j + 1 == n || a[i] <= b[j]) {
             i += 1;
-            (node, parent) = (i, m + j);
         } else {
             j += 1;
-            (node, parent) = (m + j, i);
         }
+    }
+}
+
+/// Least-cost initial basic feasible solution for the balanced tableau
+/// in `s`: exactly `m + n - 1` basic cells (some possibly zero-flow).
+/// Consumes the marginals in place.
+///
+/// Each fill takes the cheapest cell whose row and column are both live
+/// — slack cells after every real cell, ties to the smaller row-major
+/// index — and crosses out exactly one of its lines: the row when it
+/// empties or when its column is the last live one, unless the row is
+/// the last live row; otherwise the column. Both lines go only at the
+/// last fill. Each crossed line hangs, as a leaf, on the cell's other
+/// line, which stays live, so the cells span even where flows are zero.
+///
+/// Nothing is sorted: each live row keeps its cheapest live column, and
+/// only the rows whose column was just crossed out look again.
+fn least_cost(s: &mut TransportScratch) {
+    let TransportScratch {
+        rows,
+        cols,
+        c,
+        a,
+        b,
+        live,
+        row_min,
+        basis: cells,
+        ..
+    } = s;
+    let (m, n) = (a.len(), b.len());
+    let (real_rows, real_cols) = (rows.len(), cols.len());
+    let key = |i: usize, j: usize| {
+        if i < real_rows && j < real_cols {
+            c[i * n + j]
+        } else {
+            f64::INFINITY
+        }
+    };
+    live.clear();
+    live.resize(m + n, true);
+    row_min.clear();
+    row_min.extend((0..m).map(|i| first_min((0..n).map(|j| (j, key(i, j))))));
+    cells.clear();
+    cells.reserve(m + n - 1);
+    let (mut live_rows, mut live_cols) = (m, n);
+    loop {
+        let i = first_min((0..m).filter(|&i| live[i]).map(|i| (i, key(i, row_min[i]))));
+        let j = row_min[i];
+        let f = a[i].min(b[j]).max(0.0);
+        cells.push(BasicCell { i, j, flow: f });
+        a[i] -= f;
+        b[j] -= f;
+        if live_rows == 1 && live_cols == 1 {
+            break;
+        }
+        if live_rows > 1 && (live_cols == 1 || a[i] <= b[j]) {
+            live[i] = false;
+            live_rows -= 1;
+        } else {
+            live[m + j] = false;
+            live_cols -= 1;
+            for r in 0..m {
+                if live[r] && row_min[r] == j {
+                    row_min[r] = first_min((0..n).filter(|&j| live[m + j]).map(|j| (j, key(r, j))));
+                }
+            }
+        }
+    }
+}
+
+/// The first index of `keyed` whose key is smallest (`NONE` if empty).
+fn first_min(keyed: impl Iterator<Item = (usize, f64)>) -> usize {
+    let (mut best, mut best_key) = (NONE, f64::INFINITY);
+    for (x, k) in keyed {
+        if best == NONE || k < best_key {
+            (best, best_key) = (x, k);
+        }
+    }
+    best
+}
+
+/// Hang the `m + n - 1` basic cells of a start, which span the `m` row
+/// and `n` column nodes, from row 0 as the basis tree: each node links
+/// under its neighbour on the path to the root, joined by the cell
+/// between them. Depths and potentials are [`relabel`]'s. A node's
+/// parent, depth and potential depend only on the cells and the root,
+/// not on the sibling order this walk leaves, so neither does a pivot.
+fn build_tree(s: &mut TransportScratch) {
+    let TransportScratch {
+        a,
+        basis: cells,
+        incident,
+        next_incident,
+        tree,
+        ..
+    } = s;
+    let (m, nodes) = (a.len(), cells.len() + 1);
+    incident.clear();
+    incident.resize(nodes, NONE);
+    next_incident.clear();
+    next_incident.resize(2 * cells.len(), NONE);
+    for (k, cell) in cells.iter().enumerate() {
+        for (entry, x) in [(2 * k, cell.i), (2 * k + 1, m + cell.j)] {
+            next_incident[entry] = incident[x];
+            incident[x] = entry;
+        }
+    }
+    tree.clear();
+    tree.resize(nodes, TreeNode::DETACHED);
+    // Walk the tree in preorder while it grows: a node hangs its other
+    // neighbours as its children before the walk moves past it.
+    let mut x = 0;
+    while x != NONE {
+        let mut entry = incident[x];
+        while entry != NONE {
+            let (k, cell) = (entry / 2, cells[entry / 2]);
+            if k != tree[x].edge {
+                let child = if entry % 2 == 0 { m + cell.j } else { cell.i };
+                link(tree, child, x, k);
+            }
+            entry = next_incident[entry];
+        }
+        x = preorder_next(tree, x, 0);
     }
 }
 
@@ -596,7 +733,7 @@ fn rehang(tree: &mut [TreeNode], top: usize, anchor: usize, cut: usize, edge: us
 /// root.
 fn relabel(s: &mut TransportScratch, n: usize, top: usize) {
     let mut x = top;
-    loop {
+    while x != NONE {
         let node = s.tree[x];
         if node.parent == NONE {
             s.tree[x].depth = 0;
@@ -606,19 +743,24 @@ fn relabel(s: &mut TransportScratch, n: usize, top: usize) {
             s.tree[x].depth = s.tree[node.parent].depth + 1;
             s.potential[x] = s.c[cell.i * n + cell.j] - s.potential[node.parent];
         }
-        // Next in preorder: the first child, else the next sibling of
-        // the nearest node (up to `top`) that has one.
-        if node.first_child != NONE {
-            x = node.first_child;
-            continue;
-        }
-        while x != top && s.tree[x].next == NONE {
-            x = s.tree[x].parent;
-        }
-        if x == top {
-            return;
-        }
-        x = s.tree[x].next;
+        x = preorder_next(&s.tree, x, top);
+    }
+}
+
+/// The node after `x` in a preorder walk of the subtree under `top`: the
+/// first child, else the next sibling of the nearest node (up to `top`)
+/// that has one; `NONE` once the walk is done.
+fn preorder_next(tree: &[TreeNode], mut x: usize, top: usize) -> usize {
+    if tree[x].first_child != NONE {
+        return tree[x].first_child;
+    }
+    while x != top && tree[x].next == NONE {
+        x = tree[x].parent;
+    }
+    if x == top {
+        NONE
+    } else {
+        tree[x].next
     }
 }
 
@@ -792,14 +934,45 @@ mod tests {
         );
     }
 
+    /// The northwest corner's cells on marginals `a` and `b`, checked
+    /// to hang from row 0 as one spanning tree.
+    fn nw_corner_cells(a: &[f64], b: &[f64]) -> Vec<BasicCell> {
+        let mut s = TransportScratch::new();
+        s.a.extend_from_slice(a);
+        s.b.extend_from_slice(b);
+        northwest_corner(&mut s.a, &mut s.b, &mut s.basis);
+        build_tree(&mut s);
+        assert_spanning_tree(&s.basis, &s.tree, a.len());
+        s.basis
+    }
+
+    /// The least-cost start's cells `(i, j, flow)` on an `a.len() x
+    /// b.len()` tableau whose leading `real` rows and columns are real
+    /// (the rest is a slack line), checked to hang from row 0 as one
+    /// spanning tree.
+    fn least_cost_cells(
+        costs: &[f64],
+        a: &[f64],
+        b: &[f64],
+        real: (usize, usize),
+    ) -> Vec<(usize, usize, f64)> {
+        let mut s = TransportScratch::new();
+        s.rows.extend(0..real.0);
+        s.cols.extend(0..real.1);
+        s.c.extend_from_slice(costs);
+        s.a.extend_from_slice(a);
+        s.b.extend_from_slice(b);
+        least_cost(&mut s);
+        assert_eq!(s.basis.len(), a.len() + b.len() - 1);
+        build_tree(&mut s);
+        assert_spanning_tree(&s.basis, &s.tree, a.len());
+        s.basis.iter().map(|c| (c.i, c.j, c.flow)).collect()
+    }
+
     #[test]
     fn nw_corner_cell_count() {
-        let mut a = [1.0, 2.0, 3.0];
-        let mut b = [2.0, 2.0, 2.0];
-        let (mut cells, mut tree) = (Vec::new(), Vec::new());
-        northwest_corner(&mut a, &mut b, &mut cells, &mut tree);
+        let cells = nw_corner_cells(&[1.0, 2.0, 3.0], &[2.0, 2.0, 2.0]);
         assert_eq!(cells.len(), 5);
-        assert_spanning_tree(&cells, &tree, 3);
         let total: f64 = cells.iter().map(|c| c.flow).sum();
         assert!((total - 6.0).abs() < 1e-12);
     }
@@ -807,14 +980,53 @@ mod tests {
     #[test]
     fn nw_corner_degenerate_ties() {
         // Supplies exactly match demands pairwise -> degenerate cells.
-        let mut a = [2.0, 2.0];
-        let mut b = [2.0, 2.0];
-        let (mut cells, mut tree) = (Vec::new(), Vec::new());
-        northwest_corner(&mut a, &mut b, &mut cells, &mut tree);
+        let cells = nw_corner_cells(&[2.0, 2.0], &[2.0, 2.0]);
         assert_eq!(cells.len(), 3);
-        assert_spanning_tree(&cells, &tree, 2);
         let total: f64 = cells.iter().map(|c| c.flow).sum();
         assert!((total - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn least_cost_fills_cheapest_live_cell_first() {
+        // Three cells cost 1; the smallest row-major index, (0, 1), goes
+        // first and empties row 0. Column 0 then empties before row 1,
+        // and the last live row takes what is left, ending on a
+        // zero-flow cell that keeps the basis a spanning tree.
+        let cells = least_cost_cells(
+            &[3.0, 1.0, 2.0, 1.0, 5.0, 1.0],
+            &[2.0, 3.0],
+            &[1.0, 2.0, 2.0],
+            (2, 3),
+        );
+        assert_eq!(cells, [(0, 1, 2.0), (1, 0, 1.0), (1, 2, 2.0), (1, 1, 0.0)]);
+    }
+
+    #[test]
+    fn least_cost_fills_slack_after_every_real_cell() {
+        // Excess supply 2 goes to a zero-cost slack column, which the
+        // rule reaches only once no real column is live.
+        let cells = least_cost_cells(
+            &[1.0, 4.0, 0.0, 2.0, 3.0, 0.0],
+            &[3.0, 3.0],
+            &[2.0, 2.0, 2.0],
+            (2, 2),
+        );
+        assert_eq!(cells, [(0, 0, 2.0), (1, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)]);
+        // A slack row likewise waits for every real row.
+        let cells = least_cost_cells(&[2.0, 1.0, 0.0, 0.0], &[1.0, 2.0], &[2.0, 1.0], (1, 2));
+        assert_eq!(cells, [(0, 1, 1.0), (1, 0, 2.0), (1, 1, 0.0)]);
+    }
+
+    #[test]
+    fn least_cost_spans_on_degenerate_marginals() {
+        // Equal marginals and tied costs: most fills empty a row and a
+        // column at once, and exactly one of them may go.
+        for (m, n) in [(1, 5), (5, 1), (4, 4), (6, 3), (12, 12)] {
+            let costs: Vec<f64> = (0..m * n).map(|k| (k % 3) as f64).collect();
+            let cells = least_cost_cells(&costs, &vec![n as f64; m], &vec![m as f64; n], (m, n));
+            let total: f64 = cells.iter().map(|c| c.2).sum();
+            assert_eq!(total, (m * n) as f64);
+        }
     }
 
     #[test]
@@ -927,25 +1139,26 @@ mod tests {
         assert!((flow - 6.0).abs() < 1e-12);
         assert!((cost - 18.0).abs() < 1e-12);
 
-        // A 24 x 24 assignment between the points of a 6 x 4 grid and the
-        // same points reordered (column j is point 5j mod 24): Euclidean
+        // A 10 x 10 assignment between the points of a 5 x 2 grid and the
+        // same points reordered (column j is point 3j mod 10): Euclidean
         // costs tie everywhere, and the zero-cost optimum lies far from
-        // the northwest corner's staircase, so the tree is re-hung on
-        // many degenerate Bland pivots.
-        let point = |k: usize| ((k % 6) as f64, (k / 6) as f64);
-        let grid: Vec<f64> = (0..24 * 24)
+        // the northwest corner's staircase (100 cells, below the
+        // least-cost start's threshold), so the tree is re-hung on many
+        // degenerate Bland pivots.
+        let point = |k: usize| ((k % 5) as f64, (k / 5) as f64);
+        let grid: Vec<f64> = (0..10 * 10)
             .map(|k| {
-                let ((x0, y0), (x1, y1)) = (point(k / 24), point(k % 24 * 5 % 24));
+                let ((x0, y0), (x1, y1)) = (point(k / 10), point(k % 10 * 3 % 10));
                 ((x0 - x1).powi(2) + (y0 - y1).powi(2)).sqrt()
             })
             .collect();
-        let ones24 = vec![1.0; 24];
+        let ones10 = vec![1.0; 10];
         let before = scratch.stats().pivots;
-        let dims = solve_core(&grid, &ones24, &ones24, &mut scratch, Some(0)).unwrap();
+        let dims = solve_core(&grid, &ones10, &ones10, &mut scratch, Some(0)).unwrap();
         let (cost, flow) = finish(&scratch, &dims, |_, _, _| {});
-        assert!(scratch.stats().pivots - before > 24, "expected many pivots");
-        assert_spanning_tree(&scratch.basis, &scratch.tree, 24);
-        assert!((flow - 24.0).abs() < 1e-12);
+        assert!(scratch.stats().pivots - before > 20, "expected many pivots");
+        assert_spanning_tree(&scratch.basis, &scratch.tree, 10);
+        assert!((flow - 10.0).abs() < 1e-12);
         assert!(cost.abs() < 1e-12, "bland cost {cost}");
 
         // And the default path agrees on the first instance.

@@ -40,7 +40,9 @@ pub struct EngineConfig {
     /// Master seed; each stream's seed is derived from it and the
     /// stream's name, independent of sharding.
     pub seed: u64,
-    /// Worker threads (streams are hash-sharded across them).
+    /// Worker threads (streams are hash-sharded across them). Defaults
+    /// to the machine's available parallelism, or 1 where that is
+    /// unknown.
     pub workers: usize,
     /// Bound of each worker's input queue. A full queue makes `push_id`
     /// wait — backpressure instead of unbounded buffering.
@@ -64,7 +66,7 @@ impl Default for EngineConfig {
         EngineConfig {
             detector: DetectorConfig::default(),
             seed: 0,
-            workers: 4,
+            workers: std::thread::available_parallelism().map_or(1, usize::from),
             queue_capacity: 1024,
             batch_size: 256,
             event_capacity: 65536,

@@ -66,6 +66,14 @@ fn bag_at(t: usize) -> Bag {
     Bag::from_scalars((0..24).map(move |i| level + ((i * 5 + t) % 9) as f64 * 0.25))
 }
 
+/// As [`bag_at`], over 24 distinct values instead of 9: enough for a
+/// 16-atom signature, whose pairs fill transport tableaus of more than
+/// 128 cells, where the solver starts from the least-cost rule.
+fn wide_bag_at(t: usize) -> Bag {
+    let level = (t % 4) as f64 * 0.3;
+    Bag::from_scalars((0..48).map(move |i| level + ((i * 5 + t) % 24) as f64 * 0.25))
+}
+
 /// Both scores: the nominal score and every replicate normalize their
 /// weights into the scratches `EvalScratch` carries, for Eq. 16 as for
 /// Eq. 17.
@@ -138,7 +146,9 @@ fn warm_push_allocates_exactly_nothing() {
 /// The same guarantee for every clustering signature method: once warm,
 /// the scratch-backed k-means/k-medoids/LVQ builds recycle the evicted
 /// signature's rows and the cluster scratch's buffers — zero heap
-/// events per push, exactly like the histogram path.
+/// events per push, exactly like the histogram path. The k = 16 case
+/// solves its EMDs from the least-cost start, whose live lines and row
+/// minima come from the transport scratch too.
 #[cfg(debug_assertions)]
 #[test]
 fn warm_clustering_push_allocates_exactly_nothing() {
@@ -146,10 +156,11 @@ fn warm_clustering_push_allocates_exactly_nothing() {
     const WARM: usize = 24;
     const MEASURED: usize = 16;
 
-    for method in [
-        SignatureMethod::KMeans { k: 4 },
-        SignatureMethod::KMedoids { k: 4 },
-        SignatureMethod::Lvq { k: 4 },
+    for (method, bag_at) in [
+        (SignatureMethod::KMeans { k: 4 }, bag_at as fn(usize) -> Bag),
+        (SignatureMethod::KMedoids { k: 4 }, bag_at),
+        (SignatureMethod::Lvq { k: 4 }, bag_at),
+        (SignatureMethod::KMeans { k: 16 }, wide_bag_at),
     ] {
         let detector = Detector::new(DetectorConfig {
             tau: 4,
@@ -189,6 +200,13 @@ fn warm_clustering_push_allocates_exactly_nothing() {
              signature's rows ({push_allocs} events over {MEASURED} \
              pushes)"
         );
+        if method == (SignatureMethod::KMeans { k: 16 }) {
+            let atoms: Vec<usize> = online.state().sigs.iter().map(|s| s.len()).collect();
+            assert!(
+                atoms.iter().all(|&n| n > 11),
+                "every signature pair must reach the least-cost start: atoms {atoms:?}"
+            );
+        }
     }
 }
 

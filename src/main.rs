@@ -671,12 +671,17 @@ fn build_detector(opts: &Options) -> Result<Detector, String> {
 }
 
 /// The shared pipeline shape: detection parameters, master seed, and
-/// the mode's checkpoint policy (when `--state` is set).
-fn pipeline_builder(opts: &Options, workers: usize, strict: bool) -> PipelineBuilder {
+/// the mode's checkpoint policy (when `--state` is set). A fleet (serve)
+/// runs the engine's default pool, one worker per available core, and
+/// quarantines a failing stream; a single stream (batch, follow) runs
+/// one worker and fails the run instead.
+fn pipeline_builder(opts: &Options, fleet: bool) -> PipelineBuilder {
     let mut builder = Pipeline::builder(detector_config(opts))
         .seed(opts.seed)
-        .workers(workers)
-        .strict(strict);
+        .strict(!fleet);
+    if !fleet {
+        builder = builder.workers(1);
+    }
     if let Some(state) = &opts.state {
         builder = builder.checkpoint(
             CheckpointPolicy {
@@ -772,7 +777,7 @@ fn run_batch(opts: &Options) -> Result<(), String> {
     // single-stream schema (with xi, full precision) — both are now the
     // same CsvSink with declared elisions instead of divergent writers.
     let collected = MemorySink::new();
-    let mut builder = pipeline_builder(opts, 1, true)
+    let mut builder = pipeline_builder(opts, false)
         .stream_seed(BATCH_STREAM, opts.seed)
         .source(batch_source(bags))
         .sink(CsvSink::with_schema(
@@ -808,7 +813,7 @@ fn run_batch(opts: &Options) -> Result<(), String> {
 
 fn run_follow(opts: &Options) -> Result<(), String> {
     build_detector(opts)?; // validate the configuration up front
-    let mut builder = pipeline_builder(opts, 1, true)
+    let mut builder = pipeline_builder(opts, false)
         // A fresh follow stream is seeded with --seed *directly* (not
         // the derived multi-stream scheme), keeping follow bit-identical
         // to batch analysis; on resume the established seed wins.
@@ -943,7 +948,7 @@ fn run_serve(opts: &Options) -> Result<(), String> {
         stdout_sink = Box::new(RetryingSink::new(stdout_sink, policy).with_metrics(&registry));
     }
 
-    let mut builder = pipeline_builder(opts, 4, false)
+    let mut builder = pipeline_builder(opts, true)
         .metrics(registry)
         .sink_boxed(stdout_sink)
         .sink(StderrAlertSink::new(true));
@@ -1074,10 +1079,7 @@ fn run_replay_diff(opts: &Options, log: &str) -> Result<(), String> {
     // strict, seed pinned); --csv/--dir mirror serve (worker pool,
     // quarantine isolation, seeds derived from the master --seed).
     let multi = !opts.csvs.is_empty() || opts.dir.is_some();
-    let (workers, strict) = if multi { (4, false) } else { (1, true) };
-    let mut builder = pipeline_builder(opts, workers, strict)
-        .metrics(registry)
-        .sink(diff);
+    let mut builder = pipeline_builder(opts, multi).metrics(registry).sink(diff);
     if !opts.input.is_empty() {
         // Batch/follow recordings name their one stream internally
         // ("cli-batch"/"cli-follow"): alias the live stream to the
