@@ -136,8 +136,7 @@ impl OnlineFeatureSelector {
     pub fn transform_bag(&self, bag: &Bag) -> Bag {
         assert_eq!(bag.dim(), self.dim(), "transform_bag: dim mismatch");
         let points: Vec<Vec<f64>> = bag
-            .points()
-            .iter()
+            .rows()
             .map(|p| p.iter().zip(&self.weights).map(|(x, w)| x * w).collect())
             .collect();
         Bag::new(points)
@@ -172,7 +171,7 @@ pub fn per_dimension_scores(
     for c in 0..dim {
         let projected: Vec<Bag> = bags
             .iter()
-            .map(|b| Bag::new(b.points().iter().map(|p| vec![p[c]]).collect()))
+            .map(|b| Bag::from_scalars(b.rows().map(|p| p[c])))
             .collect();
         out.push(detector.score_series(&projected, seed ^ (c as u64) << 32)?);
     }
@@ -257,7 +256,7 @@ mod tests {
         }
         let bag = Bag::new(vec![vec![1.0, 1.0]]);
         let tb = sel.transform_bag(&bag);
-        assert!(tb.points()[0][0] > tb.points()[0][1]);
+        assert!(tb.coords()[0] > tb.coords()[1]);
         // Weight mean stays 1, so total scale is preserved.
         let mean: f64 = sel.weights().iter().sum::<f64>() / 2.0;
         assert!((mean - 1.0).abs() < 0.51, "mean weight {mean}");

@@ -34,7 +34,7 @@ impl GaussianFit {
         let d = bag.dim();
         let n = bag.len() as f64;
         let mut mean = vec![0.0; d];
-        for p in bag.points() {
+        for p in bag.rows() {
             for (m, &x) in mean.iter_mut().zip(p) {
                 *m += x;
             }
@@ -43,7 +43,7 @@ impl GaussianFit {
             *m /= n;
         }
         let mut var = vec![0.0; d];
-        for p in bag.points() {
+        for p in bag.rows() {
             for (v, (&x, &m)) in var.iter_mut().zip(p.iter().zip(&mean)) {
                 *v += (x - m) * (x - m);
             }

@@ -164,7 +164,8 @@ pub fn signature_at_with(
     let mut weights = scratch.weights.pop().unwrap_or_default();
     match method {
         SignatureMethod::KMeans { k } => kmeans_with(
-            bag.points(),
+            bag.coords(),
+            bag.dim(),
             &KMeansConfig::with_k(*k),
             &mut rng,
             &mut scratch.cluster,
@@ -172,7 +173,8 @@ pub fn signature_at_with(
             &mut weights,
         ),
         SignatureMethod::KMedoids { k } => kmedoids_with(
-            bag.points(),
+            bag.coords(),
+            bag.dim(),
             &KMedoidsConfig::with_k(*k),
             &mut rng,
             &mut scratch.cluster,
@@ -180,7 +182,8 @@ pub fn signature_at_with(
             &mut weights,
         ),
         SignatureMethod::Lvq { k } => lvq_quantize_with(
-            bag.points(),
+            bag.coords(),
+            bag.dim(),
             &LvqConfig::with_k(*k),
             &mut rng,
             &mut scratch.cluster,
@@ -194,7 +197,8 @@ pub fn signature_at_with(
             spec.width.clear();
             spec.width.resize(bag.dim(), *width);
             histogram_grid_with(
-                bag.points(),
+                bag.coords(),
+                bag.dim(),
                 spec,
                 &mut scratch.hist,
                 &mut centers,

@@ -4,10 +4,11 @@
 //! `serve --dir` takes) — the front-end's cost on top of the engine's
 //! `engine_bags_per_sec` trajectory.
 //!
-//! A `DirSource` keeps every file open until the run ends, so the
-//! 1,024-source case needs an open-file limit above 1,024
-//! (`ulimit -n 4096`). Under a lower limit the last files fail to
-//! open, and `run_pipeline` panics rather than time a partial run.
+//! A `DirSource` closes each file when it reaches EOF, and every file
+//! here is shorter than one poll's read budget, so each is opened, read
+//! and closed within one poll: the 1,024-source case runs under an
+//! open-file limit of 1,024. `run_pipeline` still panics rather than
+//! time a partial run if a file fails to open.
 
 use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

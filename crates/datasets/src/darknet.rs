@@ -210,7 +210,7 @@ mod tests {
             let mut hits = 0usize;
             let mut total = 0usize;
             for b in &data.bags[r] {
-                for p in b.points() {
+                for p in b.rows() {
                     total += 1;
                     let port = 2f64.powf(p[0]);
                     if [22.0, 23.0, 80.0, 443.0, 445.0, 3389.0]
@@ -234,7 +234,7 @@ mod tests {
             let mut hits = 0usize;
             let mut total = 0usize;
             for b in &data.bags[r] {
-                for p in b.points() {
+                for p in b.rows() {
                     total += 1;
                     if (2f64.powf(p[0]) - 445.0).abs() < 0.5 {
                         hits += 1;

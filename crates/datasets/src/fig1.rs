@@ -105,9 +105,8 @@ mod tests {
     fn regime_shapes_differ() {
         // Fraction of mass near zero distinguishes the three regimes.
         let data = generate(&Fig1Config::default(), &mut seeded_rng(3));
-        let near_zero = |bag: &Bag| {
-            bag.points().iter().filter(|p| p[0].abs() < 2.0).count() as f64 / bag.len() as f64
-        };
+        let near_zero =
+            |bag: &Bag| bag.rows().filter(|p| p[0].abs() < 2.0).count() as f64 / bag.len() as f64;
         let r1: f64 = data.bags[..50].iter().map(near_zero).sum::<f64>() / 50.0;
         let r2: f64 = data.bags[50..100].iter().map(near_zero).sum::<f64>() / 50.0;
         let r3: f64 = data.bags[100..].iter().map(near_zero).sum::<f64>() / 50.0;

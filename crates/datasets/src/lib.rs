@@ -113,6 +113,6 @@ mod tests {
         };
         let lb = lg.feature_bags(Feature::EdgeWeight);
         assert_eq!(lb.bags[0].len(), 1);
-        assert_eq!(lb.bags[0].points()[0], vec![0.0]);
+        assert_eq!(lb.bags[0].coords(), [0.0]);
     }
 }

@@ -167,7 +167,7 @@ mod tests {
     fn answers_stay_on_likert_scale() {
         let data = generate(&QuestionnaireConfig::default(), &mut seeded_rng(72));
         for b in &data.bags {
-            for p in b.points() {
+            for p in b.rows() {
                 assert!(p.iter().all(|&x| (1.0..=7.0).contains(&x)));
             }
         }
@@ -181,7 +181,7 @@ mod tests {
             let mut low = 0usize;
             let mut total = 0usize;
             for b in &data.bags[r] {
-                for p in b.points() {
+                for p in b.rows() {
                     total += 1;
                     if p[0] <= 3.0 {
                         low += 1;
@@ -205,7 +205,7 @@ mod tests {
         let stats_of = |r: std::ops::Range<usize>| {
             let vals: Vec<f64> = data.bags[r]
                 .iter()
-                .flat_map(|b| b.points().iter().map(|p| p[0]))
+                .flat_map(|b| b.rows().map(|p| p[0]))
                 .collect();
             let m = vals.iter().sum::<f64>() / vals.len() as f64;
             let v = vals.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / vals.len() as f64;

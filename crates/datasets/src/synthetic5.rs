@@ -172,7 +172,7 @@ mod tests {
         let all: Vec<f64> = data
             .bags
             .iter()
-            .flat_map(|b| b.points().iter().map(|p| p[0]))
+            .flat_map(|b| b.rows().map(|p| p[0]))
             .collect();
         let m = all.iter().sum::<f64>() / all.len() as f64;
         let v = all.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / all.len() as f64;
@@ -189,7 +189,7 @@ mod tests {
         let far: usize = data
             .bags
             .iter()
-            .flat_map(|b| b.points())
+            .flat_map(|b| b.rows())
             .filter(|p| (p[0] * p[0] + p[1] * p[1]).sqrt() > 4.0)
             .count();
         let frac = far as f64 / all as f64;

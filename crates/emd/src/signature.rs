@@ -59,15 +59,6 @@ impl Signature {
         Signature::new(vec![point], vec![1.0])
     }
 
-    /// Build from integer counts (the direct output of quantization).
-    ///
-    /// # Errors
-    /// As [`Signature::new`].
-    pub fn from_counts(points: Vec<Vec<f64>>, counts: &[u64]) -> Result<Self, EmdError> {
-        let weights = counts.iter().map(|&c| c as f64).collect();
-        Signature::new(points, weights)
-    }
-
     /// Dismantle the signature into its owned buffers, so a retiring
     /// signature's point vectors and weight buffer can be recycled into
     /// the next build instead of freed and re-allocated.
@@ -176,8 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn from_counts_converts() {
-        let s = Signature::from_counts(vec![vec![0.0], vec![1.0]], &[3, 5]).unwrap();
+    fn counts_as_weights() {
+        let counts = [3u64, 5];
+        let weights = counts.iter().map(|&c| c as f64).collect();
+        let s = Signature::new(vec![vec![0.0], vec![1.0]], weights).unwrap();
         assert_eq!(s.weights(), &[3.0, 5.0]);
     }
 

@@ -949,7 +949,8 @@ proptest! {
                     }
                 })
                 .collect();
-            Signature::from_counts(points, &counts).expect("valid signature")
+            let weights = counts.iter().map(|&c| c as f64).collect();
+            Signature::new(points, weights).expect("valid signature")
         };
         let (a, b) = (snap(a), snap(b));
         let costs: Vec<f64> = a

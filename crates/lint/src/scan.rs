@@ -181,6 +181,9 @@ pub fn scan(src: &str) -> Scanned<'_> {
     let mut expect: Option<&'static str> = None;
     let mut last_was_pub = false;
     let mut pending_pub = false;
+    // Unclosed `(` and `[` outside attributes: a `;` inside them (an
+    // array type `[f64; 4]` in a signature) does not end an item.
+    let mut nest = 0usize;
 
     let mut i = 0usize;
     while i < raw.len() {
@@ -226,6 +229,13 @@ pub fn scan(src: &str) -> Scanned<'_> {
             continue;
         }
 
+        if !word {
+            match text {
+                "(" | "[" => nest += 1,
+                ")" | "]" => nest = nest.saturating_sub(1),
+                _ => {}
+            }
+        }
         match (word, text) {
             (false, "#") => {
                 // Attribute opener if followed by `[` (or `![`, which we
@@ -309,7 +319,7 @@ pub fn scan(src: &str) -> Scanned<'_> {
                 pending_fn = None;
                 pending_mod = None;
             }
-            (false, ";") => {
+            (false, ";") if nest == 0 => {
                 // Item ended without a body (`mod foo;`, trait fn, …).
                 pending_mod = None;
                 pending_fn = None;
@@ -396,6 +406,20 @@ fn more_lib() { z.unwrap(); }
         let push = s.toks.iter().find(|t| t.text == "push").unwrap();
         let f = push.func.unwrap();
         assert_eq!(s.fns[f as usize], "outer::inner::target_with");
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_end_the_item() {
+        let src =
+            "fn pack(b: &mut Vec<[f64; 4]>) -> [u8; 2] { vec.push(1); }\nfn decl(x: [u8; 4]);";
+        let s = scan(src);
+        let push = s.toks.iter().find(|t| t.text == "push").unwrap();
+        assert_eq!(s.fns[push.func.unwrap() as usize], "pack");
+        assert_eq!(
+            s.fns,
+            ["pack"],
+            "a bodiless fn is still not a function scope"
+        );
     }
 
     #[test]

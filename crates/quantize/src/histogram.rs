@@ -8,6 +8,7 @@
 //! are omitted (that is what makes it a signature rather than a dense
 //! histogram).
 
+use crate::members;
 use std::collections::HashMap;
 
 /// Specification of a fixed-width binning of `R^d`.
@@ -58,9 +59,9 @@ impl HistogramScratch {
     }
 }
 
-/// Histogram a bag of `d`-dimensional points into occupied fixed-width
-/// bins, writing the bins' centers (first-seen order) and occupancies
-/// into `centers` and `weights`.
+/// Histogram a bag of `dim`-dimensional points (`points`, row-major)
+/// into occupied fixed-width bins, writing the bins' centers (first-seen
+/// order) and occupancies into `centers` and `weights`.
 ///
 /// A point `x` falls in the bin with index `floor((x_j - origin_j) /
 /// width_j)` in each dimension `j`, so bins are left-inclusive; a bin's
@@ -73,27 +74,24 @@ impl HistogramScratch {
 /// buffers are warm, a build performs zero heap allocations.
 ///
 /// # Panics
-/// Panics on an empty bag, dimension mismatches, or widths that are not
+/// Panics on an empty bag, a `dim` that does not divide `points` into
+/// whole rows, a spec of another dimension, or widths that are not
 /// finite and positive.
 pub fn histogram_grid_with(
-    points: &[Vec<f64>],
+    points: &[f64],
+    dim: usize,
     spec: &HistogramSpec,
     scratch: &mut HistogramScratch,
     centers: &mut Vec<Vec<f64>>,
     weights: &mut Vec<f64>,
 ) {
-    assert!(!points.is_empty(), "histogram: empty bag");
-    let d = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == d),
-        "histogram: inconsistent point dimensions"
-    );
-    spec.validate(d);
+    members(points, dim, "histogram");
+    spec.validate(dim);
     debug_assert!(scratch.bin_ids.is_empty(), "scratch drained after use");
 
     weights.clear();
     let mut used = 0usize; // bins discovered so far == centers filled
-    for p in points {
+    for p in points.chunks_exact(dim) {
         scratch.key.clear();
         for ((&x, &o), &w) in p.iter().zip(&spec.origin).zip(&spec.width) {
             scratch.key.push(((x - o) / w).floor() as i64);
@@ -129,19 +127,20 @@ pub fn histogram_grid_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::row_bits;
+    use crate::test_support::{flat, row_bits};
 
     /// One build through a fresh scratch and fresh output buffers, with
     /// the same `origin` and `width` in every dimension.
     fn fresh(points: &[Vec<f64>], origin: f64, width: f64) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let dim = points.first().map_or(1, Vec::len);
+        let (points, dim) = flat(points);
         let spec = HistogramSpec {
             origin: vec![origin; dim],
             width: vec![width; dim],
         };
         let (mut centers, mut weights) = (Vec::new(), Vec::new());
         histogram_grid_with(
-            points,
+            &points,
+            dim,
             &spec,
             &mut HistogramScratch::new(),
             &mut centers,
@@ -203,8 +202,10 @@ mod tests {
         };
         let pts = vec![vec![0.5, 5.0], vec![0.5, 9.0], vec![0.5, 15.0]];
         let (mut centers, mut weights) = (Vec::new(), Vec::new());
+        let (flat_pts, dim) = flat(&pts);
         histogram_grid_with(
-            &pts,
+            &flat_pts,
+            dim,
             &spec,
             &mut HistogramScratch::new(),
             &mut centers,
@@ -238,7 +239,15 @@ mod tests {
                 origin: vec![0.0; 2],
                 width: vec![0.75; 2],
             };
-            histogram_grid_with(&pts, &spec, &mut scratch, &mut centers, &mut weights);
+            let (flat_pts, dim) = flat(&pts);
+            histogram_grid_with(
+                &flat_pts,
+                dim,
+                &spec,
+                &mut scratch,
+                &mut centers,
+                &mut weights,
+            );
             let (fresh_centers, fresh_weights) = fresh(&pts, 0.0, 0.75);
             assert_eq!(row_bits(&centers), row_bits(&fresh_centers), "n={n}");
             assert_eq!(weights, fresh_weights, "n={n}");

@@ -4,7 +4,7 @@
 //! bag is clustered into `K` centers, and the per-center member counts
 //! become the signature weights `w_k`.
 
-use crate::{compact_non_empty, nearest_center, set_row, sq_dist, ClusterScratch};
+use crate::{compact_non_empty, members, row, set_row, sq_dist, ClusterScratch};
 use rand::Rng;
 
 /// Configuration for [`kmeans_with`].
@@ -39,9 +39,12 @@ impl KMeansConfig {
     }
 }
 
-/// Run k-means++ seeding and Lloyd iterations on `points`, writing the
-/// non-empty centers and their member counts (as `f64`) into `centers`
-/// and `weights`.
+/// Centers per block of the assignment kernel.
+pub(crate) const LANES: usize = 4;
+
+/// Run k-means++ seeding and Lloyd iterations on the `dim`-dimensional
+/// rows of `points` (row-major), writing the non-empty centers and their
+/// member counts (as `f64`) into `centers` and `weights`.
 ///
 /// The first center is a uniformly drawn bag member; each further one is
 /// drawn with probability proportional to the squared distance to the
@@ -51,44 +54,46 @@ impl KMeansConfig {
 /// keeps its stale center) until the total squared center movement is
 /// at most `cfg.tol` or `cfg.max_iters` is reached. Final counts are
 /// taken against the converged centers, and empty clusters are dropped
-/// in stable order, so `centers.len() <= min(k, points.len())`.
+/// in stable order, so `centers.len()` is at most `k` and at most the
+/// number of rows.
+///
+/// The assignment step and the final count score four centers per pass
+/// over a point; each distance is summed in dimension order and ties go
+/// to the lower center index, so every assignment is the one a
+/// center-by-center scan picks, and every center and weight keeps its
+/// bits.
 ///
 /// `centers`' existing inner vectors are reused in place, extras come
 /// from (and return to) the scratch's row pool; once the scratch and
 /// buffers are warm, a build performs zero heap allocations.
 ///
 /// # Panics
-/// Panics if `points` is empty, `cfg.k == 0`, or points have inconsistent
-/// dimension.
+/// Panics if `points` is empty, `cfg.k == 0`, or `dim` does not divide
+/// `points` into whole rows.
 pub fn kmeans_with(
-    points: &[Vec<f64>],
+    points: &[f64],
+    dim: usize,
     cfg: &KMeansConfig,
     rng: &mut impl Rng,
     scratch: &mut ClusterScratch,
     centers: &mut Vec<Vec<f64>>,
     weights: &mut Vec<f64>,
 ) {
-    assert!(!points.is_empty(), "kmeans: empty bag");
+    let n = members(points, dim, "kmeans");
     assert!(cfg.k > 0, "kmeans: k must be > 0");
-    let d = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == d),
-        "kmeans: inconsistent point dimensions"
-    );
-    let k = cfg.k.min(points.len());
+    let k = cfg.k.min(n);
+    let rows = || points.chunks_exact(dim);
 
     // k-means++ seeding into recycled rows.
     set_row(
         centers,
         &mut scratch.pool,
         0,
-        &points[rng.gen_range(0..points.len())],
+        row(points, dim, rng.gen_range(0..n)),
     );
     let mut used = 1usize;
     scratch.d2.clear();
-    scratch
-        .d2
-        .extend(points.iter().map(|p| sq_dist(p, &centers[0])));
+    scratch.d2.extend(rows().map(|p| sq_dist(p, &centers[0])));
     while used < k {
         let total: f64 = scratch.d2.iter().sum();
         if total <= 0.0 {
@@ -97,7 +102,7 @@ pub fn kmeans_with(
             break;
         }
         let mut u = rng.gen_range(0.0..total);
-        let mut chosen = points.len() - 1;
+        let mut chosen = n - 1;
         for (i, &w) in scratch.d2.iter().enumerate() {
             if u < w {
                 chosen = i;
@@ -105,10 +110,10 @@ pub fn kmeans_with(
             }
             u -= w;
         }
-        set_row(centers, &mut scratch.pool, used, &points[chosen]);
+        set_row(centers, &mut scratch.pool, used, row(points, dim, chosen));
         used += 1;
         let c = &centers[used - 1];
-        for (dist, p) in scratch.d2.iter_mut().zip(points) {
+        for (dist, p) in scratch.d2.iter_mut().zip(rows()) {
             let nd = sq_dist(p, c);
             if nd < *dist {
                 *dist = nd;
@@ -117,11 +122,12 @@ pub fn kmeans_with(
     }
 
     scratch.assignments.clear();
-    scratch.assignments.resize(points.len(), 0);
+    scratch.assignments.resize(n, 0);
     for _ in 0..cfg.max_iters {
         // Assignment step.
-        for (a, p) in scratch.assignments.iter_mut().zip(points) {
-            *a = nearest_center(p, &centers[..used]).0;
+        pack_blocks(&centers[..used], dim, &mut scratch.blocks);
+        for (a, p) in scratch.assignments.iter_mut().zip(rows()) {
+            *a = nearest_in_blocks(p, &scratch.blocks, used);
         }
         // Update step, accumulating into recycled sum rows.
         while scratch.sums.len() < used {
@@ -129,11 +135,11 @@ pub fn kmeans_with(
         }
         for sum in scratch.sums[..used].iter_mut() {
             sum.clear();
-            sum.resize(d, 0.0);
+            sum.resize(dim, 0.0);
         }
         scratch.counts.clear();
         scratch.counts.resize(used, 0);
-        for (&a, p) in scratch.assignments.iter().zip(points) {
+        for (&a, p) in scratch.assignments.iter().zip(rows()) {
             scratch.counts[a] += 1;
             for (s, &x) in scratch.sums[a].iter_mut().zip(p) {
                 *s += x;
@@ -157,18 +163,66 @@ pub fn kmeans_with(
 
     // Final counts against the converged centers, then stable compaction
     // of the non-empty clusters.
+    pack_blocks(&centers[..used], dim, &mut scratch.blocks);
     scratch.counts.clear();
     scratch.counts.resize(used, 0);
-    for p in points {
-        scratch.counts[nearest_center(p, &centers[..used]).0] += 1;
+    for p in rows() {
+        scratch.counts[nearest_in_blocks(p, &scratch.blocks, used)] += 1;
     }
     compact_non_empty(centers, used, &scratch.counts, &mut scratch.pool, weights);
+}
+
+/// Pack `centers` ([`LANES`] to a block, dimension-major inside a block)
+/// into `blocks`: entry `b * dim + j` holds coordinate `j` of centers
+/// `LANES * b ..`, and lanes past the last center hold zeros. The buffer
+/// keeps its capacity, so a warm pack allocates nothing.
+fn pack_blocks(centers: &[Vec<f64>], dim: usize, blocks: &mut Vec<[f64; LANES]>) {
+    blocks.clear();
+    for group in centers.chunks(LANES) {
+        for j in 0..dim {
+            let mut lanes = [0.0; LANES];
+            for (lane, c) in lanes.iter_mut().zip(group) {
+                *lane = c[j];
+            }
+            blocks.push(lanes);
+        }
+    }
+}
+
+/// Index of the center nearest to `point` among the first `used` centers
+/// packed by [`pack_blocks`].
+///
+/// Each lane sums `(x - c)²` over the dimensions in order, exactly as
+/// `sq_dist` does, and the lanes are compared with a strict `<` in
+/// center order, so the result is bit for bit what `nearest_center`
+/// returns for the unpacked centers (ties to the lower index).
+#[inline]
+fn nearest_in_blocks(point: &[f64], blocks: &[[f64; LANES]], used: usize) -> usize {
+    let mut best = 0;
+    let mut best_d = f64::INFINITY;
+    for (b, block) in blocks.chunks_exact(point.len()).enumerate() {
+        let mut acc = [0.0; LANES];
+        for (&x, c) in point.iter().zip(block) {
+            for (a, &cl) in acc.iter_mut().zip(c) {
+                let diff = x - cl;
+                *a += diff * diff;
+            }
+        }
+        for (lane, &dist) in acc.iter().enumerate().take(used - b * LANES) {
+            // Selects, not a branch: which lane wins is data-dependent.
+            let closer = dist < best_d;
+            best_d = if closer { dist } else { best_d };
+            best = if closer { b * LANES + lane } else { best };
+        }
+    }
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{row_bits, wcss};
+    use crate::nearest_center;
+    use crate::test_support::{flat, row_bits, wcss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -179,8 +233,10 @@ mod tests {
     /// One build through a fresh scratch and fresh output buffers.
     fn fresh(points: &[Vec<f64>], k: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let (mut centers, mut weights) = (Vec::new(), Vec::new());
+        let (points, dim) = flat(points);
         kmeans_with(
-            points,
+            &points,
+            dim,
             &KMeansConfig::with_k(k),
             &mut rng(seed),
             &mut ClusterScratch::new(),
@@ -280,8 +336,10 @@ mod tests {
             let pts: Vec<Vec<f64>> = (0..n)
                 .map(|i| vec![(i as f64 * 0.37).sin() * 4.0, (i % 9) as f64])
                 .collect();
+            let (flat_pts, dim) = flat(&pts);
             kmeans_with(
-                &pts,
+                &flat_pts,
+                dim,
                 &KMeansConfig::with_k(k),
                 &mut rng(seed),
                 &mut scratch,

@@ -4,7 +4,7 @@
 //! outliers and meaningful for ground distances that are not Euclidean.
 //! The paper lists k-medoids as an alternative quantizer for §3.1.
 
-use crate::{compact_non_empty, set_row, sq_dist, ClusterScratch};
+use crate::{compact_non_empty, members, row, set_row, sq_dist, ClusterScratch};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -36,9 +36,9 @@ impl KMedoidsConfig {
     }
 }
 
-/// Run k-medoids on `points` (squared-Euclidean dissimilarity), writing
-/// the non-empty medoids and their member counts (as `f64`) into
-/// `centers` and `weights`.
+/// Run k-medoids on the `n` rows of `points` (row-major, `dim` values
+/// each; squared-Euclidean dissimilarity), writing the non-empty medoids
+/// and their member counts (as `f64`) into `centers` and `weights`.
 ///
 /// Uses Voronoi iteration: `min(k, n)` distinct initial medoids are drawn
 /// by shuffling the member indices; then each point is assigned to its
@@ -52,24 +52,21 @@ impl KMedoidsConfig {
 /// build performs zero heap allocations.
 ///
 /// # Panics
-/// Panics if `points` is empty, `cfg.k == 0`, or dimensions disagree.
+/// Panics if `points` is empty, `cfg.k == 0`, or `dim` does not divide
+/// `points` into whole rows.
 pub fn kmedoids_with(
-    points: &[Vec<f64>],
+    points: &[f64],
+    dim: usize,
     cfg: &KMedoidsConfig,
     rng: &mut impl Rng,
     scratch: &mut ClusterScratch,
     centers: &mut Vec<Vec<f64>>,
     weights: &mut Vec<f64>,
 ) {
-    assert!(!points.is_empty(), "kmedoids: empty bag");
+    let n = members(points, dim, "kmedoids");
     assert!(cfg.k > 0, "kmedoids: k must be > 0");
-    let d = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == d),
-        "kmedoids: inconsistent point dimensions"
-    );
-    let n = points.len();
     let k = cfg.k.min(n);
+    let point = |i: usize| row(points, dim, i);
 
     // Split borrows: each buffer is an independent field of the scratch.
     let ClusterScratch {
@@ -93,11 +90,11 @@ pub fn kmedoids_with(
 
     for _ in 0..cfg.max_iters {
         // Assign points to nearest medoid.
-        for (a, p) in assignments.iter_mut().zip(points) {
+        for (a, p) in assignments.iter_mut().zip(points.chunks_exact(dim)) {
             let mut best = 0;
             let mut best_d = f64::INFINITY;
             for (m, &mi) in medoids.iter().enumerate() {
-                let dist = sq_dist(p, &points[mi]);
+                let dist = sq_dist(p, point(mi));
                 if dist < best_d {
                     best_d = dist;
                     best = m;
@@ -119,7 +116,7 @@ pub fn kmedoids_with(
             for &cand in members.iter() {
                 let cost: f64 = members
                     .iter()
-                    .map(|&j| sq_dist(&points[cand], &points[j]))
+                    .map(|&j| sq_dist(point(cand), point(j)))
                     .sum();
                 if cost < best_cost {
                     best_cost = cost;
@@ -140,11 +137,11 @@ pub fn kmedoids_with(
     // non-empty clusters in stable order.
     counts.clear();
     counts.resize(medoids.len(), 0);
-    for p in points {
+    for p in points.chunks_exact(dim) {
         let mut best = 0;
         let mut best_d = f64::INFINITY;
         for (m, &mi) in medoids.iter().enumerate() {
-            let dist = sq_dist(p, &points[mi]);
+            let dist = sq_dist(p, point(mi));
             if dist < best_d {
                 best_d = dist;
                 best = m;
@@ -153,7 +150,7 @@ pub fn kmedoids_with(
         counts[best] += 1;
     }
     for (m, &mi) in medoids.iter().enumerate() {
-        set_row(centers, pool, m, &points[mi]);
+        set_row(centers, pool, m, point(mi));
     }
     compact_non_empty(centers, medoids.len(), counts, pool, weights);
 }
@@ -162,7 +159,7 @@ pub fn kmedoids_with(
 mod tests {
     use super::*;
     use crate::nearest_center;
-    use crate::test_support::row_bits;
+    use crate::test_support::{flat, row_bits};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -173,8 +170,10 @@ mod tests {
     /// One build through a fresh scratch and fresh output buffers.
     fn fresh(points: &[Vec<f64>], k: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let (mut centers, mut weights) = (Vec::new(), Vec::new());
+        let (points, dim) = flat(points);
         kmedoids_with(
-            points,
+            &points,
+            dim,
             &KMedoidsConfig::with_k(k),
             &mut rng(seed),
             &mut ClusterScratch::new(),
@@ -250,8 +249,10 @@ mod tests {
             let pts: Vec<Vec<f64>> = (0..n)
                 .map(|i| vec![((i * i) % 17) as f64, (i % 5) as f64 * 0.5])
                 .collect();
+            let (flat_pts, dim) = flat(&pts);
             kmedoids_with(
-                &pts,
+                &flat_pts,
+                dim,
                 &KMedoidsConfig::with_k(k),
                 &mut rng(seed),
                 &mut scratch,

@@ -7,7 +7,9 @@
 //! fixed-width histograms as the natural special case for low-dimensional
 //! data. All four are implemented here.
 //!
-//! Every quantizer writes its non-empty centers and their member counts
+//! Every quantizer reads the bag as one row-major buffer (`points` plus
+//! its dimension `dim`, member `i` at `points[i * dim..(i + 1) * dim]`)
+//! and writes its non-empty centers and their member counts
 //! (as `f64` weights) into caller-kept buffers, drawing its working state
 //! from a reusable scratch ([`ClusterScratch`] or [`HistogramScratch`]);
 //! once warm, a build performs no heap allocation. The `emd` crate wraps
@@ -19,6 +21,7 @@ pub mod kmedoids;
 pub mod lvq;
 
 pub use histogram::{histogram_grid_with, HistogramScratch, HistogramSpec};
+use kmeans::LANES;
 pub use kmeans::{kmeans_with, KMeansConfig};
 pub use kmedoids::{kmedoids_with, KMedoidsConfig};
 pub use lvq::{lvq_quantize_with, LvqConfig};
@@ -51,6 +54,9 @@ pub struct ClusterScratch {
     pub(crate) medoids: Vec<usize>,
     /// k-means++ squared distances to the nearest chosen center.
     pub(crate) d2: Vec<f64>,
+    /// k-means centers packed `LANES` to a block for the assignment
+    /// kernel (one entry per block and dimension).
+    pub(crate) blocks: Vec<[f64; LANES]>,
 }
 
 impl ClusterScratch {
@@ -99,6 +105,26 @@ pub(crate) fn compact_non_empty(
     pool.extend(centers.drain(kept..));
 }
 
+/// Check a flat bag's shape and return its member count.
+///
+/// # Panics
+/// Panics (messages prefixed by `who`) if `points` is empty or `dim`
+/// does not divide it into whole members.
+pub(crate) fn members(points: &[f64], dim: usize, who: &str) -> usize {
+    assert!(!points.is_empty(), "{who}: empty bag");
+    assert!(
+        dim > 0 && points.len().is_multiple_of(dim),
+        "{who}: inconsistent point dimensions"
+    );
+    points.len() / dim
+}
+
+/// Row `i` of a flat buffer of `dim`-long rows.
+#[inline]
+pub(crate) fn row(points: &[f64], dim: usize, i: usize) -> &[f64] {
+    &points[i * dim..(i + 1) * dim]
+}
+
 /// Index of the center nearest to `point` (squared Euclidean).
 ///
 /// # Panics
@@ -129,6 +155,12 @@ pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 pub(crate) mod test_support {
     use crate::nearest_center;
+
+    /// A row list as the quantizers take it: row-major coordinates and
+    /// the dimension (1 for an empty list).
+    pub(crate) fn flat(rows: &[Vec<f64>]) -> (Vec<f64>, usize) {
+        (rows.concat(), rows.first().map_or(1, Vec::len))
+    }
 
     /// Bit patterns of a row list, for bit-for-bit comparisons.
     pub(crate) fn row_bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {

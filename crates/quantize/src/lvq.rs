@@ -6,7 +6,7 @@
 //! each presented point the winning prototype moves toward the point by a
 //! decaying learning rate.
 
-use crate::{compact_non_empty, nearest_center, set_row, ClusterScratch};
+use crate::{compact_non_empty, members, nearest_center, row, set_row, ClusterScratch};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -41,9 +41,9 @@ impl LvqConfig {
     }
 }
 
-/// Quantize a bag with competitive-learning VQ, writing the non-empty
-/// prototypes and their member counts (as `f64`) into `centers` and
-/// `weights`.
+/// Quantize a bag of `n` rows (`points`, row-major, `dim` values each)
+/// with competitive-learning VQ, writing the non-empty prototypes and
+/// their member counts (as `f64`) into `centers` and `weights`.
 ///
 /// `min(k, n)` prototypes are seeded from random distinct bag members,
 /// then trained for `cfg.epochs` passes: each presented point moves its
@@ -57,23 +57,19 @@ impl LvqConfig {
 /// allocations.
 ///
 /// # Panics
-/// Panics if `points` is empty, `cfg.k == 0`, or dimensions disagree.
+/// Panics if `points` is empty, `cfg.k == 0`, or `dim` does not divide
+/// `points` into whole rows.
 pub fn lvq_quantize_with(
-    points: &[Vec<f64>],
+    points: &[f64],
+    dim: usize,
     cfg: &LvqConfig,
     rng: &mut impl Rng,
     scratch: &mut ClusterScratch,
     centers: &mut Vec<Vec<f64>>,
     weights: &mut Vec<f64>,
 ) {
-    assert!(!points.is_empty(), "lvq: empty bag");
+    let n = members(points, dim, "lvq");
     assert!(cfg.k > 0, "lvq: k must be > 0");
-    let d = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == d),
-        "lvq: inconsistent point dimensions"
-    );
-    let n = points.len();
     let k = cfg.k.min(n);
 
     // Seed prototypes from distinct random members.
@@ -81,7 +77,7 @@ pub fn lvq_quantize_with(
     scratch.idx.extend(0..n);
     scratch.idx.shuffle(rng);
     for (at, &i) in scratch.idx[..k].iter().enumerate() {
-        set_row(centers, &mut scratch.pool, at, &points[i]);
+        set_row(centers, &mut scratch.pool, at, row(points, dim, i));
     }
     scratch.pool.extend(centers.drain(k..));
 
@@ -94,9 +90,10 @@ pub fn lvq_quantize_with(
         for &i in scratch.order.iter() {
             let rate = cfg.learning_rate * (1.0 - step as f64 / total_steps as f64);
             step += 1;
-            let (w, _) = nearest_center(&points[i], centers);
+            let p = row(points, dim, i);
+            let (w, _) = nearest_center(p, centers);
             let proto = &mut centers[w];
-            for (pj, &xj) in proto.iter_mut().zip(&points[i]) {
+            for (pj, &xj) in proto.iter_mut().zip(p) {
                 *pj += rate * (xj - *pj);
             }
         }
@@ -104,7 +101,7 @@ pub fn lvq_quantize_with(
 
     scratch.counts.clear();
     scratch.counts.resize(k, 0);
-    for p in points {
+    for p in points.chunks_exact(dim) {
         scratch.counts[nearest_center(p, centers).0] += 1;
     }
     compact_non_empty(centers, k, &scratch.counts, &mut scratch.pool, weights);
@@ -113,7 +110,7 @@ pub fn lvq_quantize_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{row_bits, wcss};
+    use crate::test_support::{flat, row_bits, wcss};
     use crate::{kmeans_with, KMeansConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -125,8 +122,10 @@ mod tests {
     /// One build through a fresh scratch and fresh output buffers.
     fn fresh(points: &[Vec<f64>], k: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let (mut centers, mut weights) = (Vec::new(), Vec::new());
+        let (points, dim) = flat(points);
         lvq_quantize_with(
-            points,
+            &points,
+            dim,
             &LvqConfig::with_k(k),
             &mut rng(seed),
             &mut ClusterScratch::new(),
@@ -164,8 +163,10 @@ mod tests {
         let pts = two_blobs();
         let (lvq_centers, _) = fresh(&pts, 4, 2);
         let (mut km_centers, mut km_weights) = (Vec::new(), Vec::new());
+        let (flat_pts, dim) = flat(&pts);
         kmeans_with(
-            &pts,
+            &flat_pts,
+            dim,
             &KMeansConfig::with_k(4),
             &mut rng(2),
             &mut ClusterScratch::new(),
@@ -193,9 +194,11 @@ mod tests {
         let mut centers = Vec::new();
         let mut weights = Vec::new();
         let pts = two_blobs();
+        let (flat_pts, dim) = flat(&pts);
         for (k, seed) in [(2usize, 1u64), (3, 2), (8, 3), (50, 4), (3, 2)] {
             lvq_quantize_with(
-                &pts,
+                &flat_pts,
+                dim,
                 &LvqConfig::with_k(k),
                 &mut rng(seed),
                 &mut scratch,

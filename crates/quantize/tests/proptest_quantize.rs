@@ -50,9 +50,11 @@ fn run(
     weights: &mut Vec<f64>,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
+    let (dim, points) = (points[0].len(), points.concat());
     match method {
         Method::KMeans(k) => kmeans_with(
-            points,
+            &points,
+            dim,
             &KMeansConfig::with_k(k),
             &mut rng,
             cluster,
@@ -60,7 +62,8 @@ fn run(
             weights,
         ),
         Method::KMedoids(k) => kmedoids_with(
-            points,
+            &points,
+            dim,
             &KMedoidsConfig::with_k(k),
             &mut rng,
             cluster,
@@ -68,7 +71,8 @@ fn run(
             weights,
         ),
         Method::Lvq(k) => lvq_quantize_with(
-            points,
+            &points,
+            dim,
             &LvqConfig::with_k(k),
             &mut rng,
             cluster,
@@ -76,8 +80,8 @@ fn run(
             weights,
         ),
         Method::Histogram(width) => {
-            let spec = uniform_spec(points[0].len(), width);
-            histogram_grid_with(points, &spec, hist, centers, weights)
+            let spec = uniform_spec(dim, width);
+            histogram_grid_with(&points, dim, &spec, hist, centers, weights)
         }
     }
 }

@@ -42,6 +42,9 @@ pub struct CsvFileSource {
     resume: Option<StreamCursor>,
     /// Keep polling after EOF (the file may grow) instead of `Done`.
     tail: bool,
+    /// A non-tailed file reached EOF: its reader is closed and every
+    /// later poll is `Done` (re-opening would re-read from byte 0).
+    exhausted: bool,
     /// Partially read line (no newline yet) — not consumed, not hashed.
     partial: String,
     line: String,
@@ -64,6 +67,7 @@ impl CsvFileSource {
             lineno: 0,
             resume: None,
             tail,
+            exhausted: false,
             partial: String::new(),
             line: String::new(),
             quarantined: false,
@@ -163,7 +167,7 @@ impl Source for CsvFileSource {
     }
 
     fn poll(&mut self, out: &mut Vec<SourceItem>) -> Result<SourceStatus, SourceError> {
-        if self.quarantined {
+        if self.quarantined || self.exhausted {
             return Ok(SourceStatus::Done);
         }
         if self.reader.is_none() {
@@ -181,16 +185,19 @@ impl Source for CsvFileSource {
                 .read_line(&mut self.line)
                 .map_err(|e| SourceError::Io(format!("{}: {e}", self.path)))?;
             if n == 0 {
-                let status = if self.tail {
-                    if read_any {
-                        SourceStatus::Active
-                    } else {
-                        SourceStatus::Idle
-                    }
+                if !self.tail {
+                    // Release the descriptor now: a directory of more
+                    // files than the open-file limit must not hold them
+                    // all until the run ends.
+                    self.reader = None;
+                    self.exhausted = true;
+                    return Ok(SourceStatus::Done);
+                }
+                return Ok(if read_any {
+                    SourceStatus::Active
                 } else {
-                    SourceStatus::Done
-                };
-                return Ok(status);
+                    SourceStatus::Idle
+                });
             }
             read_any = true;
             if !self.line.ends_with('\n') {
@@ -207,6 +214,7 @@ impl Source for CsvFileSource {
             }
             if let Err(e) = self.consume_line(out) {
                 self.quarantined = true;
+                self.reader = None;
                 out.push(SourceItem::Quarantine {
                     stream: self.assembler.stream().clone(),
                     error: e,
@@ -404,5 +412,93 @@ impl Source for ThreadedLineSource {
             self.assembler.flush(out);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ingest::DirSource;
+
+    fn tempdir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("bagscpd-csv-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// `(stream, time)` of every bag in `items`, in order.
+    fn bags(items: &[SourceItem]) -> Vec<(String, i64)> {
+        items
+            .iter()
+            .filter_map(|item| match item {
+                SourceItem::Bag { stream, time, .. } => Some((stream.to_string(), *time)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn eof_closes_a_non_tailed_file_and_later_polls_yield_nothing() {
+        let dir = tempdir("eof");
+        let path = dir.join("a.csv");
+        let text = "t,x\n0,0.1\n0,0.2\n1,0.3\n2,0.4\n";
+        std::fs::write(&path, text).unwrap();
+        let mut src = CsvFileSource::new(path.to_string_lossy().into_owned(), "a", false);
+        let mut out = Vec::new();
+        while src.poll(&mut out).unwrap() != SourceStatus::Done {}
+        assert!(src.reader.is_none(), "the descriptor is released at EOF");
+        let drained = out.len();
+        for _ in 0..3 {
+            assert_eq!(src.poll(&mut out).unwrap(), SourceStatus::Done);
+        }
+        assert_eq!(out.len(), drained, "no re-read from byte 0: {out:?}");
+        // The cursor and the trailing bag survive the closed reader.
+        let mut cursors = Vec::new();
+        src.cursors(&mut cursors);
+        assert_eq!(cursors[0].1.consumed, text.len() as u64);
+        assert_eq!(cursors[0].1.pending, Some((2, vec![vec![0.4]])));
+        src.finish(&mut out).unwrap();
+        let want: Vec<(String, i64)> = (0..3).map(|t| ("a".to_string(), t)).collect();
+        assert_eq!(bags(&out), want);
+    }
+
+    #[test]
+    fn quarantine_closes_the_file() {
+        let dir = tempdir("quarantine");
+        let path = dir.join("a.csv");
+        std::fs::write(&path, "t,x\n0,0.1\n1,oops\n2,0.3\n").unwrap();
+        let mut src = CsvFileSource::new(path.to_string_lossy().into_owned(), "a", false);
+        let mut out = Vec::new();
+        assert_eq!(src.poll(&mut out).unwrap(), SourceStatus::Done);
+        assert!(src.reader.is_none(), "the descriptor is released");
+        assert!(
+            matches!(&out[..], [SourceItem::Quarantine { .. }]),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn dir_source_drains_three_files_once_each() {
+        let dir = tempdir("dir3");
+        for name in ["a", "b", "c"] {
+            std::fs::write(
+                dir.join(format!("{name}.csv")),
+                "t,x\n0,1\n0,2\n1,3\n2,4\n2,5\n",
+            )
+            .unwrap();
+        }
+        let mut src = DirSource::new(dir.to_string_lossy().into_owned(), false);
+        let mut out = Vec::new();
+        while src.poll(&mut out).unwrap() != SourceStatus::Done {}
+        assert_eq!(src.poll(&mut out).unwrap(), SourceStatus::Done);
+        src.finish(&mut out).unwrap();
+        let mut got = bags(&out);
+        got.sort();
+        let want: Vec<(String, i64)> = ["a", "b", "c"]
+            .iter()
+            .flat_map(|s| (0..3).map(move |t| (s.to_string(), t)))
+            .collect();
+        assert_eq!(got, want, "every bag exactly once: {out:?}");
     }
 }

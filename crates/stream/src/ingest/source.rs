@@ -155,41 +155,48 @@ pub trait Source {
     }
 }
 
-/// Parse one CSV row into `(t, coords)`. With `allow_header`, an
-/// unparseable time column is treated as a (skipped) header line —
-/// only ever correct for the true first line of an input, not for a
-/// line read after a mid-file resume. Public because it is the one
-/// authoritative definition of the row format (the CLI batch mode
+/// Parse one CSV row: return its time and write its coordinates into
+/// `coords` (cleared first). With `allow_header`, an unparseable time
+/// column is treated as a (skipped) header line — `Ok(None)`, `coords`
+/// left empty — only ever correct for the true first line of an input,
+/// not for a line read after a mid-file resume. Public because it is the
+/// one authoritative definition of the row format (the CLI batch mode
 /// parses with it too).
 ///
+/// The fields are parsed straight off the comma split, so a row costs no
+/// allocation beyond what `coords` needs to grow; a caller that passes
+/// a vector sized to the row's dimension makes it allocation-free.
+///
 /// A coordinate that is not finite, or whose magnitude exceeds
-/// [`MAX_ABS_COORD`], is a data error naming the line and the value.
+/// [`MAX_ABS_COORD`], is a data error naming the line and the value. On
+/// an error `coords` holds the coordinates before the offending one.
 pub fn parse_row(
     line: &str,
     lineno: usize,
     origin: &str,
     allow_header: bool,
-) -> Result<Option<(i64, Vec<f64>)>, SourceError> {
-    let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-    if fields.len() < 2 {
+    coords: &mut Vec<f64>,
+) -> Result<Option<i64>, SourceError> {
+    coords.clear();
+    let mut fields = line.split(',').map(str::trim);
+    let time = fields.next().unwrap_or_default();
+    let Some(first) = fields.next() else {
         return Err(SourceError::Data(format!(
             "{origin}:{}: need time plus >= 1 coordinate",
             lineno + 1
         )));
-    }
-    let t: i64 = match fields[0].parse() {
+    };
+    let t: i64 = match time.parse() {
         Ok(t) => t,
         Err(_) if allow_header => return Ok(None),
         Err(e) => {
             return Err(SourceError::Data(format!(
-                "{origin}:{}: bad time '{}': {e}",
-                lineno + 1,
-                fields[0]
+                "{origin}:{}: bad time '{time}': {e}",
+                lineno + 1
             )))
         }
     };
-    let mut coords = Vec::with_capacity(fields.len() - 1);
-    for f in &fields[1..] {
+    for f in std::iter::once(first).chain(fields) {
         let x: f64 = f.parse().map_err(|e| {
             SourceError::Data(format!("{origin}:{}: bad coordinate: {e}", lineno + 1))
         })?;
@@ -207,7 +214,7 @@ pub fn parse_row(
         }
         coords.push(x);
     }
-    Ok(Some((t, coords)))
+    Ok(Some(t))
 }
 
 /// Row→bag assembly for one stream: groups contiguous equal-time rows
@@ -323,7 +330,8 @@ impl BagAssembler {
         }
         let header_ok = self.allow_header && self.first_line;
         self.first_line = false;
-        let Some((t, coords)) = parse_row(trimmed, lineno, origin, header_ok)? else {
+        let mut coords = Vec::with_capacity(self.dim.unwrap_or(0));
+        let Some(t) = parse_row(trimmed, lineno, origin, header_ok, &mut coords)? else {
             return Ok(());
         };
         if let Some(rows) = &self.rows {
@@ -369,10 +377,13 @@ impl BagAssembler {
                 )));
             }
             Some(prev) => {
+                // The next bag is likely the size of this one: size its
+                // row list up front instead of regrowing it from empty.
+                let next = Vec::with_capacity(self.cur_rows.len());
                 out.push(SourceItem::Bag {
                     stream: self.stream.clone(),
                     time: prev,
-                    rows: std::mem::take(&mut self.cur_rows),
+                    rows: std::mem::replace(&mut self.cur_rows, next),
                 });
                 self.completed_time = Some(prev);
                 self.restored_buffered = 0;
@@ -481,12 +492,17 @@ mod tests {
 
     #[test]
     fn coordinates_beyond_the_magnitude_bound_are_data_errors() {
+        let mut coords = Vec::new();
         for ok in ["1e150", "-1e150"] {
-            let row = parse_row(&format!("3,0.5,{ok}"), 0, "test", false).unwrap();
-            assert_eq!(row, Some((3, vec![0.5, ok.parse().unwrap()])));
+            let row = parse_row(&format!("3,0.5,{ok}"), 0, "test", false, &mut coords).unwrap();
+            assert_eq!(
+                row.map(|t| (t, coords.clone())),
+                Some((3, vec![0.5, ok.parse().unwrap()]))
+            );
         }
         for bad in ["1e151", "-1e151", "1e308"] {
-            let err = parse_row(&format!("3,0.5,{bad}"), 6, "test", false).unwrap_err();
+            let err =
+                parse_row(&format!("3,0.5,{bad}"), 6, "test", false, &mut coords).unwrap_err();
             assert!(matches!(err, SourceError::Data(_)), "{err:?}");
             let msg = err.to_string();
             assert!(msg.starts_with("test:7: "), "{msg}");

@@ -29,7 +29,7 @@ fn main() {
     let mean_q1 = |r: std::ops::Range<usize>| {
         let vals: Vec<f64> = data.bags[r]
             .iter()
-            .flat_map(|b| b.points().iter().map(|p| p[0]))
+            .flat_map(|b| b.rows().map(|p| p[0]))
             .collect();
         vals.iter().sum::<f64>() / vals.len() as f64
     };

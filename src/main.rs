@@ -93,8 +93,7 @@ use bags_cpd::stream::{
     ScoreLogReader, ScoreStore, Sink, StderrAlertSink, Tee,
 };
 use bags_cpd::{
-    Bag, BootstrapConfig, DetectError, Detector, DetectorConfig, ScoreKind, SignatureMethod,
-    Weighting,
+    BootstrapConfig, DetectError, Detector, DetectorConfig, ScoreKind, SignatureMethod, Weighting,
 };
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -698,11 +697,11 @@ fn pipeline_builder(opts: &Options, fleet: bool) -> PipelineBuilder {
 }
 
 /// Parse the bag CSV: integer time column + coordinates, through the
-/// one authoritative row parser in `stream::ingest`. Batch mode sorts
-/// by time (the whole file is present), so unordered inputs stay
-/// accepted here even though the online sources require nondecreasing
-/// times.
-fn read_bags(path: &str) -> Result<Vec<Bag>, String> {
+/// one authoritative row parser in `stream::ingest`, into one row list
+/// per time. Batch mode sorts by time (the whole file is present), so
+/// unordered inputs stay accepted here even though the online sources
+/// require nondecreasing times.
+fn read_bags(path: &str) -> Result<Vec<Vec<Vec<f64>>>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut by_time: BTreeMap<i64, Vec<Vec<f64>>> = BTreeMap::new();
     let mut dim: Option<usize> = None;
@@ -711,8 +710,9 @@ fn read_bags(path: &str) -> Result<Vec<Bag>, String> {
         if line.is_empty() {
             continue;
         }
-        let Some((t, coords)) =
-            parse_row(line, lineno, path, lineno == 0).map_err(|e| e.to_string())?
+        let mut coords = Vec::with_capacity(dim.unwrap_or(0));
+        let Some(t) =
+            parse_row(line, lineno, path, lineno == 0, &mut coords).map_err(|e| e.to_string())?
         else {
             continue;
         };
@@ -733,7 +733,7 @@ fn read_bags(path: &str) -> Result<Vec<Bag>, String> {
     if by_time.is_empty() {
         return Err(format!("{path}: no data rows"));
     }
-    Ok(by_time.into_values().map(Bag::new).collect())
+    Ok(by_time.into_values().collect())
 }
 
 /// The batch stream's name inside its one-shot engine (never persisted;
@@ -743,12 +743,12 @@ const BATCH_STREAM: &str = "cli-batch";
 /// The batch stream's source: the bags [`read_bags`] returns, in time
 /// order, numbered 0, 1, 2, … — shared by batch runs and by
 /// `replay --diff` of a batch recording, so both see the same bags.
-fn batch_source(bags: Vec<Bag>) -> MemorySource {
+fn batch_source(bags: Vec<Vec<Vec<f64>>>) -> MemorySource {
     MemorySource::bags(
         BATCH_STREAM,
         bags.into_iter()
             .enumerate()
-            .map(|(t, bag)| (t as i64, bag.into_points())),
+            .map(|(t, rows)| (t as i64, rows)),
     )
 }
 
@@ -758,9 +758,9 @@ fn run_batch(opts: &Options) -> Result<(), String> {
     eprintln!(
         "read {} bags (sizes {}..{}), dim {}",
         bags.len(),
-        bags.iter().map(Bag::len).min().unwrap_or(0),
-        bags.iter().map(Bag::len).max().unwrap_or(0),
-        bags[0].dim()
+        bags.iter().map(Vec::len).min().unwrap_or(0),
+        bags.iter().map(Vec::len).max().unwrap_or(0),
+        bags[0][0].len()
     );
     // The online engine reports a too-short sequence as "no points yet";
     // batch mode knows the data is complete, so keep its explicit error.
