@@ -65,9 +65,9 @@ pub struct ConfidenceInterval {
 ///
 /// One scratch reused across inspection points — and across *streams*,
 /// as the worker tick in `crates/stream` does — makes the bootstrap hot
-/// path allocation-free after warm-up. Results are bit-identical to the
-/// allocating [`bootstrap_ci`] path: the scratch changes where replicate
-/// values are stored, never how they are drawn.
+/// path allocation-free after warm-up. A reused scratch gives the bits
+/// of a fresh one: it changes where replicate values are stored, never
+/// how they are drawn.
 #[derive(Debug, Clone, Default)]
 pub struct BootstrapScratch {
     /// Per-replicate RNG seeds.
@@ -95,7 +95,10 @@ impl BootstrapScratch {
     }
 }
 
-/// Compute the bootstrap CI of the score at one inspection point.
+/// Compute the bootstrap CI of the score at one inspection point,
+/// drawing every buffer from `scratch` — the form the per-tick batched
+/// evaluation in `crates/stream` uses, with one scratch shared across
+/// all streams of a worker.
 ///
 /// `ref_weights` / `test_weights` are the nominal window weights ψ; the
 /// Dirichlet posteriors of Appendix B are parameterized from them
@@ -103,29 +106,6 @@ impl BootstrapScratch {
 ///
 /// The base RNG only seeds one stream per replicate, so results are
 /// reproducible from the seed alone.
-pub fn bootstrap_ci(
-    scorer: &WindowScorer,
-    kind: ScoreKind,
-    ref_weights: &[f64],
-    test_weights: &[f64],
-    cfg: &BootstrapConfig,
-    rng: &mut impl Rng,
-) -> ConfidenceInterval {
-    bootstrap_ci_with(
-        scorer,
-        kind,
-        ref_weights,
-        test_weights,
-        cfg,
-        rng,
-        &mut BootstrapScratch::new(),
-    )
-}
-
-/// As [`bootstrap_ci`], but drawing every buffer from `scratch` instead
-/// of allocating — the form the per-tick batched evaluation in
-/// `crates/stream` uses, with one scratch shared across all streams of a
-/// worker. Bit-identical to [`bootstrap_ci`].
 pub fn bootstrap_ci_with(
     scorer: &WindowScorer,
     kind: ScoreKind,
@@ -200,28 +180,45 @@ fn replicate_batch_into(scorer: &WindowScorer, kind: ScoreKind, scratch: &mut Bo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::score::{EmdSolver, SolverScratch};
     use crate::signature_builder::GroundMetric;
-    use crate::window::equal_weights;
     use emd::Signature;
-    use infoest::EstimatorConfig;
+    use infoest::{DistanceMatrix, EstimatorConfig};
 
     fn scorer(positions: &[f64], tau: usize, tau_prime: usize) -> WindowScorer {
         let sigs: Vec<Signature> = positions
             .iter()
             .map(|&p| Signature::new(vec![vec![p], vec![p + 0.3]], vec![1.0, 1.0]).unwrap())
             .collect();
-        WindowScorer::new(
-            &sigs,
-            tau,
-            tau_prime,
-            &GroundMetric::Euclidean,
-            EstimatorConfig::default(),
-        )
-        .unwrap()
+        let mut scratch = SolverScratch::new();
+        let dist = DistanceMatrix::symmetric_from_fn(sigs.len(), |i, j| {
+            EmdSolver::Exact
+                .distance_with(&sigs[i], &sigs[j], &GroundMetric::Euclidean, &mut scratch)
+                .unwrap()
+        });
+        WindowScorer::from_distances(dist, tau, tau_prime, EstimatorConfig::default())
     }
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// Equal window weights, as the detector builds them.
+    fn equal(n: usize) -> Vec<f64> {
+        vec![1.0 / n as f64; n]
+    }
+
+    /// `bootstrap_ci_with` through a fresh scratch.
+    fn ci_fresh(
+        scorer: &WindowScorer,
+        kind: ScoreKind,
+        wr: &[f64],
+        wt: &[f64],
+        cfg: &BootstrapConfig,
+        rng: &mut impl Rng,
+    ) -> ConfidenceInterval {
+        let mut scratch = BootstrapScratch::new();
+        bootstrap_ci_with(scorer, kind, wr, wt, cfg, rng, &mut scratch)
     }
 
     /// The per-replicate draw loop: the reference the batched rows must
@@ -235,13 +232,14 @@ mod tests {
     ) -> Vec<f64> {
         let mut wr = vec![0.0; alpha_ref.len()];
         let mut wt = vec![0.0; alpha_test.len()];
+        let mut score = ScoreScratch::new();
         seeds
             .iter()
             .map(|&seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
                 Dirichlet::sample_alpha_into(alpha_ref, &mut rng, &mut wr);
                 Dirichlet::sample_alpha_into(alpha_test, &mut rng, &mut wt);
-                scorer.score(kind, &wr, &wt)
+                scorer.score_with(kind, &wr, &wt, &mut score)
             })
             .collect()
     }
@@ -249,8 +247,8 @@ mod tests {
     #[test]
     fn ci_is_ordered_and_finite() {
         let s = scorer(&[0.0, 0.2, 0.4, 5.0, 5.2, 5.4], 3, 3);
-        let w = equal_weights(3);
-        let ci = bootstrap_ci(
+        let w = equal(3);
+        let ci = ci_fresh(
             &s,
             ScoreKind::SymmetrizedKl,
             &w,
@@ -266,9 +264,9 @@ mod tests {
     fn ci_brackets_point_score() {
         // The nominal-weight score should normally lie inside a 95% CI.
         let s = scorer(&[0.0, 0.2, 0.4, 3.0, 3.2, 3.4], 3, 3);
-        let w = equal_weights(3);
-        let point = s.score(ScoreKind::SymmetrizedKl, &w, &w);
-        let ci = bootstrap_ci(
+        let w = equal(3);
+        let point = s.score_with(ScoreKind::SymmetrizedKl, &w, &w, &mut ScoreScratch::new());
+        let ci = ci_fresh(
             &s,
             ScoreKind::SymmetrizedKl,
             &w,
@@ -290,10 +288,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let s = scorer(&[0.0, 0.1, 0.2, 1.0, 1.1, 1.2], 3, 3);
-        let w = equal_weights(3);
+        let w = equal(3);
         let cfg = BootstrapConfig::default();
-        let a = bootstrap_ci(&s, ScoreKind::SymmetrizedKl, &w, &w, &cfg, &mut rng(7));
-        let b = bootstrap_ci(&s, ScoreKind::SymmetrizedKl, &w, &w, &cfg, &mut rng(7));
+        let a = ci_fresh(&s, ScoreKind::SymmetrizedKl, &w, &w, &cfg, &mut rng(7));
+        let b = ci_fresh(&s, ScoreKind::SymmetrizedKl, &w, &w, &cfg, &mut rng(7));
         assert_eq!(a, b);
     }
 
@@ -301,15 +299,15 @@ mod tests {
     fn reused_scratch_is_bit_identical_across_shapes() {
         // One scratch driven across inspection points of different
         // window shapes and both scores (as a stream worker reuses it
-        // across streams) must reproduce the allocating path exactly.
+        // across streams) must reproduce a fresh scratch exactly.
         let mut scratch = BootstrapScratch::new();
         let cfg = BootstrapConfig::default();
         for kind in [ScoreKind::SymmetrizedKl, ScoreKind::LikelihoodRatio] {
             for (tau, tau_prime, seed) in [(3, 3, 7u64), (2, 4, 8), (4, 2, 9), (3, 3, 10)] {
                 let positions: Vec<f64> = (0..tau + tau_prime).map(|i| i as f64 * 0.4).collect();
                 let s = scorer(&positions, tau, tau_prime);
-                let (wr, wt) = (equal_weights(tau), equal_weights(tau_prime));
-                let fresh = bootstrap_ci(&s, kind, &wr, &wt, &cfg, &mut rng(seed));
+                let (wr, wt) = (equal(tau), equal(tau_prime));
+                let fresh = ci_fresh(&s, kind, &wr, &wt, &cfg, &mut rng(seed));
                 let reused =
                     bootstrap_ci_with(&s, kind, &wr, &wt, &cfg, &mut rng(seed), &mut scratch);
                 assert_eq!(fresh, reused, "{kind:?} tau {tau} tau' {tau_prime}");
@@ -323,7 +321,7 @@ mod tests {
         let mut scratch = BootstrapScratch::new();
         // Unequal weights, so the posterior is not flat.
         Dirichlet::alpha_from_weights(&[1.0, 2.0, 0.5], &mut scratch.alpha_ref);
-        Dirichlet::alpha_from_weights(&equal_weights(3), &mut scratch.alpha_test);
+        Dirichlet::alpha_from_weights(&equal(3), &mut scratch.alpha_test);
         scratch.seeds = (0..64).map(|i| 1000 + i * 17).collect();
         for kind in [ScoreKind::SymmetrizedKl, ScoreKind::LikelihoodRatio] {
             let per_replicate = per_replicate_scores(
@@ -344,8 +342,8 @@ mod tests {
     #[test]
     fn wider_alpha_gives_narrower_interval() {
         let s = scorer(&[0.0, 0.5, 1.0, 2.0, 2.5, 3.0], 3, 3);
-        let w = equal_weights(3);
-        let narrow = bootstrap_ci(
+        let w = equal(3);
+        let narrow = ci_fresh(
             &s,
             ScoreKind::SymmetrizedKl,
             &w,
@@ -356,7 +354,7 @@ mod tests {
             },
             &mut rng(3),
         );
-        let wide = bootstrap_ci(
+        let wide = ci_fresh(
             &s,
             ScoreKind::SymmetrizedKl,
             &w,
@@ -373,8 +371,8 @@ mod tests {
     #[test]
     fn lr_score_bootstraps_too() {
         let s = scorer(&[0.0, 0.1, 0.2, 4.0, 4.1, 4.2], 3, 3);
-        let w = equal_weights(3);
-        let ci = bootstrap_ci(
+        let w = equal(3);
+        let ci = ci_fresh(
             &s,
             ScoreKind::LikelihoodRatio,
             &w,

@@ -8,7 +8,7 @@ use crate::score::{EmdSolver, ScoreKind, ScoreScratch, SolverScratch, WindowScor
 use crate::signature_builder::{
     derive_seed, signature_at_with, GroundMetric, SignatureMethod, SignatureScratch,
 };
-use crate::window::{window_weights, window_weights_into, Weighting, WindowLayout};
+use crate::window::{window_weights_into, Weighting, WindowLayout};
 use emd::Signature;
 use infoest::{DistanceMatrix, EstimatorConfig};
 use rand::SeedableRng;
@@ -275,13 +275,13 @@ impl Detector {
     /// # Errors
     /// As [`Detector::analyze`].
     pub fn score_series(&self, bags: &[Bag], seed: u64) -> Result<Vec<(usize, f64)>, DetectError> {
-        let (sigs, band, last) = self.prepare(bags, seed)?;
+        let (band, last) = self.prepare(bags, seed)?;
         let layout = self.layout();
+        let mut scratch = EvalScratch::new();
         let mut out = Vec::with_capacity(last + 1 - layout.first_t());
         for t in layout.first_t()..=last {
-            let scorer = self.window_scorer(&sigs, &band, t)?;
-            let (wr, wt) = self.weights(t);
-            out.push((t, scorer.score(self.cfg.score, &wr, &wt)));
+            let scorer = self.window_scorer(&band, t);
+            out.push((t, self.nominal_score_with(&scorer, t, &mut scratch)));
         }
         Ok(out)
     }
@@ -294,13 +294,13 @@ impl Detector {
     /// [`DetectError::DimensionMismatch`] for ragged dimensions, or EMD
     /// failures.
     pub fn analyze(&self, bags: &[Bag], seed: u64) -> Result<Detection, DetectError> {
-        let (sigs, band, last) = self.prepare(bags, seed)?;
+        let (band, last) = self.prepare(bags, seed)?;
         let layout = self.layout();
 
         let mut scratch = EvalScratch::new();
         let mut points: Vec<ScorePoint> = Vec::with_capacity(last + 1 - layout.first_t());
         for t in layout.first_t()..=last {
-            let scorer = self.window_scorer(&sigs, &band, t)?;
+            let scorer = self.window_scorer(&band, t);
             // Eq. 20: compare with the interval one test-window back so
             // the two test sets share no bags.
             let prev_ci_up = t
@@ -332,27 +332,7 @@ impl Detector {
         seed: u64,
         scratch: &mut EvalScratch,
     ) -> ScorePoint {
-        let layout = self.layout();
-        window_weights_into(
-            self.cfg.weighting,
-            t,
-            layout.ref_range(t),
-            true,
-            &mut scratch.ref_weights,
-        );
-        window_weights_into(
-            self.cfg.weighting,
-            t,
-            layout.test_range(t),
-            false,
-            &mut scratch.test_weights,
-        );
-        let score = scorer.score_with(
-            self.cfg.score,
-            &scratch.ref_weights,
-            &scratch.test_weights,
-            &mut scratch.score,
-        );
+        let score = self.nominal_score_with(scorer, t, scratch);
         let mut rng = rand::rngs::StdRng::seed_from_u64(bootstrap_seed(seed, t));
         let ci = bootstrap_ci_with(
             scorer,
@@ -374,14 +354,42 @@ impl Detector {
         }
     }
 
+    /// The score at `t` under the nominal window weights, which are left
+    /// in `scratch` for the bootstrap: the one nominal-score path of
+    /// [`Detector::evaluate_point_with`] and [`Detector::score_series`].
+    fn nominal_score_with(
+        &self,
+        scorer: &WindowScorer,
+        t: usize,
+        scratch: &mut EvalScratch,
+    ) -> f64 {
+        let layout = self.layout();
+        window_weights_into(
+            self.cfg.weighting,
+            t,
+            layout.ref_range(t),
+            true,
+            &mut scratch.ref_weights,
+        );
+        window_weights_into(
+            self.cfg.weighting,
+            t,
+            layout.test_range(t),
+            false,
+            &mut scratch.test_weights,
+        );
+        scorer.score_with(
+            self.cfg.score,
+            &scratch.ref_weights,
+            &scratch.test_weights,
+            &mut scratch.score,
+        )
+    }
+
     /// Shared front half: validate, build signatures, compute the banded
     /// distance matrix (pairs closer than one window width), and find
     /// the last inspection point.
-    fn prepare(
-        &self,
-        bags: &[Bag],
-        seed: u64,
-    ) -> Result<(Vec<Signature>, DistanceMatrix, usize), DetectError> {
+    fn prepare(&self, bags: &[Bag], seed: u64) -> Result<(DistanceMatrix, usize), DetectError> {
         let need = self.cfg.tau + self.cfg.tau_prime;
         let last = self
             .layout()
@@ -411,37 +419,18 @@ impl Detector {
                 data[j * n + i] = d;
             }
         }
-        Ok((sigs, DistanceMatrix::from_vec(n, n, data), last))
+        Ok((DistanceMatrix::from_vec(n, n, data), last))
     }
 
     /// Extract the window block of the banded matrix as a scorer.
-    fn window_scorer(
-        &self,
-        _sigs: &[Signature],
-        band: &DistanceMatrix,
-        t: usize,
-    ) -> Result<WindowScorer, DetectError> {
+    fn window_scorer(&self, band: &DistanceMatrix, t: usize) -> WindowScorer {
         let layout = self.layout();
         let lo = t - self.cfg.tau;
         let hi = t + self.cfg.tau_prime;
         debug_assert!(hi <= band.rows());
         debug_assert_eq!(layout.ref_range(t).start, lo);
         let block = band.block(lo..hi, lo..hi);
-        Ok(WindowScorer::from_distances(
-            block,
-            self.cfg.tau,
-            self.cfg.tau_prime,
-            self.cfg.estimator,
-        ))
-    }
-
-    /// Nominal window weights at inspection point `t`.
-    fn weights(&self, t: usize) -> (Vec<f64>, Vec<f64>) {
-        let layout = self.layout();
-        (
-            window_weights(self.cfg.weighting, t, layout.ref_range(t), true),
-            window_weights(self.cfg.weighting, t, layout.test_range(t), false),
-        )
+        WindowScorer::from_distances(block, self.cfg.tau, self.cfg.tau_prime, self.cfg.estimator)
     }
 }
 
@@ -504,14 +493,32 @@ mod tests {
 
     #[test]
     fn score_series_matches_analyze_scores() {
+        // Bit for bit, under both scores and both weightings.
         let bags = shifted_bags(20, 10, 3.0);
-        let det = Detector::new(small_config()).unwrap();
-        let series = det.score_series(&bags, 3).unwrap();
-        let full = det.analyze(&bags, 3).unwrap();
-        assert_eq!(series.len(), full.points.len());
-        for (s, p) in series.iter().zip(&full.points) {
-            assert_eq!(s.0, p.t);
-            assert!((s.1 - p.score).abs() < 1e-12);
+        for (score, weighting) in [
+            (ScoreKind::SymmetrizedKl, Weighting::Equal),
+            (ScoreKind::LikelihoodRatio, Weighting::Equal),
+            (ScoreKind::SymmetrizedKl, Weighting::Discounted),
+            (ScoreKind::LikelihoodRatio, Weighting::Discounted),
+        ] {
+            let det = Detector::new(DetectorConfig {
+                score,
+                weighting,
+                ..small_config()
+            })
+            .unwrap();
+            let series = det.score_series(&bags, 3).unwrap();
+            let full = det.analyze(&bags, 3).unwrap();
+            assert_eq!(series.len(), full.points.len());
+            for (s, p) in series.iter().zip(&full.points) {
+                assert_eq!(s.0, p.t);
+                assert_eq!(
+                    s.1.to_bits(),
+                    p.score.to_bits(),
+                    "{score:?} / {weighting:?} at t = {}",
+                    p.t
+                );
+            }
         }
     }
 

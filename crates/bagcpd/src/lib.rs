@@ -10,11 +10,16 @@
 //! 3. signatures are embedded in the EMD metric space (§3.2, the `emd`
 //!    crate);
 //! 4. fluctuation is scored with the weighted information estimators —
-//!    [`score_lr`] (Eq. 16) and [`score_kl`] (Eq. 17) (§3.3, the
-//!    `infoest` crate);
+//!    [`WindowScorer::score_with`], the LR score of Eq. 16 or the
+//!    symmetrized KL score of Eq. 17 (§3.3, the `infoest` crate);
 //! 5. per-step confidence intervals come from the Bayesian bootstrap
-//!    ([`bootstrap_ci`], §4.2), and alerts are raised adaptively when
+//!    ([`bootstrap_ci_with`], §4.2), and alerts are raised adaptively when
 //!    consecutive intervals stop overlapping (`xi_t > 0`, §4.1).
+//!
+//! Every call from signature to score point takes a caller-kept scratch
+//! ([`SolverScratch`], [`ScoreScratch`], [`BootstrapScratch`],
+//! [`EvalScratch`]), so a warm loop over inspection points allocates
+//! nothing.
 //!
 //! # Quick example
 //!
@@ -49,21 +54,13 @@ pub mod signature_builder;
 pub mod window;
 
 pub use bag::{Bag, MAX_ABS_COORD};
-pub use bootstrap::{
-    bootstrap_ci, bootstrap_ci_with, BootstrapConfig, BootstrapScratch, ConfidenceInterval,
-};
+pub use bootstrap::{bootstrap_ci_with, BootstrapConfig, BootstrapScratch, ConfidenceInterval};
 pub use detector::{bootstrap_seed, Detection, Detector, DetectorConfig, EvalScratch, ScorePoint};
 pub use error::DetectError;
 pub use feature_select::{per_dimension_scores, OnlineFeatureSelector};
 pub use parametric::{parametric_distance_matrix, GaussianFit};
-pub use score::{
-    score_kl, score_lr, EmdSolver, ScoreKind, ScoreScratch, SolverScratch, SolverStats,
-    WindowScorer,
-};
+pub use score::{EmdSolver, ScoreKind, ScoreScratch, SolverScratch, SolverStats, WindowScorer};
 pub use signature_builder::{
     derive_seed, signature_at_with, GroundMetric, SignatureMethod, SignatureScratch,
 };
-pub use window::{
-    discounted_weights, discounted_weights_into, equal_weights, equal_weights_into, Weighting,
-    WindowLayout,
-};
+pub use window::{discounted_weights_into, equal_weights_into, Weighting, WindowLayout};

@@ -95,8 +95,7 @@ pub fn parametric_distance_matrix(bags: &[Bag]) -> DistanceMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::{ScoreKind, WindowScorer};
-    use crate::window::equal_weights;
+    use crate::score::{ScoreKind, ScoreScratch, WindowScorer};
     use infoest::EstimatorConfig;
 
     fn bag_at(level: f64, spread: f64) -> Bag {
@@ -143,22 +142,16 @@ mod tests {
             4,
             EstimatorConfig::default(),
         );
-        let at_change = scorer.score(
-            ScoreKind::SymmetrizedKl,
-            &equal_weights(4),
-            &equal_weights(4),
-        );
+        let w = [0.25; 4];
+        let mut score = ScoreScratch::new();
+        let at_change = scorer.score_with(ScoreKind::SymmetrizedKl, &w, &w, &mut score);
         // Window fully before the change: ref 0..4, test 4..8 would
         // straddle; use a homogeneous stretch 0..8 from a no-change
         // sequence for contrast.
         let quiet: Vec<Bag> = (0..8).map(|_| bag_at(0.0, 1.0)).collect();
         let qdist = parametric_distance_matrix(&quiet);
         let qscorer = WindowScorer::from_distances(qdist, 4, 4, EstimatorConfig::default());
-        let at_quiet = qscorer.score(
-            ScoreKind::SymmetrizedKl,
-            &equal_weights(4),
-            &equal_weights(4),
-        );
+        let at_quiet = qscorer.score_with(ScoreKind::SymmetrizedKl, &w, &w, &mut score);
         assert!(
             at_change > at_quiet + 1.0,
             "parametric scorer: change {at_change} vs quiet {at_quiet}"
@@ -190,7 +183,9 @@ mod tests {
         let method = SignatureMethod::Histogram { width: 0.25 };
         let s_uni = signature_at_with(&uni, &method, 1, 0, &mut scratch);
         let s_bi = signature_at_with(&bi, &method, 1, 1, &mut scratch);
-        let emd_dist = emd::emd(&s_uni, &s_bi, &GroundMetric::Euclidean).expect("emd");
+        let mut transport = emd::TransportScratch::new();
+        let emd_dist =
+            emd::emd_with(&s_uni, &s_bi, &GroundMetric::Euclidean, &mut transport).expect("emd");
         assert!(
             emd_dist > 5.0 * d.max(0.01),
             "EMD must see what the Gaussian fit cannot: emd {emd_dist} vs kl {d}"

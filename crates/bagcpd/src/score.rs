@@ -7,7 +7,6 @@
 //! once per inspection point, and every bootstrap replicate is pure
 //! multiply-adds over them.
 
-use crate::error::DetectError;
 use crate::signature_builder::GroundMetric;
 use emd::{emd_with, Signature, TransportScratch};
 use infoest::{
@@ -63,27 +62,12 @@ pub struct SolverStats {
 }
 
 impl EmdSolver {
-    /// Distance between two signatures under this solver.
-    ///
-    /// Equivalent to [`EmdSolver::distance_with`] with a fresh
-    /// [`SolverScratch`].
+    /// Distance between two signatures under this solver, solved out of
+    /// a caller-kept scratch: allocation-free once warm, and a dirty
+    /// scratch gives the bits of a fresh one.
     ///
     /// # Errors
     /// Propagates the underlying solver's failures.
-    pub fn distance(
-        &self,
-        a: &Signature,
-        b: &Signature,
-        metric: &GroundMetric,
-    ) -> Result<f64, emd::EmdError> {
-        self.distance_with(a, b, metric, &mut SolverScratch::new())
-    }
-
-    /// As [`EmdSolver::distance`], reusing a caller-kept scratch —
-    /// allocation-free once warm, bit-identical results.
-    ///
-    /// # Errors
-    /// As [`EmdSolver::distance`].
     pub fn distance_with(
         &self,
         a: &Signature,
@@ -144,40 +128,9 @@ impl ScoreScratch {
 }
 
 impl WindowScorer {
-    /// Build the scorer by computing all pairwise EMDs among the window's
-    /// signatures.
-    ///
-    /// # Errors
-    /// Propagates EMD failures (zero-mass signatures etc.).
-    pub fn new(
-        signatures: &[Signature],
-        tau: usize,
-        tau_prime: usize,
-        metric: &GroundMetric,
-        est: EstimatorConfig,
-    ) -> Result<Self, DetectError> {
-        assert_eq!(
-            signatures.len(),
-            tau + tau_prime,
-            "WindowScorer: expected tau + tau' signatures"
-        );
-        let w = signatures.len();
-        let mut scratch = TransportScratch::new();
-        let mut data = vec![0.0; w * w];
-        for i in 0..w {
-            for j in (i + 1)..w {
-                let d = emd_with(&signatures[i], &signatures[j], metric, &mut scratch)?;
-                data[i * w + j] = d;
-                data[j * w + i] = d;
-            }
-        }
-        let dist = DistanceMatrix::from_vec(w, w, data);
-        Ok(WindowScorer::from_distances(dist, tau, tau_prime, est))
-    }
-
-    /// Build from a precomputed distance matrix over the window (used by
-    /// the detector, which maintains one global matrix). The logarithms
-    /// are taken in place, in the matrix's own storage, which
+    /// Build from a precomputed distance matrix over the window (the
+    /// detector's band or a stream's window cache). The logarithms are
+    /// taken in place, in the matrix's own storage, which
     /// [`WindowScorer::into_log_distances`] hands back.
     ///
     /// # Panics
@@ -198,16 +151,6 @@ impl WindowScorer {
         }
     }
 
-    /// Reference window length.
-    pub fn tau(&self) -> usize {
-        self.tau
-    }
-
-    /// Test window length.
-    pub fn tau_prime(&self) -> usize {
-        self.tau_prime
-    }
-
     /// Consume the scorer, returning its log-distance matrix — so a hot
     /// loop building one scorer per inspection point can recycle the
     /// matrix storage (`LogDistances::into_vec`) instead of
@@ -219,14 +162,8 @@ impl WindowScorer {
     /// Evaluate the chosen score with the given window weights.
     ///
     /// `ref_weights` has length `tau`, `test_weights` length `tau_prime`;
-    /// each is normalized internally. Equivalent to
-    /// [`WindowScorer::score_with`] with a fresh [`ScoreScratch`].
-    pub fn score(&self, kind: ScoreKind, ref_weights: &[f64], test_weights: &[f64]) -> f64 {
-        self.score_with(kind, ref_weights, test_weights, &mut ScoreScratch::new())
-    }
-
-    /// As [`WindowScorer::score`], normalizing the weights into a
-    /// caller-kept scratch — allocation-free once warm, bit-identical.
+    /// each is normalized into a caller-kept scratch, so the call
+    /// allocates nothing once warm.
     pub fn score_with(
         &self,
         kind: ScoreKind,
@@ -307,62 +244,38 @@ impl WindowScorer {
     }
 }
 
-/// Free-function form of Eq. (16) on a precomputed window distance
-/// matrix.
-pub fn score_lr(
-    dist: &DistanceMatrix,
-    tau: usize,
-    tau_prime: usize,
-    ref_weights: &[f64],
-    test_weights: &[f64],
-    est: &EstimatorConfig,
-) -> f64 {
-    WindowScorer::from_distances(dist.clone(), tau, tau_prime, *est).score(
-        ScoreKind::LikelihoodRatio,
-        ref_weights,
-        test_weights,
-    )
-}
-
-/// Free-function form of Eq. (17) on a precomputed window distance
-/// matrix.
-pub fn score_kl(
-    dist: &DistanceMatrix,
-    tau: usize,
-    tau_prime: usize,
-    ref_weights: &[f64],
-    test_weights: &[f64],
-    est: &EstimatorConfig,
-) -> f64 {
-    WindowScorer::from_distances(dist.clone(), tau, tau_prime, *est).score(
-        ScoreKind::SymmetrizedKl,
-        ref_weights,
-        test_weights,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::equal_weights;
 
-    /// Signatures at scalar positions with unit mass.
-    fn sigs_at(positions: &[f64]) -> Vec<Signature> {
-        positions
+    /// Scorer over signatures at scalar positions with unit mass, their
+    /// distances solved through one scratch.
+    fn scorer_est(
+        positions: &[f64],
+        tau: usize,
+        tau_prime: usize,
+        est: EstimatorConfig,
+    ) -> WindowScorer {
+        let sigs: Vec<Signature> = positions
             .iter()
             .map(|&p| Signature::new(vec![vec![p]], vec![1.0]).unwrap())
-            .collect()
+            .collect();
+        let mut scratch = SolverScratch::new();
+        let dist = DistanceMatrix::symmetric_from_fn(sigs.len(), |i, j| {
+            EmdSolver::Exact
+                .distance_with(&sigs[i], &sigs[j], &GroundMetric::Euclidean, &mut scratch)
+                .unwrap()
+        });
+        WindowScorer::from_distances(dist, tau, tau_prime, est)
     }
 
     fn scorer(positions: &[f64], tau: usize, tau_prime: usize) -> WindowScorer {
-        WindowScorer::new(
-            &sigs_at(positions),
-            tau,
-            tau_prime,
-            &GroundMetric::Euclidean,
-            EstimatorConfig::default(),
-        )
-        .unwrap()
+        scorer_est(positions, tau, tau_prime, EstimatorConfig::default())
+    }
+
+    /// `score_with` through a fresh scratch.
+    fn score_fresh(s: &WindowScorer, kind: ScoreKind, wr: &[f64], wt: &[f64]) -> f64 {
+        s.score_with(kind, wr, wt, &mut ScoreScratch::new())
     }
 
     #[test]
@@ -371,9 +284,9 @@ mod tests {
         let homog = scorer(&[0.0, 0.1, 0.2, 0.1, 0.0, 0.15, 0.05, 0.1], 4, 4);
         // Separated: test window far from reference window.
         let sep = scorer(&[0.0, 0.1, 0.2, 0.1, 10.0, 10.1, 10.2, 10.05], 4, 4);
-        let w = equal_weights(4);
-        let s_homog = homog.score(ScoreKind::SymmetrizedKl, &w, &w);
-        let s_sep = sep.score(ScoreKind::SymmetrizedKl, &w, &w);
+        let w = [0.25; 4];
+        let s_homog = score_fresh(&homog, ScoreKind::SymmetrizedKl, &w, &w);
+        let s_sep = score_fresh(&sep, ScoreKind::SymmetrizedKl, &w, &w);
         assert!(
             s_sep > s_homog + 1.0,
             "separated {s_sep} vs homogeneous {s_homog}"
@@ -384,10 +297,10 @@ mod tests {
     fn lr_score_larger_for_separated_windows() {
         let homog = scorer(&[0.0, 0.1, 0.2, 0.1, 0.0, 0.15, 0.05, 0.1], 4, 4);
         let sep = scorer(&[0.0, 0.1, 0.2, 0.1, 10.0, 10.1, 10.2, 10.05], 4, 4);
-        let w = equal_weights(4);
+        let w = [0.25; 4];
         assert!(
-            sep.score(ScoreKind::LikelihoodRatio, &w, &w)
-                > homog.score(ScoreKind::LikelihoodRatio, &w, &w) + 1.0
+            score_fresh(&sep, ScoreKind::LikelihoodRatio, &w, &w)
+                > score_fresh(&homog, ScoreKind::LikelihoodRatio, &w, &w) + 1.0
         );
     }
 
@@ -398,8 +311,8 @@ mod tests {
         // measure-zero case where the log floor dominates): cross-entropy
         // ~ auto-entropies, so the score is near zero.
         let s = scorer(&[0.0, 1.0, 2.0, 3.0, 0.04, 1.03, 2.02, 3.01], 4, 4);
-        let w = equal_weights(4);
-        let v = s.score(ScoreKind::SymmetrizedKl, &w, &w);
+        let w = [0.25; 4];
+        let v = score_fresh(&s, ScoreKind::SymmetrizedKl, &w, &w);
         assert!(v.abs() < 1.5, "score for matching windows: {v}");
     }
 
@@ -411,10 +324,10 @@ mod tests {
         let pos_b = [5.0, 5.5, 6.0, 0.0, 0.5, 1.0];
         let sa = scorer(&pos_a, 3, 3);
         let sb = scorer(&pos_b, 3, 3);
-        let w = equal_weights(3);
+        let w = [1.0 / 3.0; 3];
         assert!(
-            (sa.score(ScoreKind::SymmetrizedKl, &w, &w)
-                - sb.score(ScoreKind::SymmetrizedKl, &w, &w))
+            (score_fresh(&sa, ScoreKind::SymmetrizedKl, &w, &w)
+                - score_fresh(&sb, ScoreKind::SymmetrizedKl, &w, &w))
             .abs()
                 < 1e-9
         );
@@ -425,37 +338,17 @@ mod tests {
         // Shifting all test weight onto the far outlier raises the KL
         // score relative to weighting the matching signatures.
         let s = scorer(&[0.0, 0.1, 0.2, 0.1, 0.0, 0.1, 30.0], 4, 3);
-        let wr = equal_weights(4);
-        let balanced = s.score(ScoreKind::SymmetrizedKl, &wr, &equal_weights(3));
-        let outlier_heavy = s.score(ScoreKind::SymmetrizedKl, &wr, &[0.05, 0.05, 0.9]);
+        let wr = [0.25; 4];
+        let balanced = score_fresh(&s, ScoreKind::SymmetrizedKl, &wr, &[1.0 / 3.0; 3]);
+        let outlier_heavy = score_fresh(&s, ScoreKind::SymmetrizedKl, &wr, &[0.05, 0.05, 0.9]);
         assert!(outlier_heavy > balanced);
-    }
-
-    #[test]
-    fn free_functions_match_methods() {
-        let dist = DistanceMatrix::symmetric_from_fn(6, |i, j| (j - i) as f64 * 0.7);
-        let s = WindowScorer::from_distances(dist.clone(), 3, 3, EstimatorConfig::default());
-        let w = equal_weights(3);
-        let est = EstimatorConfig::default();
-        assert_eq!(
-            s.score(ScoreKind::SymmetrizedKl, &w, &w),
-            score_kl(&dist, 3, 3, &w, &w, &est)
-        );
-        assert_eq!(
-            s.score(ScoreKind::LikelihoodRatio, &w, &w),
-            score_lr(&dist, 3, 3, &w, &w, &est)
-        );
     }
 
     #[test]
     #[should_panic(expected = "tau' >= 2")]
     fn lr_with_tau_prime_one_panics() {
         let s = scorer(&[0.0, 1.0, 2.0, 5.0], 3, 1);
-        s.score(
-            ScoreKind::LikelihoodRatio,
-            &equal_weights(3),
-            &equal_weights(1),
-        );
+        score_fresh(&s, ScoreKind::LikelihoodRatio, &[1.0 / 3.0; 3], &[1.0]);
     }
 
     #[test]
@@ -465,36 +358,27 @@ mod tests {
         // exactly: (c + dX) - ((c + dY) + (c + dZ))/2 = d(X - (Y+Z)/2)
         // requires checking: c - c = 0. Verify numerically.
         let positions = [0.0, 0.3, 0.7, 4.0, 4.2, 4.9];
-        let base = WindowScorer::new(
-            &sigs_at(&positions),
+        let base = scorer(&positions, 3, 3);
+        let shifted = scorer_est(
+            &positions,
             3,
             3,
-            &GroundMetric::Euclidean,
-            EstimatorConfig::default(),
-        )
-        .unwrap();
-        let shifted = WindowScorer::new(
-            &sigs_at(&positions),
-            3,
-            3,
-            &GroundMetric::Euclidean,
             EstimatorConfig {
                 offset: 7.0,
                 scale: 1.0,
                 dist_floor: 1e-12,
             },
-        )
-        .unwrap();
-        let w = equal_weights(3);
+        );
+        let w = [1.0 / 3.0; 3];
         assert!(
-            (base.score(ScoreKind::SymmetrizedKl, &w, &w)
-                - shifted.score(ScoreKind::SymmetrizedKl, &w, &w))
+            (score_fresh(&base, ScoreKind::SymmetrizedKl, &w, &w)
+                - score_fresh(&shifted, ScoreKind::SymmetrizedKl, &w, &w))
             .abs()
                 < 1e-9
         );
         assert!(
-            (base.score(ScoreKind::LikelihoodRatio, &w, &w)
-                - shifted.score(ScoreKind::LikelihoodRatio, &w, &w))
+            (score_fresh(&base, ScoreKind::LikelihoodRatio, &w, &w)
+                - score_fresh(&shifted, ScoreKind::LikelihoodRatio, &w, &w))
             .abs()
                 < 1e-9
         );

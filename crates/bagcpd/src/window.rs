@@ -70,42 +70,23 @@ impl WindowLayout {
     }
 }
 
-/// Equal weights summing to one.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn equal_weights(n: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    equal_weights_into(n, &mut out);
-    out
-}
-
 /// Fill `out` with equal weights summing to one (allocation-free once
 /// `out` has grown to `n`).
 ///
 /// # Panics
 /// Panics if `n == 0`.
 pub fn equal_weights_into(n: usize, out: &mut Vec<f64>) {
-    assert!(n > 0, "equal_weights: n must be >= 1");
+    assert!(n > 0, "equal_weights_into: n must be >= 1");
     out.clear();
     out.resize(n, 1.0 / n as f64);
 }
 
-/// Discounted weights of Eq. (15), normalized to sum to one.
+/// Fill `out` with the discounted weights of Eq. (15), normalized to
+/// sum to one.
 ///
 /// For the reference window (`is_ref = true`), bag at index `i` (global
 /// time) gets weight `∝ 1/|t - i|`; for the test window, `∝ 1/|t - i + 1|`
 /// (so the inspection bag itself, `i = t`, has the largest weight 1).
-///
-/// # Panics
-/// Panics on an empty range.
-pub fn discounted_weights(t: usize, range: std::ops::Range<usize>, is_ref: bool) -> Vec<f64> {
-    let mut out = Vec::new();
-    discounted_weights_into(t, range, is_ref, &mut out);
-    out
-}
-
-/// Fill `out` with the weights of [`discounted_weights`].
 ///
 /// # Panics
 /// Panics on an empty range.
@@ -115,7 +96,7 @@ pub fn discounted_weights_into(
     is_ref: bool,
     out: &mut Vec<f64>,
 ) {
-    assert!(!range.is_empty(), "discounted_weights: empty window");
+    assert!(!range.is_empty(), "discounted_weights_into: empty window");
     // Eq. 15 (with its evident typo corrected): reference bag at index
     // i < t is discounted by its distance t - i from the inspection
     // point; test bag at index i >= t by i - t + 1, so the inspection bag
@@ -135,21 +116,9 @@ pub fn discounted_weights_into(
     }
 }
 
-/// Materialize the weights for a window under a scheme.
-pub fn window_weights(
-    scheme: Weighting,
-    t: usize,
-    range: std::ops::Range<usize>,
-    is_ref: bool,
-) -> Vec<f64> {
-    let mut out = Vec::new();
-    window_weights_into(scheme, t, range, is_ref, &mut out);
-    out
-}
-
-/// Fill `out` with the weights for a window under a scheme — the
-/// in-place form the streaming hot path uses to avoid per-point
-/// allocation.
+/// Fill `out` with the weights of a window under a scheme; a caller that
+/// keeps `out` across inspection points allocates nothing once it has
+/// grown.
 pub fn window_weights_into(
     scheme: Weighting,
     t: usize,
@@ -193,7 +162,8 @@ mod tests {
 
     #[test]
     fn equal_weights_sum_to_one() {
-        let w = equal_weights(5);
+        let mut w = Vec::new();
+        equal_weights_into(5, &mut w);
         assert_eq!(w.len(), 5);
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(w.iter().all(|&x| (x - 0.2).abs() < 1e-12));
@@ -202,7 +172,8 @@ mod tests {
     #[test]
     fn discounted_ref_weights_increase_toward_t() {
         // Reference window 0..5 at t = 5: weights ∝ 1/5, 1/4, ..., 1/1.
-        let w = discounted_weights(5, 0..5, true);
+        let mut w = Vec::new();
+        discounted_weights_into(5, 0..5, true, &mut w);
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         for k in 1..w.len() {
             assert!(w[k] > w[k - 1], "weights must increase toward t");
@@ -214,28 +185,36 @@ mod tests {
     #[test]
     fn discounted_test_weights_decrease_from_t() {
         // Test window 5..8 at t = 5: gaps 1, 2, 3.
-        let w = discounted_weights(5, 5..8, false);
+        let mut w = Vec::new();
+        discounted_weights_into(5, 5..8, false, &mut w);
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(w[0] > w[1] && w[1] > w[2]);
         assert!((w[0] / w[2] - 3.0).abs() < 1e-9);
     }
 
     #[test]
-    fn into_variants_match_allocating_forms() {
-        let mut buf = vec![9.0; 8]; // stale contents must be overwritten
-        equal_weights_into(5, &mut buf);
-        assert_eq!(buf, equal_weights(5));
-        discounted_weights_into(5, 0..5, true, &mut buf);
-        assert_eq!(buf, discounted_weights(5, 0..5, true));
-        window_weights_into(Weighting::Discounted, 5, 5..8, false, &mut buf);
-        assert_eq!(buf, window_weights(Weighting::Discounted, 5, 5..8, false));
+    fn into_forms_overwrite_stale_contents() {
+        // A buffer holding stale values must end up equal to a fresh one.
+        let (mut dirty, mut fresh) = (vec![9.0; 8], Vec::new());
+        equal_weights_into(5, &mut dirty);
+        equal_weights_into(5, &mut fresh);
+        assert_eq!(dirty, fresh);
+        let (mut dirty, mut fresh) = (vec![9.0; 8], Vec::new());
+        discounted_weights_into(5, 0..5, true, &mut dirty);
+        discounted_weights_into(5, 0..5, true, &mut fresh);
+        assert_eq!(dirty, fresh);
+        let (mut dirty, mut fresh) = (vec![9.0; 8], Vec::new());
+        window_weights_into(Weighting::Discounted, 5, 5..8, false, &mut dirty);
+        window_weights_into(Weighting::Discounted, 5, 5..8, false, &mut fresh);
+        assert_eq!(dirty, fresh);
     }
 
     #[test]
     fn window_weights_dispatch() {
-        let eq = window_weights(Weighting::Equal, 5, 0..5, true);
+        let (mut eq, mut disc) = (Vec::new(), Vec::new());
+        window_weights_into(Weighting::Equal, 5, 0..5, true, &mut eq);
         assert!((eq[0] - 0.2).abs() < 1e-12);
-        let disc = window_weights(Weighting::Discounted, 5, 0..5, true);
+        window_weights_into(Weighting::Discounted, 5, 0..5, true, &mut disc);
         assert!(disc[4] > disc[0]);
     }
 }

@@ -1,8 +1,9 @@
 //! Property-based tests for the core detector's invariants.
 
 use bagcpd::{
-    bootstrap_ci, equal_weights, Bag, BootstrapConfig, Detector, DetectorConfig, GroundMetric,
-    ScoreKind, ScoreScratch, SignatureMethod, WindowScorer,
+    bootstrap_ci_with, Bag, BootstrapConfig, BootstrapScratch, ConfidenceInterval, Detector,
+    DetectorConfig, EmdSolver, GroundMetric, ScoreKind, ScoreScratch, SignatureMethod,
+    SolverScratch, WindowScorer,
 };
 use emd::Signature;
 use infoest::{DistanceMatrix, EstimatorConfig};
@@ -30,15 +31,32 @@ fn window(len: usize) -> impl Strategy<Value = Vec<Signature>> {
     })
 }
 
+/// The window scorer over `sigs`, their pairwise EMDs solved through
+/// one scratch.
 fn scorer(sigs: &[Signature], tau: usize, tau_prime: usize) -> WindowScorer {
-    WindowScorer::new(
-        sigs,
-        tau,
-        tau_prime,
-        &GroundMetric::Euclidean,
-        EstimatorConfig::default(),
-    )
-    .expect("scorer builds")
+    let mut scratch = SolverScratch::new();
+    let dist = DistanceMatrix::symmetric_from_fn(sigs.len(), |i, j| {
+        EmdSolver::Exact
+            .distance_with(&sigs[i], &sigs[j], &GroundMetric::Euclidean, &mut scratch)
+            .expect("EMD solves")
+    });
+    WindowScorer::from_distances(dist, tau, tau_prime, EstimatorConfig::default())
+}
+
+/// `score_with` through a fresh scratch.
+fn score_fresh(s: &WindowScorer, kind: ScoreKind, wr: &[f64], wt: &[f64]) -> f64 {
+    s.score_with(kind, wr, wt, &mut ScoreScratch::new())
+}
+
+/// `bootstrap_ci_with` through a fresh scratch.
+fn ci_fresh(
+    s: &WindowScorer,
+    kind: ScoreKind,
+    w: &[f64],
+    cfg: &BootstrapConfig,
+    rng: &mut StdRng,
+) -> ConfidenceInterval {
+    bootstrap_ci_with(s, kind, w, w, cfg, rng, &mut BootstrapScratch::new())
 }
 
 /// The per-term arithmetic the log-domain scores replaced, copied
@@ -264,8 +282,8 @@ proptest! {
         wt_raw in prop::collection::vec(0.05..5.0f64, 4),
     ) {
         let s = scorer(&sigs, 4, 4);
-        let kl = s.score(ScoreKind::SymmetrizedKl, &wr_raw, &wt_raw);
-        let lr = s.score(ScoreKind::LikelihoodRatio, &wr_raw, &wt_raw);
+        let kl = score_fresh(&s, ScoreKind::SymmetrizedKl, &wr_raw, &wt_raw);
+        let lr = score_fresh(&s, ScoreKind::LikelihoodRatio, &wr_raw, &wt_raw);
         prop_assert!(kl.is_finite(), "KL {kl}");
         prop_assert!(lr.is_finite(), "LR {lr}");
     }
@@ -278,10 +296,10 @@ proptest! {
         scale in 0.1..50.0f64,
     ) {
         let s = scorer(&sigs, 4, 4);
-        let w = equal_weights(4);
+        let w = [0.25; 4];
         let w_scaled: Vec<f64> = w.iter().map(|x| x * scale).collect();
-        let a = s.score(ScoreKind::SymmetrizedKl, &w, &w);
-        let b = s.score(ScoreKind::SymmetrizedKl, &w_scaled, &w_scaled);
+        let a = score_fresh(&s, ScoreKind::SymmetrizedKl, &w, &w);
+        let b = score_fresh(&s, ScoreKind::SymmetrizedKl, &w_scaled, &w_scaled);
         prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 
@@ -289,11 +307,11 @@ proptest! {
     /// windows.
     #[test]
     fn kl_symmetric_under_window_swap(sigs in window(8)) {
-        let w = equal_weights(4);
-        let forward = scorer(&sigs, 4, 4).score(ScoreKind::SymmetrizedKl, &w, &w);
+        let w = [0.25; 4];
+        let forward = score_fresh(&scorer(&sigs, 4, 4), ScoreKind::SymmetrizedKl, &w, &w);
         let mut swapped: Vec<Signature> = sigs[4..].to_vec();
         swapped.extend_from_slice(&sigs[..4]);
-        let backward = scorer(&swapped, 4, 4).score(ScoreKind::SymmetrizedKl, &w, &w);
+        let backward = score_fresh(&scorer(&swapped, 4, 4), ScoreKind::SymmetrizedKl, &w, &w);
         prop_assert!((forward - backward).abs() < 1e-9, "{forward} vs {backward}");
     }
 
@@ -311,10 +329,10 @@ proptest! {
                 .expect("valid")
             })
             .collect();
-        let w3 = equal_weights(3);
-        let w4 = equal_weights(4);
-        let a = scorer(&sigs, 3, 4).score(ScoreKind::SymmetrizedKl, &w3, &w4);
-        let b = scorer(&shifted, 3, 4).score(ScoreKind::SymmetrizedKl, &w3, &w4);
+        let w3 = [1.0 / 3.0; 3];
+        let w4 = [0.25; 4];
+        let a = score_fresh(&scorer(&sigs, 3, 4), ScoreKind::SymmetrizedKl, &w3, &w4);
+        let b = score_fresh(&scorer(&shifted, 3, 4), ScoreKind::SymmetrizedKl, &w3, &w4);
         prop_assert!((a - b).abs() < 1e-7, "{a} vs {b}");
     }
 
@@ -323,12 +341,11 @@ proptest! {
     #[test]
     fn bootstrap_ci_well_formed(sigs in window(8), seed in 0u64..500) {
         let s = scorer(&sigs, 4, 4);
-        let w = equal_weights(4);
+        let w = [0.25; 4];
         let mut rng = StdRng::seed_from_u64(seed);
-        let ci = bootstrap_ci(
+        let ci = ci_fresh(
             &s,
             ScoreKind::SymmetrizedKl,
-            &w,
             &w,
             &BootstrapConfig { replicates: 64, ..Default::default() },
             &mut rng,
@@ -341,13 +358,12 @@ proptest! {
     #[test]
     fn ci_width_monotone_in_alpha(sigs in window(8), seed in 0u64..200) {
         let s = scorer(&sigs, 4, 4);
-        let w = equal_weights(4);
+        let w = [0.25; 4];
         let ci_at = |alpha: f64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            bootstrap_ci(
+            ci_fresh(
                 &s,
                 ScoreKind::SymmetrizedKl,
-                &w,
                 &w,
                 &BootstrapConfig { replicates: 128, alpha },
                 &mut rng,
@@ -469,5 +485,77 @@ fn batch_detector_bits_match_recorded_values() {
             .map(|[s, lo, up]| format!("[{s:#018x}, {lo:#018x}, {up:#018x}],\n"))
             .collect();
         assert_eq!(actual, expected, "{method:?} bits moved; now:\n{table}");
+    }
+}
+
+/// The exact oracle of the smallest window, τ = τ' = 2 with equal
+/// weights, over signatures at 1-D positions: the window matrix, the
+/// scorer over it, and the log distance `L(i, j)` between window items
+/// (0 = t-2, 1 = t-1, 2 = t, 3 = t+1).
+fn tiny_window() -> (WindowScorer, impl Fn(usize, usize) -> f64) {
+    let x: [f64; 4] = [0.0, 1.3, 3.1, 3.9];
+    let dist = DistanceMatrix::symmetric_from_fn(4, |i, j| (x[i] - x[j]).abs());
+    let scorer = WindowScorer::from_distances(dist, 2, 2, EstimatorConfig::default());
+    (scorer, move |i: usize, j: usize| (x[i] - x[j]).abs().ln())
+}
+
+/// The nominal scores equal Eqs. 16 and 17 written out by hand.
+#[test]
+fn tiny_window_nominal_scores_match_the_paper_formulas() {
+    let (scorer, l) = tiny_window();
+    let w = [0.5, 0.5];
+    let lr = score_fresh(&scorer, ScoreKind::LikelihoodRatio, &w, &w);
+    let expect_lr = 0.5 * l(2, 0) + 0.5 * l(2, 1) - l(2, 3);
+    assert!((lr - expect_lr).abs() < 1e-12, "LR {lr} vs {expect_lr}");
+    // H(ref, test) - (H(ref) + H(test)) / 2: with two items per window
+    // each auto-entropy is the one log distance inside it.
+    let kl = score_fresh(&scorer, ScoreKind::SymmetrizedKl, &w, &w);
+    let expect_kl = (l(0, 2) + l(0, 3) + l(1, 2) + l(1, 3)) / 4.0 - (l(0, 1) + l(2, 3)) / 2.0;
+    assert!((kl - expect_kl).abs() < 1e-12, "KL {kl} vs {expect_kl}");
+}
+
+/// The LR bootstrap CI sits at the exact quantiles of its replicates.
+///
+/// Both posteriors are Dir(1, 1), so the reference weight of t-2 is
+/// `p ~ U(0, 1)`, and the test window's one remaining weight normalizes
+/// to 1: each replicate is `p·L(t, t-2) + (1-p)·L(t, t-1) - L(t, t+1)`,
+/// uniform between its values at p = 0 and p = 1. With T replicates the
+/// empirical CDF is within ε = √(ln(2/δ)/(2T)) of the exact one except
+/// with probability δ (DKW), and a linearly interpolated quantile adds
+/// at most 1/T.
+#[test]
+fn lr_bootstrap_ci_matches_exact_uniform_quantiles() {
+    const T: usize = 100_000;
+    let (scorer, l) = tiny_window();
+    let ends = [l(2, 1) - l(2, 3), l(2, 0) - l(2, 3)];
+    let (lo, hi) = (ends[0].min(ends[1]), ends[0].max(ends[1]));
+    let cdf = |x: f64| ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
+    let cfg = BootstrapConfig {
+        replicates: T,
+        alpha: 0.05,
+    };
+    let delta: f64 = 1e-6;
+    let bound = (f64::ln(2.0 / delta) / (2.0 * T as f64)).sqrt() + 1.0 / T as f64;
+    let mut scratch = BootstrapScratch::new();
+    for seed in [1u64, 2, 3] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w = [0.5, 0.5];
+        let ci = bootstrap_ci_with(
+            &scorer,
+            ScoreKind::LikelihoodRatio,
+            &w,
+            &w,
+            &cfg,
+            &mut rng,
+            &mut scratch,
+        );
+        for (end, q) in [(ci.lo, cfg.alpha / 2.0), (ci.up, 1.0 - cfg.alpha / 2.0)] {
+            let off = (cdf(end) - q).abs();
+            assert!(
+                off <= bound,
+                "seed {seed}: F({end}) = {} vs {q} (bound {bound})",
+                cdf(end)
+            );
+        }
     }
 }

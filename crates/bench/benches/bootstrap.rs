@@ -1,10 +1,13 @@
 //! P3 — Bayesian-bootstrap cost: CI computation time vs replicate count
 //! T, and the Dirichlet weight draws inside it.
 
-use bagcpd::{bootstrap_ci, BootstrapConfig, GroundMetric, ScoreKind, WindowScorer};
+use bagcpd::{
+    bootstrap_ci_with, BootstrapConfig, BootstrapScratch, EmdSolver, GroundMetric, ScoreKind,
+    SolverScratch, WindowScorer,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emd::Signature;
-use infoest::EstimatorConfig;
+use infoest::{DistanceMatrix, EstimatorConfig};
 use stats::{seeded_rng, Dirichlet};
 
 fn scorer(window: usize) -> WindowScorer {
@@ -18,14 +21,13 @@ fn scorer(window: usize) -> WindowScorer {
             .expect("valid")
         })
         .collect();
-    WindowScorer::new(
-        &sigs,
-        window,
-        window,
-        &GroundMetric::Euclidean,
-        EstimatorConfig::default(),
-    )
-    .expect("scorer")
+    let mut scratch = SolverScratch::new();
+    let dist = DistanceMatrix::symmetric_from_fn(sigs.len(), |i, j| {
+        EmdSolver::Exact
+            .distance_with(&sigs[i], &sigs[j], &GroundMetric::Euclidean, &mut scratch)
+            .expect("EMD solves")
+    });
+    WindowScorer::from_distances(dist, window, window, EstimatorConfig::default())
 }
 
 fn bench_replicates(c: &mut Criterion) {
@@ -39,7 +41,11 @@ fn bench_replicates(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(t), &t, |bench, _| {
             let mut rng = seeded_rng(t as u64);
-            bench.iter(|| bootstrap_ci(&s, ScoreKind::SymmetrizedKl, &w, &w, &cfg, &mut rng));
+            let mut scratch = BootstrapScratch::new();
+            bench.iter(|| {
+                let kind = ScoreKind::SymmetrizedKl;
+                bootstrap_ci_with(&s, kind, &w, &w, &cfg, &mut rng, &mut scratch)
+            });
         });
     }
     group.finish();

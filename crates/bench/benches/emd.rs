@@ -1,9 +1,9 @@
-//! P1 — EMD solver scaling: transportation-simplex solve time as a
-//! function of signature size, plus the closed-form 1-D oracle for
-//! comparison.
+//! P1 — EMD solver scaling: transportation-simplex solve time, through
+//! one kept scratch as the detector solves, as a function of signature
+//! size, plus the closed-form 1-D oracle for comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use emd::{emd, emd_1d, emd_with, Euclidean, Signature, TransportScratch};
+use emd::{emd_1d, emd_with, Euclidean, Signature, TransportScratch};
 use rand::Rng;
 use stats::seeded_rng;
 
@@ -23,26 +23,6 @@ fn bench_simplex_scaling(c: &mut Criterion) {
         let a = random_signature(k, &mut rng);
         let b = random_signature(k, &mut rng);
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |bench, _| {
-            bench.iter(|| emd(&a, &b, &Euclidean).expect("solve"));
-        });
-    }
-    group.finish();
-}
-
-/// Allocating vs scratch-backed solver on the same signature pairs: the
-/// isolated cost of rebuilding the simplex tableau (and the ground cost
-/// matrix) from fresh heap allocations on every solve, across signature
-/// sizes.
-fn bench_solver_scratch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("emd_solve");
-    for &k in &[4usize, 16, 64] {
-        let mut rng = seeded_rng(500 + k as u64);
-        let a = random_signature(k, &mut rng);
-        let b = random_signature(k, &mut rng);
-        group.bench_with_input(BenchmarkId::new("alloc", k), &k, |bench, _| {
-            bench.iter(|| emd(&a, &b, &Euclidean).expect("solve"));
-        });
-        group.bench_with_input(BenchmarkId::new("scratch", k), &k, |bench, _| {
             let mut scratch = TransportScratch::new();
             bench.iter(|| emd_with(&a, &b, &Euclidean, &mut scratch).expect("solve"));
         });
@@ -68,16 +48,12 @@ fn bench_1d_oracle_vs_simplex(c: &mut Criterion) {
             bench.iter(|| emd_1d(&a, &b).expect("solve"));
         });
         group.bench_with_input(BenchmarkId::new("simplex", k), &k, |bench, _| {
-            bench.iter(|| emd(&sa, &sb, &Euclidean).expect("solve"));
+            let mut scratch = TransportScratch::new();
+            bench.iter(|| emd_with(&sa, &sb, &Euclidean, &mut scratch).expect("solve"));
         });
     }
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_simplex_scaling,
-    bench_solver_scratch,
-    bench_1d_oracle_vs_simplex
-);
+criterion_group!(benches, bench_simplex_scaling, bench_1d_oracle_vs_simplex);
 criterion_main!(benches);

@@ -2,9 +2,9 @@
 //! through the sharded engine as the concurrent stream count grows
 //! (1, 64, 1024 named streams).
 
-use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, SignatureMethod};
+use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, EvalScratch, SignatureMethod};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use stream::{EngineConfig, MetricsRegistry, OnlineDetector, StreamEngine, StreamId};
+use stream::{EmdScratch, EngineConfig, MetricsRegistry, OnlineDetector, StreamEngine, StreamId};
 
 const BAGS_PER_STREAM: usize = 8;
 
@@ -90,11 +90,18 @@ fn bench_online_push(c: &mut Criterion) {
     group.throughput(Throughput::Elements(PUSHES as u64));
     group.bench_function(BenchmarkId::from_parameter("histogram"), |b| {
         let det = Detector::new(detector_config()).expect("valid");
+        // One pair of scratches across iterations, as a worker keeps them.
+        let (mut eval, mut emd) = (EvalScratch::new(), EmdScratch::new());
         b.iter(|| {
             let mut online = OnlineDetector::new(det.clone(), 7);
             let mut emitted = 0usize;
             for t in 0..PUSHES {
-                if online.push(bag_for(0, t)).expect("push").is_some() {
+                let bag = bag_for(0, t);
+                if online
+                    .push_with(bag, &mut eval, &mut emd)
+                    .expect("push")
+                    .is_some()
+                {
                     emitted += 1;
                 }
             }

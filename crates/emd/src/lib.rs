@@ -17,6 +17,13 @@
 //! as in the network simplex: a pivot walks only the cycle it closes and
 //! re-hangs only the subtree it moves, recomputing the potentials there,
 //! and gives bit-for-bit the results of rebuilding the tree every pivot.
+//!
+//! Each solve runs out of a caller-kept [`TransportScratch`], through
+//! one of two entry points: [`emd_with`] returns the distance of a
+//! signature pair and allocates nothing once warm, while
+//! [`solve_transportation_with`] solves a cost matrix and returns the
+//! optimal flows as a [`TransportPlan`].
+//!
 //! A closed-form `O(n log n)` solver for the 1-D equal-mass case,
 //! [`emd_1d`], is the independent oracle of the property tests; nothing
 //! in the detector calls it.
@@ -31,110 +38,39 @@ pub use error::EmdError;
 pub use ground::{Chebyshev, Euclidean, GroundDistance, Manhattan, WeightedEuclidean};
 pub use one_d::emd_1d;
 pub use signature::Signature;
-pub use transport::{
-    solve_transportation, solve_transportation_with, TransportPlan, TransportScratch,
-    TransportStats,
-};
+pub use transport::{solve_transportation_with, TransportPlan, TransportScratch, TransportStats};
 
-/// Earth Mover's Distance between two signatures under a ground distance.
+/// Earth Mover's Distance between two signatures under a ground distance,
+/// solved out of a caller-kept scratch.
 ///
 /// Implements Eqs. (7)–(12) of the paper. Masses need not match: the
 /// smaller total mass is fully transported and the distance is cost per
-/// unit of transported mass.
-///
-/// Equivalent to [`emd_with`] with a fresh [`TransportScratch`]; hot
-/// loops solving many pairs should keep one scratch and call that.
+/// unit of transported mass. The ground cost matrix, the simplex tableau
+/// and every solver working set live in `scratch`, so a warm call
+/// performs no heap allocation at all (the flow plan is never
+/// materialized; [`solve_transportation_with`] returns it). A scratch
+/// dirtied by earlier solves of any shape gives the bits of a fresh one.
 ///
 /// # Errors
 /// Returns an error if either signature has zero total mass, dimensions
 /// disagree, or the solver fails to converge (which the iteration cap
 /// makes effectively unreachable for sane inputs).
-pub fn emd<G: GroundDistance>(a: &Signature, b: &Signature, ground: &G) -> Result<f64, EmdError> {
-    emd_with(a, b, ground, &mut TransportScratch::new())
-}
-
-/// As [`emd`], running entirely out of a caller-kept scratch: the ground
-/// cost matrix, the simplex tableau, and every solver working set live
-/// in `scratch`, so a warm call performs no heap allocation at all (the
-/// flow plan is never materialized). Bit-identical to [`emd`].
-///
-/// # Errors
-/// See [`emd`].
 pub fn emd_with<G: GroundDistance>(
     a: &Signature,
     b: &Signature,
     ground: &G,
     scratch: &mut TransportScratch,
 ) -> Result<f64, EmdError> {
-    let mut costs = std::mem::take(&mut scratch.ground);
-    let checked = fill_ground_costs(a, b, ground, &mut costs);
-    let result = checked
-        .and_then(|()| transport::solve_cost_flow(&costs, a.weights(), b.weights(), scratch));
-    scratch.ground = costs;
-    let (total_cost, total_flow) = result?;
-    if total_flow <= 0.0 {
-        return Err(EmdError::ZeroMass);
-    }
-    Ok(total_cost / total_flow)
-}
-
-/// As [`emd`], also returning the optimal flow plan for diagnostics.
-///
-/// # Errors
-/// See [`emd`].
-pub fn emd_with_flow<G: GroundDistance>(
-    a: &Signature,
-    b: &Signature,
-    ground: &G,
-) -> Result<(f64, TransportPlan), EmdError> {
-    emd_with_flow_with(a, b, ground, &mut TransportScratch::new())
-}
-
-/// As [`emd_with_flow`], reusing a caller-kept scratch; only the
-/// returned plan's flow list is allocated. Bit-identical to
-/// [`emd_with_flow`].
-///
-/// # Errors
-/// See [`emd`].
-pub fn emd_with_flow_with<G: GroundDistance>(
-    a: &Signature,
-    b: &Signature,
-    ground: &G,
-    scratch: &mut TransportScratch,
-) -> Result<(f64, TransportPlan), EmdError> {
-    let mut costs = std::mem::take(&mut scratch.ground);
-    let checked = fill_ground_costs(a, b, ground, &mut costs);
-    let result =
-        checked.and_then(|()| solve_transportation_with(&costs, a.weights(), b.weights(), scratch));
-    scratch.ground = costs;
-    let plan = result?;
-    let total_flow = plan.total_flow();
-    if total_flow <= 0.0 {
-        return Err(EmdError::ZeroMass);
-    }
-    Ok((plan.total_cost() / total_flow, plan))
-}
-
-/// Validate a signature pair and fill the pairwise ground-distance
-/// matrix into a reused buffer (the shared front half of both `emd_with`
-/// forms).
-fn fill_ground_costs<G: GroundDistance>(
-    a: &Signature,
-    b: &Signature,
-    ground: &G,
-    costs: &mut Vec<f64>,
-) -> Result<(), EmdError> {
     if a.dim() != b.dim() {
         return Err(EmdError::DimensionMismatch {
             left: a.dim(),
             right: b.dim(),
         });
     }
-    let wa = a.total_weight();
-    let wb = b.total_weight();
-    if wa <= 0.0 || wb <= 0.0 {
+    if a.total_weight() <= 0.0 || b.total_weight() <= 0.0 {
         return Err(EmdError::ZeroMass);
     }
+    let mut costs = std::mem::take(&mut scratch.ground);
     costs.clear();
     costs.reserve(a.len() * b.len());
     for (pa, _) in a.iter() {
@@ -142,7 +78,13 @@ fn fill_ground_costs<G: GroundDistance>(
             costs.push(ground.distance(pa, pb));
         }
     }
-    Ok(())
+    let result = transport::solve_cost_flow(&costs, a.weights(), b.weights(), scratch);
+    scratch.ground = costs;
+    let (total_cost, total_flow) = result?;
+    if total_flow <= 0.0 {
+        return Err(EmdError::ZeroMass);
+    }
+    Ok(total_cost / total_flow)
 }
 
 #[cfg(test)]
@@ -153,10 +95,15 @@ mod tests {
         Signature::new(points, weights).unwrap()
     }
 
+    /// `emd_with` on a fresh scratch.
+    fn emd_fresh(a: &Signature, b: &Signature) -> Result<f64, EmdError> {
+        emd_with(a, b, &Euclidean, &mut TransportScratch::new())
+    }
+
     #[test]
     fn identical_signatures_have_zero_distance() {
         let s = sig(vec![vec![0.0, 0.0], vec![1.0, 1.0]], vec![2.0, 3.0]);
-        let d = emd(&s, &s, &Euclidean).unwrap();
+        let d = emd_fresh(&s, &s).unwrap();
         assert!(d.abs() < 1e-12, "self-distance {d}");
     }
 
@@ -164,7 +111,7 @@ mod tests {
     fn two_point_masses() {
         let a = sig(vec![vec![0.0]], vec![1.0]);
         let b = sig(vec![vec![3.0]], vec![1.0]);
-        assert!((emd(&a, &b, &Euclidean).unwrap() - 3.0).abs() < 1e-12);
+        assert!((emd_fresh(&a, &b).unwrap() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -173,7 +120,7 @@ mod tests {
         // the transported mass, so the distance is still 3.
         let a = sig(vec![vec![0.0]], vec![5.0]);
         let b = sig(vec![vec![3.0]], vec![1.0]);
-        assert!((emd(&a, &b, &Euclidean).unwrap() - 3.0).abs() < 1e-12);
+        assert!((emd_fresh(&a, &b).unwrap() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -182,7 +129,7 @@ mod tests {
         // from the nearby pile. EMD = 0.5.
         let a = sig(vec![vec![0.0], vec![10.0]], vec![1.0, 1.0]);
         let b = sig(vec![vec![0.5]], vec![1.0]);
-        assert!((emd(&a, &b, &Euclidean).unwrap() - 0.5).abs() < 1e-12);
+        assert!((emd_fresh(&a, &b).unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -196,7 +143,14 @@ mod tests {
             vec![vec![0.0, 1.0], vec![100.0, 1.0], vec![50.0, 1.0]],
             vec![0.5, 0.3, 0.2],
         );
-        let (d, plan) = emd_with_flow(&a, &b, &Euclidean).unwrap();
+        let d = emd_fresh(&a, &b).unwrap();
+        let costs: Vec<f64> = a
+            .iter()
+            .flat_map(|(pa, _)| b.iter().map(move |(pb, _)| Euclidean.distance(pa, pb)))
+            .collect();
+        let mut scratch = TransportScratch::new();
+        let plan =
+            solve_transportation_with(&costs, a.weights(), b.weights(), &mut scratch).unwrap();
         // Hand-computed optimum:
         let c00 = 1.0;
         let c10 = (100.0f64 * 100.0 + 1.0).sqrt();
@@ -205,14 +159,18 @@ mod tests {
         let expected = 0.4 * c00 + 0.1 * c10 + 0.3 * c11 + 0.2 * c12;
         assert!((d - expected).abs() < 1e-9, "{d} vs {expected}");
         assert!((plan.total_flow() - 1.0).abs() < 1e-12);
+        assert_eq!(
+            d.to_bits(),
+            (plan.total_cost() / plan.total_flow()).to_bits()
+        );
     }
 
     #[test]
     fn symmetry_for_equal_mass() {
         let a = sig(vec![vec![0.0], vec![2.0], vec![5.0]], vec![1.0, 2.0, 1.0]);
         let b = sig(vec![vec![1.0], vec![4.0]], vec![2.0, 2.0]);
-        let dab = emd(&a, &b, &Euclidean).unwrap();
-        let dba = emd(&b, &a, &Euclidean).unwrap();
+        let dab = emd_fresh(&a, &b).unwrap();
+        let dba = emd_fresh(&b, &a).unwrap();
         assert!((dab - dba).abs() < 1e-9);
     }
 
@@ -221,9 +179,9 @@ mod tests {
         let a = sig(vec![vec![0.0]], vec![1.0]);
         let b = sig(vec![vec![1.0], vec![3.0]], vec![0.5, 0.5]);
         let c = sig(vec![vec![5.0]], vec![1.0]);
-        let ab = emd(&a, &b, &Euclidean).unwrap();
-        let bc = emd(&b, &c, &Euclidean).unwrap();
-        let ac = emd(&a, &c, &Euclidean).unwrap();
+        let ab = emd_fresh(&a, &b).unwrap();
+        let bc = emd_fresh(&b, &c).unwrap();
+        let ac = emd_fresh(&a, &c).unwrap();
         assert!(ac <= ab + bc + 1e-9);
     }
 
@@ -232,16 +190,15 @@ mod tests {
         let a = sig(vec![vec![0.0]], vec![1.0]);
         let b = sig(vec![vec![0.0, 1.0]], vec![1.0]);
         assert!(matches!(
-            emd(&a, &b, &Euclidean),
+            emd_fresh(&a, &b),
             Err(EmdError::DimensionMismatch { .. })
         ));
     }
 
     #[test]
     fn emd_with_dirty_scratch_is_bit_identical() {
-        // One scratch across pairs of different shapes must reproduce
-        // the allocating path exactly, for both the cost-only and the
-        // flow-returning forms.
+        // One scratch across pairs of different shapes must reproduce a
+        // fresh scratch's distance exactly.
         let mut scratch = TransportScratch::new();
         let pairs = [
             (
@@ -261,14 +218,9 @@ mod tests {
             ),
         ];
         for (a, b) in &pairs {
-            let fresh = emd(a, b, &Euclidean).unwrap();
+            let fresh = emd_fresh(a, b).unwrap();
             let reused = emd_with(a, b, &Euclidean, &mut scratch).unwrap();
             assert_eq!(fresh.to_bits(), reused.to_bits());
-            let (fresh_d, fresh_plan) = emd_with_flow(a, b, &Euclidean).unwrap();
-            let (reused_d, reused_plan) =
-                emd_with_flow_with(a, b, &Euclidean, &mut scratch).unwrap();
-            assert_eq!(fresh_d.to_bits(), reused_d.to_bits());
-            assert_eq!(fresh_plan, reused_plan);
         }
     }
 
@@ -276,7 +228,7 @@ mod tests {
     fn matches_1d_oracle_on_fixed_case() {
         let a = sig(vec![vec![0.0], vec![1.0], vec![2.0]], vec![1.0, 1.0, 1.0]);
         let b = sig(vec![vec![0.5], vec![1.5], vec![2.5]], vec![1.0, 1.0, 1.0]);
-        let d = emd(&a, &b, &Euclidean).unwrap();
+        let d = emd_fresh(&a, &b).unwrap();
         let oracle = emd_1d(
             &[(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)],
             &[(0.5, 1.0), (1.5, 1.0), (2.5, 1.0)],

@@ -51,14 +51,6 @@ impl Signature {
         })
     }
 
-    /// Signature with a single unit-mass point.
-    ///
-    /// # Errors
-    /// As [`Signature::new`].
-    pub fn point_mass(point: Vec<f64>) -> Result<Self, EmdError> {
-        Signature::new(vec![point], vec![1.0])
-    }
-
     /// Dismantle the signature into its owned buffers, so a retiring
     /// signature's point vectors and weight buffer can be recycled into
     /// the next build instead of freed and re-allocated.
@@ -117,24 +109,6 @@ impl Signature {
         let weights = self.weights.iter().map(|w| w / total).collect();
         Signature::new(self.points.clone(), weights)
     }
-
-    /// Weighted centroid of the signature (used by descriptive baselines).
-    pub fn centroid(&self) -> Vec<f64> {
-        let total = self.total_weight();
-        let mut c = vec![0.0; self.dim];
-        if total <= 0.0 {
-            return c;
-        }
-        for (p, w) in self.iter() {
-            for (ci, &xi) in c.iter_mut().zip(p) {
-                *ci += w * xi;
-            }
-        }
-        for ci in &mut c {
-            *ci /= total;
-        }
-        c
-    }
 }
 
 #[cfg(test)]
@@ -186,12 +160,6 @@ mod tests {
     fn normalization_of_zero_mass_fails() {
         let s = Signature::new(vec![vec![0.0]], vec![0.0]).unwrap();
         assert_eq!(s.normalized().unwrap_err(), EmdError::ZeroMass);
-    }
-
-    #[test]
-    fn centroid_weighted() {
-        let s = Signature::new(vec![vec![0.0, 0.0], vec![4.0, 8.0]], vec![3.0, 1.0]).unwrap();
-        assert_eq!(s.centroid(), vec![1.0, 2.0]);
     }
 
     #[test]

@@ -27,11 +27,10 @@
 //!    tree.
 //!
 //! There is exactly one solver body, and it runs entirely out of a
-//! [`TransportScratch`]: the allocating [`solve_transportation`] is a
-//! thin wrapper that hands it a fresh scratch, while hot-path callers
-//! keep one scratch alive and call [`solve_transportation_with`] (or the
-//! cost-only `emd` entry points in the crate root), which touches no
-//! heap in steady state.
+//! caller-kept [`TransportScratch`]. It has two entry points:
+//! [`solve_transportation_with`] returns the optimal flows as a
+//! [`TransportPlan`], and the crate root's cost-only `emd_with`, which
+//! the detector calls, touches no heap in steady state.
 
 use crate::error::EmdError;
 
@@ -119,9 +118,9 @@ impl TreeNode {
 /// shape — buffers are resized (never shrunk) per solve, so after the
 /// largest problem has been seen once, further solves allocate nothing.
 ///
-/// Results are bit-identical to the allocating entry points regardless
-/// of what a previous solve left behind: every cell of every buffer that
-/// a solve reads is overwritten first.
+/// Results are bit-identical to a fresh scratch's regardless of what a
+/// previous solve left behind: every cell of every buffer that a solve
+/// reads is overwritten first.
 #[derive(Debug, Clone, Default)]
 pub struct TransportScratch {
     /// Original indices of the retained (positive-supply) rows.
@@ -206,33 +205,19 @@ struct Dims {
     real_cols: usize,
 }
 
-/// Solve the (possibly unbalanced) transportation problem.
+/// Solve the (possibly unbalanced) transportation problem out of a
+/// caller-kept scratch.
 ///
 /// `costs` is row-major `supplies.len() x demands.len()`. Supplies and
-/// demands must be non-negative and finite; costs must be finite.
-///
-/// Equivalent to [`solve_transportation_with`] with a fresh
-/// [`TransportScratch`].
+/// demands must be non-negative and finite; costs must be finite. In
+/// steady state the only allocation is the returned plan's flow list,
+/// and a scratch dirtied by previous solves of other shapes gives the
+/// bits of a fresh one.
 ///
 /// # Errors
 /// [`EmdError::NonFiniteInput`] for NaN/infinite input,
 /// [`EmdError::ZeroMass`] if either side has zero total mass, and
 /// [`EmdError::DidNotConverge`] if the iteration cap is hit.
-pub fn solve_transportation(
-    costs: &[f64],
-    supplies: &[f64],
-    demands: &[f64],
-) -> Result<TransportPlan, EmdError> {
-    solve_transportation_with(costs, supplies, demands, &mut TransportScratch::new())
-}
-
-/// As [`solve_transportation`], running out of a caller-kept scratch:
-/// in steady state the only allocation is the returned plan's flow list.
-/// Bit-identical to [`solve_transportation`], including on a scratch
-/// dirtied by previous solves of other shapes.
-///
-/// # Errors
-/// As [`solve_transportation`].
 pub fn solve_transportation_with(
     costs: &[f64],
     supplies: &[f64],
@@ -254,7 +239,7 @@ pub fn solve_transportation_with(
 /// the zero-allocation form behind the crate root's `emd_with`.
 ///
 /// # Errors
-/// As [`solve_transportation`].
+/// As [`solve_transportation_with`].
 pub(crate) fn solve_cost_flow(
     costs: &[f64],
     supplies: &[f64],
@@ -286,7 +271,7 @@ fn solve_core(
     assert_eq!(
         costs.len(),
         m0 * n0,
-        "solve_transportation: cost matrix shape mismatch"
+        "solve_transportation_with: cost matrix shape mismatch"
     );
     if supplies
         .iter()
@@ -768,9 +753,18 @@ fn preorder_next(tree: &[TreeNode], mut x: usize, top: usize) -> usize {
 mod tests {
     use super::*;
 
+    /// `solve_transportation_with` on a fresh scratch.
+    fn solve_fresh(
+        costs: &[f64],
+        supplies: &[f64],
+        demands: &[f64],
+    ) -> Result<TransportPlan, EmdError> {
+        solve_transportation_with(costs, supplies, demands, &mut TransportScratch::new())
+    }
+
     fn solve(costs: &[&[f64]], supplies: &[f64], demands: &[f64]) -> TransportPlan {
         let flat: Vec<f64> = costs.iter().flat_map(|r| r.iter().copied()).collect();
-        solve_transportation(&flat, supplies, demands).unwrap()
+        solve_fresh(&flat, supplies, demands).unwrap()
     }
 
     /// `tree` spans the `m` row and remaining column nodes from the root,
@@ -893,7 +887,7 @@ mod tests {
         let supplies = [3.0, 2.0, 5.0];
         let demands = [4.0, 6.0];
         let costs = [1.0, 4.0, 2.0, 1.0, 3.0, 2.0];
-        let plan = solve_transportation(&costs, &supplies, &demands).unwrap();
+        let plan = solve_fresh(&costs, &supplies, &demands).unwrap();
         let mut row_out = [0.0; 3];
         let mut col_in = [0.0; 2];
         for &(i, j, f) in plan.flows() {
@@ -913,7 +907,7 @@ mod tests {
     #[test]
     fn rejects_nan_cost() {
         assert_eq!(
-            solve_transportation(&[f64::NAN], &[1.0], &[1.0]),
+            solve_fresh(&[f64::NAN], &[1.0], &[1.0]),
             Err(EmdError::NonFiniteInput)
         );
     }
@@ -921,17 +915,14 @@ mod tests {
     #[test]
     fn rejects_negative_supply() {
         assert_eq!(
-            solve_transportation(&[1.0], &[-1.0], &[1.0]),
+            solve_fresh(&[1.0], &[-1.0], &[1.0]),
             Err(EmdError::NonFiniteInput)
         );
     }
 
     #[test]
     fn rejects_all_zero_mass() {
-        assert_eq!(
-            solve_transportation(&[1.0], &[0.0], &[1.0]),
-            Err(EmdError::ZeroMass)
-        );
+        assert_eq!(solve_fresh(&[1.0], &[0.0], &[1.0]), Err(EmdError::ZeroMass));
     }
 
     /// The northwest corner's cells on marginals `a` and `b`, checked
@@ -1068,7 +1059,7 @@ mod tests {
         let costs: Vec<f64> = (0..16).map(|k| ((k * 7 + 3) % 11) as f64 + 1.0).collect();
         let supplies = [5.0, 3.0, 8.0, 2.0];
         let demands = [4.0, 6.0, 5.0, 3.0];
-        let plan = solve_transportation(&costs, &supplies, &demands).unwrap();
+        let plan = solve_fresh(&costs, &supplies, &demands).unwrap();
         let min_c = costs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max_c = costs.iter().cloned().fold(0.0, f64::max);
         assert!(plan.total_cost() >= min_c * plan.total_flow() - 1e-9);
@@ -1079,8 +1070,8 @@ mod tests {
     #[test]
     fn scratch_reuse_matches_fresh_across_shapes() {
         // One dirty scratch driven across problems of different shapes
-        // must reproduce the allocating path exactly (bit-identical
-        // plans), regardless of what earlier solves left behind.
+        // must reproduce a fresh scratch exactly (bit-identical plans),
+        // regardless of what earlier solves left behind.
         let problems: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = vec![
             (
                 vec![8.0, 5.0, 6.0, 15.0, 10.0, 12.0, 3.0, 9.0, 10.0],
@@ -1102,7 +1093,7 @@ mod tests {
         ];
         let mut scratch = TransportScratch::new();
         for (costs, a, b) in &problems {
-            let fresh = solve_transportation(costs, a, b).unwrap();
+            let fresh = solve_fresh(costs, a, b).unwrap();
             let reused = solve_transportation_with(costs, a, b, &mut scratch).unwrap();
             assert_eq!(fresh, reused);
         }
@@ -1162,7 +1153,7 @@ mod tests {
         assert!(cost.abs() < 1e-12, "bland cost {cost}");
 
         // And the default path agrees on the first instance.
-        let plan = solve_transportation(&costs, &ones, &ones).unwrap();
+        let plan = solve_fresh(&costs, &ones, &ones).unwrap();
         assert!((plan.total_cost() - 4.0).abs() < 1e-12);
     }
 }

@@ -11,10 +11,24 @@
 //! 2-D signatures.
 
 use emd::{
-    emd, emd_1d, emd_with, solve_transportation, solve_transportation_with, EmdError, Euclidean,
-    GroundDistance, Signature, TransportScratch,
+    emd_1d, emd_with, solve_transportation_with, EmdError, Euclidean, GroundDistance, Signature,
+    TransportPlan, TransportScratch,
 };
 use proptest::prelude::*;
+
+/// `emd_with` on a fresh scratch.
+fn emd_fresh(a: &Signature, b: &Signature) -> Result<f64, EmdError> {
+    emd_with(a, b, &Euclidean, &mut TransportScratch::new())
+}
+
+/// `solve_transportation_with` on a fresh scratch.
+fn solve_fresh(
+    costs: &[f64],
+    supplies: &[f64],
+    demands: &[f64],
+) -> Result<TransportPlan, EmdError> {
+    solve_transportation_with(costs, supplies, demands, &mut TransportScratch::new())
+}
 
 /// Strategy: a 1-D weighted point set with strictly positive weights.
 fn weighted_points_1d(max_len: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
@@ -769,7 +783,7 @@ proptest! {
         let a = normalize(&a);
         let b = normalize(&b);
         let oracle = emd_1d(&a, &b).unwrap();
-        let solved = emd(&to_signature_1d(&a), &to_signature_1d(&b), &Euclidean).unwrap();
+        let solved = emd_fresh(&to_signature_1d(&a), &to_signature_1d(&b)).unwrap();
         prop_assert!(
             (oracle - solved).abs() < 1e-7 * (1.0 + oracle.abs()),
             "oracle {oracle} vs simplex {solved}"
@@ -779,7 +793,7 @@ proptest! {
     /// EMD is non-negative and zero on identical signatures.
     #[test]
     fn non_negative_and_identity(s in signature_2d(10)) {
-        let d = emd(&s, &s, &Euclidean).unwrap();
+        let d = emd_fresh(&s, &s).unwrap();
         prop_assert!(d >= 0.0);
         prop_assert!(d < 1e-9, "self distance {d}");
     }
@@ -787,8 +801,8 @@ proptest! {
     /// EMD is symmetric (any masses — Eq. 12 is symmetric by construction).
     #[test]
     fn symmetric(a in signature_2d(8), b in signature_2d(8)) {
-        let dab = emd(&a, &b, &Euclidean).unwrap();
-        let dba = emd(&b, &a, &Euclidean).unwrap();
+        let dab = emd_fresh(&a, &b).unwrap();
+        let dba = emd_fresh(&b, &a).unwrap();
         prop_assert!((dab - dba).abs() < 1e-7 * (1.0 + dab.abs()), "{dab} vs {dba}");
     }
 
@@ -802,9 +816,9 @@ proptest! {
         let a = a.normalized().unwrap();
         let b = b.normalized().unwrap();
         let c = c.normalized().unwrap();
-        let ab = emd(&a, &b, &Euclidean).unwrap();
-        let bc = emd(&b, &c, &Euclidean).unwrap();
-        let ac = emd(&a, &c, &Euclidean).unwrap();
+        let ab = emd_fresh(&a, &b).unwrap();
+        let bc = emd_fresh(&b, &c).unwrap();
+        let ac = emd_fresh(&a, &c).unwrap();
         prop_assert!(ac <= ab + bc + 1e-7, "ac={ac} > ab+bc={}", ab + bc);
     }
 
@@ -828,7 +842,7 @@ proptest! {
         b in signature_2d(6),
         scale in 0.1..100.0f64,
     ) {
-        let d1 = emd(&a, &b, &Euclidean).unwrap();
+        let d1 = emd_fresh(&a, &b).unwrap();
         let a2 = Signature::new(
             a.points().to_vec(),
             a.weights().iter().map(|w| w * scale).collect(),
@@ -837,21 +851,20 @@ proptest! {
             b.points().to_vec(),
             b.weights().iter().map(|w| w * scale).collect(),
         ).unwrap();
-        let d2 = emd(&a2, &b2, &Euclidean).unwrap();
+        let d2 = emd_fresh(&a2, &b2).unwrap();
         prop_assert!((d1 - d2).abs() < 1e-7 * (1.0 + d1.abs()), "{d1} vs {d2}");
     }
 
-    /// The scratch-backed solver returns bit-identical `TransportPlan`s
-    /// (cost, flow, and the flows list) to the allocating one across
-    /// random unbalanced and degenerate problems, including repeated
-    /// reuse of one dirty scratch across problems of varying shape.
+    /// One dirty scratch returns bit-identical `TransportPlan`s (cost,
+    /// flow, and the flows list) to a fresh one across random unbalanced
+    /// and degenerate problems, reused across problems of varying shape.
     #[test]
     fn scratch_solver_is_bit_identical(
         problems in prop::collection::vec(transport_problem(), 1..6),
     ) {
         let mut scratch = TransportScratch::new();
         for (costs, supplies, demands) in &problems {
-            let fresh = solve_transportation(costs, supplies, demands);
+            let fresh = solve_fresh(costs, supplies, demands);
             let reused = solve_transportation_with(costs, supplies, demands, &mut scratch);
             match (fresh, reused) {
                 (Ok(f), Ok(r)) => {
@@ -864,14 +877,15 @@ proptest! {
         }
     }
 
-    /// `emd_with` through one dirty scratch is bit-identical to `emd`.
+    /// `emd_with` through one dirty scratch is bit-identical to a fresh
+    /// scratch.
     #[test]
     fn emd_with_scratch_is_bit_identical(
         pairs in prop::collection::vec((signature_2d(8), signature_2d(8)), 1..5),
     ) {
         let mut scratch = TransportScratch::new();
         for (a, b) in &pairs {
-            let fresh = emd(a, b, &Euclidean).unwrap();
+            let fresh = emd_fresh(a, b).unwrap();
             let reused = emd_with(a, b, &Euclidean, &mut scratch).unwrap();
             prop_assert_eq!(fresh.to_bits(), reused.to_bits());
         }
@@ -883,7 +897,7 @@ proptest! {
     fn point_mass_closed_form(s in signature_2d(8), px in -20.0..20.0f64, py in -20.0..20.0f64) {
         let s = s.normalized().unwrap();
         let p = Signature::new(vec![vec![px, py]], vec![1.0]).unwrap();
-        let d = emd(&s, &p, &Euclidean).unwrap();
+        let d = emd_fresh(&s, &p).unwrap();
         let expected: f64 = s.iter()
             .map(|(pt, w)| {
                 let dx = pt[0] - px;
@@ -908,7 +922,7 @@ proptest! {
         let demands: Vec<f64> = demands.iter().map(|d| d * 2.0).collect();
         let counts = |masses: &[f64]| masses.iter().map(|&x| x as u64).collect::<Vec<_>>();
         let (cost, flow) = min_cost_flow::solve(&costs, &counts(&supplies), &counts(&demands));
-        match solve_transportation(&costs, &supplies, &demands) {
+        match solve_fresh(&costs, &supplies, &demands) {
             Ok(plan) => {
                 prop_assert!(
                     agrees(plan.total_flow(), flow as f64),
@@ -926,7 +940,7 @@ proptest! {
         }
     }
 
-    /// `emd` is the min-cost flow's cost per unit of flow (Eq. 12), on
+    /// `emd_with` is the min-cost flow's cost per unit of flow (Eq. 12), on
     /// 2-D signatures of up to 24 points with integer weights, zeros
     /// included, so both the northwest-corner and the least-cost start
     /// are reached. With `grid` set the points snap to a small integer
@@ -960,7 +974,7 @@ proptest! {
             .collect();
         let counts = |s: &Signature| s.weights().iter().map(|&w| w as u64).collect::<Vec<_>>();
         let (cost, flow) = min_cost_flow::solve(&costs, &counts(&a), &counts(&b));
-        match emd(&a, &b, &Euclidean) {
+        match emd_fresh(&a, &b) {
             Ok(d) => {
                 prop_assert!(flow > 0);
                 let oracle = cost / flow as f64;

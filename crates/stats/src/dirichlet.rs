@@ -8,51 +8,22 @@
 use crate::gamma::{sample_gamma_shape, GammaShape};
 use rand::Rng;
 
-/// Dirichlet distribution with concentration vector `alpha`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Dirichlet {
-    alpha: Vec<f64>,
-}
+/// Dirichlet sampling from a concentration vector the caller keeps, so
+/// the bootstrap draws thousands of replicates with no allocation. A
+/// field-less namespace: every function takes the concentrations as a
+/// slice.
+pub struct Dirichlet;
 
 impl Dirichlet {
-    /// Construct from a concentration vector.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is empty or any entry is not finite and `> 0`.
-    pub fn new(alpha: Vec<f64>) -> Self {
-        assert!(!alpha.is_empty(), "Dirichlet: empty concentration vector");
-        assert!(
-            alpha.iter().all(|&a| a.is_finite() && a > 0.0),
-            "Dirichlet: all concentrations must be > 0"
-        );
-        Dirichlet { alpha }
-    }
-
-    /// The flat `Dir(1, …, 1)` over the `(n-1)`-simplex: the posterior of
-    /// the plain Bayesian bootstrap (Appendix A).
-    pub fn flat(n: usize) -> Self {
-        Dirichlet::new(vec![1.0; n])
-    }
-
-    /// The weighted-bootstrap posterior of Appendix B: `Dir(n * pi)`
-    /// where `pi` are normalized weights. This matches the bootstrap
-    /// moments `E[g_i] = pi_i`, `var[g_i] ≈ pi_i (1-pi_i)/n`.
+    /// Compute the weighted-bootstrap posterior of Appendix B,
+    /// `Dir(n * pi)` where `pi` are the normalized weights, as its
+    /// concentration vector, into a reused buffer. This matches the
+    /// bootstrap moments `E[g_i] = pi_i`, `var[g_i] ≈ pi_i (1-pi_i)/n`;
+    /// equal weights give the flat `Dir(1, …, 1)` of the plain Bayesian
+    /// bootstrap (Appendix A).
     ///
     /// # Panics
     /// Panics if weights are empty, non-finite, negative, or sum to zero.
-    pub fn from_weights(weights: &[f64]) -> Self {
-        let mut alpha = Vec::new();
-        Dirichlet::alpha_from_weights(weights, &mut alpha);
-        Dirichlet::new(alpha)
-    }
-
-    /// Compute the Appendix-B concentration vector `n * pi` of
-    /// [`Dirichlet::from_weights`] into a reused buffer — paired with
-    /// [`Dirichlet::sample_alpha_into`], this is the allocation-free form
-    /// of the weighted bootstrap posterior.
-    ///
-    /// # Panics
-    /// As [`Dirichlet::from_weights`].
     pub fn alpha_from_weights(weights: &[f64], alpha: &mut Vec<f64>) {
         assert!(!weights.is_empty(), "Dirichlet: empty weights");
         let total: f64 = weights.iter().sum();
@@ -67,35 +38,13 @@ impl Dirichlet {
         alpha.extend(weights.iter().map(|&w| (n * w / total).max(1e-12)));
     }
 
-    /// Dimension of the support.
-    pub fn dim(&self) -> usize {
-        self.alpha.len()
-    }
-
-    /// Concentration vector.
-    pub fn alpha(&self) -> &[f64] {
-        &self.alpha
-    }
-
-    /// Draw one sample into `out` (avoids an allocation on the bootstrap
-    /// hot path).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.dim()`.
-    pub fn sample_into(&self, rng: &mut impl Rng, out: &mut [f64]) {
-        Dirichlet::sample_alpha_into(&self.alpha, rng, out);
-    }
-
-    /// Draw one `Dir(alpha)` sample into `out` directly from a
-    /// concentration slice, without a [`Dirichlet`] value — the
-    /// bootstrap keeps `alpha` in a scratch buffer and draws thousands
-    /// of replicates with no allocation. Identical draws to
-    /// [`Dirichlet::sample_into`] on the same alphas.
+    /// Draw one `Dir(alpha)` sample into `out`: the per-replicate
+    /// reference that the batched form reproduces bit for bit.
     ///
     /// # Panics
     /// Panics if `out.len() != alpha.len()`.
     pub fn sample_alpha_into(alpha: &[f64], rng: &mut impl Rng, out: &mut [f64]) {
-        assert_eq!(out.len(), alpha.len(), "sample_into: dim mismatch");
+        assert_eq!(out.len(), alpha.len(), "sample_alpha_into: dim mismatch");
         let mut total = 0.0;
         for (o, &a) in out.iter_mut().zip(alpha) {
             let g = sample_gamma_shape(a, rng);
@@ -156,13 +105,6 @@ impl Dirichlet {
             }
         }
     }
-
-    /// Draw one sample as a fresh vector.
-    pub fn sample(&self, rng: &mut impl Rng) -> Vec<f64> {
-        let mut out = vec![0.0; self.alpha.len()];
-        self.sample_into(rng, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -170,12 +112,26 @@ mod tests {
     use super::*;
     use crate::rng::seeded_rng;
 
+    /// One draw from `Dir(alpha)` as a fresh vector.
+    fn sample(alpha: &[f64], rng: &mut impl Rng) -> Vec<f64> {
+        let mut out = vec![0.0; alpha.len()];
+        Dirichlet::sample_alpha_into(alpha, rng, &mut out);
+        out
+    }
+
+    /// The Appendix-B concentrations of `weights`.
+    fn alpha_of(weights: &[f64]) -> Vec<f64> {
+        let mut alpha = Vec::new();
+        Dirichlet::alpha_from_weights(weights, &mut alpha);
+        alpha
+    }
+
     #[test]
     fn samples_lie_on_simplex() {
         let mut rng = seeded_rng(31);
-        let d = Dirichlet::flat(5);
+        let d = [1.0; 5];
         for _ in 0..200 {
-            let x = d.sample(&mut rng);
+            let x = sample(&d, &mut rng);
             let s: f64 = x.iter().sum();
             assert!((s - 1.0).abs() < 1e-12);
             assert!(x.iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -185,11 +141,11 @@ mod tests {
     #[test]
     fn flat_dirichlet_mean_is_uniform() {
         let mut rng = seeded_rng(32);
-        let d = Dirichlet::flat(4);
+        let d = [1.0; 4];
         let n = 50_000;
         let mut acc = vec![0.0; 4];
         for _ in 0..n {
-            for (a, v) in acc.iter_mut().zip(d.sample(&mut rng)) {
+            for (a, v) in acc.iter_mut().zip(sample(&d, &mut rng)) {
                 *a += v;
             }
         }
@@ -204,11 +160,11 @@ mod tests {
         // var[g_i] = (n-1)/(n^2 (n+1)).
         let mut rng = seeded_rng(33);
         let n_dim = 5;
-        let d = Dirichlet::flat(n_dim);
+        let d = vec![1.0; n_dim];
         let reps = 100_000;
         let mut first = Vec::with_capacity(reps);
         for _ in 0..reps {
-            first.push(d.sample(&mut rng)[0]);
+            first.push(sample(&d, &mut rng)[0]);
         }
         let m: f64 = first.iter().sum::<f64>() / reps as f64;
         let v: f64 = first.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (reps - 1) as f64;
@@ -222,11 +178,11 @@ mod tests {
         // Appendix B: E[g_i] = pi_i.
         let mut rng = seeded_rng(34);
         let w = [4.0, 2.0, 1.0, 1.0];
-        let d = Dirichlet::from_weights(&w);
+        let d = alpha_of(&w);
         let reps = 60_000;
         let mut acc = [0.0; 4];
         for _ in 0..reps {
-            for (a, v) in acc.iter_mut().zip(d.sample(&mut rng)) {
+            for (a, v) in acc.iter_mut().zip(sample(&d, &mut rng)) {
                 *a += v;
             }
         }
@@ -242,11 +198,11 @@ mod tests {
         // var[g_i] = pi_i (1 - pi_i) / (n + 1).
         let mut rng = seeded_rng(35);
         let w = [3.0, 1.0];
-        let d = Dirichlet::from_weights(&w);
+        let d = alpha_of(&w);
         let reps = 120_000;
         let mut xs = Vec::with_capacity(reps);
         for _ in 0..reps {
-            xs.push(d.sample(&mut rng)[0]);
+            xs.push(sample(&d, &mut rng)[0]);
         }
         let m: f64 = xs.iter().sum::<f64>() / reps as f64;
         let v: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (reps - 1) as f64;
@@ -258,9 +214,9 @@ mod tests {
     #[test]
     fn zero_weight_entry_gets_negligible_mass() {
         let mut rng = seeded_rng(36);
-        let d = Dirichlet::from_weights(&[1.0, 0.0, 1.0]);
+        let d = alpha_of(&[1.0, 0.0, 1.0]);
         for _ in 0..100 {
-            let x = d.sample(&mut rng);
+            let x = sample(&d, &mut rng);
             assert!(x[1] < 1e-6, "zero-weight coordinate drew mass {}", x[1]);
         }
     }
@@ -268,9 +224,8 @@ mod tests {
     #[test]
     fn sample_into_avoids_allocation_and_matches_dims() {
         let mut rng = seeded_rng(37);
-        let d = Dirichlet::flat(3);
         let mut buf = [0.0; 3];
-        d.sample_into(&mut rng, &mut buf);
+        Dirichlet::sample_alpha_into(&[1.0; 3], &mut rng, &mut buf);
         assert!((buf.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
@@ -323,20 +278,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_alpha_panics() {
-        Dirichlet::new(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be > 0")]
-    fn nonpositive_alpha_panics() {
-        Dirichlet::new(vec![1.0, 0.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "positive sum")]
     fn all_zero_weights_panic() {
-        Dirichlet::from_weights(&[0.0, 0.0]);
+        alpha_of(&[0.0, 0.0]);
     }
 }

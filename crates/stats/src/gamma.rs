@@ -7,41 +7,6 @@
 use crate::normal::sample_standard_normal;
 use rand::Rng;
 
-/// Gamma distribution with shape `alpha` and scale `theta` (mean
-/// `alpha * theta`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gamma {
-    alpha: f64,
-    theta: f64,
-}
-
-impl Gamma {
-    /// Construct from shape and scale.
-    ///
-    /// # Panics
-    /// Panics unless both parameters are finite and strictly positive.
-    pub fn new(alpha: f64, theta: f64) -> Self {
-        assert!(alpha.is_finite() && alpha > 0.0, "Gamma: shape must be > 0");
-        assert!(theta.is_finite() && theta > 0.0, "Gamma: scale must be > 0");
-        Gamma { alpha, theta }
-    }
-
-    /// Shape parameter.
-    pub fn shape(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Scale parameter.
-    pub fn scale(&self) -> f64 {
-        self.theta
-    }
-
-    /// Draw one sample.
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
-        self.theta * sample_gamma_shape(self.alpha, rng)
-    }
-}
-
 /// Sample `Gamma(alpha, 1)` by Marsaglia–Tsang (2000).
 ///
 /// For `alpha < 1` the standard boost is used:
@@ -119,10 +84,12 @@ mod tests {
     use crate::descriptive::{mean, sample_var};
     use crate::rng::seeded_rng;
 
+    /// `n` draws of `Gamma(alpha, theta)`, scaled from `Gamma(alpha, 1)`.
     fn draw(alpha: f64, theta: f64, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = seeded_rng(seed);
-        let g = Gamma::new(alpha, theta);
-        (0..n).map(|_| g.sample(&mut rng)).collect()
+        (0..n)
+            .map(|_| theta * sample_gamma_shape(alpha, &mut rng))
+            .collect()
     }
 
     #[test]
@@ -203,17 +170,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "shape must be > 0")]
-    fn zero_shape_panics() {
-        Gamma::new(0.0, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale must be > 0")]
-    fn zero_scale_panics() {
-        Gamma::new(1.0, 0.0);
     }
 }

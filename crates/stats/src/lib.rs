@@ -21,7 +21,7 @@ pub mod rng;
 pub use categorical::Categorical;
 pub use descriptive::{mean, median, quantile, sample_std, sample_var, Summary};
 pub use dirichlet::Dirichlet;
-pub use gamma::{Gamma, GammaShape};
+pub use gamma::GammaShape;
 pub use mixture::{GaussianMixture1d, MixtureComponent, MvGaussianMixture};
 pub use mvn::MultivariateNormal;
 pub use normal::{sample_standard_normal, Normal};

@@ -20,7 +20,6 @@ use crate::telemetry::SolveTimer;
 use bagcpd::score::{EmdSolver, SolverScratch, SolverStats};
 use bagcpd::{GroundMetric, SignatureScratch};
 use emd::{EmdError, Signature};
-use infoest::DistanceMatrix;
 use std::collections::VecDeque;
 
 /// Per-worker reusable state for the push→score hot path: the EMD
@@ -115,37 +114,17 @@ impl SignatureWindow {
         self.capacity
     }
 
-    /// The retained signatures, oldest first.
-    pub fn signatures(&self) -> impl Iterator<Item = &Signature> {
-        self.sigs.iter()
-    }
-
     /// Push the next signature, evicting (and returning) the oldest if
     /// full, and compute its distance to every retained signature
-    /// (exactly once each). The returned signature lets the caller
-    /// recycle its buffers into the next build.
-    ///
-    /// Equivalent to [`SignatureWindow::push_with`] with a fresh
-    /// [`EmdScratch`].
+    /// (exactly once each) through a caller-kept [`EmdScratch`]. The
+    /// returned signature lets the caller recycle its buffers into the
+    /// next build. With the scratch warm and the window full, the push
+    /// touches no heap at all, and a dirty scratch gives the bits of a
+    /// fresh one.
     ///
     /// # Errors
     /// Propagates EMD solver failures; the window is left unchanged in
     /// that case.
-    pub fn push(
-        &mut self,
-        sig: Signature,
-        solver: &EmdSolver,
-        metric: &GroundMetric,
-    ) -> Result<Option<Signature>, EmdError> {
-        self.push_with(sig, solver, metric, &mut EmdScratch::new())
-    }
-
-    /// As [`SignatureWindow::push`], solving through a caller-kept
-    /// [`EmdScratch`]: with the scratch warm and the window full, the
-    /// push touches no heap at all. Bit-identical results.
-    ///
-    /// # Errors
-    /// As [`SignatureWindow::push`].
     pub fn push_with(
         &mut self,
         sig: Signature,
@@ -227,19 +206,13 @@ impl SignatureWindow {
     }
 
     /// Copy the full `len x len` distance matrix (oldest first) into a
-    /// reused buffer — paired with `DistanceMatrix::from_vec` /
-    /// `LogDistances::into_vec`, the per-push scorer is built with no
-    /// allocation.
+    /// reused buffer: with `DistanceMatrix::from_vec` it is the input
+    /// `WindowScorer::from_distances` expects, and with
+    /// `LogDistances::into_vec` handing the storage back, the per-push
+    /// scorer is built with no allocation.
     pub fn matrix_into(&self, buf: &mut Vec<f64>) {
         buf.clear();
         buf.extend_from_slice(&self.dist);
-    }
-
-    /// Materialize the full `len x len` distance matrix (oldest first) —
-    /// the input `WindowScorer::from_distances` expects.
-    pub fn matrix(&self) -> DistanceMatrix {
-        let n = self.sigs.len();
-        DistanceMatrix::from_vec(n, n, self.dist.clone())
     }
 
     /// Borrowed view of the parts for snapshotting without consuming:
@@ -344,11 +317,12 @@ mod tests {
         // Window now holds 1, 3, 7, 15.
         assert!(w.is_full());
         assert!((w.distance(0, 3) - 14.0).abs() < 1e-12);
-        let m = w.matrix();
-        assert_eq!(m.rows(), 4);
+        let mut m = vec![1.0; 3]; // stale contents must be overwritten
+        w.matrix_into(&mut m);
+        assert_eq!(m.len(), 16);
         for i in 0..4 {
             for j in 0..4 {
-                assert!((m.get(i, j) - w.distance(i, j)).abs() < 1e-12);
+                assert!((m[i * 4 + j] - w.distance(i, j)).abs() < 1e-12);
             }
         }
     }
@@ -388,7 +362,12 @@ mod tests {
                 )
                 .unwrap();
             fresh
-                .push(sig(v), &EmdSolver::Exact, &GroundMetric::Euclidean)
+                .push_with(
+                    sig(v),
+                    &EmdSolver::Exact,
+                    &GroundMetric::Euclidean,
+                    &mut EmdScratch::new(),
+                )
                 .unwrap();
         }
         for i in 0..4 {

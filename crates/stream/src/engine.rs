@@ -678,11 +678,16 @@ mod tests {
         let detector = Detector::new(cfg.detector.clone()).unwrap();
         let mut reference =
             crate::OnlineDetector::new(detector, worker::stream_seed(cfg.seed, "ref-stream"));
+        let (mut eval, mut emd) = (bagcpd::EvalScratch::new(), crate::EmdScratch::new());
         let mut expected = Vec::new();
         let mut engine = StreamEngine::new(cfg).unwrap();
         for t in 0..10 {
             let level = if t < 5 { 0.0 } else { 4.0 };
-            expected.extend(reference.push(bag(level)).unwrap());
+            expected.extend(
+                reference
+                    .push_with(bag(level), &mut eval, &mut emd)
+                    .unwrap(),
+            );
             push(&mut engine, "ref-stream", bag(level));
         }
         engine.flush().unwrap();

@@ -8,12 +8,14 @@
 //!
 //! The layers, bottom up:
 //!
-//! - [`OnlineDetector`] — a single stream. `push(bag)` costs one
-//!   signature build plus at most `tau + tau' - 1` EMD solves (each
+//! - [`OnlineDetector`] — a single stream. `push_with(bag, ..)` costs
+//!   one signature build plus at most `tau + tau' - 1` EMD solves (each
 //!   pair is solved once and reused by every inspection point that
 //!   needs it, via [`cache::SignatureWindow`]); memory stays bounded by
-//!   the window width. Emitted points are **bit-identical** to
-//!   `bagcpd::Detector::analyze` on the same sequence.
+//!   the window width, and the caller's [`EmdScratch`] and
+//!   `bagcpd::EvalScratch` make a warm push allocation-free. Emitted
+//!   points are **bit-identical** to `bagcpd::Detector::analyze` on the
+//!   same sequence.
 //! - [`StreamEngine`] — a fixed pool of worker threads serving many
 //!   named streams behind bounded queues (backpressure, not unbounded
 //!   buffering), with per-tick batched evaluation. Stream names are
@@ -52,8 +54,8 @@
 //!   without real failures, clocks, or sleeps.
 //!
 //! ```
-//! use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, SignatureMethod};
-//! use stream::OnlineDetector;
+//! use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, EvalScratch, SignatureMethod};
+//! use stream::{EmdScratch, OnlineDetector};
 //!
 //! let detector = Detector::new(DetectorConfig {
 //!     tau: 4,
@@ -64,10 +66,13 @@
 //! })
 //! .unwrap();
 //! let mut online = OnlineDetector::new(detector, 7);
+//! // One pair of scratches across every bag, as an engine worker keeps
+//! // them across every stream it serves.
+//! let (mut eval, mut emd) = (EvalScratch::new(), EmdScratch::new());
 //! for t in 0..20 {
 //!     let level = if t < 10 { 0.0 } else { 8.0 };
 //!     let bag = Bag::from_scalars((0..30).map(|i| level + (i % 7) as f64 * 0.1));
-//!     if let Some(point) = online.push(bag).unwrap() {
+//!     if let Some(point) = online.push_with(bag, &mut eval, &mut emd).unwrap() {
 //!         println!("t={} score={:.3} alert={}", point.t, point.score, point.alert);
 //!     }
 //! }

@@ -1,4 +1,5 @@
-//! Incremental single-stream detector: `push(bag) -> Option<ScorePoint>`.
+//! Incremental single-stream detector:
+//! `push_with(bag, ..) -> Option<ScorePoint>`.
 
 use crate::cache::{EmdScratch, SignatureWindow};
 use bagcpd::{
@@ -97,27 +98,20 @@ impl OnlineDetector {
     /// push emits the score point for inspection time
     /// `t = bags_seen - tau'`.
     ///
+    /// The evaluation runs through caller-kept scratches: the engine's
+    /// workers hold one [`EvalScratch`] (bootstrap buffers) and one
+    /// [`EmdScratch`] (EMD solver tableau, window-push column,
+    /// scorer-matrix storage, signature-recycling pools) each and reuse
+    /// them across every stream they evaluate in a tick. Once warm, the
+    /// entire push→score path — the signature build (histogram method:
+    /// the evicted signature's buffers are recycled into the new one),
+    /// signature-to-window distances, the incremental matrix update, the
+    /// scorer, and every bootstrap replicate — performs **zero** heap
+    /// allocation. Dirty scratches give the bits of fresh ones.
+    ///
     /// # Errors
     /// [`DetectError::DimensionMismatch`] if the bag's dimension differs
     /// from this stream's established dimension, or an EMD failure.
-    pub fn push(&mut self, bag: Bag) -> Result<Option<ScorePoint>, DetectError> {
-        self.push_with(bag, &mut EvalScratch::new(), &mut EmdScratch::new())
-    }
-
-    /// As [`OnlineDetector::push`], but evaluating through caller-kept
-    /// scratches: the engine's workers hold one [`EvalScratch`]
-    /// (bootstrap buffers) and one [`EmdScratch`] (EMD solver tableau,
-    /// window-push column, scorer-matrix storage, signature-recycling
-    /// pools) each and reuse them across every stream they evaluate in
-    /// a tick. Once warm, the entire push→score path — the signature
-    /// build (histogram method: the evicted signature's buffers are
-    /// recycled into the new one), signature-to-window distances, the
-    /// incremental matrix update, the scorer, and every bootstrap
-    /// replicate — performs **zero** heap allocation. Bit-identical to
-    /// [`OnlineDetector::push`].
-    ///
-    /// # Errors
-    /// As [`OnlineDetector::push`].
     pub fn push_with(
         &mut self,
         bag: Bag,
@@ -181,26 +175,6 @@ impl OnlineDetector {
         }
         self.emitted += 1;
         Ok(Some(point))
-    }
-
-    /// Push a batch of bags, collecting the emitted points.
-    ///
-    /// # Errors
-    /// As [`OnlineDetector::push`]; bags before the failing one remain
-    /// consumed.
-    pub fn push_many(
-        &mut self,
-        bags: impl IntoIterator<Item = Bag>,
-    ) -> Result<Vec<ScorePoint>, DetectError> {
-        let mut scratch = EvalScratch::new();
-        let mut emd = EmdScratch::new();
-        let mut out = Vec::new();
-        for bag in bags {
-            if let Some(p) = self.push_with(bag, &mut scratch, &mut emd)? {
-                out.push(p);
-            }
-        }
-        Ok(out)
     }
 
     /// Export the full resumable state (the detector config is not
@@ -269,6 +243,18 @@ mod tests {
     use super::*;
     use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
 
+    /// Push every bag through one pair of scratches, collecting the
+    /// emitted points.
+    fn push_all(
+        online: &mut OnlineDetector,
+        bags: impl IntoIterator<Item = Bag>,
+    ) -> Vec<ScorePoint> {
+        let (mut eval, mut emd) = (EvalScratch::new(), EmdScratch::new());
+        bags.into_iter()
+            .filter_map(|bag| online.push_with(bag, &mut eval, &mut emd).unwrap())
+            .collect()
+    }
+
     fn shifted_bags(n: usize, change_at: usize, magnitude: f64) -> Vec<Bag> {
         (0..n)
             .map(|t| {
@@ -303,11 +289,7 @@ mod tests {
             let batch = det.analyze(&bags, 11).unwrap();
 
             let mut online = OnlineDetector::new(det, 11);
-            let mut points = Vec::new();
-            for bag in bags {
-                points.extend(online.push(bag).unwrap());
-            }
-            assert_eq!(batch.points, points);
+            assert_eq!(batch.points, push_all(&mut online, bags));
         }
     }
 
@@ -316,8 +298,9 @@ mod tests {
         let det = detector(SignatureMethod::Histogram { width: 0.25 });
         let mut online = OnlineDetector::new(det, 1);
         assert_eq!(online.warm_up_remaining(), 7);
+        let (mut eval, mut emd) = (EvalScratch::new(), EmdScratch::new());
         for (i, bag) in shifted_bags(12, 99, 0.0).into_iter().enumerate() {
-            let point = online.push(bag).unwrap();
+            let point = online.push_with(bag, &mut eval, &mut emd).unwrap();
             if i + 1 < 7 {
                 assert!(point.is_none(), "no emission during warm-up (bag {i})");
             } else {
@@ -333,10 +316,13 @@ mod tests {
     fn dimension_change_rejected() {
         let det = detector(SignatureMethod::Histogram { width: 0.25 });
         let mut online = OnlineDetector::new(det, 1);
-        online.push(Bag::from_scalars([1.0, 2.0])).unwrap();
+        let (mut eval, mut emd) = (EvalScratch::new(), EmdScratch::new());
+        online
+            .push_with(Bag::from_scalars([1.0, 2.0]), &mut eval, &mut emd)
+            .unwrap();
         let two_d = Bag::new(vec![vec![1.0, 2.0]; 3]);
         assert!(matches!(
-            online.push(two_d),
+            online.push_with(two_d, &mut eval, &mut emd),
             Err(DetectError::DimensionMismatch)
         ));
     }
@@ -348,24 +334,16 @@ mod tests {
 
         // Reference: one uninterrupted stream.
         let mut reference = OnlineDetector::new(det.clone(), 3);
-        let mut expected = Vec::new();
-        for bag in bags.clone() {
-            expected.extend(reference.push(bag).unwrap());
-        }
+        let expected = push_all(&mut reference, bags.clone());
 
         // Interrupted: snapshot mid-window (9 bags: warm but mid-history),
         // restore, finish.
         let mut first = OnlineDetector::new(det.clone(), 3);
-        let mut got = Vec::new();
-        for bag in bags.iter().take(9).cloned() {
-            got.extend(first.push(bag).unwrap());
-        }
+        let mut got = push_all(&mut first, bags.iter().take(9).cloned());
         let state = first.state();
         drop(first);
         let mut resumed = OnlineDetector::from_state(det, state).unwrap();
-        for bag in bags.iter().skip(9).cloned() {
-            got.extend(resumed.push(bag).unwrap());
-        }
+        got.extend(push_all(&mut resumed, bags.iter().skip(9).cloned()));
         assert_eq!(expected, got);
     }
 
@@ -373,9 +351,7 @@ mod tests {
     fn from_state_rejects_inconsistent_counts() {
         let det = detector(SignatureMethod::Histogram { width: 0.25 });
         let mut online = OnlineDetector::new(det.clone(), 5);
-        for bag in shifted_bags(10, 99, 0.0) {
-            online.push(bag).unwrap();
-        }
+        push_all(&mut online, shifted_bags(10, 99, 0.0));
         let good = online.state();
 
         let mut bad = good.clone();

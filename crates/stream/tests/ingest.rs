@@ -89,6 +89,7 @@ fn line_sources_match_standalone_detectors_bit_for_bit() {
     let (_, events) = run(builder);
 
     let detector = Detector::new(detector_cfg()).unwrap();
+    let (mut eval, mut emd) = (bagcpd::EvalScratch::new(), stream::EmdScratch::new());
     for s in 0..4u64 {
         let name = format!("stream-{s}");
         let mut reference =
@@ -99,7 +100,8 @@ fn line_sources_match_standalone_detectors_bit_for_bit() {
             let rows: Vec<Vec<f64>> = (0..20)
                 .map(|i| vec![level + ((i as u64 * 3 + s + t as u64) % 7) as f64 * 0.1])
                 .collect();
-            expected.extend(reference.push(bagcpd::Bag::new(rows)).unwrap());
+            let bag = bagcpd::Bag::new(rows);
+            expected.extend(reference.push_with(bag, &mut eval, &mut emd).unwrap());
         }
         let got: Vec<_> = points_of(&events, &name).cloned().collect();
         assert_eq!(expected, got, "stream {name} must match a solo detector");

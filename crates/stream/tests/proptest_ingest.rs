@@ -4,11 +4,11 @@
 //! standalone `OnlineDetector` — and killing + resuming from a
 //! checkpoint at any batch boundary must be lossless.
 
-use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, SignatureMethod};
+use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, EvalScratch, SignatureMethod};
 use proptest::prelude::*;
 use stream::ingest::{CheckpointPolicy, CsvFileSource, ThreadedLineSource};
 use stream::sink::MemorySink;
-use stream::{derive_stream_seed, Event, OnlineDetector, Pipeline, PipelineBuilder};
+use stream::{derive_stream_seed, EmdScratch, Event, OnlineDetector, Pipeline, PipelineBuilder};
 
 use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,6 +113,7 @@ proptest! {
         let events = run(builder);
 
         let detector = Detector::new(detector_cfg()).unwrap();
+        let (mut eval, mut emd) = (EvalScratch::new(), EmdScratch::new());
         for s in &streams {
             let mut solo = OnlineDetector::new(
                 detector.clone(),
@@ -120,7 +121,8 @@ proptest! {
             );
             let mut expected = Vec::new();
             for t in 0..s.bags.len() {
-                expected.extend(solo.push(Bag::new(rows_for(s, t))).unwrap());
+                let bag = Bag::new(rows_for(s, t));
+                expected.extend(solo.push_with(bag, &mut eval, &mut emd).unwrap());
             }
             prop_assert_eq!(
                 expected,

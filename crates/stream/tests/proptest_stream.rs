@@ -2,9 +2,11 @@
 //! the batch pipeline on every sequence, window shape, and signature
 //! method — scores, confidence intervals, and alerts alike.
 
-use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, ScoreKind, SignatureMethod};
+use bagcpd::{
+    Bag, BootstrapConfig, Detector, DetectorConfig, EvalScratch, ScoreKind, SignatureMethod,
+};
 use proptest::prelude::*;
-use stream::OnlineDetector;
+use stream::{EmdScratch, OnlineDetector};
 
 /// Deterministic bag sequence: `n` bags of 1-D data whose distribution
 /// shifts by `magnitude` at `change_at` (no RNG — the parameters are
@@ -69,9 +71,10 @@ proptest! {
         let batch = det.analyze(&bags, seed).expect("batch analysis");
 
         let mut online = OnlineDetector::new(det, seed);
+        let (mut eval, mut emd) = (EvalScratch::new(), EmdScratch::new());
         let mut points = Vec::new();
         for bag in bags {
-            if let Some(p) = online.push(bag).expect("online push") {
+            if let Some(p) = online.push_with(bag, &mut eval, &mut emd).expect("online push") {
                 points.push(p);
             }
         }
@@ -91,21 +94,24 @@ proptest! {
         let bags = make_bags(18, 9, magnitude, 16);
         let det = make_detector(3, 2, 1, false);
 
+        // One pair of scratches across all three detectors, as a worker
+        // shares its scratches across streams.
+        let (mut eval, mut emd) = (EvalScratch::new(), EmdScratch::new());
         let mut uncut = OnlineDetector::new(det.clone(), seed);
         let mut expected = Vec::new();
         for bag in bags.clone() {
-            expected.extend(uncut.push(bag).expect("push"));
+            expected.extend(uncut.push_with(bag, &mut eval, &mut emd).expect("push"));
         }
 
         let mut first = OnlineDetector::new(det.clone(), seed);
         let mut got = Vec::new();
         for bag in bags.iter().take(cut).cloned() {
-            got.extend(first.push(bag).expect("push"));
+            got.extend(first.push_with(bag, &mut eval, &mut emd).expect("push"));
         }
         let resumed = OnlineDetector::from_state(det, first.state());
         let mut resumed = resumed.expect("state is consistent");
         for bag in bags.iter().skip(cut).cloned() {
-            got.extend(resumed.push(bag).expect("push"));
+            got.extend(resumed.push_with(bag, &mut eval, &mut emd).expect("push"));
         }
         prop_assert_eq!(&expected, &got, "cut at {}", cut);
     }

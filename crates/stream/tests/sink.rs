@@ -99,9 +99,11 @@ fn legacy_output_row(p: &ScorePoint) -> String {
 fn reference_points(text: &str, seed: u64) -> Vec<ScorePoint> {
     let detector = bagcpd::Detector::new(detector_cfg()).unwrap();
     let mut online = OnlineDetector::new(detector, seed);
+    let (mut eval, mut emd) = (bagcpd::EvalScratch::new(), stream::EmdScratch::new());
     let mut out = Vec::new();
     for (_, rows) in bags_of(text) {
-        out.extend(online.push(bagcpd::Bag::new(rows)).unwrap());
+        let bag = bagcpd::Bag::new(rows);
+        out.extend(online.push_with(bag, &mut eval, &mut emd).unwrap());
     }
     out
 }

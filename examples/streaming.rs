@@ -8,7 +8,9 @@
 //! one signature build plus a handful of cached EMD solves (constant
 //! memory), and each completed score point — identical to what the
 //! batch API would produce — prints immediately, with a latency of τ'
-//! bags.
+//! bags. One evaluation scratch and one EMD scratch serve every push,
+//! as they serve every stream of an engine worker, so a warm push
+//! allocates nothing.
 //!
 //! Part 2 runs the same workload through the [`stream::Pipeline`]
 //! facade: many named sensors enter through `Source`s, every output —
@@ -21,9 +23,10 @@
 use bags_cpd::stats::{seeded_rng, GaussianMixture1d};
 use bags_cpd::stream::ingest::MemorySource;
 use bags_cpd::stream::{
-    CheckpointPolicy, Event, JsonLinesSink, MemorySink, OnlineDetector, Pipeline, Sink as _,
+    CheckpointPolicy, EmdScratch, Event, JsonLinesSink, MemorySink, OnlineDetector, Pipeline,
+    Sink as _,
 };
-use bags_cpd::{Bag, Detector, DetectorConfig};
+use bags_cpd::{Bag, Detector, DetectorConfig, EvalScratch};
 
 const SENSORS: usize = 6;
 
@@ -50,12 +53,14 @@ fn single_stream() {
     let mut rng = seeded_rng(5);
     let regimes = regimes();
     let mut online = OnlineDetector::new(detector(), 99);
+    let (mut eval, mut emd) = (EvalScratch::new(), EmdScratch::new());
 
     println!("streaming 45 bags (changes injected at t = 15 and t = 30)\n");
     for t in 0..45 {
         let regime = &regimes[t / 15];
         let bag = Bag::from_scalars(regime.sample_n(150, &mut rng));
-        if let Some(p) = online.push(bag).expect("push succeeds") {
+        let point = online.push_with(bag, &mut eval, &mut emd);
+        if let Some(p) = point.expect("push succeeds") {
             println!(
                 "t={:>2}  score={:>7.4}  ci=[{:>7.4}, {:>7.4}]{}",
                 p.t,
@@ -133,8 +138,13 @@ fn pipeline_fleet() {
     let mut events = fleet_session(0..20, &state);
     events.extend(fleet_session(20..45, &state));
 
-    // The same events in their JSONL wire format, for one sample point.
-    if let Some(event) = events.iter().find(|e| e.point().is_some()) {
+    // The same events in their JSONL wire format, for one sample point:
+    // the smallest (stream, t), whichever worker delivered first.
+    let first = events
+        .iter()
+        .filter(|e| e.point().is_some())
+        .min_by_key(|e| (e.stream(), e.point().map(|p| p.t)));
+    if let Some(event) = first {
         let mut jsonl = JsonLinesSink::new(Vec::new());
         jsonl
             .deliver(std::slice::from_ref(event))
