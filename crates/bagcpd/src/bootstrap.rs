@@ -8,8 +8,11 @@
 //! Appendix A). The score is recomputed for each replicate — cheaply,
 //! because the EMD matrix is fixed — and the `α/2` and `1-α/2` empirical
 //! quantiles form the confidence interval.
+//! The replicates are drawn component-major and scored four lanes at a
+//! time, each with its own RNG stream and its scalar arithmetic, so every
+//! score and CI is bit for bit that of one replicate at a time.
 
-use crate::score::{ScoreKind, ScoreScratch, WindowScorer};
+use crate::score::{ScoreKind, WindowScorer};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -60,8 +63,8 @@ pub struct ConfidenceInterval {
 }
 
 /// Reusable buffers for bootstrap replicate evaluation: per-replicate
-/// seeds, resampled Dirichlet weights and their normalized form, and the
-/// replicate score accumulator.
+/// seeds and RNGs, the resampled Dirichlet weights of the whole batch,
+/// and the replicate scores.
 ///
 /// One scratch reused across inspection points — and across *streams*,
 /// as the worker tick in `crates/stream` does — makes the bootstrap hot
@@ -80,12 +83,11 @@ pub struct BootstrapScratch {
     alpha_test: Vec<f64>,
     /// Per-replicate RNG streams for the batched draws.
     rngs: Vec<StdRng>,
-    /// Resampled reference-window weights, one row per replicate.
+    /// Resampled reference-window weights, component-major (the
+    /// replicates of one window item side by side).
     weights_ref: Vec<f64>,
-    /// Resampled test-window weights, one row per replicate.
+    /// Resampled test-window weights, component-major.
     weights_test: Vec<f64>,
-    /// Normalized weights of the replicate being scored.
-    score: ScoreScratch,
 }
 
 impl BootstrapScratch {
@@ -142,12 +144,12 @@ pub fn bootstrap_ci_with(
     }
 }
 
-/// Score one replicate per seed into `scratch.scores`, with batched
-/// Dirichlet draws: all weight rows are filled in two component-major
-/// sweeps (one per window) before any score runs. Each replicate's RNG
-/// sees the same stream a per-replicate draw loop would give it, so the
-/// rows, the scores and the CI are those of drawing replicate by
-/// replicate (pinned by a test).
+/// Score one replicate per seed into `scratch.scores`: all weight rows
+/// are drawn in two component-major sweeps (one per window), then scored
+/// as one batch. Each replicate's RNG sees the same stream a
+/// per-replicate draw loop would give it, and each lane repeats a
+/// replicate's scalar scoring, so the scores and the CI are those of
+/// drawing and scoring replicate by replicate (pinned by a test).
 fn replicate_batch_into(scorer: &WindowScorer, kind: ScoreKind, scratch: &mut BootstrapScratch) {
     let BootstrapScratch {
         seeds,
@@ -157,30 +159,25 @@ fn replicate_batch_into(scorer: &WindowScorer, kind: ScoreKind, scratch: &mut Bo
         rngs,
         weights_ref,
         weights_test,
-        score,
     } = scratch;
-    let (nr, nt) = (alpha_ref.len(), alpha_test.len());
+    let stride = seeds.len().next_multiple_of(Dirichlet::LANES);
     rngs.clear();
     rngs.extend(seeds.iter().map(|&seed| StdRng::seed_from_u64(seed)));
-    weights_ref.clear();
-    weights_ref.resize(seeds.len() * nr, 0.0);
-    weights_test.clear();
-    weights_test.resize(seeds.len() * nt, 0.0);
+    // Every entry is overwritten by the draws.
+    weights_ref.resize(alpha_ref.len() * stride, 0.0);
+    weights_test.resize(alpha_test.len() * stride, 0.0);
     // Reference rows first, then test rows, continuing the same RNGs —
     // the per-replicate draw order.
     Dirichlet::sample_alpha_batch_into(alpha_ref, rngs, weights_ref);
     Dirichlet::sample_alpha_batch_into(alpha_test, rngs, weights_test);
-    scores.clear();
-    scores.reserve(seeds.len());
-    for (wr, wt) in weights_ref.chunks(nr).zip(weights_test.chunks(nt)) {
-        scores.push(scorer.score_with(kind, wr, wt, score));
-    }
+    scores.resize(seeds.len(), 0.0);
+    scorer.score_batch_into(kind, weights_ref, weights_test, scores);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::{EmdSolver, SolverScratch};
+    use crate::score::{EmdSolver, ScoreScratch, SolverScratch};
     use crate::signature_builder::GroundMetric;
     use emd::Signature;
     use infoest::{DistanceMatrix, EstimatorConfig};

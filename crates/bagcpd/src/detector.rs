@@ -82,6 +82,15 @@ impl DetectorConfig {
             ));
         }
         self.bootstrap.validate().map_err(DetectError::BadConfig)?;
+        // The bootstrap's scores must be finite: a zero floor logs a
+        // coincident pair of signatures to -inf.
+        let est = &self.estimator;
+        let finite = est.offset.is_finite() && est.scale.is_finite();
+        if !(finite && est.dist_floor.is_finite() && est.dist_floor > 0.0) {
+            return Err(DetectError::BadConfig(
+                "estimator dist_floor must be finite and > 0, offset and scale finite".into(),
+            ));
+        }
         match &self.signature {
             SignatureMethod::KMeans { k }
             | SignatureMethod::KMedoids { k }
@@ -103,9 +112,9 @@ impl DetectorConfig {
 }
 
 /// Reusable buffers for one inspection-point evaluation: the nominal
-/// window weights, their normalized form for the nominal score, plus the
-/// bootstrap's [`BootstrapScratch`] (which carries the replicates' own
-/// normalized weights).
+/// window weights, the nominal score's one-replicate batch, and the
+/// bootstrap's [`BootstrapScratch`] (the replicates' weights, drawn and
+/// scored as one batch).
 ///
 /// [`Detector::evaluate_point_with`] fills these instead of allocating;
 /// a long-lived caller (the per-worker tick loop in `crates/stream`)
@@ -117,7 +126,7 @@ pub struct EvalScratch {
     ref_weights: Vec<f64>,
     /// Nominal test-window weights.
     test_weights: Vec<f64>,
-    /// Normalized nominal weights for the nominal score.
+    /// The nominal weights as a one-replicate batch.
     score: ScoreScratch,
     /// Bootstrap replicate buffers.
     bootstrap: BootstrapScratch,
@@ -460,6 +469,71 @@ mod tests {
             signature: SignatureMethod::Histogram { width: 0.25 },
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn estimator_constants_that_make_a_score_non_finite_are_rejected() {
+        // Twelve 1-D bags, the first six identical: their signatures
+        // coincide, so a zero floor logs their distance to -inf. At
+        // τ = τ' = 3 that made a bootstrap score NaN, and `analyze`
+        // panicked sorting the replicates; now the config is refused.
+        let bags: Vec<Bag> = (0..12)
+            .map(|t| {
+                Bag::from_scalars((0..10).map(move |i| {
+                    if t < 6 {
+                        i as f64 * 0.5
+                    } else {
+                        3.0 + (i * 7 % 10) as f64 * 0.3
+                    }
+                }))
+            })
+            .collect();
+        let config = |estimator| DetectorConfig {
+            tau: 3,
+            tau_prime: 3,
+            estimator,
+            ..Default::default()
+        };
+        let base = EstimatorConfig::default();
+        for bad in [
+            EstimatorConfig {
+                dist_floor: 0.0,
+                ..base
+            },
+            EstimatorConfig {
+                dist_floor: -1.0,
+                ..base
+            },
+            EstimatorConfig {
+                dist_floor: f64::INFINITY,
+                ..base
+            },
+            EstimatorConfig {
+                dist_floor: f64::NAN,
+                ..base
+            },
+            EstimatorConfig {
+                offset: f64::NAN,
+                ..base
+            },
+            EstimatorConfig {
+                scale: f64::INFINITY,
+                ..base
+            },
+        ] {
+            assert!(
+                matches!(Detector::new(config(bad)), Err(DetectError::BadConfig(_))),
+                "{bad:?} accepted"
+            );
+        }
+        let out = Detector::new(config(base))
+            .unwrap()
+            .analyze(&bags, 1)
+            .unwrap();
+        assert!(out
+            .points
+            .iter()
+            .all(|p| p.score.is_finite() && p.ci.lo.is_finite() && p.ci.up.is_finite()));
     }
 
     #[test]

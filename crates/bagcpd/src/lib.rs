@@ -9,9 +9,12 @@
 //!    quantizer ([`SignatureMethod`], §3.1);
 //! 3. signatures are embedded in the EMD metric space (§3.2, the `emd`
 //!    crate);
-//! 4. fluctuation is scored with the weighted information estimators —
-//!    [`WindowScorer::score_with`], the LR score of Eq. 16 or the
-//!    symmetrized KL score of Eq. 17 (§3.3, the `infoest` crate);
+//! 4. fluctuation is scored with the weighted information estimators
+//!    (§3.3; their constants and the log-distance matrix are in the
+//!    `infoest` crate) — [`WindowScorer::score_with`], the LR score of
+//!    Eq. 16 or the symmetrized KL score of Eq. 17, and
+//!    [`WindowScorer::score_batch_into`], the same for a batch of
+//!    bootstrap replicates;
 //! 5. per-step confidence intervals come from the Bayesian bootstrap
 //!    ([`bootstrap_ci_with`], §4.2), and alerts are raised adaptively when
 //!    consecutive intervals stop overlapping (`xi_t > 0`, §4.1).

@@ -5,14 +5,21 @@
 //! weights, used only linearly. The Bayesian bootstrap of §4.2 resamples
 //! only the weights, so [`WindowScorer`] takes the window's logarithms
 //! once per inspection point, and every bootstrap replicate is pure
-//! multiply-adds over them.
+//! multiply-adds over them — [`WindowScorer::score_batch_into`] scores
+//! the replicates four at a time.
 
 use crate::signature_builder::GroundMetric;
 use emd::{emd_with, Signature, TransportScratch};
-use infoest::{
-    auto_entropy, cross_entropy, information_content, normalize_weights_into, DistanceMatrix,
-    EstimatorConfig, LogDistances,
-};
+use infoest::{DistanceMatrix, EstimatorConfig, LogDistances};
+use stats::Dirichlet;
+use std::ops::Range;
+
+/// Replicates scored per pass, one lane of a `[f64; LANES]` each: the
+/// lane groups of [`Dirichlet::sample_alpha_batch_into`]'s layout.
+const LANES: usize = Dirichlet::LANES;
+
+/// One value per lane.
+type Lanes = [f64; LANES];
 
 /// Which optimal-transport solver computes the signature distances.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -107,17 +114,15 @@ pub struct WindowScorer {
     est: EstimatorConfig,
 }
 
-/// The window weights of one score evaluation, each divided by its
-/// window's sum: the form the scores read. A caller scoring in a loop
-/// (the bootstrap, through [`crate::EvalScratch`]) keeps one and threads
-/// it through [`WindowScorer::score_with`], which then allocates
+/// The window weights of one score evaluation as a one-replicate batch
+/// (every lane a copy), so that [`WindowScorer::score_with`] allocates
 /// nothing once warm.
 #[derive(Debug, Clone, Default)]
 pub struct ScoreScratch {
-    /// Normalized reference-window weights.
-    ref_probs: Vec<f64>,
-    /// Normalized test-window weights (without `S_t`'s for Eq. 16).
-    test_probs: Vec<f64>,
+    /// Reference-window weights, [`LANES`] copies of each.
+    ref_lanes: Vec<f64>,
+    /// Test-window weights, [`LANES`] copies of each.
+    test_lanes: Vec<f64>,
 }
 
 impl ScoreScratch {
@@ -159,11 +164,12 @@ impl WindowScorer {
         self.log
     }
 
-    /// Evaluate the chosen score with the given window weights.
+    /// Evaluate the chosen score with the window weights (`tau` and
+    /// `tau_prime` of them): a one-replicate call of
+    /// [`WindowScorer::score_batch_into`] through a caller-kept scratch.
     ///
-    /// `ref_weights` has length `tau`, `test_weights` length `tau_prime`;
-    /// each is normalized into a caller-kept scratch, so the call
-    /// allocates nothing once warm.
+    /// # Panics
+    /// As [`WindowScorer::score_batch_into`].
     pub fn score_with(
         &self,
         kind: ScoreKind,
@@ -171,76 +177,225 @@ impl WindowScorer {
         test_weights: &[f64],
         scratch: &mut ScoreScratch,
     ) -> f64 {
-        match kind {
-            ScoreKind::LikelihoodRatio => self.score_lr(ref_weights, test_weights, scratch),
-            ScoreKind::SymmetrizedKl => self.score_kl(ref_weights, test_weights, scratch),
-        }
+        let (wr, wt) = (&mut scratch.ref_lanes, &mut scratch.test_lanes);
+        wr.clear();
+        wr.extend(ref_weights.iter().flat_map(|&w| [w; LANES]));
+        wt.clear();
+        wt.extend(test_weights.iter().flat_map(|&w| [w; LANES]));
+        let mut score = [0.0];
+        self.score_batch_into(kind, wr, wt, &mut score);
+        score[0]
     }
 
-    /// Eq. (16): `score_LR(S_t) = I(S_t; S_ref) - I(S_t; S_test \ S_t)`.
-    ///
-    /// `ref_weights` has length `tau`, `test_weights` length `tau_prime`.
-    /// Each window's weights are checked and divided by their sum once,
-    /// into `scratch`; the test window's without `S_t`'s own weight.
-    ///
-    /// # Panics
-    /// Panics if `tau_prime < 2` (the leave-`S_t`-out test set would be
-    /// empty; the detector validates this up front), or on weights of
-    /// the wrong length or invalid values.
+    /// Eq. (16), `score_LR(S_t) = I(S_t; S_ref) - I(S_t; S_test \ S_t)`:
+    /// [`WindowScorer::score_with`] under [`ScoreKind::LikelihoodRatio`].
     pub fn score_lr(
         &self,
         ref_weights: &[f64],
         test_weights: &[f64],
         scratch: &mut ScoreScratch,
     ) -> f64 {
-        assert!(
-            self.tau_prime >= 2,
-            "score_lr requires tau' >= 2 (S_test \\ S_t must be non-empty)"
-        );
-        assert_eq!(ref_weights.len(), self.tau, "score_lr: ref weights length");
-        assert_eq!(
-            test_weights.len(),
-            self.tau_prime,
-            "score_lr: test weights length"
-        );
-        normalize_weights_into(ref_weights, &mut scratch.ref_probs);
-        normalize_weights_into(&test_weights[1..], &mut scratch.test_probs);
-        // Log distances from every window signature to S_t, the first
-        // test signature.
-        let trow = self.log.row(self.tau);
-        let i_ref = information_content(&trow[..self.tau], &scratch.ref_probs, &self.est);
-        let i_test = information_content(&trow[self.tau + 1..], &scratch.test_probs, &self.est);
-        i_ref - i_test
+        self.score_with(
+            ScoreKind::LikelihoodRatio,
+            ref_weights,
+            test_weights,
+            scratch,
+        )
     }
 
-    /// Eq. (17): symmetrized KL divergence between the two windows,
-    /// `H(S_ref, S_test) - (H(S_ref) + H(S_test)) / 2`.
-    ///
-    /// Weights as for [`WindowScorer::score_lr`], the test window's
-    /// whole.
-    ///
-    /// # Panics
-    /// Panics on weights of the wrong length or invalid values.
+    /// Eq. (17), the symmetrized KL divergence
+    /// `H(S_ref, S_test) - (H(S_ref) + H(S_test)) / 2`:
+    /// [`WindowScorer::score_with`] under [`ScoreKind::SymmetrizedKl`].
     pub fn score_kl(
         &self,
         ref_weights: &[f64],
         test_weights: &[f64],
         scratch: &mut ScoreScratch,
     ) -> f64 {
-        assert_eq!(ref_weights.len(), self.tau, "score_kl: ref weights length");
-        assert_eq!(
-            test_weights.len(),
-            self.tau_prime,
-            "score_kl: test weights length"
+        self.score_with(ScoreKind::SymmetrizedKl, ref_weights, test_weights, scratch)
+    }
+
+    /// Score a batch of weight replicates four at a time: the one
+    /// implementation of Eqs. 16–17.
+    ///
+    /// The weights are component-major, as
+    /// [`Dirichlet::sample_alpha_batch_into`] draws them: replicate `r`'s
+    /// weight of window item `c` at `c * stride + r`, where `stride` is
+    /// `scores.len()` rounded up to a multiple of [`Dirichlet::LANES`];
+    /// replicate `r`'s score goes to `scores[r]`. Each replicate's weights are
+    /// checked and divided by their window's sum in place (for Eq. 16 the
+    /// test window's without `S_t`'s). Padding lanes are scored and
+    /// discarded, so they need not hold valid weights.
+    ///
+    /// Every lane repeats the scalar arithmetic of one replicate in the
+    /// same order, so each score is bit for bit the one-replicate score:
+    /// Eq. 16's sums start from `-0.0`, as `f64::sum` does, and Eq. 17
+    /// skips zero weights (and, in an auto-entropy, an item holding all
+    /// the mass) by a per-lane select instead of a branch. The selects
+    /// matter under a zero `dist_floor`, where a skipped `0 · -inf` would
+    /// be `NaN`.
+    ///
+    /// # Panics
+    /// Panics if `kind` is Eq. 16 and `tau' < 2`, if a buffer's length is
+    /// not its window's times the stride, or unless every replicate's
+    /// weights are finite and `>= 0` with a positive sum.
+    pub fn score_batch_into(
+        &self,
+        kind: ScoreKind,
+        ref_weights: &mut [f64],
+        test_weights: &mut [f64],
+        scores: &mut [f64],
+    ) {
+        let lr = kind == ScoreKind::LikelihoodRatio;
+        assert!(
+            !lr || self.tau_prime >= 2,
+            "score_lr requires tau' >= 2 (S_test \\ S_t must be non-empty)"
         );
-        normalize_weights_into(ref_weights, &mut scratch.ref_probs);
-        normalize_weights_into(test_weights, &mut scratch.test_probs);
-        let (r, t) = (&scratch.ref_probs, &scratch.test_probs);
+        let stride = scores.len().next_multiple_of(LANES);
+        assert!(
+            ref_weights.len() == self.tau * stride && test_weights.len() == self.tau_prime * stride,
+            "score_batch_into: weights length"
+        );
+        let groups = stride / LANES;
+        let (wr, _) = ref_weights.as_chunks_mut::<LANES>();
+        let (wt, _) = test_weights.as_chunks_mut::<LANES>();
+        for (g, out) in scores.chunks_mut(LANES).enumerate() {
+            // Eq. 16 drops S_t's own weight, the first of the test window.
+            normalize_lanes(&mut wr[g..], groups, 0, out.len());
+            normalize_lanes(&mut wt[g..], groups, usize::from(lr), out.len());
+            let (pr, pt) = (Group(&wr[g..], groups), Group(&wt[g..], groups));
+            let lanes = if lr {
+                self.lr_lanes(pr, pt)
+            } else {
+                self.kl_lanes(pr, pt)
+            };
+            out.copy_from_slice(&lanes[..out.len()]);
+        }
+    }
+
+    /// Eq. (16) per lane, over the log distances to `S_t`.
+    fn lr_lanes(&self, pr: Group<'_>, pt: Group<'_>) -> Lanes {
+        let trow = self.log.row(self.tau);
+        let i_ref = self.information_lanes(&trow[..self.tau], pr, 0);
+        let i_test = self.information_lanes(&trow[self.tau..], pt, 1);
+        std::array::from_fn(|k| i_ref[k] - i_test[k])
+    }
+
+    /// Eq. (17) per lane.
+    fn kl_lanes(&self, pr: Group<'_>, pt: Group<'_>) -> Lanes {
         let w = self.tau + self.tau_prime;
-        let h_cross = cross_entropy(&self.log, 0..self.tau, self.tau..w, r, t, &self.est);
-        let h_ref = auto_entropy(&self.log, 0..self.tau, r, &self.est);
-        let h_test = auto_entropy(&self.log, self.tau..w, t, &self.est);
-        h_cross - 0.5 * (h_ref + h_test)
+        let h_cross = self.cross_lanes(pr, pt);
+        let h_ref = self.auto_lanes(0..self.tau, pr);
+        let h_test = self.auto_lanes(self.tau..w, pt);
+        std::array::from_fn(|k| h_cross[k] - 0.5 * (h_ref[k] + h_test[k]))
+    }
+
+    /// Information content `I(S; S') = c + d Σ_j ψ'_j log dist(S'_j, S)`
+    /// per lane over the items from `from` on, every term included.
+    fn information_lanes(&self, logs: &[f64], p: Group<'_>, from: usize) -> Lanes {
+        let mut acc = [-0.0; LANES];
+        for (c, &l) in logs.iter().enumerate().skip(from) {
+            let w = p.item_lanes(c);
+            acc = std::array::from_fn(|k| acc[k] + w[k] * l);
+        }
+        self.estimate_lanes(acc)
+    }
+
+    /// Cross-entropy `H(S_ref, S_test) = c + d Σ_i Σ_j ψ_i ψ'_j log
+    /// dist(S_i, S'_j)` per lane, skipping zero weights.
+    fn cross_lanes(&self, pr: Group<'_>, pt: Group<'_>) -> Lanes {
+        let cols = self.tau..self.tau + self.tau_prime;
+        let mut acc = [0.0; LANES];
+        for i in 0..self.tau {
+            let mut inner = [0.0; LANES];
+            for (j, &l) in self.log.row(i)[cols.clone()].iter().enumerate() {
+                let wj = pt.item_lanes(j);
+                inner = std::array::from_fn(|k| inner[k] + skip_zero(wj[k], wj[k] * l));
+            }
+            let wi = pr.item_lanes(i);
+            acc = std::array::from_fn(|k| acc[k] + skip_zero(wi[k], wi[k] * inner[k]));
+        }
+        self.estimate_lanes(acc)
+    }
+
+    /// Auto-entropy `H(S) = c + d Σ_i Σ_{j≠i} ψ_i ψ_j / (1 - ψ_i) log
+    /// dist(S_i, S_j)` per lane over the window items `at`. Zero weights
+    /// and an item with all the mass (its leave-one-out is undefined)
+    /// contribute nothing; a single item's auto-entropy is `c`.
+    fn auto_lanes(&self, at: Range<usize>, p: Group<'_>) -> Lanes {
+        if at.len() == 1 {
+            return [self.est.offset; LANES];
+        }
+        let mut acc = [0.0; LANES];
+        for i in 0..at.len() {
+            let mut inner = [0.0; LANES];
+            for (j, &l) in self.log.row(at.start + i)[at.clone()].iter().enumerate() {
+                if j != i {
+                    let wj = p.item_lanes(j);
+                    inner = std::array::from_fn(|k| inner[k] + skip_zero(wj[k], wj[k] * l));
+                }
+            }
+            let wi = p.item_lanes(i);
+            acc = std::array::from_fn(|k| {
+                let term = wi[k] * inner[k] / (1.0 - wi[k]);
+                acc[k] + if wi[k] >= 1.0 { 0.0 } else { term }
+            });
+        }
+        self.estimate_lanes(acc)
+    }
+
+    /// `c + d · acc` per lane.
+    fn estimate_lanes(&self, acc: Lanes) -> Lanes {
+        acc.map(|a| self.est.offset + self.est.scale * a)
+    }
+}
+
+/// `term`, or `+0.0` where its weight is zero: the scalar `continue` as
+/// a select. An accumulator starting at `+0.0` never holds `-0.0`, so
+/// adding `+0.0` leaves it unchanged, bit for bit.
+#[inline]
+fn skip_zero(weight: f64, term: f64) -> f64 {
+    if weight == 0.0 {
+        0.0
+    } else {
+        term
+    }
+}
+
+/// One lane group of a component-major batch: item `c`'s weights sit
+/// `c * groups` arrays on.
+#[derive(Clone, Copy)]
+struct Group<'a>(&'a [Lanes], usize);
+
+impl Group<'_> {
+    /// Item `c`'s weights.
+    #[inline]
+    fn item_lanes(&self, c: usize) -> Lanes {
+        self.0[c * self.1]
+    }
+}
+
+/// Check the lane group starting `w` (its items from `skip` on) and
+/// divide each lane by its sum, taken from `-0.0` in item order as
+/// `f64::sum` does, in place. Only the first `live` lanes are checked.
+fn normalize_lanes(w: &mut [Lanes], groups: usize, skip: usize, live: usize) {
+    assert!(w.len() > skip * groups, "empty weights");
+    let mut sum = [-0.0; LANES];
+    let mut valid = [true; LANES];
+    for x in w.iter().step_by(groups).skip(skip) {
+        sum = std::array::from_fn(|k| sum[k] + x[k]);
+        valid = std::array::from_fn(|k| valid[k] & x[k].is_finite() & (x[k] >= 0.0));
+    }
+    assert!(
+        valid
+            .iter()
+            .zip(&sum)
+            .take(live)
+            .all(|(&v, &s)| v && s > 0.0),
+        "weights must be finite, >= 0, with positive sum"
+    );
+    for x in w.iter_mut().step_by(groups).skip(skip) {
+        *x = std::array::from_fn(|k| x[k] / sum[k]);
     }
 }
 

@@ -3,13 +3,17 @@
 use bagcpd::{
     bootstrap_ci_with, Bag, BootstrapConfig, BootstrapScratch, ConfidenceInterval, Detector,
     DetectorConfig, EmdSolver, GroundMetric, ScoreKind, ScoreScratch, SignatureMethod,
-    SolverScratch, WindowScorer,
+    SolverScratch, Weighting, WindowScorer,
 };
 use emd::Signature;
-use infoest::{DistanceMatrix, EstimatorConfig};
+use infoest::{DistanceMatrix, EstimatorConfig, LogDistances};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use stats::descriptive::quantile_sorted;
+use stats::Dirichlet;
+use std::cell::Cell;
+use std::sync::Once;
 
 /// Strategy: a window of 1-D signatures at given positions with 2-point
 /// support (jittered so signatures never coincide).
@@ -271,6 +275,259 @@ proptest! {
     }
 }
 
+/// The per-replicate bootstrap path the lane kernel replaced: the weight
+/// checks and arithmetic of the scorer and estimators of that time,
+/// copied verbatim (their shape asserts left out). Each replicate's
+/// weights are drawn alone (`Dirichlet::sample_alpha_into`), then
+/// checked, divided by their window's sum, and scored with a branch per
+/// skipped term. The kernel must reproduce it bit for bit, and panic
+/// where it panics.
+mod per_replicate {
+    use infoest::{EstimatorConfig, LogDistances};
+    use std::ops::Range;
+
+    fn normalize_weights_into(weights: &[f64], probs: &mut Vec<f64>) {
+        assert!(!weights.is_empty(), "empty weights");
+        let sum: f64 = weights.iter().sum();
+        assert!(
+            weights.iter().all(|&w| w.is_finite() && w >= 0.0) && sum > 0.0,
+            "weights must be finite, >= 0, with positive sum"
+        );
+        probs.clear();
+        probs.extend(weights.iter().map(|&w| w / sum));
+    }
+
+    fn information_content(log_dists: &[f64], probs: &[f64], cfg: &EstimatorConfig) -> f64 {
+        let acc: f64 = log_dists.iter().zip(probs).map(|(&l, &p)| p * l).sum();
+        cfg.offset + cfg.scale * acc
+    }
+
+    fn auto_entropy(
+        log: &LogDistances,
+        at: Range<usize>,
+        probs: &[f64],
+        cfg: &EstimatorConfig,
+    ) -> f64 {
+        if probs.len() == 1 {
+            return cfg.offset;
+        }
+        let mut acc = 0.0;
+        for (i, &wi) in probs.iter().enumerate() {
+            if wi >= 1.0 {
+                continue;
+            }
+            let row = &log.row(at.start + i)[at.start..at.end];
+            let mut inner = 0.0;
+            for (j, (&wj, &l)) in probs.iter().zip(row).enumerate() {
+                if j == i || wj == 0.0 {
+                    continue;
+                }
+                inner += wj * l;
+            }
+            acc += wi * inner / (1.0 - wi);
+        }
+        cfg.offset + cfg.scale * acc
+    }
+
+    fn cross_entropy(
+        log: &LogDistances,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        probs_s: &[f64],
+        probs_t: &[f64],
+        cfg: &EstimatorConfig,
+    ) -> f64 {
+        let mut acc = 0.0;
+        for (i, &wi) in probs_s.iter().enumerate() {
+            if wi == 0.0 {
+                continue;
+            }
+            let row = &log.row(rows.start + i)[cols.start..cols.end];
+            let mut inner = 0.0;
+            for (&wj, &l) in probs_t.iter().zip(row) {
+                if wj == 0.0 {
+                    continue;
+                }
+                inner += wj * l;
+            }
+            acc += wi * inner;
+        }
+        cfg.offset + cfg.scale * acc
+    }
+
+    /// `WindowScorer::score_with` as it scored one replicate: Eq. 16
+    /// when `lr`, else Eq. 17.
+    #[allow(clippy::too_many_arguments)]
+    pub fn score(
+        log: &LogDistances,
+        tau: usize,
+        tau_prime: usize,
+        est: &EstimatorConfig,
+        lr: bool,
+        ref_weights: &[f64],
+        test_weights: &[f64],
+    ) -> f64 {
+        let (mut ref_probs, mut test_probs) = (Vec::new(), Vec::new());
+        if lr {
+            normalize_weights_into(ref_weights, &mut ref_probs);
+            normalize_weights_into(&test_weights[1..], &mut test_probs);
+            let trow = log.row(tau);
+            let i_ref = information_content(&trow[..tau], &ref_probs, est);
+            let i_test = information_content(&trow[tau + 1..], &test_probs, est);
+            i_ref - i_test
+        } else {
+            normalize_weights_into(ref_weights, &mut ref_probs);
+            normalize_weights_into(test_weights, &mut test_probs);
+            let (r, t) = (&ref_probs, &test_probs);
+            let w = tau + tau_prime;
+            let h_cross = cross_entropy(log, 0..tau, tau..w, r, t, est);
+            let h_ref = auto_entropy(log, 0..tau, r, est);
+            let h_test = auto_entropy(log, tau..w, t, est);
+            h_cross - 0.5 * (h_ref + h_test)
+        }
+    }
+}
+
+/// Run `f`, returning its value or its panic message. The panics `f`
+/// raises are expected, so they are not printed.
+fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    thread_local! {
+        static EXPECTED: Cell<bool> = const { Cell::new(false) };
+    }
+    static QUIET: Once = Once::new();
+    QUIET.call_once(|| {
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !EXPECTED.get() {
+                report(info);
+            }
+        }));
+    });
+    EXPECTED.set(true);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    EXPECTED.set(false);
+    result.map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    })
+}
+
+/// Strategy: a window for the lane kernel — τ in 1..=9, τ' in 2..=9, a
+/// window matrix with coincident signatures, and nominal weights
+/// (`None`: equal, the flat posterior; else Appendix B's, zeros and all
+/// mass on one weight included).
+#[allow(clippy::type_complexity)]
+fn kernel_window(
+) -> impl Strategy<Value = (usize, usize, DistanceMatrix, Option<(Vec<f64>, Vec<f64>)>)> {
+    (1usize..=9, 2usize..=9).prop_flat_map(|(tau, tau_prime)| {
+        (
+            Just(tau),
+            Just(tau_prime),
+            window_matrix(tau + tau_prime),
+            (0u8..2, raw_weights(tau), raw_weights(tau_prime))
+                .prop_map(|(k, wr, wt)| (k == 1).then_some((wr, wt))),
+        )
+    })
+}
+
+/// Strategy: a replicate count in 2..=203 (most not a multiple of four),
+/// a seed, a `dist_floor` of 1e-12, 0.5 or 0 (zero distances then log to
+/// `-inf`), and the score.
+fn kernel_draws() -> impl Strategy<Value = (usize, u64, f64, ScoreKind)> {
+    (
+        2usize..=203,
+        0..u64::MAX,
+        (0usize..3).prop_map(|k| [1e-12, 0.5, 0.0][k]),
+        (0u8..2).prop_map(|k| {
+            if k == 0 {
+                ScoreKind::SymmetrizedKl
+            } else {
+                ScoreKind::LikelihoodRatio
+            }
+        }),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The lane kernel's replicate scores, and the CI
+    /// `bootstrap_ci_with` takes from them, are bit for bit those of
+    /// drawing and scoring each replicate alone; where that path
+    /// panics, the kernel panics with the same message.
+    #[test]
+    fn lane_kernel_bit_identical_to_per_replicate_scoring(
+        (tau, tau_prime, dist, nominal) in kernel_window(),
+        (replicates, seed, floor, kind) in kernel_draws(),
+    ) {
+        let est = EstimatorConfig { dist_floor: floor, ..EstimatorConfig::default() };
+        let scorer = WindowScorer::from_distances(dist.clone(), tau, tau_prime, est);
+        let log = LogDistances::from_distances(dist, &est);
+        let (wr, wt) = nominal.unwrap_or_else(|| {
+            (vec![1.0 / tau as f64; tau], vec![1.0 / tau_prime as f64; tau_prime])
+        });
+        let (mut alpha_ref, mut alpha_test) = (Vec::new(), Vec::new());
+        Dirichlet::alpha_from_weights(&wr, &mut alpha_ref);
+        Dirichlet::alpha_from_weights(&wt, &mut alpha_test);
+        let mut base = StdRng::seed_from_u64(seed);
+        let seeds: Vec<u64> = (0..replicates).map(|_| base.gen()).collect();
+        let lr = kind == ScoreKind::LikelihoodRatio;
+
+        let expect = outcome(|| {
+            let mut draws_ref = vec![0.0; tau];
+            let mut draws_test = vec![0.0; tau_prime];
+            seeds
+                .iter()
+                .map(|&s| {
+                    let mut rng = StdRng::seed_from_u64(s);
+                    Dirichlet::sample_alpha_into(&alpha_ref, &mut rng, &mut draws_ref);
+                    Dirichlet::sample_alpha_into(&alpha_test, &mut rng, &mut draws_test);
+                    per_replicate::score(&log, tau, tau_prime, &est, lr, &draws_ref, &draws_test)
+                })
+                .collect::<Vec<f64>>()
+        });
+        let actual = outcome(|| {
+            let stride = replicates.next_multiple_of(Dirichlet::LANES);
+            let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+            let mut draws_ref = vec![f64::NAN; tau * stride];
+            let mut draws_test = vec![f64::NAN; tau_prime * stride];
+            Dirichlet::sample_alpha_batch_into(&alpha_ref, &mut rngs, &mut draws_ref);
+            Dirichlet::sample_alpha_batch_into(&alpha_test, &mut rngs, &mut draws_test);
+            let mut scores = vec![0.0; replicates];
+            scorer.score_batch_into(kind, &mut draws_ref, &mut draws_test, &mut scores);
+            scores
+        });
+        match (&expect, &actual) {
+            (Ok(e), Ok(a)) => {
+                for (r, (e, a)) in e.iter().zip(a).enumerate() {
+                    prop_assert_eq!(e.to_bits(), a.to_bits(), "replicate {}: {} vs {}", r, e, a);
+                }
+            }
+            _ => prop_assert_eq!(&expect, &actual),
+        }
+
+        // The same replicates through the production entry point: the
+        // CI is the reference scores' quantiles, or the same panic.
+        let cfg = BootstrapConfig { replicates, alpha: 0.05 };
+        let expect_ci = expect.and_then(|mut scores| outcome(move || {
+            scores.sort_unstable_by(|a, b| a.partial_cmp(b).expect("scores are finite"));
+            let q = |p: f64| quantile_sorted(&scores, p).to_bits();
+            (q(cfg.alpha / 2.0), q(1.0 - cfg.alpha / 2.0))
+        }));
+        let actual_ci = outcome(|| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ci = bootstrap_ci_with(
+                &scorer, kind, &wr, &wt, &cfg, &mut rng, &mut BootstrapScratch::new(),
+            );
+            (ci.lo.to_bits(), ci.up.to_bits())
+        });
+        prop_assert_eq!(expect_ci, actual_ci);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -375,6 +632,80 @@ proptest! {
     }
 }
 
+/// Strategy: a symmetric `w x w` matrix of positive distances (none
+/// below the default floor) with a zero diagonal.
+fn positive_matrix(w: usize) -> impl Strategy<Value = DistanceMatrix> {
+    prop::collection::vec(0.01..100.0f64, w * (w - 1) / 2).prop_map(move |upper| {
+        let mut upper = upper.into_iter();
+        DistanceMatrix::symmetric_from_fn(w, |_, _| upper.next().expect("sized exactly"))
+    })
+}
+
+/// Both scores of a τ = τ' = 4 window over `m` with constants `est`.
+fn scores_4x4(m: &DistanceMatrix, wr: &[f64], wt: &[f64], est: EstimatorConfig) -> [f64; 2] {
+    let s = WindowScorer::from_distances(m.clone(), 4, 4, est);
+    [ScoreKind::LikelihoodRatio, ScoreKind::SymmetrizedKl]
+        .map(|kind| s.score_with(kind, wr, wt, &mut ScoreScratch::new()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Relabeling the items inside each window leaves both scores
+    /// unchanged (`S_t` stays first in the test window, as Eq. 16
+    /// anchors on it): the estimators sum over sets.
+    #[test]
+    fn scores_permutation_invariant_within_windows(
+        m in positive_matrix(8),
+        wr in prop::collection::vec(0.01..10.0f64, 4),
+        wt in prop::collection::vec(0.01..10.0f64, 4),
+    ) {
+        let perm = [3, 2, 1, 0, 4, 7, 6, 5];
+        let pm = DistanceMatrix::from_fn(8, 8, |i, j| m.get(perm[i], perm[j]));
+        let pwr: Vec<f64> = perm[..4].iter().map(|&i| wr[i]).collect();
+        let pwt: Vec<f64> = perm[4..].iter().map(|&i| wt[i - 4]).collect();
+        let est = EstimatorConfig::default();
+        let (a, b) = (scores_4x4(&m, &wr, &wt, est), scores_4x4(&pm, &pwr, &pwt, est));
+        for (a, b) in a.iter().zip(b) {
+            prop_assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
+        }
+    }
+
+    /// Scaling every distance by `f` adds `ln f` to every estimate,
+    /// which cancels in both scores.
+    #[test]
+    fn scores_invariant_under_uniform_distance_scaling(
+        m in positive_matrix(8),
+        wr in prop::collection::vec(0.01..10.0f64, 4),
+        wt in prop::collection::vec(0.01..10.0f64, 4),
+        factor in 1.1..10.0f64,
+    ) {
+        let scaled = DistanceMatrix::from_fn(8, 8, |i, j| m.get(i, j) * factor);
+        let est = EstimatorConfig::default();
+        let (a, b) = (scores_4x4(&m, &wr, &wt, est), scores_4x4(&scaled, &wr, &wt, est));
+        for (a, b) in a.iter().zip(b) {
+            prop_assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
+        }
+    }
+
+    /// The estimators' offset `c` cancels in both scores and their scale
+    /// `d` multiplies them.
+    #[test]
+    fn estimator_offset_cancels_and_scale_multiplies(
+        m in positive_matrix(8),
+        wr in prop::collection::vec(0.01..10.0f64, 4),
+        wt in prop::collection::vec(0.01..10.0f64, 4),
+        offset in -10.0..10.0f64,
+        scale in 0.1..10.0f64,
+    ) {
+        let base = scores_4x4(&m, &wr, &wt, EstimatorConfig::default());
+        let est = EstimatorConfig { offset, scale, ..EstimatorConfig::default() };
+        for (b, s) in base.iter().zip(scores_4x4(&m, &wr, &wt, est)) {
+            prop_assert!((s - scale * b).abs() < 1e-9 * (1.0 + s.abs()), "{s} vs {scale} * {b}");
+        }
+    }
+}
+
 /// A fixed 16-bag 2-D sequence built from a formula (no RNG): bag sizes
 /// cycle through 20..=24 and the level moves at t = 8.
 fn formula_bags() -> Vec<Bag> {
@@ -462,13 +793,61 @@ const PINNED: [(SignatureMethod, [[u64; 3]; 9]); 4] = [
     ),
 ];
 
+/// The bits of [`PINNED`]'s k-means row under the two other scoring
+/// paths, the LR score (Eq. 16) and the discounted weights (Eq. 15), as
+/// an earlier version of the batch detector produced them.
+const PINNED_KMEANS_PATHS: [(ScoreKind, Weighting, [[u64; 3]; 9]); 2] = [
+    (
+        ScoreKind::LikelihoodRatio,
+        Weighting::Equal,
+        [
+            [0xbfc713be14df5862, 0xbff3bbc8667aa8bc, 0x3fde86ccc2e50ff2],
+            [0xbfdd45f70aee73ac, 0xbfeeab08eb12bb43, 0xbfb971f5d1eda7f5],
+            [0xbfe271c26304ee11, 0xbff0755b66a2d892, 0xbfc6d29dfc8f49fd],
+            [0xbfee04a4063da944, 0xbff53e4255b9e456, 0xbfe6bbe2d62fec94],
+            [0x3fef441c6014017a, 0x3fe58162bfc4ecd2, 0x3ff74b93b47993ec],
+            [0x3fef8a8940ee89ce, 0x3fd99238b3f9d8f2, 0x3ffd3e32122e7f7a],
+            [0x3fddd5262ccf6050, 0x3fb9277326fcf58f, 0x3fec614f359173af],
+            [0x3fc9a5be420eb5bc, 0xbfdeba07c68ed729, 0x3feb32c736b49110],
+            [0xbfc4da6be9c2e816, 0xbfee33e524f00c15, 0x3fda37683e811c91],
+        ],
+    ),
+    (
+        ScoreKind::SymmetrizedKl,
+        Weighting::Discounted,
+        [
+            [0xbfc0b78dd62cfa2e, 0xbfe51d6c5fcc9872, 0x3fd5565c57379605],
+            [0xbfa014522707812c, 0xbfda58394076d365, 0x3fde1398f28d2196],
+            [0xbf77c85d6a2dcb68, 0xbfd51b4e9b5e5e25, 0x3fdbd7eecd5ffdb5],
+            [0x3fa946e601f1a1d8, 0xbfe1ad5924d61cc4, 0x3fe2492ec2f70583],
+            [0x3feb25834ebb4f00, 0x3fe4fd960b301a1a, 0x3ff366fd253a2af3],
+            [0x3fc17e643ab2c6d9, 0xbfe00000d8da58a9, 0x3fec002dfd85773a],
+            [0xbfc4f4becf314056, 0xbfe6122b7344d36a, 0x3fd221fe14d23400],
+            [0xbfc295eb857d2790, 0xbfe00af0d929e923, 0x3fc7d1d64528c696],
+            [0xbfc002f41fc2442f, 0xbfde433cd299f1cb, 0x3fd5001801c4bf67],
+        ],
+    ),
+];
+
 #[test]
 fn batch_detector_bits_match_recorded_values() {
     let bags = formula_bags();
-    for (method, expected) in PINNED {
+    let rows = PINNED
+        .into_iter()
+        .map(|(method, bits)| (method, ScoreKind::SymmetrizedKl, Weighting::Equal, bits))
+        .chain(
+            PINNED_KMEANS_PATHS
+                .into_iter()
+                .map(|(score, weighting, bits)| {
+                    (SignatureMethod::KMeans { k: 4 }, score, weighting, bits)
+                }),
+        );
+    for (method, score, weighting, expected) in rows {
         let detector = Detector::new(DetectorConfig {
             tau: 4,
             tau_prime: 4,
+            score,
+            weighting,
             signature: method.clone(),
             ..DetectorConfig::default()
         })
@@ -484,7 +863,10 @@ fn batch_detector_bits_match_recorded_values() {
             .iter()
             .map(|[s, lo, up]| format!("[{s:#018x}, {lo:#018x}, {up:#018x}],\n"))
             .collect();
-        assert_eq!(actual, expected, "{method:?} bits moved; now:\n{table}");
+        assert_eq!(
+            actual, expected,
+            "{method:?} {score:?} {weighting:?} bits moved; now:\n{table}"
+        );
     }
 }
 

@@ -11,7 +11,7 @@
 //! ```
 
 use bagcpd::{Detector, DetectorConfig, SignatureMethod};
-use bench::{write_detection_csv, DetectionQuality};
+use bench::{relative, write_detection_csv, DetectionQuality};
 use bipartite::{graphscope_segment, GraphScopeConfig, ALL_FEATURES};
 use datasets::enron::{generate, EnronConfig};
 use stats::seeded_rng;
@@ -50,7 +50,7 @@ fn main() {
             alerts.len(),
             q.recall(),
             q.precision(),
-            path.display()
+            relative(&path).display()
         );
         per_feature_alerts.push(alerts);
     }

@@ -15,7 +15,7 @@ use baselines::{
     ChangeFinder, ChangeFinderConfig, KcdConfig, KernelChangeDetector, Rulsif, RulsifConfig,
     SsaConfig, SsaDetector,
 };
-use bench::{write_detection_csv, write_table_csv, DetectionQuality};
+use bench::{relative, write_detection_csv, write_table_csv, DetectionQuality};
 use datasets::fig1::{generate, sample_mean_series, Fig1Config};
 use stats::seeded_rng;
 
@@ -45,7 +45,7 @@ fn main() {
         alerts,
         q.recall(),
         q.precision(),
-        path.display()
+        relative(&path).display()
     );
 
     // --- Baselines on the sample-mean sequence -------------------------
@@ -127,7 +127,7 @@ fn main() {
         .map(|(t, &m)| vec![t as f64, m, cf_scores[t]])
         .collect();
     let p2 = write_table_csv("fig1_baselines", "t,sample_mean,changefinder", &rows);
-    println!("baseline series -> {}", p2.display());
+    println!("baseline series -> {}", relative(&p2).display());
 }
 
 fn argmax(xs: &[f64]) -> usize {

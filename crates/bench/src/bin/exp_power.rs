@@ -15,7 +15,7 @@
 //! ```
 
 use bagcpd::{Bag, BootstrapConfig, Detector, DetectorConfig, SignatureMethod};
-use bench::write_table_csv;
+use bench::{relative, write_table_csv};
 use stats::{seeded_rng, MultivariateNormal, Poisson};
 
 /// Dataset-4-like sequence with a mean jump of `magnitude` at t = 10.
@@ -80,7 +80,7 @@ fn main() {
         "magnitude,detection_rate,false_alarm_rate",
         &rows,
     );
-    println!("\n-> {}", path.display());
+    println!("\n-> {}", relative(&path).display());
     println!("expected shape: ~0 at magnitude 0 (the CI gate suppresses false alarms),");
     println!("rising through a crossover near the noise scale (sigma = 1), ~1 by magnitude 6.");
 }

@@ -10,15 +10,24 @@ use bagcpd::{Detection, ScorePoint};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+/// The workspace root, `crates/bench/../..`.
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 /// Directory where experiment CSVs are written
 /// (`<workspace>/target/experiments`, independent of the cwd).
 pub fn output_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("target")
-        .join("experiments");
+    let dir = workspace_root().join("target").join("experiments");
     std::fs::create_dir_all(&dir).expect("create target/experiments");
     dir
+}
+
+/// `path` relative to the workspace root (`target/experiments/<name>.csv`
+/// for the CSV writers' paths), for printing: what a binary prints does
+/// not depend on where the checkout lives.
+pub fn relative(path: &Path) -> &Path {
+    path.strip_prefix(workspace_root()).unwrap_or(path)
 }
 
 /// Write the per-inspection-point series of a detection to CSV.

@@ -96,19 +96,6 @@ impl Signature {
             .map(Vec::as_slice)
             .zip(self.weights.iter().copied())
     }
-
-    /// A copy with weights scaled to sum to one.
-    ///
-    /// # Errors
-    /// Returns [`EmdError::ZeroMass`] if the total weight is zero.
-    pub fn normalized(&self) -> Result<Signature, EmdError> {
-        let total = self.total_weight();
-        if total <= 0.0 {
-            return Err(EmdError::ZeroMass);
-        }
-        let weights = self.weights.iter().map(|w| w / total).collect();
-        Signature::new(self.points.clone(), weights)
-    }
 }
 
 #[cfg(test)]
@@ -146,20 +133,6 @@ mod tests {
         let weights = counts.iter().map(|&c| c as f64).collect();
         let s = Signature::new(vec![vec![0.0], vec![1.0]], weights).unwrap();
         assert_eq!(s.weights(), &[3.0, 5.0]);
-    }
-
-    #[test]
-    fn normalization() {
-        let s = Signature::new(vec![vec![0.0], vec![1.0]], vec![1.0, 3.0]).unwrap();
-        let n = s.normalized().unwrap();
-        assert!((n.total_weight() - 1.0).abs() < 1e-12);
-        assert!((n.weights()[1] - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalization_of_zero_mass_fails() {
-        let s = Signature::new(vec![vec![0.0]], vec![0.0]).unwrap();
-        assert_eq!(s.normalized().unwrap_err(), EmdError::ZeroMass);
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! The estimators use each distance only through its logarithm and each
 //! weight only linearly, so they work in the log domain: a
 //! [`DistanceMatrix`] is mapped once to a [`LogDistances`] matrix of
-//! `ln(max(d, dist_floor))`, weights are divided by their sum once
-//! ([`normalize_weights_into`]), and every estimate is then pure
-//! multiply-adds over the two.
+//! `ln(max(d, dist_floor))`, weights are divided by their sum once, and
+//! every estimate is then pure multiply-adds over the two. This crate
+//! holds the estimators' constants ([`EstimatorConfig`]) and the two
+//! matrices; `bagcpd`'s `WindowScorer` evaluates the estimators over a
+//! window's log block, the bootstrap's replicates four at a time.
 //!
 //! This crate is deliberately metric-agnostic: the caller decides
 //! whether the distances are EMDs between signatures (as in the paper)
@@ -29,7 +31,5 @@
 pub mod estimators;
 pub mod matrix;
 
-pub use estimators::{
-    auto_entropy, cross_entropy, information_content, normalize_weights_into, EstimatorConfig,
-};
+pub use estimators::EstimatorConfig;
 pub use matrix::{DistanceMatrix, LogDistances};

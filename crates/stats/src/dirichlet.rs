@@ -63,45 +63,60 @@ impl Dirichlet {
         }
     }
 
-    /// Draw one `Dir(alpha)` sample per RNG in `rngs`, filling the
-    /// row-major `out` (one row of `alpha.len()` per RNG) — the
-    /// replicate-batched form of [`Dirichlet::sample_alpha_into`].
+    /// Replicates per lane group of
+    /// [`Dirichlet::sample_alpha_batch_into`]'s layout.
+    pub const LANES: usize = 4;
+
+    /// Draw one `Dir(alpha)` sample per RNG in `rngs` — the batched form
+    /// of [`Dirichlet::sample_alpha_into`] — stored component-major:
+    /// replicate `r`'s component `c` goes to `out[c * stride + r]`, where
+    /// `stride` is `rngs.len()` rounded up to a multiple of
+    /// [`Dirichlet::LANES`], so the replicates of one component sit side
+    /// by side as SIMD lanes.
     ///
-    /// The fill is component-major: for each concentration `alpha[c]`,
-    /// all replicates draw their Gamma variate before moving to the next
-    /// component, so the alpha vector is swept once, cache-friendly,
-    /// instead of once per replicate — and the Marsaglia–Tsang sampler
-    /// constants for `alpha[c]` ([`GammaShape`]) are computed once per
-    /// component instead of once per draw. Each RNG still sees exactly
-    /// the per-replicate draw sequence of
-    /// [`Dirichlet::sample_alpha_into`] (Gamma draws in component
-    /// order), and row totals accumulate in the same left-to-right
-    /// order — rows are bit-identical to one
-    /// [`Dirichlet::sample_alpha_into`] call per RNG.
+    /// The draws run component outer, replicate inner, so the
+    /// Marsaglia–Tsang constants ([`GammaShape`]) are computed once per
+    /// component, and each RNG sees exactly the draw sequence of
+    /// [`Dirichlet::sample_alpha_into`]. Each replicate's draws are then
+    /// divided by their total, summed in component order, lane by lane:
+    /// every weight is bit for bit the one a
+    /// [`Dirichlet::sample_alpha_into`] call per RNG gives. The padding
+    /// lanes hold the uniform point `1 / alpha.len()`, the fallback of an
+    /// all-zero draw.
     ///
     /// # Panics
-    /// Panics if `out.len() != rngs.len() * alpha.len()`.
+    /// Panics if `out.len() != alpha.len() * stride`.
     pub fn sample_alpha_batch_into(alpha: &[f64], rngs: &mut [impl Rng], out: &mut [f64]) {
         let n = alpha.len();
+        let stride = rngs.len().next_multiple_of(Self::LANES);
         assert_eq!(
             out.len(),
-            rngs.len() * n,
+            n * stride,
             "sample_alpha_batch_into: shape mismatch"
         );
         for (c, &a) in alpha.iter().enumerate() {
             let shape = GammaShape::new(a);
-            for (r, rng) in rngs.iter_mut().enumerate() {
-                out[r * n + c] = shape.sample(rng);
+            let (live, padding) = out[c * stride..(c + 1) * stride].split_at_mut(rngs.len());
+            for (o, rng) in live.iter_mut().zip(rngs.iter_mut()) {
+                *o = shape.sample(rng);
             }
+            padding.fill(0.0);
         }
-        for row in out.chunks_mut(n) {
-            let total: f64 = row.iter().sum();
-            if total <= 0.0 {
-                row.fill(1.0 / n as f64);
-                continue;
+        let groups = stride / Self::LANES;
+        let (lanes, _) = out.as_chunks_mut::<{ Self::LANES }>();
+        for g in 0..groups {
+            let mut total = [0.0; Self::LANES];
+            for draws in lanes[g..].iter().step_by(groups) {
+                for (t, &x) in total.iter_mut().zip(draws) {
+                    *t += x;
+                }
             }
-            for o in row.iter_mut() {
-                *o /= total;
+            for draws in lanes[g..].iter_mut().step_by(groups) {
+                for (x, &t) in draws.iter_mut().zip(&total) {
+                    // A select, not a branch: the uniform fallback of
+                    // `sample_alpha_into`, lane by lane.
+                    *x = if t <= 0.0 { 1.0 / n as f64 } else { *x / t };
+                }
             }
         }
     }
@@ -231,17 +246,18 @@ mod tests {
 
     #[test]
     fn batched_rows_bit_identical_to_sequential_draws() {
-        // Each batched row must reproduce a per-replicate
+        // Each batched replicate must reproduce a per-replicate
         // `sample_alpha_into` sequence exactly: same RNG stream, same
-        // accumulation order.
+        // accumulation order. Five replicates leave three padding lanes.
         let alpha_ref = [1.0, 0.5, 2.0, 1.3];
         let alpha_test = [0.8, 1.7, 1.0];
         let seeds = [3u64, 99, 1234, 5, 42];
         let (nr, nt) = (alpha_ref.len(), alpha_test.len());
+        let stride = 8;
 
         let mut rngs: Vec<_> = seeds.iter().map(|&s| seeded_rng(s)).collect();
-        let mut ref_rows = vec![0.0; seeds.len() * nr];
-        let mut test_rows = vec![0.0; seeds.len() * nt];
+        let mut ref_rows = vec![f64::NAN; stride * nr];
+        let mut test_rows = vec![f64::NAN; stride * nt];
         // Two batches over the same RNGs, as the bootstrap issues them.
         Dirichlet::sample_alpha_batch_into(&alpha_ref, &mut rngs, &mut ref_rows);
         Dirichlet::sample_alpha_batch_into(&alpha_test, &mut rngs, &mut test_rows);
@@ -255,25 +271,30 @@ mod tests {
             for (c, w) in wr.iter().enumerate() {
                 assert_eq!(
                     w.to_bits(),
-                    ref_rows[r * nr + c].to_bits(),
+                    ref_rows[c * stride + r].to_bits(),
                     "ref ({r}, {c})"
                 );
             }
             for (c, w) in wt.iter().enumerate() {
                 assert_eq!(
                     w.to_bits(),
-                    test_rows[r * nt + c].to_bits(),
+                    test_rows[c * stride + r].to_bits(),
                     "test ({r}, {c})"
                 );
             }
+        }
+        for r in seeds.len()..stride {
+            assert!((0..nr).all(|c| ref_rows[c * stride + r] == 1.0 / nr as f64));
+            assert!((0..nt).all(|c| test_rows[c * stride + r] == 1.0 / nt as f64));
         }
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn batched_shape_mismatch_panics() {
+        // Two replicates fill one group of four lanes: 2 * 4 entries.
         let mut rngs = vec![seeded_rng(1), seeded_rng(2)];
-        let mut out = vec![0.0; 3];
+        let mut out = vec![0.0; 4];
         Dirichlet::sample_alpha_batch_into(&[1.0, 1.0], &mut rngs, &mut out);
     }
 

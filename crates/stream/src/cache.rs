@@ -109,11 +109,6 @@ impl SignatureWindow {
         self.sigs.len() == self.capacity
     }
 
-    /// The retention capacity `w`.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Push the next signature, evicting (and returning) the oldest if
     /// full, and compute its distance to every retained signature
     /// (exactly once each) through a caller-kept [`EmdScratch`]. The
@@ -192,17 +187,6 @@ impl SignatureWindow {
             self.dist[k * n + i] = d;
         }
         self.dist[k * n + k] = 0.0;
-    }
-
-    /// Distance between retained signatures `i` and `j` (window-local
-    /// indices, oldest = 0).
-    ///
-    /// # Panics
-    /// Panics if an index is out of range.
-    pub fn distance(&self, i: usize, j: usize) -> f64 {
-        let n = self.sigs.len();
-        assert!(i < n && j < n, "SignatureWindow::distance: index range");
-        self.dist[i * n + j]
     }
 
     /// Copy the full `len x len` distance matrix (oldest first) into a
@@ -301,14 +285,22 @@ mod tests {
         w
     }
 
+    /// Distance between retained signatures `i` and `j` (oldest = 0),
+    /// read from the matrix `matrix_into` copies out.
+    fn distance(w: &SignatureWindow, i: usize, j: usize) -> f64 {
+        let mut m = Vec::new();
+        w.matrix_into(&mut m);
+        m[i * w.len() + j]
+    }
+
     #[test]
     fn distances_match_direct_emd() {
         let w = window_with(&[0.0, 1.0, 3.0, 7.0], 4);
         assert_eq!(w.len(), 4);
-        assert!((w.distance(0, 1) - 1.0).abs() < 1e-12);
-        assert!((w.distance(0, 3) - 7.0).abs() < 1e-12);
-        assert!((w.distance(2, 1) - 2.0).abs() < 1e-12, "symmetric access");
-        assert_eq!(w.distance(2, 2), 0.0);
+        assert!((distance(&w, 0, 1) - 1.0).abs() < 1e-12);
+        assert!((distance(&w, 0, 3) - 7.0).abs() < 1e-12);
+        assert!((distance(&w, 2, 1) - 2.0).abs() < 1e-12, "symmetric access");
+        assert_eq!(distance(&w, 2, 2), 0.0);
     }
 
     #[test]
@@ -316,13 +308,14 @@ mod tests {
         let w = window_with(&[0.0, 1.0, 3.0, 7.0, 15.0], 4);
         // Window now holds 1, 3, 7, 15.
         assert!(w.is_full());
-        assert!((w.distance(0, 3) - 14.0).abs() < 1e-12);
+        assert!((distance(&w, 0, 3) - 14.0).abs() < 1e-12);
         let mut m = vec![1.0; 3]; // stale contents must be overwritten
         w.matrix_into(&mut m);
         assert_eq!(m.len(), 16);
+        let kept = [1.0f64, 3.0, 7.0, 15.0];
         for i in 0..4 {
             for j in 0..4 {
-                assert!((m[i * 4 + j] - w.distance(i, j)).abs() < 1e-12);
+                assert!((m[i * 4 + j] - (kept[i] - kept[j]).abs()).abs() < 1e-12);
             }
         }
     }
@@ -339,9 +332,9 @@ mod tests {
             for j in 0..5 {
                 let expect = (kept[i] - kept[j]).abs();
                 assert!(
-                    (w.distance(i, j) - expect).abs() < 1e-12,
+                    (distance(&w, i, j) - expect).abs() < 1e-12,
                     "({i},{j}): {} vs {expect}",
-                    w.distance(i, j)
+                    distance(&w, i, j)
                 );
             }
         }
@@ -373,8 +366,8 @@ mod tests {
         for i in 0..4 {
             for j in 0..4 {
                 assert_eq!(
-                    shared.distance(i, j).to_bits(),
-                    fresh.distance(i, j).to_bits()
+                    distance(&shared, i, j).to_bits(),
+                    distance(&fresh, i, j).to_bits()
                 );
             }
         }
@@ -387,7 +380,7 @@ mod tests {
         assert_eq!(rows.len(), 3);
         let back = SignatureWindow::from_parts(5, sigs, rows).unwrap();
         assert_eq!(back.len(), 3);
-        assert!((back.distance(0, 2) - 6.0).abs() < 1e-12);
+        assert!((distance(&back, 0, 2) - 6.0).abs() < 1e-12);
     }
 
     #[test]

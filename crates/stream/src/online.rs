@@ -72,28 +72,6 @@ impl OnlineDetector {
         }
     }
 
-    /// The wrapped detector.
-    pub fn detector(&self) -> &Detector {
-        &self.detector
-    }
-
-    /// Bags consumed so far.
-    pub fn bags_seen(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Score points emitted so far.
-    pub fn points_emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Bags still needed before the first (or next) point can be
-    /// emitted; zero once warm.
-    pub fn warm_up_remaining(&self) -> u64 {
-        let w = self.window.capacity() as u64;
-        w.saturating_sub(self.pushed)
-    }
-
     /// Consume the next bag; once `tau + tau'` bags have arrived, every
     /// push emits the score point for inspection time
     /// `t = bags_seen - tau'`.
@@ -297,8 +275,8 @@ mod tests {
     fn emission_schedule() {
         let det = detector(SignatureMethod::Histogram { width: 0.25 });
         let mut online = OnlineDetector::new(det, 1);
-        assert_eq!(online.warm_up_remaining(), 7);
         let (mut eval, mut emd) = (EvalScratch::new(), EmdScratch::new());
+        // tau + tau' = 7 bags fill the window before the first point.
         for (i, bag) in shifted_bags(12, 99, 0.0).into_iter().enumerate() {
             let point = online.push_with(bag, &mut eval, &mut emd).unwrap();
             if i + 1 < 7 {
@@ -308,8 +286,8 @@ mod tests {
                 assert_eq!(point.unwrap().t, i + 1 - 3);
             }
         }
-        assert_eq!(online.bags_seen(), 12);
-        assert_eq!(online.points_emitted(), 6);
+        let state = online.state();
+        assert_eq!((state.pushed, state.emitted), (12, 6));
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::cell::Cell;
 
 use bagcpd::{
     Bag, BootstrapConfig, Detector, DetectorConfig, EvalScratch, ScoreKind, SignatureMethod,
+    Weighting,
 };
 use stream::telemetry::{names, LATENCY_BUCKETS};
 use stream::{Clock, EmdScratch, MetricsRegistry, OnlineDetector, SolveTimer};
@@ -74,9 +75,10 @@ fn wide_bag_at(t: usize) -> Bag {
     Bag::from_scalars((0..48).map(move |i| level + ((i * 5 + t) % 24) as f64 * 0.25))
 }
 
-/// Both scores: the nominal score and every replicate normalize their
-/// weights into the scratches `EvalScratch` carries, for Eq. 16 as for
-/// Eq. 17.
+/// Both scores under both weightings: the nominal score and the
+/// replicate batch run out of the scratches `EvalScratch` carries, for
+/// Eq. 16 as for Eq. 17, with equal and with Eq. 15's discounted
+/// weights.
 #[cfg(debug_assertions)]
 #[test]
 fn warm_push_allocates_exactly_nothing() {
@@ -84,11 +86,14 @@ fn warm_push_allocates_exactly_nothing() {
     const WARM: usize = 24; // several full eviction cycles past window fill
     const MEASURED: usize = 16; // a multiple of the 4-shape bag cycle
 
-    for score in [ScoreKind::SymmetrizedKl, ScoreKind::LikelihoodRatio] {
+    let scores = [ScoreKind::SymmetrizedKl, ScoreKind::LikelihoodRatio];
+    let weightings = [Weighting::Equal, Weighting::Discounted];
+    for (score, weighting) in scores.into_iter().flat_map(|s| weightings.map(|w| (s, w))) {
         let detector = Detector::new(DetectorConfig {
             tau: 4,
             tau_prime: 3,
             score,
+            weighting,
             signature: SignatureMethod::Histogram { width: 0.5 },
             bootstrap: BootstrapConfig {
                 replicates: 64,
@@ -134,7 +139,7 @@ fn warm_push_allocates_exactly_nothing() {
 
         assert_eq!(
             push_allocs, 0,
-            "a warm {score:?} push_with must not allocate at all: the \
+            "a warm {score:?} {weighting:?} push_with must not allocate at all: the \
              signature build must recycle the evicted signature's buffers, \
              and every EMD solve, the window matrix, the scorer, and the \
              bootstrap must run out of the scratches ({push_allocs} events \
