@@ -187,34 +187,6 @@ impl WindowScorer {
         score[0]
     }
 
-    /// Eq. (16), `score_LR(S_t) = I(S_t; S_ref) - I(S_t; S_test \ S_t)`:
-    /// [`WindowScorer::score_with`] under [`ScoreKind::LikelihoodRatio`].
-    pub fn score_lr(
-        &self,
-        ref_weights: &[f64],
-        test_weights: &[f64],
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        self.score_with(
-            ScoreKind::LikelihoodRatio,
-            ref_weights,
-            test_weights,
-            scratch,
-        )
-    }
-
-    /// Eq. (17), the symmetrized KL divergence
-    /// `H(S_ref, S_test) - (H(S_ref) + H(S_test)) / 2`:
-    /// [`WindowScorer::score_with`] under [`ScoreKind::SymmetrizedKl`].
-    pub fn score_kl(
-        &self,
-        ref_weights: &[f64],
-        test_weights: &[f64],
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        self.score_with(ScoreKind::SymmetrizedKl, ref_weights, test_weights, scratch)
-    }
-
     /// Score a batch of weight replicates four at a time: the one
     /// implementation of Eqs. 16–17.
     ///

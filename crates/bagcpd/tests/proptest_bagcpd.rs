@@ -158,7 +158,7 @@ mod per_term {
         cfg.offset + cfg.scale * acc
     }
 
-    /// Eq. (16) as `WindowScorer::score_lr` computed it.
+    /// Eq. (16) as the per-term scorer computed it.
     pub fn score_lr(
         dist: &DistanceMatrix,
         tau: usize,
@@ -173,7 +173,7 @@ mod per_term {
         i_ref - i_test
     }
 
-    /// Eq. (17) as `WindowScorer::score_kl` computed it.
+    /// Eq. (17) as the per-term scorer computed it.
     pub fn score_kl(
         dist: &DistanceMatrix,
         tau: usize,
@@ -265,11 +265,11 @@ proptest! {
         let mut scratch = ScoreScratch::new();
         // Eq. 16 drops S_t's own weight: it needs mass elsewhere.
         if wt[1..].iter().any(|&w| w > 0.0) {
-            let lr = scorer.score_lr(&wr, &wt, &mut scratch);
+            let lr = scorer.score_with(ScoreKind::LikelihoodRatio, &wr, &wt, &mut scratch);
             let expect = per_term::score_lr(&dist, tau, tau_prime, &wr, &wt, &est);
             prop_assert_eq!(lr.to_bits(), expect.to_bits(), "LR {} vs {}", lr, expect);
         }
-        let kl = scorer.score_kl(&wr, &wt, &mut scratch);
+        let kl = scorer.score_with(ScoreKind::SymmetrizedKl, &wr, &wt, &mut scratch);
         let expect = per_term::score_kl(&dist, tau, tau_prime, &wr, &wt, &est);
         prop_assert_eq!(kl.to_bits(), expect.to_bits(), "KL {} vs {}", kl, expect);
     }

@@ -53,39 +53,6 @@ impl Normal {
     pub fn sample(&self, rng: &mut impl Rng) -> f64 {
         self.mean + self.sd * sample_standard_normal(rng)
     }
-
-    /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if self.sd == 0.0 {
-            return if x == self.mean { f64::INFINITY } else { 0.0 };
-        }
-        let z = (x - self.mean) / self.sd;
-        (-0.5 * z * z).exp() / (self.sd * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    /// Cumulative distribution function at `x` (via `erf`-free Abramowitz &
-    /// Stegun 7.1.26 approximation, max abs error ~1.5e-7 — ample for the
-    /// diagnostic uses in this workspace).
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.sd == 0.0 {
-            return if x < self.mean { 0.0 } else { 1.0 };
-        }
-        let z = (x - self.mean) / (self.sd * std::f64::consts::SQRT_2);
-        0.5 * (1.0 + erf(z))
-    }
-}
-
-/// Error function approximation (Abramowitz & Stegun 7.1.26).
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let y = 1.0
-        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
-            + 0.254829592)
-            * t
-            * (-x * x).exp();
-    sign * y
 }
 
 #[cfg(test)]
@@ -121,40 +88,11 @@ mod tests {
         let mut rng = seeded_rng(9);
         let d = Normal::new(5.0, 0.0);
         assert_eq!(d.sample(&mut rng), 5.0);
-        assert_eq!(d.cdf(4.9), 0.0);
-        assert_eq!(d.cdf(5.1), 1.0);
-    }
-
-    #[test]
-    fn pdf_peaks_at_mean() {
-        let d = Normal::new(1.0, 0.5);
-        assert!(d.pdf(1.0) > d.pdf(1.4));
-        assert!(d.pdf(1.0) > d.pdf(0.6));
-        // Peak height = 1/(sd sqrt(2 pi)).
-        let expected = 1.0 / (0.5 * (2.0 * std::f64::consts::PI).sqrt());
-        assert!((d.pdf(1.0) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_known_values() {
-        let d = Normal::new(0.0, 1.0);
-        assert!((d.cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((d.cdf(1.96) - 0.975).abs() < 1e-3);
-        assert!((d.cdf(-1.96) - 0.025).abs() < 1e-3);
     }
 
     #[test]
     #[should_panic(expected = "sd must be finite")]
     fn negative_sd_panics() {
         Normal::new(0.0, -1.0);
-    }
-
-    #[test]
-    fn erf_symmetry() {
-        for &x in &[0.1, 0.5, 1.0, 2.0] {
-            assert!((erf(x) + erf(-x)).abs() < 1e-12);
-        }
-        assert!((erf(0.0)).abs() < 1e-8); // A&S 7.1.26 coefficients sum to 1 - 1e-9
-        assert!(erf(3.0) > 0.9999);
     }
 }

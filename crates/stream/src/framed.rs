@@ -16,7 +16,10 @@
 //! [`FramedLog`] is the read-write handle (append/clear);
 //! [`FrameScanner`] is the read-only side for tooling that inspects a
 //! log another process may still be writing (it stops at the torn tail
-//! instead of truncating it).
+//! instead of truncating it). Frames are read in order, start to end;
+//! payloads are encoded with [`crate::snapshot::Writer`] and decoded
+//! with [`crate::snapshot::Reader`], the byte codec of every on-disk
+//! format.
 
 use crate::hash::Fnv1a;
 use std::fs::{File, OpenOptions};
@@ -149,7 +152,6 @@ impl FramedLog {
 /// ends the scan instead of being truncated.
 pub struct FrameScanner {
     file: File,
-    path: PathBuf,
 }
 
 impl FrameScanner {
@@ -161,58 +163,22 @@ impl FrameScanner {
     pub fn open(path: &Path, magic: &[u8; 8], label: &str) -> io::Result<FrameScanner> {
         let mut file = OpenOptions::new().read(true).open(path)?;
         check_magic(&mut file, magic, label, path)?;
-        Ok(FrameScanner {
-            file,
-            path: path.to_path_buf(),
-        })
+        Ok(FrameScanner { file })
     }
 
-    /// Where this log lives.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Visit every checksum-valid frame in order, with its byte offset
-    /// (of the frame header, usable with [`FrameScanner::frame_at`]).
-    /// Stops silently at the first torn or corrupt frame.
+    /// Visit every checksum-valid frame payload in order. Stops silently
+    /// at the first torn or corrupt frame.
     ///
     /// # Errors
     /// I/O failure, or the first error the callback returns.
-    pub fn for_each(&mut self, f: &mut dyn FnMut(u64, &[u8]) -> io::Result<()>) -> io::Result<()> {
+    pub fn for_each(&mut self, f: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
         self.file.seek(SeekFrom::Start(MAGIC_LEN as u64))?;
-        let mut offset = MAGIC_LEN as u64;
         let mut header = [0u8; FRAME_HEADER];
         let mut payload = Vec::new();
-        loop {
-            match read_frame(&mut self.file, &mut header, &mut payload)? {
-                FrameRead::Frame => {}
-                FrameRead::Torn => return Ok(()),
-            }
-            f(offset, &payload)?;
-            offset += (FRAME_HEADER + payload.len()) as u64;
+        while let FrameRead::Frame = read_frame(&mut self.file, &mut header, &mut payload)? {
+            f(&payload)?;
         }
-    }
-
-    /// Read the one frame whose header starts at `offset` (as reported
-    /// by [`FrameScanner::for_each`]) into `payload`.
-    ///
-    /// # Errors
-    /// I/O failure, or a torn/corrupt frame at that offset
-    /// (`InvalidData`) — offsets from a completed `for_each` over an
-    /// unchanged file never fail.
-    pub fn frame_at(&mut self, offset: u64, payload: &mut Vec<u8>) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        let mut header = [0u8; FRAME_HEADER];
-        match read_frame(&mut self.file, &mut header, payload)? {
-            FrameRead::Frame => Ok(()),
-            FrameRead::Torn => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "no valid frame at offset {offset} in {}",
-                    self.path.display()
-                ),
-            )),
-        }
+        Ok(())
     }
 }
 
@@ -277,89 +243,6 @@ fn read_up_to(file: &mut File, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
-/// Little-endian encode/decode helpers shared by every framed-log
-/// payload format (hand-rolled — no serde in this workspace):
-/// integers, f64 bit patterns, length-prefixed UTF-8.
-pub mod wire {
-    /// Append a little-endian u32.
-    pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian u64.
-    pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an f64 as its little-endian bit pattern.
-    pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-        buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-        put_u32(buf, s.len() as u32);
-        buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// A bounds-checked decoding cursor over one frame payload; every
-    /// accessor returns `None` past the end (decoders turn that into a
-    /// refused frame, never a panic).
-    pub struct Cursor<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Cursor<'a> {
-        /// Decode from the start of `buf`.
-        pub fn new(buf: &'a [u8]) -> Self {
-            Cursor { buf, pos: 0 }
-        }
-
-        /// Whether every byte has been consumed (a well-formed frame
-        /// decodes exactly, with no trailing garbage).
-        pub fn at_end(&self) -> bool {
-            self.pos == self.buf.len()
-        }
-
-        /// Take `n` raw bytes.
-        pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-            let end = self.pos.checked_add(n)?;
-            let slice = self.buf.get(self.pos..end)?;
-            self.pos = end;
-            Some(slice)
-        }
-
-        /// One byte.
-        pub fn u8(&mut self) -> Option<u8> {
-            self.take(1).map(|b| b[0])
-        }
-
-        /// Little-endian u32.
-        pub fn u32(&mut self) -> Option<u32> {
-            self.take(4)
-                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        }
-
-        /// Little-endian u64.
-        pub fn u64(&mut self) -> Option<u64> {
-            self.take(8)
-                .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-        }
-
-        /// f64 from its little-endian bit pattern.
-        pub fn f64(&mut self) -> Option<f64> {
-            self.u64().map(f64::from_bits)
-        }
-
-        /// Length-prefixed UTF-8 string.
-        pub fn str(&mut self) -> Option<&'a str> {
-            let len = self.u32()? as usize;
-            std::str::from_utf8(self.take(len)?).ok()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,18 +278,16 @@ mod tests {
         assert_eq!(seen, vec![b"alpha".to_vec(), b"beta-beta".to_vec()]);
         log.append(b"gamma").unwrap();
 
-        let mut offsets = Vec::new();
+        let mut scanned = Vec::new();
         let mut scanner = FrameScanner::open(&path, MAGIC, "test log").unwrap();
         scanner
-            .for_each(&mut |off, p| {
-                offsets.push((off, p.to_vec()));
+            .for_each(&mut |p| {
+                scanned.push(p.to_vec());
                 Ok(())
             })
             .unwrap();
-        assert_eq!(offsets.len(), 3);
-        let mut payload = Vec::new();
-        scanner.frame_at(offsets[1].0, &mut payload).unwrap();
-        assert_eq!(payload, b"beta-beta");
+        assert_eq!(scanned.len(), 3);
+        assert_eq!(scanned[1], b"beta-beta");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -429,7 +310,7 @@ mod tests {
         let mut frames = 0;
         let mut scanner = FrameScanner::open(&path, MAGIC, "test log").unwrap();
         scanner
-            .for_each(&mut |_, _| {
+            .for_each(&mut |_| {
                 frames += 1;
                 Ok(())
             })
@@ -507,21 +388,5 @@ mod tests {
         );
         assert_eq!(seen, 1);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn wire_cursor_round_trips_and_bounds_checks() {
-        let mut buf = Vec::new();
-        wire::put_u32(&mut buf, 7);
-        wire::put_u64(&mut buf, u64::MAX - 1);
-        wire::put_f64(&mut buf, -0.125);
-        wire::put_str(&mut buf, "naïve");
-        let mut cur = wire::Cursor::new(&buf);
-        assert_eq!(cur.u32(), Some(7));
-        assert_eq!(cur.u64(), Some(u64::MAX - 1));
-        assert_eq!(cur.f64().map(f64::to_bits), Some((-0.125f64).to_bits()));
-        assert_eq!(cur.str(), Some("naïve"));
-        assert!(cur.at_end());
-        assert_eq!(cur.u8(), None, "reads past the end are None, not panics");
     }
 }

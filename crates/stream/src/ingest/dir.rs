@@ -43,11 +43,6 @@ impl DirSource {
         }
     }
 
-    /// Number of files discovered so far.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Discover new `*.csv` files (sorted, so stream creation order is
     /// deterministic for a fixed directory state).
     fn scan(&mut self, out: &mut Vec<SourceItem>) -> Result<(), SourceError> {

@@ -29,14 +29,15 @@
 //! - [`ingest`] — [`Source`]s (CSV files, directories, pipes, TCP,
 //!   memory) with per-stream resume cursors, and the `cursors + engine
 //!   snapshot` checkpoint format.
-//! - [`sink`] — [`Sink`]s (CSV, JSON lines, stderr diagnostics, tees,
-//!   memory) receiving everything the session observes as one typed
+//! - [`sink`] — [`Sink`]s (CSV, stderr diagnostics, tees, memory,
+//!   retries) receiving everything the session observes as one typed
 //!   [`Event`] stream.
 //! - [`scorelog`] — a durable binary record of the event stream
 //!   ([`ScoreLogSink`]), replayable and diffable against a fresh run
-//!   ([`ReplayDiffSink`]) and queryable through a per-stream index
+//!   ([`ReplayDiffSink`]) and summarized or filtered in one pass
 //!   ([`ScoreStore`]); built on the checksummed append-only framing in
-//!   [`framed`]. Degraded-mode egress spills to the same format.
+//!   [`framed`] and the [`snapshot`] byte codec. Degraded-mode egress
+//!   spills to the same format.
 //! - [`Pipeline`] — the one session driver, owning the whole
 //!   read→detect→deliver→checkpoint loop: it polls the sources
 //!   round-robin, routes their bags into the engine, quarantines
@@ -105,10 +106,7 @@ pub use scorelog::{
     DiffSummary, DiffTracker, Query, QueryRow, ReplayDiffSink, ScoreLogReader, ScoreLogSink,
     ScoreStore, StreamSummary,
 };
-pub use sink::{
-    CsvSchema, CsvSink, JsonLinesSink, MemorySink, RetryPolicy, RetryingSink, Sink,
-    StderrAlertSink, Tee,
-};
+pub use sink::{CsvSchema, CsvSink, MemorySink, RetryingSink, Sink, StderrAlertSink, Tee};
 pub use snapshot::SnapshotError;
 pub use telemetry::{
     Clock, Counter, Gauge, Histogram, MetricSample, MetricsRegistry, MetricsServer, SolveTimer,

@@ -6,7 +6,7 @@
 //!   the [`StreamEngine`] by interned id, and a stream whose input
 //!   fails is quarantined instead of killing the process;
 //! - **events out** — one ordered [`Event`] stream, delivered to any
-//!   [`Sink`] (CSV, JSONL, stderr diagnostics, tees, memory);
+//!   [`Sink`] (CSV, score log, stderr diagnostics, tees, memory);
 //! - **delivery-acked checkpoints** — a checkpoint is committed only
 //!   after every event it covers was delivered *and* every sink's
 //!   [`Sink::flush_durable`] succeeded. A sink I/O error aborts the run

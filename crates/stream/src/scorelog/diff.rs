@@ -201,7 +201,7 @@ impl DiffTracker {
 /// recorded score log. Every delivered event is forwarded to the inner
 /// sink unchanged; after each [`Event::Point`], a typed
 /// [`Event::ReplayDiff`] verdict is injected into the same batch, so
-/// downstream sinks (CSV, JSONL, stderr, even another score log) see
+/// downstream sinks (CSV, stderr, even another score log) see
 /// the comparison as first-class data.
 ///
 /// The verdict per `(stream, t)` considers the whole point — score,

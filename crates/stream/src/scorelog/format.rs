@@ -12,10 +12,12 @@
 //!
 //! The [`Encoder`]/[`Decoder`] pair below is the only code that knows
 //! this layout; the sink, reader, store, and differ all go through it.
+//! Both sit on [`crate::snapshot::Writer`] and [`crate::snapshot::Reader`],
+//! the byte codec the checkpoint formats use too.
 
 use crate::event::{DiffOutcome, Event, QuarantineRecord};
-use crate::framed::wire;
 use crate::ingest::source::SourceError;
+use crate::snapshot::{Reader, SnapshotError, Writer};
 use bagcpd::{ConfidenceInterval, ScorePoint};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,100 +86,101 @@ impl Encoder {
         }
     }
 
-    /// Encode one event batch as a frame payload into `buf` (cleared
-    /// first). Returns the number of records written — the events plus
-    /// any `DefineStream` records for first-sighted streams.
-    pub fn encode_batch(&mut self, events: &[Event], buf: &mut Vec<u8>) -> u32 {
-        buf.clear();
-        wire::put_u32(buf, 0); // patched below
+    /// Encode one event batch as a frame payload into `w` (cleared
+    /// first, so one writer serves every batch). Returns the number of
+    /// records written — the events plus any `DefineStream` records for
+    /// first-sighted streams.
+    pub fn encode_batch(&mut self, events: &[Event], w: &mut Writer) -> u32 {
+        w.clear();
+        w.u32(0); // patched below
         let mut records = 0u32;
         for event in events {
-            records += self.encode_event(event, buf);
+            records += self.encode_event(event, w);
         }
-        buf[..4].copy_from_slice(&records.to_le_bytes());
+        w.patch_u32(0, records);
         records
     }
 
     /// The id for `name`, interning (and emitting a `DefineStream`
     /// record) on first sighting. Returns `(id, defined)`.
-    fn intern(&mut self, name: &Arc<str>, buf: &mut Vec<u8>) -> (u32, bool) {
+    fn intern(&mut self, name: &Arc<str>, w: &mut Writer) -> (u32, bool) {
         if let Some(&id) = self.ids.get(name) {
             return (id, false);
         }
         let id = self.ids.len() as u32;
         self.ids.insert(name.clone(), id);
-        buf.push(TAG_DEFINE_STREAM);
-        wire::put_u32(buf, id);
-        wire::put_str(buf, name);
+        w.u8(TAG_DEFINE_STREAM);
+        w.u32(id);
+        w.str(name);
         (id, true)
     }
 
     /// Encode one event; returns the records written (1, or 2 when a
     /// `DefineStream` was emitted first).
-    fn encode_event(&mut self, event: &Event, buf: &mut Vec<u8>) -> u32 {
+    fn encode_event(&mut self, event: &Event, w: &mut Writer) -> u32 {
         match event {
             Event::Point { stream, point } => {
-                let (id, defined) = self.intern(stream, buf);
-                buf.push(TAG_POINT);
-                wire::put_u32(buf, id);
-                wire::put_u64(buf, point.t as u64);
-                wire::put_f64(buf, point.score);
-                wire::put_f64(buf, point.ci.lo);
-                wire::put_f64(buf, point.ci.up);
+                let (id, defined) = self.intern(stream, w);
+                w.u8(TAG_POINT);
+                w.u32(id);
+                w.u64(point.t as u64);
+                w.f64(point.score);
+                w.f64(point.ci.lo);
+                w.f64(point.ci.up);
                 match point.xi {
                     Some(xi) => {
-                        buf.push(1);
-                        wire::put_f64(buf, xi);
+                        w.u8(1);
+                        w.f64(xi);
                     }
-                    None => buf.push(0),
+                    None => w.u8(0),
                 }
-                buf.push(u8::from(point.alert));
+                w.u8(u8::from(point.alert));
                 1 + u32::from(defined)
             }
             Event::StreamError { stream, message } => {
-                let (id, defined) = self.intern(stream, buf);
-                buf.push(TAG_STREAM_ERROR);
-                wire::put_u32(buf, id);
-                wire::put_str(buf, message);
+                let (id, defined) = self.intern(stream, w);
+                w.u8(TAG_STREAM_ERROR);
+                w.u32(id);
+                w.str(message);
                 1 + u32::from(defined)
             }
             Event::Quarantine(record) => {
-                let (id, defined) = self.intern(&record.stream, buf);
-                buf.push(TAG_QUARANTINE);
-                wire::put_u32(buf, id);
+                let (id, defined) = self.intern(&record.stream, w);
+                w.u8(TAG_QUARANTINE);
+                w.u32(id);
                 match &record.error {
                     SourceError::Io(m) => {
-                        buf.push(0);
-                        wire::put_str(buf, m);
+                        w.u8(0);
+                        w.str(m);
                     }
                     SourceError::Data(m) => {
-                        buf.push(1);
-                        wire::put_str(buf, m);
+                        w.u8(1);
+                        w.str(m);
                     }
                 }
                 1 + u32::from(defined)
             }
             Event::Note(text) => {
-                buf.push(TAG_NOTE);
-                wire::put_str(buf, text);
+                w.u8(TAG_NOTE);
+                w.str(text);
                 1
             }
             Event::CheckpointWritten { bytes, bags } => {
-                buf.push(TAG_CHECKPOINT);
-                wire::put_u64(buf, *bytes as u64);
-                wire::put_u64(buf, *bags);
+                w.u8(TAG_CHECKPOINT);
+                w.u64(*bytes as u64);
+                w.u64(*bags);
                 1
             }
             Event::Degraded { sink, reason } => {
-                buf.push(TAG_DEGRADED);
-                wire::put_str(buf, sink);
-                wire::put_str(buf, reason);
+                w.u8(TAG_DEGRADED);
+                w.str(sink);
+                w.str(reason);
                 1
             }
             Event::Recovered { sink, replayed } => {
-                buf.push(TAG_RECOVERED);
-                wire::put_str(buf, sink);
-                wire::put_u64(buf, *replayed);
+                w.u8(TAG_RECOVERED);
+                w.str(sink);
+                w.u64(*replayed);
                 1
             }
             Event::ReplayDiff {
@@ -187,13 +190,13 @@ impl Encoder {
                 recorded,
                 outcome,
             } => {
-                let (id, defined) = self.intern(stream, buf);
-                buf.push(TAG_REPLAY_DIFF);
-                wire::put_u32(buf, id);
-                wire::put_u64(buf, *t as u64);
-                wire::put_f64(buf, *live);
-                wire::put_f64(buf, *recorded);
-                buf.push(match outcome {
+                let (id, defined) = self.intern(stream, w);
+                w.u8(TAG_REPLAY_DIFF);
+                w.u32(id);
+                w.u64(*t as u64);
+                w.f64(*live);
+                w.f64(*recorded);
+                w.u8(match outcome {
                     DiffOutcome::Equal => 0,
                     DiffOutcome::WithinEps => 1,
                     DiffOutcome::Diverged => 2,
@@ -217,17 +220,15 @@ pub struct Decoder {
     names: Vec<Arc<str>>,
 }
 
+/// A byte the layout does not allow where it appears.
+fn invalid(what: &str) -> SnapshotError {
+    SnapshotError::Corrupt(format!("invalid {what}"))
+}
+
 impl Decoder {
     /// A fresh decoder (empty table — decode from the first frame).
     pub fn new() -> Decoder {
         Decoder { names: Vec::new() }
-    }
-
-    /// A decoder pre-seeded with a complete name table — how
-    /// [`super::ScoreStore`] decodes individual frames out of order
-    /// (re-definitions already in the table are verified, not re-added).
-    pub fn with_names(names: Vec<Arc<str>>) -> Decoder {
-        Decoder { names }
     }
 
     /// The reconstructed name table (index = stream id).
@@ -242,7 +243,7 @@ impl Decoder {
     pub fn decode_into(&mut self, payload: &[u8], out: &mut Vec<Event>) -> bool {
         let out_mark = out.len();
         let names_mark = self.names.len();
-        if self.try_decode(payload, out) {
+        if self.try_decode(payload, out).is_ok() {
             true
         } else {
             out.truncate(out_mark);
@@ -251,57 +252,63 @@ impl Decoder {
         }
     }
 
-    fn try_decode(&mut self, payload: &[u8], out: &mut Vec<Event>) -> bool {
-        let mut cur = wire::Cursor::new(payload);
-        let Some(count) = cur.u32() else { return false };
-        let mut seen = 0u32;
-        while seen < count {
-            let Some(records) = self.decode_record(&mut cur, out) else {
-                return false;
-            };
-            seen += records;
+    fn try_decode(&mut self, payload: &[u8], out: &mut Vec<Event>) -> Result<(), SnapshotError> {
+        let mut r = Reader::new(payload);
+        for _ in 0..r.u32()? {
+            self.decode_record(&mut r, out)?;
         }
-        seen == count && cur.at_end()
+        if r.finished() {
+            Ok(())
+        } else {
+            Err(invalid("trailing bytes"))
+        }
     }
 
     /// Resolve a stream id against the table.
-    fn name(&self, id: u32) -> Option<Arc<str>> {
-        self.names.get(id as usize).cloned()
+    fn name(&self, id: u32) -> Result<Arc<str>, SnapshotError> {
+        self.names
+            .get(id as usize)
+            .cloned()
+            .ok_or_else(|| invalid("stream id"))
     }
 
-    /// Decode one record; `Some(1)` normally (every record counts one,
-    /// including `DefineStream`), `None` on malformed input.
-    fn decode_record(&mut self, cur: &mut wire::Cursor<'_>, out: &mut Vec<Event>) -> Option<u32> {
-        match cur.u8()? {
+    /// Decode one record (every record counts one, `DefineStream`
+    /// included).
+    fn decode_record(
+        &mut self,
+        r: &mut Reader<'_>,
+        out: &mut Vec<Event>,
+    ) -> Result<(), SnapshotError> {
+        let event = match r.u8()? {
             TAG_DEFINE_STREAM => {
-                let id = cur.u32()? as usize;
-                let name = cur.str()?;
+                let id = r.u32()? as usize;
+                let name = r.str()?;
                 if id == self.names.len() {
                     self.names.push(Arc::from(name));
-                } else if self.names.get(id).map(|n| &**n) != Some(name) {
+                } else if self.names.get(id).map(|n| &**n) != Some(name.as_str()) {
                     // Out-of-order definition, or a redefinition that
                     // disagrees with the table: malformed.
-                    return None;
+                    return Err(invalid("stream definition"));
                 }
-                Some(1)
+                return Ok(());
             }
             TAG_POINT => {
-                let stream = self.name(cur.u32()?)?;
-                let t = cur.u64()? as usize;
-                let score = cur.f64()?;
-                let lo = cur.f64()?;
-                let up = cur.f64()?;
-                let xi = match cur.u8()? {
+                let stream = self.name(r.u32()?)?;
+                let t = r.u64()? as usize;
+                let score = r.f64()?;
+                let lo = r.f64()?;
+                let up = r.f64()?;
+                let xi = match r.u8()? {
                     0 => None,
-                    1 => Some(cur.f64()?),
-                    _ => return None,
+                    1 => Some(r.f64()?),
+                    _ => return Err(invalid("xi flag")),
                 };
-                let alert = match cur.u8()? {
+                let alert = match r.u8()? {
                     0 => false,
                     1 => true,
-                    _ => return None,
+                    _ => return Err(invalid("alert flag")),
                 };
-                out.push(Event::Point {
+                Event::Point {
                     stream,
                     point: ScorePoint {
                         t,
@@ -310,70 +317,50 @@ impl Decoder {
                         xi,
                         alert,
                     },
-                });
-                Some(1)
+                }
             }
-            TAG_STREAM_ERROR => {
-                let stream = self.name(cur.u32()?)?;
-                out.push(Event::StreamError {
-                    stream,
-                    message: cur.str()?.to_string(),
-                });
-                Some(1)
-            }
+            TAG_STREAM_ERROR => Event::StreamError {
+                stream: self.name(r.u32()?)?,
+                message: r.str()?,
+            },
             TAG_QUARANTINE => {
-                let stream = self.name(cur.u32()?)?;
-                let error = match cur.u8()? {
-                    0 => SourceError::Io(cur.str()?.to_string()),
-                    1 => SourceError::Data(cur.str()?.to_string()),
-                    _ => return None,
+                let stream = self.name(r.u32()?)?;
+                let error = match r.u8()? {
+                    0 => SourceError::Io(r.str()?),
+                    1 => SourceError::Data(r.str()?),
+                    _ => return Err(invalid("quarantine kind")),
                 };
-                out.push(Event::Quarantine(QuarantineRecord { stream, error }));
-                Some(1)
+                Event::Quarantine(QuarantineRecord { stream, error })
             }
-            TAG_NOTE => {
-                out.push(Event::Note(cur.str()?.to_string()));
-                Some(1)
-            }
-            TAG_CHECKPOINT => {
-                out.push(Event::CheckpointWritten {
-                    bytes: cur.u64()? as usize,
-                    bags: cur.u64()?,
-                });
-                Some(1)
-            }
-            TAG_DEGRADED => {
-                out.push(Event::Degraded {
-                    sink: cur.str()?.to_string(),
-                    reason: cur.str()?.to_string(),
-                });
-                Some(1)
-            }
-            TAG_RECOVERED => {
-                out.push(Event::Recovered {
-                    sink: cur.str()?.to_string(),
-                    replayed: cur.u64()?,
-                });
-                Some(1)
-            }
-            TAG_REPLAY_DIFF => {
-                let stream = self.name(cur.u32()?)?;
-                out.push(Event::ReplayDiff {
-                    stream,
-                    t: cur.u64()? as usize,
-                    live: cur.f64()?,
-                    recorded: cur.f64()?,
-                    outcome: match cur.u8()? {
-                        0 => DiffOutcome::Equal,
-                        1 => DiffOutcome::WithinEps,
-                        2 => DiffOutcome::Diverged,
-                        _ => return None,
-                    },
-                });
-                Some(1)
-            }
-            _ => None,
-        }
+            TAG_NOTE => Event::Note(r.str()?),
+            TAG_CHECKPOINT => Event::CheckpointWritten {
+                bytes: r.u64()? as usize,
+                bags: r.u64()?,
+            },
+            TAG_DEGRADED => Event::Degraded {
+                sink: r.str()?,
+                reason: r.str()?,
+            },
+            TAG_RECOVERED => Event::Recovered {
+                sink: r.str()?,
+                replayed: r.u64()?,
+            },
+            TAG_REPLAY_DIFF => Event::ReplayDiff {
+                stream: self.name(r.u32()?)?,
+                t: r.u64()? as usize,
+                live: r.f64()?,
+                recorded: r.f64()?,
+                outcome: match r.u8()? {
+                    0 => DiffOutcome::Equal,
+                    1 => DiffOutcome::WithinEps,
+                    2 => DiffOutcome::Diverged,
+                    _ => return Err(invalid("diff outcome")),
+                },
+            },
+            _ => return Err(invalid("record tag")),
+        };
+        out.push(event);
+        Ok(())
     }
 }
 
@@ -436,12 +423,12 @@ mod tests {
             },
         ];
         let mut enc = Encoder::new();
-        let mut buf = Vec::new();
+        let mut buf = Writer::new();
         // 10 events + 3 DefineStream records.
         assert_eq!(enc.encode_batch(&events, &mut buf), 13);
         let mut dec = Decoder::new();
         let mut out = Vec::new();
-        assert!(dec.decode_into(&buf, &mut out));
+        assert!(dec.decode_into(buf.as_bytes(), &mut out));
         assert_eq!(out, events);
         assert_eq!(dec.names().len(), 3);
     }
@@ -450,7 +437,7 @@ mod tests {
     fn interning_keeps_point_records_compact() {
         let long = "a-stream-name-much-longer-than-a-u32-id";
         let mut enc = Encoder::new();
-        let mut buf = Vec::new();
+        let mut buf = Writer::new();
         enc.encode_batch(&[point(long, 0, 1.0)], &mut buf);
         let first = buf.len();
         enc.encode_batch(&[point(long, 1, 2.0)], &mut buf);
@@ -467,27 +454,42 @@ mod tests {
     #[test]
     fn encoder_restore_continues_the_table() {
         let mut enc = Encoder::new();
-        let mut first = Vec::new();
+        let mut first = Writer::new();
         enc.encode_batch(&[point("a", 0, 1.0), point("b", 0, 2.0)], &mut first);
         let mut dec = Decoder::new();
         let mut out = Vec::new();
-        assert!(dec.decode_into(&first, &mut out));
+        assert!(dec.decode_into(first.as_bytes(), &mut out));
 
         // A reopened log's encoder must reuse existing ids.
         let mut resumed = Encoder::restore(dec.names());
-        let mut second = Vec::new();
+        let mut second = Writer::new();
         let records = resumed.encode_batch(&[point("b", 1, 3.0), point("c", 0, 4.0)], &mut second);
         assert_eq!(records, 3, "one new DefineStream (c), two points");
-        assert!(dec.decode_into(&second, &mut out));
+        assert!(dec.decode_into(second.as_bytes(), &mut out));
         assert_eq!(out.len(), 4);
         assert_eq!(dec.names().len(), 3);
+    }
+
+    /// A decoder whose table holds `name` as id 0, built by decoding a
+    /// frame of one `DefineStream` record.
+    fn decoder_knowing(name: &str) -> Decoder {
+        let mut w = Writer::new();
+        w.u32(1);
+        w.u8(TAG_DEFINE_STREAM);
+        w.u32(0);
+        w.str(name);
+        let mut dec = Decoder::new();
+        assert!(dec.decode_into(w.as_bytes(), &mut Vec::new()));
+        assert_eq!(dec.names().len(), 1);
+        dec
     }
 
     #[test]
     fn malformed_frames_roll_back_cleanly() {
         let mut enc = Encoder::new();
-        let mut buf = Vec::new();
-        enc.encode_batch(&[point("a", 0, 1.0)], &mut buf);
+        let mut w = Writer::new();
+        enc.encode_batch(&[point("a", 0, 1.0)], &mut w);
+        let buf = w.as_bytes();
         for cut in 1..buf.len() {
             let mut dec = Decoder::new();
             let mut out = Vec::new();
@@ -496,13 +498,13 @@ mod tests {
             assert!(dec.names().is_empty(), "table rolled back at {cut}");
         }
         // Redefinition that disagrees with the table is refused.
-        let mut dec = Decoder::with_names(vec![Arc::from("other")]);
+        let mut dec = decoder_knowing("other");
         let mut out = Vec::new();
-        assert!(!dec.decode_into(&buf, &mut out));
-        // A consistent redefinition (decoding a frame the table already
-        // covers, as the store does) is accepted.
-        let mut dec = Decoder::with_names(vec![Arc::from("a")]);
-        assert!(dec.decode_into(&buf, &mut out));
+        assert!(!dec.decode_into(buf, &mut out));
+        // A consistent redefinition (a frame the table already covers)
+        // is accepted.
+        let mut dec = decoder_knowing("a");
+        assert!(dec.decode_into(buf, &mut out));
         assert_eq!(out.len(), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Score log: a durable binary record of the pipeline's output, plus
 //! replay-diffing and querying over it.
 //!
-//! The CSV and JSONL sinks answer "what did the session say?"; the
+//! The CSV and stderr sinks answer "what did the session say?"; the
 //! score log answers the follow-up questions that need the output *as
 //! data*:
 //!
@@ -19,14 +19,16 @@
 //!   diverged" means the code changed behavior — a regression test for
 //!   free; with an epsilon it bounds the drift of a solver change that
 //!   moves floating-point rounding.
-//! - **Query** — [`ScoreStore`] scans a log once into a per-stream
-//!   index (record/alert counts, `t` ranges, frame offsets) and
-//!   answers filtered [`Query`]s by re-reading only the frames that
-//!   match.
+//! - **Query** — [`ScoreStore::scan`] summarizes each stream
+//!   (record/alert counts, `t` ranges, top score) and
+//!   [`ScoreStore::query`] answers a filtered [`Query`], each in one
+//!   pass over the log; nothing is indexed.
 //!
-//! On-disk format: [`crate::framed`] framing (magic `BCPDSLG1`,
-//! length- and checksum-guarded frames, torn tails truncated on
-//! reopen) with the record layout in [`mod@format`]. A log that lived
+//! Every reader goes through [`ScoreLogReader::for_each`], which reads
+//! the frames in order. On-disk format: [`crate::framed`] framing
+//! (magic `BCPDSLG1`, length- and checksum-guarded frames, torn tails
+//! truncated on reopen) with the record layout in [`mod@format`],
+//! encoded with the [`crate::snapshot`] byte codec. A log that lived
 //! through `kill -9` + resume may hold duplicate `(stream, t)` records
 //! — bit-identical by construction; every reader here dedups them.
 //!

@@ -1,4 +1,6 @@
-//! Reading side: stream a score log back as [`Event`]s.
+//! Reading side: stream a score log back as [`Event`]s — the one read
+//! path every score-log consumer (replay, diff, query, spill recovery)
+//! goes through.
 
 use super::format::{Decoder, MAGIC};
 use crate::event::Event;
@@ -25,7 +27,7 @@ impl ScoreLogReader {
         let mut scanner = FrameScanner::open(path, MAGIC, "score log")?;
         let mut dec = Decoder::new();
         let mut events = Vec::new();
-        scanner.for_each(&mut |_offset, payload| {
+        scanner.for_each(&mut |payload| {
             if !dec.decode_into(payload, &mut events) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

@@ -4,14 +4,15 @@ use super::format::{Decoder, Encoder, MAGIC};
 use crate::event::Event;
 use crate::framed::FramedLog;
 use crate::sink::Sink;
+use crate::snapshot::Writer;
 use crate::telemetry::{names, Counter, MetricsRegistry};
 use std::io;
 use std::path::Path;
 
-/// Durable append-only binary log of the pipeline's event stream — the
-/// compact sibling of [`crate::sink::JsonLinesSink`]: every variant is
-/// recorded (not just points), but stream names are interned and
-/// numbers stay binary, so a point record costs ~a few dozen bytes.
+/// Durable append-only binary log of the pipeline's event stream: every
+/// variant is recorded (not just points, unlike the CSV sink), stream
+/// names are interned and numbers stay binary, so a point record costs
+/// ~a few dozen bytes.
 ///
 /// Crash safety: each delivered batch is one checksummed frame, a torn
 /// tail from a crashed writer is truncated on reopen, and
@@ -30,7 +31,8 @@ use std::path::Path;
 pub struct ScoreLogSink {
     log: FramedLog,
     enc: Encoder,
-    buf: Vec<u8>,
+    /// Frame payload buffer, reused by every batch.
+    buf: Writer,
     /// Events recorded over the log's lifetime (survives reopen).
     events: u64,
     metrics: Option<Metrics>,
@@ -64,7 +66,7 @@ impl ScoreLogSink {
         Ok(ScoreLogSink {
             log,
             enc: Encoder::restore(dec.names()),
-            buf: Vec::new(),
+            buf: Writer::new(),
             events,
             metrics: None,
         })
@@ -120,11 +122,8 @@ impl Sink for ScoreLogSink {
         if events.is_empty() {
             return Ok(());
         }
-        let mut buf = std::mem::take(&mut self.buf);
-        self.enc.encode_batch(events, &mut buf);
-        let written = self.log.append(&buf);
-        self.buf = buf;
-        let written = written?;
+        self.enc.encode_batch(events, &mut self.buf);
+        let written = self.log.append(self.buf.as_bytes())?;
         self.events += events.len() as u64;
         if let Some(m) = &self.metrics {
             m.records.add(events.len() as u64);

@@ -1,11 +1,12 @@
-//! Query side: a per-stream index over a score log.
+//! Query side: per-stream summaries of a score log, and filtered point
+//! queries over it. Both read the log once, front to back, through
+//! [`ScoreLogReader::for_each`]; nothing is indexed or kept on disk.
 
-use super::format::{Decoder, MAGIC};
+use super::ScoreLogReader;
 use crate::event::Event;
-use crate::framed::FrameScanner;
 use std::collections::{BTreeMap, HashSet};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Per-stream summary built by one scan of the log.
@@ -24,9 +25,6 @@ pub struct StreamSummary {
     pub max_t: u64,
     /// Largest recorded score (NaN scores are ignored).
     pub max_score: f64,
-    /// Byte offsets of the frames holding this stream's points —
-    /// queries re-read only these instead of rescanning the whole log.
-    frames: Vec<u64>,
 }
 
 /// Filters for [`ScoreStore::query`]. The default selects everything.
@@ -54,11 +52,9 @@ pub struct QueryRow {
     pub point: bagcpd::ScorePoint,
 }
 
-/// A queryable index over a score log, built by a single scan:
-/// per-stream record/alert counts, `t` ranges, and the frame offsets
-/// holding each stream's points. The index is cheap (no scores are kept
-/// in memory); [`ScoreStore::query`] re-reads just the frames the
-/// filter touches.
+/// Per-stream summaries of a score log — record/alert counts, `t`
+/// ranges, the top score — built by one scan; [`ScoreStore::query`]
+/// answers filtered point queries with one scan of its own.
 ///
 /// Duplicate `(stream, t)` records — the benign artifact of a
 /// checkpoint-resume re-delivering its uncheckpointed tail — are
@@ -67,71 +63,49 @@ pub struct QueryRow {
 /// point once (first occurrence; duplicates are bit-identical by the
 /// determinism guarantee).
 pub struct ScoreStore {
-    path: PathBuf,
-    names: Vec<Arc<str>>,
     streams: BTreeMap<Arc<str>, StreamSummary>,
 }
 
 impl ScoreStore {
-    /// Scan the log at `path` and build the index.
+    /// Scan the log at `path` and summarize every stream's points.
     ///
     /// # Errors
     /// I/O failure, a file that is not a score log, or an undecodable
     /// checksum-valid frame (format skew).
     pub fn scan(path: &Path) -> io::Result<ScoreStore> {
-        let mut scanner = FrameScanner::open(path, MAGIC, "score log")?;
-        let mut dec = Decoder::new();
-        let mut events = Vec::new();
         let mut streams: BTreeMap<Arc<str>, StreamSummary> = BTreeMap::new();
-        // Transient while scanning: distinct (and alerting) t per stream.
-        let mut seen: BTreeMap<Arc<str>, HashSet<u64>> = BTreeMap::new();
-        scanner.for_each(&mut |offset, payload| {
-            if !dec.decode_into(payload, &mut events) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("undecodable frame in {}", path.display()),
-                ));
+        let mut seen: HashSet<(Arc<str>, u64)> = HashSet::new();
+        ScoreLogReader::for_each(path, &mut |event| {
+            let Event::Point { stream, point } = event else {
+                return Ok(());
+            };
+            let t = point.t as u64;
+            let s = streams.entry(stream.clone()).or_insert(StreamSummary {
+                records: 0,
+                points: 0,
+                alerts: 0,
+                min_t: t,
+                max_t: t,
+                max_score: f64::NEG_INFINITY,
+            });
+            s.records += 1;
+            s.min_t = s.min_t.min(t);
+            s.max_t = s.max_t.max(t);
+            if !point.score.is_nan() {
+                s.max_score = s.max_score.max(point.score);
             }
-            for event in events.drain(..) {
-                let Event::Point { stream, point } = event else {
-                    continue;
-                };
-                let t = point.t as u64;
-                let s = streams.entry(stream.clone()).or_insert(StreamSummary {
-                    records: 0,
-                    points: 0,
-                    alerts: 0,
-                    min_t: t,
-                    max_t: t,
-                    max_score: f64::NEG_INFINITY,
-                    frames: Vec::new(),
-                });
-                s.records += 1;
-                s.min_t = s.min_t.min(t);
-                s.max_t = s.max_t.max(t);
-                if !point.score.is_nan() {
-                    s.max_score = s.max_score.max(point.score);
-                }
-                if seen.entry(stream).or_default().insert(t) {
-                    s.points += 1;
-                    if point.alert {
-                        s.alerts += 1;
-                    }
-                }
-                if s.frames.last() != Some(&offset) {
-                    s.frames.push(offset);
+            if seen.insert((stream.clone(), t)) {
+                s.points += 1;
+                if point.alert {
+                    s.alerts += 1;
                 }
             }
             Ok(())
         })?;
-        Ok(ScoreStore {
-            path: path.to_path_buf(),
-            names: dec.names().to_vec(),
-            streams,
-        })
+        Ok(ScoreStore { streams })
     }
 
-    /// The indexed per-stream summaries, ordered by stream name.
+    /// The per-stream summaries, ordered by stream name.
     pub fn streams(&self) -> impl Iterator<Item = (&Arc<str>, &StreamSummary)> {
         self.streams.iter()
     }
@@ -141,70 +115,48 @@ impl ScoreStore {
         self.streams.get(name)
     }
 
-    /// Recorded points matching `q`, ordered by stream name then `t`
-    /// (or by descending score when [`Query::top`] is set). Only the
-    /// frames indexed for the selected streams are re-read.
+    /// Recorded points of the log at `path` matching `q`, ordered by
+    /// stream name then `t` (or by descending score when [`Query::top`]
+    /// is set), read in one pass over the log.
     ///
     /// # Errors
     /// I/O failure or an undecodable frame; also `InvalidData` when
-    /// [`Query::stream`] names a stream the log never recorded.
-    pub fn query(&self, q: &Query) -> io::Result<Vec<QueryRow>> {
-        let mut offsets: Vec<u64> = Vec::new();
-        match &q.stream {
-            Some(name) => match self.streams.get(name.as_str()) {
-                Some(s) => offsets.extend(&s.frames),
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("stream '{name}' is not in {}", self.path.display()),
-                    ));
-                }
-            },
-            None => {
-                for s in self.streams.values() {
-                    offsets.extend(&s.frames);
-                }
-            }
-        }
-        offsets.sort_unstable();
-        offsets.dedup();
-
-        let mut scanner = FrameScanner::open(&self.path, MAGIC, "score log")?;
-        let mut payload = Vec::new();
-        let mut events = Vec::new();
+    /// [`Query::stream`] names a stream the log never recorded a point
+    /// for.
+    pub fn query(path: &Path, q: &Query) -> io::Result<Vec<QueryRow>> {
+        let mut found = false;
         let mut seen: HashSet<(Arc<str>, u64)> = HashSet::new();
         let mut rows = Vec::new();
-        for offset in offsets {
-            scanner.frame_at(offset, &mut payload)?;
-            // Frames are decoded out of order, so the decoder is
-            // re-seeded with the complete table for every frame.
-            let mut dec = Decoder::with_names(self.names.clone());
-            if !dec.decode_into(&payload, &mut events) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("undecodable frame in {}", self.path.display()),
-                ));
+        ScoreLogReader::for_each(path, &mut |event| {
+            let Event::Point { stream, point } = event else {
+                return Ok(());
+            };
+            if let Some(name) = &q.stream {
+                if **stream != **name {
+                    return Ok(());
+                }
+                found = true;
             }
-            for event in events.drain(..) {
-                let Event::Point { stream, point } = event else {
-                    continue;
-                };
-                if let Some(name) = &q.stream {
-                    if &*stream != name.as_str() {
-                        continue;
-                    }
-                }
-                let t = point.t as u64;
-                if q.since.is_some_and(|since| t < since)
-                    || q.until.is_some_and(|until| t > until)
-                    || (q.alerts_only && !point.alert)
-                {
-                    continue;
-                }
-                if seen.insert((stream.clone(), t)) {
-                    rows.push(QueryRow { stream, point });
-                }
+            let t = point.t as u64;
+            if q.since.is_some_and(|since| t < since)
+                || q.until.is_some_and(|until| t > until)
+                || (q.alerts_only && !point.alert)
+            {
+                return Ok(());
             }
+            if seen.insert((stream.clone(), t)) {
+                rows.push(QueryRow {
+                    stream: stream.clone(),
+                    point: *point,
+                });
+            }
+            Ok(())
+        })?;
+        if let (Some(name), false) = (&q.stream, found) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("stream '{name}' is not in {}", path.display()),
+            ));
         }
         rows.sort_by(|a, b| a.stream.cmp(&b.stream).then(a.point.t.cmp(&b.point.t)));
         if let Some(n) = q.top {
@@ -227,6 +179,7 @@ mod tests {
     use crate::scorelog::ScoreLogSink;
     use crate::sink::Sink;
     use bagcpd::{ConfidenceInterval, ScorePoint};
+    use std::path::PathBuf;
 
     fn tempdir() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -289,51 +242,58 @@ mod tests {
     fn queries_filter_dedup_and_rank() {
         let path = tempdir().join("query.slog");
         write_log(&path);
-        let store = ScoreStore::scan(&path).unwrap();
 
-        let all = store.query(&Query::default()).unwrap();
+        let all = ScoreStore::query(&path, &Query::default()).unwrap();
         assert_eq!(all.len(), 5, "deduplicated across duplicates");
         assert_eq!(&*all[0].stream, "a");
         assert_eq!(all[0].point.t, 0);
 
-        let ranged = store
-            .query(&Query {
+        let ranged = ScoreStore::query(
+            &path,
+            &Query {
                 stream: Some("a".into()),
                 since: Some(1),
                 until: Some(2),
                 ..Query::default()
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(
             ranged.iter().map(|r| r.point.t).collect::<Vec<_>>(),
             vec![1, 2]
         );
 
-        let alerts = store
-            .query(&Query {
+        let alerts = ScoreStore::query(
+            &path,
+            &Query {
                 alerts_only: true,
                 ..Query::default()
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(alerts.len(), 2);
 
-        let top = store
-            .query(&Query {
+        let top = ScoreStore::query(
+            &path,
+            &Query {
                 top: Some(2),
                 ..Query::default()
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(
             top.iter().map(|r| r.point.score).collect::<Vec<_>>(),
             vec![3.5, 2.5]
         );
 
-        let missing = store
-            .query(&Query {
+        let missing = ScoreStore::query(
+            &path,
+            &Query {
                 stream: Some("zzz".into()),
                 ..Query::default()
-            })
-            .unwrap_err();
+            },
+        )
+        .unwrap_err();
         assert_eq!(missing.kind(), io::ErrorKind::InvalidData);
     }
 }

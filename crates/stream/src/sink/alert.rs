@@ -2,119 +2,23 @@
 
 use super::Sink;
 use crate::event::Event;
-use crate::telemetry::{names, Clock, Counter, MetricsRegistry};
-use std::collections::HashMap;
 use std::io::{self, Write};
-use std::time::Duration;
-
-/// Distinct warning texts the rate limiter tracks at once; beyond this,
-/// new texts pass through unthrottled rather than growing the map
-/// without bound (a flood of *identical* warnings — the case the limit
-/// exists for — occupies one slot).
-const TRACKED_WARNINGS_CAP: usize = 1024;
-
-/// Per-warning-text suppression window.
-struct WarnWindow {
-    /// When the current interval started (clock nanoseconds).
-    start_ns: u64,
-    /// Lines admitted in the current interval.
-    count: u64,
-}
-
-/// Repeat-warning throttle: at most `max` identical warning lines per
-/// `interval`, with every suppressed line counted into telemetry.
-struct RateLimit {
-    max: u64,
-    interval_ns: u64,
-    clock: Clock,
-    suppressed: Counter,
-    seen: HashMap<String, WarnWindow>,
-}
-
-impl RateLimit {
-    /// Whether a warning line with this exact text may print now.
-    fn admit(&mut self, line: &str) -> bool {
-        let now = self.clock.now_ns();
-        if !self.seen.contains_key(line) && self.seen.len() >= TRACKED_WARNINGS_CAP {
-            return true;
-        }
-        let w = self.seen.entry(line.to_string()).or_insert(WarnWindow {
-            start_ns: now,
-            count: 0,
-        });
-        if now.saturating_sub(w.start_ns) >= self.interval_ns {
-            w.start_ns = now;
-            w.count = 0;
-        }
-        w.count += 1;
-        if w.count > self.max {
-            self.suppressed.inc();
-            false
-        } else {
-            true
-        }
-    }
-}
 
 /// The CLI's stderr channel as a sink: ALERT lines for alerting points,
 /// warnings for per-bag stream errors, quarantine reports, operational
 /// notes, and checkpoint sizes. Non-alerting points are silent — pair
 /// this with a [`super::CsvSink`] (via [`super::Tee`]) for the score
 /// table itself.
-///
-/// A malformed source can emit the same warning for every row; chain
-/// [`StderrAlertSink::with_rate_limit`] to cap identical warning lines
-/// per interval (suppressed lines are counted in the
-/// `bagscpd_stderr_lines_suppressed_total` telemetry counter, so the
-/// flood stays visible without drowning the terminal). ALERT lines,
-/// quarantine reports, and notes are never suppressed.
 pub struct StderrAlertSink {
     /// Name the stream in ALERT lines (multi-stream sessions).
     with_stream: bool,
-    /// Optional repeat-warning throttle.
-    limit: Option<RateLimit>,
 }
 
 impl StderrAlertSink {
     /// `with_stream` names the stream in ALERT lines — the
     /// multi-stream (`serve`) format; single-stream sessions elide it.
     pub fn new(with_stream: bool) -> Self {
-        StderrAlertSink {
-            with_stream,
-            limit: None,
-        }
-    }
-
-    /// Print at most `max` identical warning lines per `interval`;
-    /// suppressed lines increment [`names::STDERR_SUPPRESSED`] in
-    /// `registry` instead, and time is read from `registry`'s clock (so
-    /// tests drive the window with a manual clock).
-    #[must_use]
-    pub fn with_rate_limit(
-        mut self,
-        max: u64,
-        interval: Duration,
-        registry: &MetricsRegistry,
-    ) -> Self {
-        self.limit = Some(RateLimit {
-            max: max.max(1),
-            interval_ns: u64::try_from(interval.as_nanos()).unwrap_or(u64::MAX),
-            clock: registry.clock(),
-            suppressed: registry.counter(
-                names::STDERR_SUPPRESSED,
-                "Diagnostic lines suppressed by the stderr sink's repeat-warning rate limit",
-            ),
-            seen: HashMap::new(),
-        });
-        self
-    }
-
-    /// Whether a warning line may print (always true without a limit).
-    fn admit(&mut self, line: &str) -> bool {
-        match &mut self.limit {
-            Some(limit) => limit.admit(line),
-            None => true,
-        }
+        StderrAlertSink { with_stream }
     }
 }
 
@@ -134,10 +38,7 @@ impl Sink for StderrAlertSink {
                     }
                 }
                 Event::StreamError { stream, message } => {
-                    let line = format!("warning: stream {stream}: {message}");
-                    if self.admit(&line) {
-                        writeln!(out, "{line}")?;
-                    }
+                    writeln!(out, "warning: stream {stream}: {message}")?;
                 }
                 Event::Quarantine(record) => {
                     writeln!(
@@ -194,42 +95,5 @@ impl Sink for StderrAlertSink {
 
     fn kind(&self) -> &'static str {
         "stderr"
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rate_limit_admits_up_to_max_then_suppresses() {
-        let clock = Clock::manual();
-        let registry = MetricsRegistry::with_clock(clock.clone());
-        let mut sink =
-            StderrAlertSink::new(true).with_rate_limit(2, Duration::from_secs(10), &registry);
-
-        assert!(sink.admit("warning: stream a: bad row"));
-        assert!(sink.admit("warning: stream a: bad row"));
-        assert!(!sink.admit("warning: stream a: bad row"), "third repeat");
-        // A different text has its own window.
-        assert!(sink.admit("warning: stream b: bad row"));
-        // The interval elapsing reopens the window.
-        clock.advance_ns(10_000_000_000);
-        assert!(sink.admit("warning: stream a: bad row"));
-
-        let suppressed = registry
-            .snapshot()
-            .into_iter()
-            .find(|s| s.key == names::STDERR_SUPPRESSED)
-            .expect("suppression counter registered");
-        assert_eq!(suppressed.value, 1.0);
-    }
-
-    #[test]
-    fn unlimited_sink_admits_everything() {
-        let mut sink = StderrAlertSink::new(false);
-        for _ in 0..100 {
-            assert!(sink.admit("warning: stream a: bad row"));
-        }
     }
 }

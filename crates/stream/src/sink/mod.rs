@@ -18,32 +18,28 @@
 //!   (`stream,t,score,ci_lo,ci_up,xi,alert`) with explicit, documented
 //!   elision options for single-stream mode and the legacy stdout
 //!   format.
-//! - [`JsonLinesSink`] — one JSON object per event (every variant, not
-//!   just points); hand-rolled, no dependencies.
 //! - [`StderrAlertSink`] — the CLI's stderr diagnostics (ALERT lines,
-//!   warnings, quarantine reports, notes, checkpoint sizes), with an
-//!   optional repeat-warning rate limit.
+//!   warnings, quarantine reports, notes, checkpoint sizes).
 //! - [`Tee`] — deliver to two sinks; both always see every batch, and
 //!   the first error is reported after both ran.
 //! - [`MemorySink`] — collect events in memory behind a shared handle
 //!   (tests, embedding hosts).
-//! - [`RetryingSink`] — wrap any sink with a [`RetryPolicy`]: bounded
-//!   exponential backoff with deterministic jitter for transient I/O
-//!   errors.
+//! - [`RetryingSink`] — wrap any sink with a number of attempts:
+//!   bounded exponential backoff with deterministic jitter for
+//!   transient I/O errors.
 //!
-//! Degraded-mode egress spills a refusing sink's backlog to a
-//! [`crate::ScoreLogSink`] (see the fault-tolerance notes on
+//! The binary [`crate::ScoreLogSink`] records every event variant, not
+//! just points. Degraded-mode egress spills a refusing sink's backlog
+//! to the same format (see the fault-tolerance notes on
 //! [`crate::PipelineBuilder::spill_dir`]).
 
 mod alert;
 mod csv;
-mod json;
 mod retry;
 
 pub use alert::StderrAlertSink;
 pub use csv::{CsvSchema, CsvSink};
-pub use json::JsonLinesSink;
-pub use retry::{RetryPolicy, RetryingSink};
+pub use retry::RetryingSink;
 
 use crate::event::Event;
 use std::io;

@@ -1,7 +1,8 @@
 //! Binary snapshot format for engine checkpoint/restore, plus the
-//! [`Reader`]/[`Writer`] primitives it is built on (public, so other
-//! checkpoint wrappers — the CLI's `--state` header — share one error
-//! discipline instead of hand-rolling byte parsing).
+//! [`Reader`]/[`Writer`] primitives it is built on: the one byte codec
+//! of every on-disk format, shared with the `--state` checkpoint
+//! ([`crate::ingest::checkpoint`]) and the score log
+//! ([`crate::scorelog::format`]) so all three keep one error discipline.
 //!
 //! Layout (all integers little-endian, floats as IEEE-754 bit patterns):
 //!
@@ -145,6 +146,25 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Overwrite the little-endian `u32` written at byte `at` — a count
+    /// known only once the records behind it are written.
+    ///
+    /// # Panics
+    /// If fewer than `at + 4` bytes have been written.
+    pub(crate) fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Drop everything written, keeping the buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -199,6 +219,14 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..];
         self.pos = self.buf.len();
         s
+    }
+
+    /// Read a byte.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Truncated`].
+    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
+        Ok(self.take(1)?[0])
     }
 
     /// Read a little-endian `u32`.
@@ -790,6 +818,7 @@ mod tests {
     #[test]
     fn reader_and_writer_round_trip_primitives() {
         let mut w = Writer::new();
+        w.u8(9);
         w.u32(7);
         w.u64(u64::MAX);
         w.i64(i64::MIN);
@@ -797,6 +826,7 @@ mod tests {
         w.str("name");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
+        assert_eq!(r.u8().unwrap(), 9);
         assert_eq!(r.u32().unwrap(), 7);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.i64().unwrap(), i64::MIN);
@@ -804,5 +834,20 @@ mod tests {
         assert_eq!(r.str().unwrap(), "name");
         assert!(r.finished());
         assert_eq!(r.u32(), Err(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn writer_patches_a_count_and_reuses_its_buffer() {
+        let mut w = Writer::new();
+        w.u32(0);
+        w.str("ab");
+        w.patch_u32(0, 2);
+        assert_eq!(w.as_bytes(), [2, 0, 0, 0, 2, 0, 0, 0, b'a', b'b']);
+        let capacity = w.as_bytes().as_ptr();
+        w.clear();
+        assert!(w.is_empty());
+        w.u8(1);
+        assert_eq!(w.as_bytes(), [1]);
+        assert_eq!(w.as_bytes().as_ptr(), capacity, "the allocation is kept");
     }
 }

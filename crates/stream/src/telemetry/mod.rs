@@ -96,8 +96,6 @@ pub mod names {
     pub const TOPK_SCORE_SUM: &str = "bagscpd_stream_topk_score_sum";
     /// `GET /metrics` requests answered by the [`super::MetricsServer`].
     pub const METRICS_SCRAPES: &str = "bagscpd_metrics_scrapes_total";
-    /// Diagnostic lines suppressed by the stderr sink's rate limit.
-    pub const STDERR_SUPPRESSED: &str = "bagscpd_stderr_lines_suppressed_total";
     /// Delivery/flush attempts retried by [`crate::sink::RetryingSink`],
     /// labeled `sink`.
     pub const SINK_RETRIES: &str = "bagscpd_sink_retries_total";

@@ -37,7 +37,7 @@ pub struct DeliverFault {
     /// call fails until `failures` calls have failed.
     pub at_event: u64,
     /// Consecutive `deliver` calls that fail before the fault heals.
-    /// Under the default [`crate::sink::RetryPolicy`] (4 attempts),
+    /// Behind a [`crate::sink::RetryingSink`] of 4 attempts,
     /// `failures <= 3` is survived by retries alone; more exhausts
     /// them and degrades the station.
     pub failures: u32,

@@ -8,9 +8,11 @@
 //!
 //! The guard measures exact allocation counts with a counting global
 //! allocator (this integration test is its own binary, so the allocator
-//! affects nothing else). It runs under `cfg(debug_assertions)` — the
-//! default `cargo test` profile, and the one CI uses — and is skipped in
-//! release test runs where the optimizer may reshape allocations.
+//! affects nothing else). The whole file compiles only under
+//! `cfg(debug_assertions)` — the default `cargo test` profile, and the
+//! one CI uses — so release test builds, where the optimizer may reshape
+//! allocations, hold no guard and nothing unused.
+#![cfg(debug_assertions)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -79,7 +81,6 @@ fn wide_bag_at(t: usize) -> Bag {
 /// replicate batch run out of the scratches `EvalScratch` carries, for
 /// Eq. 16 as for Eq. 17, with equal and with Eq. 15's discounted
 /// weights.
-#[cfg(debug_assertions)]
 #[test]
 fn warm_push_allocates_exactly_nothing() {
     const SEED: u64 = 7;
@@ -154,7 +155,6 @@ fn warm_push_allocates_exactly_nothing() {
 /// events per push, exactly like the histogram path. The k = 16 case
 /// solves its EMDs from the least-cost start, whose live lines and row
 /// minima come from the transport scratch too.
-#[cfg(debug_assertions)]
 #[test]
 fn warm_clustering_push_allocates_exactly_nothing() {
     const SEED: u64 = 7;
@@ -219,7 +219,6 @@ fn warm_clustering_push_allocates_exactly_nothing() {
 /// the scratch records every EMD solve into a pre-registered histogram
 /// — pure atomics, so the instrumented warm path still allocates
 /// exactly zero.
-#[cfg(debug_assertions)]
 #[test]
 fn warm_instrumented_push_allocates_exactly_nothing() {
     const SEED: u64 = 7;

@@ -13,7 +13,7 @@
 
 use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
 use stream::ingest::CsvFileSource;
-use stream::sink::{CsvSchema, CsvSink, MemorySink, RetryPolicy, RetryingSink, Sink};
+use stream::sink::{CsvSchema, CsvSink, MemorySink, RetryingSink, Sink};
 use stream::testkit::{
     ChaosSink, ChaosSource, DeliverFault, FaultSchedule, FlushFault, SourceFault,
 };
@@ -179,7 +179,7 @@ fn transient_deliver_faults_retry_to_byte_identical_output() {
             CsvSink::with_schema(SharedBuf(buf.clone()), CsvSchema::legacy_stdout(false)),
             schedule,
         ),
-        RetryPolicy::default(),
+        4,
     )
     .with_metrics(&registry)
     .with_waiter(|_| {});
@@ -229,7 +229,7 @@ fn transient_flush_faults_retry_and_the_checkpoint_commits() {
             CsvSink::with_schema(SharedBuf(buf.clone()), CsvSchema::legacy_stdout(false)),
             schedule,
         ),
-        RetryPolicy::default(),
+        4,
     )
     .with_metrics(&registry)
     .with_waiter(|_| {});
@@ -282,7 +282,7 @@ fn retry_exhaustion_degrades_spills_and_recovers_in_order() {
             CsvSink::with_schema(SharedBuf(buf.clone()), CsvSchema::legacy_stdout(false)),
             schedule,
         ),
-        RetryPolicy::default(),
+        4,
     )
     .with_metrics(&registry)
     .with_waiter(|_| {});
@@ -371,7 +371,7 @@ fn degraded_checkpoints_cover_spilled_events_and_resume_replays_them() {
             CsvSink::with_schema(SharedBuf(buf1.clone()), CsvSchema::legacy_stdout(false)),
             schedule,
         ),
-        RetryPolicy::default(),
+        4,
     )
     .with_waiter(|_| {});
     let summary = pipeline(&input, &state)

@@ -9,7 +9,7 @@
 use bagcpd::{BootstrapConfig, DetectorConfig, SignatureMethod};
 use proptest::prelude::*;
 use stream::ingest::CsvFileSource;
-use stream::sink::{CsvSchema, CsvSink, RetryPolicy, RetryingSink};
+use stream::sink::{CsvSchema, CsvSink, RetryingSink};
 use stream::testkit::{ChaosSink, DeliverFault, FaultSchedule};
 use stream::{CheckpointPolicy, Pipeline, PipelineBuilder};
 
@@ -133,7 +133,7 @@ fn chaos_session(schedule: FaultSchedule, state: &Path, spill: &Path) -> (String
             CsvSink::with_schema(SharedBuf(buf.clone()), CsvSchema::legacy_stdout(false)),
             schedule,
         ),
-        RetryPolicy::default(),
+        4,
     )
     .with_waiter(|_| {});
     let summary = pipeline(input, state)

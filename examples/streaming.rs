@@ -23,8 +23,7 @@
 use bags_cpd::stats::{seeded_rng, GaussianMixture1d};
 use bags_cpd::stream::ingest::MemorySource;
 use bags_cpd::stream::{
-    CheckpointPolicy, EmdScratch, Event, JsonLinesSink, MemorySink, OnlineDetector, Pipeline,
-    Sink as _,
+    CheckpointPolicy, CsvSink, EmdScratch, Event, MemorySink, OnlineDetector, Pipeline, Sink as _,
 };
 use bags_cpd::{Bag, Detector, DetectorConfig, EvalScratch};
 
@@ -138,20 +137,18 @@ fn pipeline_fleet() {
     let mut events = fleet_session(0..20, &state);
     events.extend(fleet_session(20..45, &state));
 
-    // The same events in their JSONL wire format, for one sample point:
+    // The same events in the canonical CSV schema, for one sample point:
     // the smallest (stream, t), whichever worker delivered first.
     let first = events
         .iter()
         .filter(|e| e.point().is_some())
         .min_by_key(|e| (e.stream(), e.point().map(|p| p.t)));
     if let Some(event) = first {
-        let mut jsonl = JsonLinesSink::new(Vec::new());
-        jsonl
-            .deliver(std::slice::from_ref(event))
-            .expect("in-memory");
+        let mut csv = CsvSink::new(Vec::new());
+        csv.deliver(std::slice::from_ref(event)).expect("in-memory");
         print!(
-            "a point event on the JSONL wire: {}",
-            String::from_utf8(jsonl.into_inner()).expect("utf8")
+            "a point event as canonical CSV:\n{}",
+            String::from_utf8(csv.into_inner()).expect("utf8")
         );
     }
 

@@ -89,8 +89,8 @@ use bags_cpd::stream::snapshot::decode_engine;
 use bags_cpd::stream::testkit::{ChaosSink, DeliverFault, FaultSchedule};
 use bags_cpd::stream::{
     CheckpointPolicy, CsvSchema, CsvSink, Event, MemorySink, MetricSample, MetricsRegistry,
-    OnlineState, Pipeline, PipelineBuilder, Query, ReplayDiffSink, RetryPolicy, RetryingSink,
-    ScoreLogReader, ScoreStore, Sink, StderrAlertSink, Tee,
+    OnlineState, Pipeline, PipelineBuilder, Query, ReplayDiffSink, RetryingSink, ScoreLogReader,
+    ScoreStore, Sink, StderrAlertSink, Tee,
 };
 use bags_cpd::{
     BootstrapConfig, DetectError, Detector, DetectorConfig, ScoreKind, SignatureMethod, Weighting,
@@ -109,7 +109,7 @@ enum Mode {
     Serve,
     /// Re-emit a recorded score log, or diff a fresh run against one.
     Replay,
-    /// Query a recorded score log through its per-stream index.
+    /// Summarize a recorded score log, or list its points filtered.
     Query,
 }
 
@@ -941,11 +941,7 @@ fn run_serve(opts: &Options) -> Result<(), String> {
         None => Box::new(csv),
     };
     if let Some(attempts) = opts.sink_retries {
-        let policy = RetryPolicy {
-            max_attempts: attempts,
-            ..RetryPolicy::default()
-        };
-        stdout_sink = Box::new(RetryingSink::new(stdout_sink, policy).with_metrics(&registry));
+        stdout_sink = Box::new(RetryingSink::new(stdout_sink, attempts).with_metrics(&registry));
     }
 
     let mut builder = pipeline_builder(opts, true)
@@ -1146,13 +1142,13 @@ fn run_replay(opts: &Options) -> Result<(), String> {
 /// any filter flag is set.
 fn run_query(opts: &Options) -> Result<(), String> {
     let path = std::path::Path::new(&opts.input);
-    let store = ScoreStore::scan(path).map_err(|e| format!("{}: {e}", opts.input))?;
     let filtered = opts.q_stream.is_some()
         || opts.q_since.is_some()
         || opts.q_until.is_some()
         || opts.q_alerts_only
         || opts.q_top.is_some();
     if !filtered {
+        let store = ScoreStore::scan(path).map_err(|e| format!("{}: {e}", opts.input))?;
         println!("stream,points,alerts,min_t,max_t,max_score,records");
         for (name, s) in store.streams() {
             println!(
@@ -1162,15 +1158,17 @@ fn run_query(opts: &Options) -> Result<(), String> {
         }
         return Ok(());
     }
-    let rows = store
-        .query(&Query {
+    let rows = ScoreStore::query(
+        path,
+        &Query {
             stream: opts.q_stream.clone(),
             since: opts.q_since,
             until: opts.q_until,
             alerts_only: opts.q_alerts_only,
             top: opts.q_top,
-        })
-        .map_err(|e| format!("{}: {e}", opts.input))?;
+        },
+    )
+    .map_err(|e| format!("{}: {e}", opts.input))?;
     let events: Vec<Event> = rows
         .into_iter()
         .map(|r| Event::Point {

@@ -1100,14 +1100,21 @@ fn serve_mode_metrics_endpoint_answers_prometheus_scrapes() {
             .find_map(|l| l.strip_prefix("bagscpd_engine_pushes_total "))
             .and_then(|v| v.parse::<u64>().ok())
             .expect("engine pushes sample");
+        let solves = body
+            .lines()
+            .find_map(|l| l.strip_prefix("bagscpd_solver_exact_solves_total "))
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or(0);
         // 9 bags per stream with the trailing bag held back in watch
-        // mode: 8 completed bags on each of the two streams.
-        if pushes >= 16 {
+        // mode: 8 completed bags on each of the two streams. The driver
+        // counts a push when it sends it, a worker counts its solves
+        // after its tick, so wait for both.
+        if pushes >= 16 && solves > 0 {
             break body;
         }
         assert!(
             Instant::now() < deadline,
-            "pushes never reached 16:\n{body}"
+            "pushes never reached 16 with a solve counted:\n{body}"
         );
         std::thread::sleep(Duration::from_millis(25));
     };
@@ -1294,4 +1301,128 @@ fn replay_diff_rereads_a_batch_recording_of_out_of_order_input() {
             "{name}: {stderr}"
         );
     }
+}
+
+/// `query` over a recorded 3-stream `serve --dir` session: the summary
+/// agrees with what serve printed, a stream/time filter returns exactly
+/// that range, `--alerts-only --top 3` ranks the alerting points, and
+/// an unknown stream is an error that names it.
+#[test]
+fn query_summarizes_and_filters_a_serve_recording() {
+    let dir = std::env::temp_dir().join("bags_cpd_cli_query");
+    let _ = std::fs::remove_dir_all(&dir);
+    let fleet = dir.join("fleet");
+    std::fs::create_dir_all(&fleet).expect("tmp dir");
+    // s0 and s2 leave their regime at t = 8 and return at t = 16; s1
+    // stays put.
+    for s in 0..3 {
+        let mut text = String::from("t,x\n");
+        for t in 0..24 {
+            for i in 0..24 {
+                let u = (i as f64 + 0.5) / 24.0 - 0.5;
+                let shifted = s != 1 && (8..16).contains(&t);
+                let x = if shifted { 5.0 * u.signum() + u } else { u };
+                text.push_str(&format!("{t},{x}\n"));
+            }
+        }
+        std::fs::write(fleet.join(format!("s{s}.csv")), text).expect("write csv");
+    }
+    let log = dir.join("run.slog");
+    let served = bin()
+        .args(["serve", "--dir"])
+        .arg(&fleet)
+        .args(["--tau", "4", "--tau-prime", "3", "--replicates", "100"])
+        .args(["--seed", "3", "--score-log"])
+        .arg(&log)
+        .output()
+        .expect("serve runs");
+    assert!(served.status.success());
+    let served = String::from_utf8_lossy(&served.stdout).into_owned();
+    let query = |args: &[&str]| {
+        let out = bin()
+            .arg("query")
+            .arg(&log)
+            .args(args)
+            .output()
+            .expect("query runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (
+            out.status.code(),
+            stdout,
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    // Canonical rows: stream,t,score,ci_lo,ci_up,xi,alert.
+    let rows = |stdout: &str| -> Vec<(String, u64, f64, bool)> {
+        let mut lines = stdout.lines();
+        assert_eq!(lines.next(), Some("stream,t,score,ci_lo,ci_up,xi,alert"));
+        lines
+            .map(|l| {
+                let f: Vec<&str> = l.split(',').collect();
+                assert_eq!(f.len(), 7, "{l}");
+                (
+                    f[0].to_string(),
+                    f[1].parse().unwrap(),
+                    f[2].parse().unwrap(),
+                    f[6] == "1",
+                )
+            })
+            .collect()
+    };
+
+    // Summary: one row per stream, in name order, matching serve's
+    // stdout point and alert counts; one session, so no duplicates.
+    let (code, summary, _) = query(&[]);
+    assert_eq!(code, Some(0));
+    let mut lines = summary.lines();
+    assert_eq!(
+        lines.next(),
+        Some("stream,points,alerts,min_t,max_t,max_score,records")
+    );
+    let mut total_alerts = 0;
+    for (s, line) in lines.enumerate() {
+        let f: Vec<&str> = line.split(',').collect();
+        let name = format!("s{s}");
+        assert_eq!(f[0], name, "{summary}");
+        let printed: Vec<&str> = served
+            .lines()
+            .filter(|l| l.starts_with(&format!("{name},")))
+            .collect();
+        let alerts = printed.iter().filter(|l| l.ends_with(",1")).count();
+        assert_eq!(f[1], printed.len().to_string(), "{line}");
+        assert_eq!(f[2], alerts.to_string(), "{line}");
+        assert_eq!((f[3], f[4]), ("4", "21"), "{line}");
+        assert_eq!(f[6], f[1], "{line}");
+        total_alerts += alerts;
+    }
+    assert_eq!(summary.lines().count(), 4, "{summary}");
+    assert!(total_alerts > 3, "{summary}");
+
+    // A stream and an inclusive time range.
+    let (code, ranged, _) = query(&["--stream", "s0", "--since", "6", "--until", "12"]);
+    assert_eq!(code, Some(0));
+    let ranged = rows(&ranged);
+    assert!(ranged.iter().all(|r| r.0 == "s0"), "{ranged:?}");
+    assert_eq!(
+        ranged.iter().map(|r| r.1).collect::<Vec<_>>(),
+        (6..=12).collect::<Vec<_>>()
+    );
+
+    // The three highest-scoring alerts, best first, ties by (stream, t).
+    let (code, all_alerts, _) = query(&["--alerts-only"]);
+    assert_eq!(code, Some(0));
+    let mut expect = rows(&all_alerts);
+    assert_eq!(expect.len(), total_alerts);
+    expect.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+    expect.truncate(3);
+    let (code, top, _) = query(&["--alerts-only", "--top", "3"]);
+    assert_eq!(code, Some(0));
+    let top = rows(&top);
+    assert!(top.iter().all(|r| r.3), "{top:?}");
+    assert_eq!(top, expect);
+
+    // A stream the log never recorded.
+    let (code, stdout, stderr) = query(&["--stream", "nope"]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stderr.contains("stream 'nope'"), "{stderr}");
 }
