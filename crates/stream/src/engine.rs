@@ -1,4 +1,15 @@
 //! Sharded multi-stream engine with bounded queues and checkpointing.
+//!
+//! Every call that can wait on the worker pool — a push into a full
+//! queue, a control message, a barrier reply — waits in one loop,
+//! `drain_loop`, which keeps draining the shared event queue (a worker
+//! parked on a full event queue needs those receives to make progress)
+//! and hands what it drains to an *outlet* its caller chooses. The
+//! public calls ([`StreamEngine::push_id`], [`StreamEngine::flush`],
+//! [`StreamEngine::resolve`], [`StreamEngine::retire`],
+//! [`StreamEngine::snapshot`]) leave the events in the engine's stash
+//! for [`StreamEngine::drain_events`]; the [`crate::Pipeline`] passes an
+//! outlet that delivers them to its sinks while the call still waits.
 
 use crate::event::Event;
 use crate::snapshot::{decode_engine, encode_engine, SnapshotError};
@@ -125,13 +136,15 @@ impl From<SnapshotError> for EngineError {
 ///   engine from it (subsequent outputs are bit-identical to never
 ///   having stopped).
 ///
-/// Consume results with [`Self::drain_events`]. Completed results are never dropped: while a push waits, ready
-/// events are moved into an engine-side stash that `drain_events`
-/// returns first. That stash is the *consumer's* buffer — it grows
-/// with every result the caller has not yet drained (exactly as if the
-/// caller had collected them), so a producer that never drains trades
-/// memory for its own results, not for input buffering. Drain
-/// regularly, as the scale tests do.
+/// Consume results with [`Self::drain_events`]. Completed results are
+/// never dropped: while a call of a direct caller waits, ready events
+/// are moved into an engine-side stash that `drain_events` returns
+/// first. That stash is the *consumer's* buffer — it grows with every
+/// result the caller has not yet drained (exactly as if the caller had
+/// collected them), so a producer that never drains trades memory for
+/// its own results, not for input buffering. Drain regularly, as the
+/// scale tests do. (A [`crate::Pipeline`] never leaves events there: its
+/// waits deliver them to its sinks as they are drained.)
 #[derive(Debug)]
 pub struct StreamEngine {
     detector: Detector,
@@ -161,7 +174,8 @@ impl StreamEngine {
     ///
     /// # Errors
     /// [`EngineError::BadConfig`] for invalid detector or pool
-    /// parameters.
+    /// parameters, or when a worker thread cannot be spawned (the
+    /// workers already started are shut down first).
     pub fn new(cfg: EngineConfig) -> Result<Self, EngineError> {
         if cfg.workers == 0 {
             return Err(EngineError::BadConfig("workers must be >= 1".into()));
@@ -190,12 +204,23 @@ impl StreamEngine {
             // All metric handles resolve here, once; workers only touch
             // atomics from then on.
             let telemetry = cfg.telemetry.as_ref().map(|r| WorkerTelemetry::new(r, i));
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("stream-worker-{i}"))
-                    .spawn(move || worker::run(det, rx, ev, batch, telemetry, settled))
-                    .expect("spawn worker thread"),
-            );
+            let spawned = std::thread::Builder::new()
+                .name(format!("stream-worker-{i}"))
+                .spawn(move || worker::run(det, rx, ev, batch, telemetry, settled));
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    // The started workers hold no bags, so closing their
+                    // queues ends them without a single event.
+                    drop(senders);
+                    for h in handles {
+                        let _ = h.join();
+                    }
+                    return Err(EngineError::BadConfig(format!(
+                        "cannot spawn worker thread {i}: {e}"
+                    )));
+                }
+            }
             senders.push(tx);
         }
         let pushes = cfg.telemetry.as_ref().map(|r| {
@@ -254,11 +279,12 @@ impl StreamEngine {
                     streams,
                     reply: tx.clone(),
                 },
+                &mut keep,
             )?;
         }
         drop(tx);
         for _ in 0..n {
-            match engine.wait_reply(&rx) {
+            match engine.wait_reply(&rx, &mut keep) {
                 Ok(Ok(())) => {}
                 Ok(Err(why)) => return Err(EngineError::Snapshot(SnapshotError::Corrupt(why))),
                 Err(e) => return Err(e),
@@ -293,14 +319,23 @@ impl StreamEngine {
     /// [`EngineError::BadConfig`] if the intern table is full (2^32
     /// names).
     pub fn resolve(&mut self, stream: &str) -> Result<StreamId, EngineError> {
+        self.resolve_via(stream, &mut keep)
+    }
+
+    /// [`Self::resolve`], handing the events drained while it waits to
+    /// `outlet`.
+    pub(crate) fn resolve_via<E: From<EngineError>>(
+        &mut self,
+        stream: &str,
+        outlet: &mut Outlet<'_, E>,
+    ) -> Result<StreamId, E> {
         // Interned names must stay a single map lookup: derive the seed
-        // only on a miss (resolve_seeded re-checks, which a first
-        // sighting pays once).
+        // only on a miss.
         if let Some(&id) = self.ids.get(stream) {
             return Ok(id);
         }
         let seed = worker::stream_seed(self.master_seed, stream);
-        self.resolve_seeded(stream, seed)
+        self.intern(stream, seed, outlet)
     }
 
     /// As [`Self::resolve`], but registering the stream under an
@@ -321,6 +356,16 @@ impl StreamEngine {
         if let Some(&id) = self.ids.get(stream) {
             return Ok(id);
         }
+        self.intern(stream, seed, &mut keep)
+    }
+
+    /// Record a name the intern table does not hold yet, under `seed`.
+    fn intern<E: From<EngineError>>(
+        &mut self,
+        stream: &str,
+        seed: u64,
+        outlet: &mut Outlet<'_, E>,
+    ) -> Result<StreamId, E> {
         let idx = u32::try_from(self.names.len())
             .map_err(|_| EngineError::BadConfig("intern table is full (2^32 names)".into()))?;
         let id = StreamId(idx);
@@ -335,6 +380,7 @@ impl StreamEngine {
                 name: name.clone(),
                 seed,
             },
+            outlet,
         )?;
         self.names.push(name.clone());
         self.shards.push(shard);
@@ -361,11 +407,22 @@ impl StreamEngine {
     /// # Panics
     /// Panics if `id` did not come from this engine's [`Self::resolve`].
     pub fn push_id(&mut self, id: StreamId, bag: Bag) -> Result<(), EngineError> {
+        self.push_id_via(id, bag, &mut keep)
+    }
+
+    /// [`Self::push_id`], handing the events drained while it waits to
+    /// `outlet`.
+    pub(crate) fn push_id_via<E: From<EngineError>>(
+        &mut self,
+        id: StreamId,
+        bag: Bag,
+        outlet: &mut Outlet<'_, E>,
+    ) -> Result<(), E> {
         let shard = self.shard_of_id(id);
         // Count the bag in-flight *before* it is visible to the worker,
         // so the worker's post-tick decrement can never underflow.
         self.in_flight.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.send_control(shard, Msg::Push { stream: id, bag }) {
+        if let Err(e) = self.send_control(shard, Msg::Push { stream: id, bag }, outlet) {
             self.in_flight.fetch_sub(1, Ordering::Relaxed);
             return Err(e);
         }
@@ -433,6 +490,16 @@ impl StreamEngine {
     /// # Panics
     /// Panics if `id` did not come from this engine's [`Self::resolve`].
     pub fn retire_id(&mut self, id: StreamId) -> Result<bool, EngineError> {
+        self.retire_id_via(id, &mut keep)
+    }
+
+    /// [`Self::retire_id`], handing the events drained while it waits
+    /// to `outlet`.
+    pub(crate) fn retire_id_via<E: From<EngineError>>(
+        &mut self,
+        id: StreamId,
+        outlet: &mut Outlet<'_, E>,
+    ) -> Result<bool, E> {
         let shard = self.shard_of_id(id);
         let (tx, rx) = mpsc::channel();
         self.send_control(
@@ -441,8 +508,9 @@ impl StreamEngine {
                 stream: id,
                 reply: tx,
             },
+            outlet,
         )?;
-        self.wait_reply(&rx)
+        self.wait_reply(&rx, outlet)
     }
 
     /// Barrier: block until every bag pushed so far has been evaluated.
@@ -452,14 +520,23 @@ impl StreamEngine {
     /// # Errors
     /// [`EngineError::Closed`] if the worker pool has exited.
     pub fn flush(&mut self) -> Result<usize, EngineError> {
+        self.flush_via(&mut keep)
+    }
+
+    /// [`Self::flush`], handing the events drained while the barrier
+    /// waits to `outlet`.
+    pub(crate) fn flush_via<E: From<EngineError>>(
+        &mut self,
+        outlet: &mut Outlet<'_, E>,
+    ) -> Result<usize, E> {
         let (tx, rx) = mpsc::channel();
         for shard in 0..self.senders.len() {
-            self.send_control(shard, Msg::Flush { reply: tx.clone() })?;
+            self.send_control(shard, Msg::Flush { reply: tx.clone() }, outlet)?;
         }
         drop(tx);
         let mut total = 0;
         for _ in 0..self.senders.len() {
-            total += self.wait_reply(&rx)?;
+            total += self.wait_reply(&rx, outlet)?;
         }
         Ok(total)
     }
@@ -472,13 +549,13 @@ impl StreamEngine {
     pub fn snapshot(&mut self) -> Result<Vec<u8>, EngineError> {
         let (tx, rx) = mpsc::channel();
         for shard in 0..self.senders.len() {
-            self.send_control(shard, Msg::Snapshot { reply: tx.clone() })?;
+            self.send_control(shard, Msg::Snapshot { reply: tx.clone() }, &mut keep)?;
         }
         drop(tx);
         let mut streams: Vec<(u32, crate::OnlineState)> = Vec::new();
         for _ in 0..self.senders.len() {
             streams.extend(
-                self.wait_reply(&rx)?
+                self.wait_reply(&rx, &mut keep)?
                     .into_iter()
                     .map(|(id, state)| (id.index(), state)),
             );
@@ -512,22 +589,22 @@ impl StreamEngine {
     /// queue: a worker can itself be parked on a full event queue with
     /// its input queue also full, so a blocking `send` from the only
     /// thread that drains events would deadlock — instead retry
-    /// `try_send` while draining events into the stash (which is what
-    /// eventually unparks the worker). Used by both the control plane
-    /// and the blocking [`Self::push_id`].
-    fn send_control(&mut self, shard: usize, msg: Msg) -> Result<(), EngineError> {
-        let senders = &self.senders;
-        let mut msg = Some(msg);
-        drain_loop(&self.events, &mut self.stash, || {
-            match senders[shard].try_send(msg.take().expect("msg present on each attempt")) {
-                Ok(()) => Attempt::Done(()),
-                Err(TrySendError::Disconnected(_)) => Attempt::Closed,
-                Err(TrySendError::Full(back)) => {
-                    msg = Some(back);
-                    Attempt::Retry
-                }
-            }
-        })
+    /// `try_send` while draining events (which is what eventually
+    /// unparks the worker). Used by both the control plane and the
+    /// blocking [`Self::push_id`].
+    fn send_control<E: From<EngineError>>(
+        &mut self,
+        shard: usize,
+        msg: Msg,
+        outlet: &mut Outlet<'_, E>,
+    ) -> Result<(), E> {
+        let sender = &self.senders[shard];
+        let attempt = |msg: Msg| match sender.try_send(msg) {
+            Ok(()) => Attempt::Done(()),
+            Err(TrySendError::Full(back)) => Attempt::Retry(back),
+            Err(TrySendError::Disconnected(_)) => Attempt::Closed,
+        };
+        drain_loop(&self.events, &mut self.stash, outlet, msg, attempt)
     }
 
     /// Await one reply while keeping the event pipe drained (a worker
@@ -535,12 +612,17 @@ impl StreamEngine {
     /// control message — a deadlock). A worker that dies before
     /// replying drops its reply sender, which surfaces here as
     /// [`EngineError::Closed`]; a merely slow worker is waited for.
-    fn wait_reply<T>(&mut self, rx: &Receiver<T>) -> Result<T, EngineError> {
-        drain_loop(&self.events, &mut self.stash, || match rx.try_recv() {
+    fn wait_reply<T, E: From<EngineError>>(
+        &mut self,
+        rx: &Receiver<T>,
+        outlet: &mut Outlet<'_, E>,
+    ) -> Result<T, E> {
+        let attempt = |()| match rx.try_recv() {
             Ok(v) => Attempt::Done(v),
+            Err(mpsc::TryRecvError::Empty) => Attempt::Retry(()),
             Err(mpsc::TryRecvError::Disconnected) => Attempt::Closed,
-            Err(mpsc::TryRecvError::Empty) => Attempt::Retry,
-        })
+        };
+        drain_loop(&self.events, &mut self.stash, outlet, (), attempt)
     }
 
     /// Cached shard of an interned id.
@@ -556,38 +638,55 @@ impl StreamEngine {
     }
 }
 
+/// Where a wait hands the events it drains: it gets the stash after
+/// each drain that found something, oldest event first, and takes what
+/// it delivers. [`keep`] takes nothing, so the events wait for
+/// [`StreamEngine::drain_events`]; an error ends the wait with that
+/// error.
+pub(crate) type Outlet<'a, E> = dyn FnMut(&mut VecDeque<Event>) -> Result<(), E> + 'a;
+
+/// The outlet of the public calls: leave everything in the stash.
+fn keep(_: &mut VecDeque<Event>) -> Result<(), EngineError> {
+    Ok(())
+}
+
 /// One step of a [`drain_loop`] attempt.
-enum Attempt<T> {
+enum Attempt<S, T> {
     /// The operation went through.
     Done(T),
-    /// Not ready yet; drain events and try again.
-    Retry,
+    /// Not ready yet; drain events and try again with this state.
+    Retry(S),
     /// The other side is gone.
     Closed,
 }
 
-/// The engine's non-blocking wait primitive, shared by the control
-/// plane and the blocking push path: retry `attempt` while moving ready
-/// events into the stash (a worker parked on the full event queue needs
-/// those recvs to make progress), backing off 50 µs -> 5 ms while idle.
-fn drain_loop<T>(
+/// The engine's one wait loop, shared by the control plane and the
+/// blocking push path: retry `attempt` (handing it back the state its
+/// last try returned) while moving ready events into the stash — a
+/// worker parked on the full event queue needs those receives to make
+/// progress — and handing the stash to `outlet` whenever that found
+/// something. While idle it backs off 50 µs -> 5 ms; arriving events
+/// skip the sleep but do not reset the backoff, so a steady trickle is
+/// delivered in batches rather than one event at a time.
+fn drain_loop<S, T, E: From<EngineError>>(
     events: &Receiver<Event>,
     stash: &mut VecDeque<Event>,
-    mut attempt: impl FnMut() -> Attempt<T>,
-) -> Result<T, EngineError> {
+    outlet: &mut Outlet<'_, E>,
+    mut state: S,
+    mut attempt: impl FnMut(S) -> Attempt<S, T>,
+) -> Result<T, E> {
     let mut next_sleep = Duration::from_micros(50);
     loop {
-        match attempt() {
+        state = match attempt(state) {
             Attempt::Done(v) => return Ok(v),
-            Attempt::Closed => return Err(EngineError::Closed),
-            Attempt::Retry => {}
-        }
-        let mut idle = true;
-        while let Ok(e) = events.try_recv() {
-            stash.push_back(e);
-            idle = false;
-        }
-        if idle {
+            Attempt::Retry(state) => state,
+            Attempt::Closed => return Err(EngineError::Closed.into()),
+        };
+        let before = stash.len();
+        stash.extend(events.try_iter());
+        if stash.len() > before {
+            outlet(stash)?;
+        } else {
             std::thread::sleep(next_sleep);
             next_sleep = (next_sleep * 2).min(Duration::from_millis(5));
         }

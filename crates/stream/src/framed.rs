@@ -44,6 +44,9 @@ type FrameAccept<'a> = dyn FnMut(&[u8]) -> bool + 'a;
 pub struct FramedLog {
     file: File,
     path: PathBuf,
+    /// The frame being appended (header, then payload), kept across
+    /// appends so writing a frame allocates nothing once it has grown.
+    frame: Vec<u8>,
 }
 
 impl FramedLog {
@@ -77,6 +80,7 @@ impl FramedLog {
             return Ok(FramedLog {
                 file,
                 path: path.to_path_buf(),
+                frame: Vec::new(),
             });
         }
         check_magic(&mut file, magic, label, path)?;
@@ -99,6 +103,7 @@ impl FramedLog {
         Ok(FramedLog {
             file,
             path: path.to_path_buf(),
+            frame: Vec::new(),
         })
     }
 
@@ -120,11 +125,12 @@ impl FramedLog {
                 "frame payload must be non-empty and within the maximum frame size",
             ));
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+        let frame = &mut self.frame;
+        frame.clear();
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&Fnv1a::hash(payload).to_le_bytes());
         frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        self.file.write_all(frame)?;
         Ok(frame.len() as u64)
     }
 

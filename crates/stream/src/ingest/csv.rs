@@ -79,6 +79,17 @@ impl CsvFileSource {
         self.assembler.stream()
     }
 
+    /// Whether the file is open (its descriptor held) right now.
+    pub(super) fn is_open(&self) -> bool {
+        self.reader.is_some()
+    }
+
+    /// Whether the next poll would open the file: it is closed, yet
+    /// neither drained nor quarantined.
+    pub(super) fn awaits_open(&self) -> bool {
+        self.reader.is_none() && !self.exhausted && !self.quarantined
+    }
+
     /// Open the file, replaying the content-addressed resume protocol:
     /// hash the first `cursor.consumed` bytes; a match continues after
     /// them, a mismatch (or short file) re-reads from the top in

@@ -6,6 +6,10 @@ use crate::telemetry::MetricsRegistry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+/// Most files a non-watching [`DirSource`] holds open at once, well
+/// under the common limit of 1,024 descriptors per process.
+const MAX_OPEN_FILES: usize = 512;
+
 /// A directory of CSV files, each feeding the stream named after its
 /// file stem (`sensors/press-04.csv` → stream `press-04`). The
 /// directory is re-scanned on every poll, so files that appear while
@@ -13,6 +17,12 @@ use std::sync::Arc;
 /// per-file resume protocol of [`CsvFileSource`] (content addressing,
 /// hold-back, rotation handling), and a malformed file quarantines only
 /// its own stream.
+///
+/// Without `watch`, a file is closed once drained, and at most 512
+/// files (`MAX_OPEN_FILES`) are open at any time: a file not opened
+/// yet waits for a later poll, when a drained one has made room. So a
+/// directory of more files than the process may open is still read in
+/// full. Watched files stay open to be tailed.
 pub struct DirSource {
     dir: String,
     /// Discovered file sources; the flag marks a file taken out of
@@ -98,13 +108,22 @@ impl Source for DirSource {
 
     fn poll(&mut self, out: &mut Vec<SourceItem>) -> Result<SourceStatus, SourceError> {
         self.scan(out)?;
+        let mut open = self.files.iter().filter(|(file, _)| file.is_open()).count();
         let mut active = false;
         let mut live = false;
         for (file, dead) in &mut self.files {
             if *dead {
                 continue;
             }
-            match file.poll(out) {
+            if !self.watch && open >= MAX_OPEN_FILES && file.awaits_open() {
+                // Input remains; it is read once a slot frees up.
+                active = true;
+                continue;
+            }
+            let was_open = file.is_open();
+            let polled = file.poll(out);
+            open = open + usize::from(file.is_open()) - usize::from(was_open);
+            match polled {
                 Ok(SourceStatus::Active) => {
                     active = true;
                     live = true;

@@ -6,7 +6,13 @@
 //!   the [`StreamEngine`] by interned id, and a stream whose input
 //!   fails is quarantined instead of killing the process;
 //! - **events out** — one ordered [`Event`] stream, delivered to any
-//!   [`Sink`] (CSV, score log, stderr diagnostics, tees, memory);
+//!   [`Sink`] (CSV, score log, stderr diagnostics, tees, memory). A
+//!   point is delivered as soon as the pipeline holds it: at the end of
+//!   every step, and also while a call waits on the engine — a push
+//!   into a full worker queue, or the barrier every commit and
+//!   [`Pipeline::finish`] take. Each such batch is the ingest side's
+//!   pending notes and quarantines, then the engine's events, oldest
+//!   first; per stream, points arrive in `t` order;
 //! - **delivery-acked checkpoints** — a checkpoint is committed only
 //!   after every event it covers was delivered *and* every sink's
 //!   [`Sink::flush_durable`] succeeded. A sink I/O error aborts the run
@@ -19,7 +25,7 @@
 //!   of killing the run, and replays the backlog in order when it
 //!   recovers.
 
-use crate::engine::{EngineConfig, EngineError, StreamEngine, StreamId};
+use crate::engine::{EngineConfig, EngineError, Outlet, StreamEngine, StreamId};
 use crate::event::{Event, QuarantineRecord};
 use crate::ingest::checkpoint::{decode_checkpoint, encode_checkpoint, write_atomic, CursorList};
 use crate::ingest::{
@@ -32,7 +38,7 @@ use crate::telemetry::{
     NoisyStreams, LATENCY_BUCKETS,
 };
 use bagcpd::{Bag, DetectorConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -236,8 +242,9 @@ impl PipelineBuilder {
     /// `dir`, readable by `bags-cpd replay` and `query`) instead of
     /// aborting. An [`Event::Degraded`] flows through the surviving
     /// sinks, a checkpoint commit counts "durably spilled" as delivered
-    /// (the spill is fsynced before the commit), and every later
-    /// delivery or flush probes the sink — on success the backlog
+    /// (the spill is fsynced before the commit), and the first delivery
+    /// of every later step, and every flush, probes the sink (the other
+    /// deliveries append to the spill) — on success the backlog
     /// replays in order *before* any new event, an [`Event::Recovered`]
     /// is announced, and the spill file is removed. A build that finds
     /// a non-empty spill file under `dir` (a crash mid-degraded) starts
@@ -489,8 +496,9 @@ impl Pipeline {
     }
 
     /// One tick: poll every source, push completed bags, deliver every
-    /// finished event — and, when the checkpoint policy comes due,
-    /// commit a checkpoint within the same step (see
+    /// finished event (those finished while a push waits for queue
+    /// space go out during the wait) — and, when the checkpoint policy
+    /// comes due, commit a checkpoint within the same step (see
     /// [`Pipeline::finish`] for the commit order).
     ///
     /// # Errors
@@ -503,15 +511,15 @@ impl Pipeline {
         if let Some(server) = &mut self.server {
             server.poll();
         }
-        let (report, eventful) = self.ingest.poll(&mut self.engine)?;
+        self.egress.probe_due = true;
+        let (report, eventful) = self.ingest.poll(&mut self.engine, &mut self.egress)?;
         let since = &mut self.since_commit;
         since.bags += report.bags as u64;
         since.ticks += 1;
         since.dirty |= eventful;
         let due =
             self.state_path.is_some() && self.policy.due(since.bags, since.ticks, since.dirty);
-        let events = self.drain_events();
-        self.egress.deliver(&events)?;
+        self.deliver_ready()?;
         if due {
             let t0 = self.egress.clock.now_ns();
             self.commit()?;
@@ -546,7 +554,8 @@ impl Pipeline {
     /// back in the cursors. Either way the run ends in the commit every
     /// periodic checkpoint takes too:
     ///
-    /// 1. barrier-flush the engine and deliver every event;
+    /// 1. barrier-flush the engine and deliver every event (points go
+    ///    out while the barrier waits, as the workers finish them);
     /// 2. `flush_durable` every sink;
     /// 3. write cursors + engine snapshot (with a state path);
     /// 4. announce the commit as [`Event::CheckpointWritten`].
@@ -560,7 +569,7 @@ impl Pipeline {
             // Points already evaluated go out ahead of whatever the
             // sources' wind-down reports.
             self.settle()?;
-            self.ingest.finish(&mut self.engine)?;
+            self.ingest.finish(&mut self.engine, &mut self.egress)?;
         }
         let checkpoint_bytes = self.commit()?;
         let Pipeline {
@@ -593,20 +602,20 @@ impl Pipeline {
         })
     }
 
-    /// Completed events, without blocking: ingest-side events (notes,
-    /// quarantines) in occurrence order, then everything the engine has
-    /// finished.
-    fn drain_events(&mut self) -> Vec<Event> {
-        let mut out = std::mem::take(&mut self.ingest.pending);
-        out.extend(self.engine.drain_events());
-        out
+    /// Deliver the completed events, without blocking: ingest-side
+    /// events (notes, quarantines) in occurrence order, then everything
+    /// the engine has finished.
+    fn deliver_ready(&mut self) -> Result<(), PipelineError> {
+        let ready = self.engine.drain_events();
+        deliver_pending(&mut self.egress, &mut self.ingest.pending, ready)
     }
 
-    /// Barrier-flush the engine and deliver every event it completed.
+    /// Barrier-flush the engine, delivering events as the barrier
+    /// drains them, then every event it completed.
     fn settle(&mut self) -> Result<(), PipelineError> {
-        self.engine.flush()?;
-        let events = self.drain_events();
-        self.egress.deliver(&events)
+        self.engine
+            .flush_via(&mut outlet(&mut self.egress, &mut self.ingest.pending))?;
+        self.deliver_ready()
     }
 
     /// The one commit order (see [`Pipeline::finish`]): no bag is pushed
@@ -631,6 +640,30 @@ impl Pipeline {
         }])?;
         Ok(Some(bytes.len()))
     }
+}
+
+/// Deliver `pending` (the ingest side's notes and quarantines), then
+/// `ready` (engine events, oldest first), as one batch, leaving
+/// `pending` empty.
+fn deliver_pending(
+    egress: &mut Egress,
+    pending: &mut Vec<Event>,
+    ready: impl IntoIterator<Item = Event>,
+) -> Result<(), PipelineError> {
+    pending.extend(ready);
+    let delivered = egress.deliver(pending);
+    pending.clear();
+    delivered
+}
+
+/// The outlet of every engine wait the pipeline makes: each drain that
+/// finds events delivers them behind the pending ingest events, and a
+/// delivery failure ends the wait with that error.
+fn outlet<'a>(
+    egress: &'a mut Egress,
+    pending: &'a mut Vec<Event>,
+) -> impl FnMut(&mut VecDeque<Event>) -> Result<(), PipelineError> + 'a {
+    move |stash| deliver_pending(egress, pending, stash.drain(..))
 }
 
 /// The ingestion half of the pipeline: every source with its status,
@@ -714,7 +747,11 @@ impl Ingest {
     /// One round-robin pass over every live source: report the engine's
     /// queue load, poll, and route what the poll produced. Also returns
     /// whether anything happened (bags, active sources, quarantines).
-    fn poll(&mut self, engine: &mut StreamEngine) -> Result<(StepReport, bool), PipelineError> {
+    fn poll(
+        &mut self,
+        engine: &mut StreamEngine,
+        egress: &mut Egress,
+    ) -> Result<(StepReport, bool), PipelineError> {
         let mut report = StepReport::default();
         let mut active_sources = 0usize;
         let quarantined_before = self.quarantined_total;
@@ -732,7 +769,7 @@ impl Ingest {
             let t0 = self.clock.now_ns();
             let polled = self.sources[idx].0.poll(&mut items);
             self.polls[idx].observe_ns(self.clock.now_ns().saturating_sub(t0));
-            let routed = self.route(idx, &mut items, engine);
+            let routed = self.route(idx, &mut items, engine, egress);
             self.items = items;
             report.bags += routed?;
             match polled {
@@ -766,12 +803,16 @@ impl Ingest {
     }
 
     /// Let every source complete its trailing bag, and route it.
-    fn finish(&mut self, engine: &mut StreamEngine) -> Result<(), PipelineError> {
+    fn finish(
+        &mut self,
+        engine: &mut StreamEngine,
+        egress: &mut Egress,
+    ) -> Result<(), PipelineError> {
         for idx in 0..self.sources.len() {
             let mut items = std::mem::take(&mut self.items);
             items.clear();
             let finished = self.sources[idx].0.finish(&mut items);
-            let routed = self.route(idx, &mut items, engine);
+            let routed = self.route(idx, &mut items, engine, egress);
             self.items = items;
             routed?;
             if let Err(e) = finished {
@@ -793,17 +834,21 @@ impl Ingest {
     /// engine's seed scheme) and rejects a second source feeding an
     /// already-claimed stream — two inputs interleaved into one detector
     /// would silently corrupt its scores, so that is a configuration
-    /// error in every mode.
+    /// error in every mode. Events the engine completes while a call
+    /// waits are delivered through `egress` straight away.
     fn route(
         &mut self,
         source_idx: usize,
         items: &mut Vec<SourceItem>,
         engine: &mut StreamEngine,
+        egress: &mut Egress,
     ) -> Result<usize, PipelineError> {
         let mut bags = 0;
         for item in items.drain(..) {
             match item {
                 SourceItem::Bag { stream, rows, .. } => {
+                    let out: &mut Outlet<'_, PipelineError> =
+                        &mut outlet(egress, &mut self.pending);
                     let id = match self.claims.get(&stream) {
                         Some(&(owner, id)) => {
                             if owner != source_idx {
@@ -817,12 +862,12 @@ impl Ingest {
                             id
                         }
                         None => {
-                            let id = engine.resolve(&stream)?;
+                            let id = engine.resolve_via(&stream, out)?;
                             self.claims.insert(stream.clone(), (source_idx, id));
                             id
                         }
                     };
-                    engine.push_id(id, Bag::new(rows))?;
+                    engine.push_id_via(id, Bag::new(rows), out)?;
                     bags += 1;
                     self.bags += 1;
                     self.bags_routed.inc();
@@ -848,11 +893,15 @@ impl Ingest {
                     // the claim too: if the stream speaks again it
                     // re-resolves to the same interned id but starts a
                     // fresh detector — the documented eviction
-                    // semantics. Retirement stays name-keyed: the
-                    // stream may be a restored one that has not routed
-                    // a bag in this session.
+                    // semantics. The id is looked up by name, not in
+                    // the claims: the stream may be a restored one that
+                    // has not routed a bag in this session. A name never
+                    // interned has nothing to retire.
                     self.claims.remove(&stream);
-                    if engine.retire(&stream)? {
+                    let Some(id) = engine.id_of(&stream) else {
+                        continue;
+                    };
+                    if engine.retire_id_via(id, &mut outlet(egress, &mut self.pending))? {
                         self.evictions.inc();
                         self.pending.push(Event::Note(format!(
                             "stream '{stream}' evicted after idling; it restarts fresh if it \
@@ -931,6 +980,12 @@ struct Egress {
     /// Degraded/Recovered announcements awaiting delivery; drained at
     /// the head of the next [`Egress::deliver`].
     pending: Vec<Event>,
+    /// A degraded station may be probed for recovery by the next
+    /// delivery: set by every [`Pipeline::step`], cleared by the first
+    /// batch, so the batches a step delivers while it waits on the
+    /// engine append to the spill without re-reading it.
+    /// [`Egress::flush`] always probes.
+    probe_due: bool,
     degraded_gauge: Gauge,
     spilled: Counter,
     replay_seconds: Histogram,
@@ -986,6 +1041,7 @@ impl Egress {
             ),
             spill_dir,
             pending: Vec::new(),
+            probe_due: false,
             degraded_gauge: registry.gauge(
                 names::EGRESS_DEGRADED,
                 "Sinks currently degraded (spilling instead of delivering)",
@@ -1070,8 +1126,9 @@ impl Egress {
             })
             .flatten();
         let deliverable = &events[..failed.map_or(events.len(), |(pos, ..)| pos)];
+        let probe = std::mem::take(&mut self.probe_due);
         for idx in 0..self.stations.len() {
-            self.station_deliver(idx, deliverable)?;
+            self.station_deliver(idx, deliverable, probe)?;
         }
         for event in deliverable {
             match event {
@@ -1098,11 +1155,17 @@ impl Egress {
         Ok(())
     }
 
-    /// One station's share of a batch: recover-then-deliver when
-    /// degraded (spilling on continued refusal), plain delivery when
-    /// healthy (degrading on failure if a spill directory exists).
-    fn station_deliver(&mut self, idx: usize, events: &[Event]) -> Result<(), PipelineError> {
-        if self.stations[idx].spill.is_some() && !self.try_recover(idx)? {
+    /// One station's share of a batch: when degraded, a recovery probe
+    /// if `probe` allows one, then delivery or — on continued refusal —
+    /// a spill append; plain delivery when healthy (degrading on failure
+    /// if a spill directory exists).
+    fn station_deliver(
+        &mut self,
+        idx: usize,
+        events: &[Event],
+        probe: bool,
+    ) -> Result<(), PipelineError> {
+        if self.stations[idx].spill.is_some() && !(probe && self.try_recover(idx)?) {
             let station = &mut self.stations[idx];
             if let Some(spill) = station.spill.as_mut() {
                 spill.deliver(events).map_err(PipelineError::Sink)?;
@@ -1210,5 +1273,283 @@ impl Egress {
             .iter()
             .filter_map(|s| s.spill.as_ref().map(ScoreLogSink::events))
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ingest::MemorySource;
+    use crate::scorelog::format::MAGIC;
+    use bagcpd::{Detector, ScorePoint};
+    use std::sync::Mutex;
+
+    const TAU_PRIME: usize = 2;
+
+    /// A stream's name and its `(time, rows)` bags.
+    type Stream<'a> = (&'a str, Vec<(i64, Vec<Vec<f64>>)>);
+
+    fn detector_cfg() -> DetectorConfig {
+        DetectorConfig {
+            tau: 3,
+            tau_prime: TAU_PRIME,
+            ..Default::default()
+        }
+    }
+
+    /// `n` bags of 30 2-D rows with a level shift halfway.
+    fn bags(n: usize, salt: usize) -> Vec<(i64, Vec<Vec<f64>>)> {
+        (0..n)
+            .map(|t| {
+                let level = if t < n / 2 { 0.0 } else { 3.0 };
+                let rows = (0..30)
+                    .map(|i| {
+                        let u = ((i * 7 + t * 3 + salt) % 11) as f64 * 0.1;
+                        vec![level + u, 0.5 * u]
+                    })
+                    .collect();
+                (t as i64, rows)
+            })
+            .collect()
+    }
+
+    /// One worker, seeds pinned per stream, every stream's bags queued
+    /// in one memory source, interleaved (one poll hands over up to 64).
+    fn builder(streams: &[Stream<'_>]) -> PipelineBuilder {
+        let mut source = MemorySource::new("memory://fleet");
+        let longest = streams.iter().map(|(_, b)| b.len()).max().unwrap_or(0);
+        for i in 0..longest {
+            for (name, bags) in streams {
+                if let Some((t, rows)) = bags.get(i) {
+                    source.push_bag(name, *t, rows.clone());
+                }
+            }
+        }
+        let mut builder = Pipeline::builder(detector_cfg()).workers(1);
+        for (i, (name, _)) in streams.iter().enumerate() {
+            builder = builder.stream_seed(*name, 100 + i as u64);
+        }
+        builder.source(source)
+    }
+
+    /// Records every batch it is handed, as handed.
+    #[derive(Clone, Default)]
+    struct Batches(Arc<Mutex<Vec<Vec<Event>>>>);
+
+    impl Batches {
+        fn with_points(&self) -> usize {
+            let batches = self.0.lock().unwrap();
+            batches
+                .iter()
+                .filter(|b| b.iter().any(|e| e.point().is_some()))
+                .count()
+        }
+
+        fn events(&self) -> Vec<Event> {
+            self.0.lock().unwrap().concat()
+        }
+    }
+
+    impl Sink for Batches {
+        fn deliver(&mut self, events: &[Event]) -> std::io::Result<()> {
+            self.0.lock().unwrap().push(events.to_vec());
+            Ok(())
+        }
+
+        fn flush_durable(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every point arrives once, in per-stream `t` order, equal to the
+    /// batch detector's.
+    fn assert_matches_analyze(events: &[Event], streams: &[Stream<'_>]) {
+        let detector = Detector::new(detector_cfg()).unwrap();
+        for (i, (name, bags)) in streams.iter().enumerate() {
+            let got: Vec<ScorePoint> = events
+                .iter()
+                .filter(|e| e.stream() == Some(name))
+                .filter_map(|e| e.point().copied())
+                .collect();
+            let bags: Vec<Bag> = bags
+                .iter()
+                .map(|(_, rows)| Bag::new(rows.clone()))
+                .collect();
+            let expected = detector.analyze(&bags, 100 + i as u64).unwrap().points;
+            assert_eq!(got, expected, "stream {name}");
+        }
+    }
+
+    #[test]
+    fn push_waits_deliver_points_before_the_step_returns() {
+        let streams = [("a", bags(20, 0)), ("b", bags(20, 5))];
+        let sink = Batches::default();
+        let mut builder = builder(&streams).sink(sink.clone());
+        builder.engine.queue_capacity = 2;
+        let mut pipeline = builder.build().unwrap();
+        let step = pipeline.step().unwrap();
+        assert_eq!(step.bags, 40, "one poll hands over every bag");
+        assert!(
+            sink.with_points() > 1,
+            "points went out while pushes waited for queue space"
+        );
+        while !pipeline.step().unwrap().done {}
+        pipeline.finish().unwrap();
+        assert_matches_analyze(&sink.events(), &streams);
+    }
+
+    #[test]
+    fn the_finish_barrier_delivers_points_while_it_waits() {
+        let streams = [("a", bags(20, 0)), ("b", bags(20, 5))];
+        let sink = Batches::default();
+        let mut pipeline = builder(&streams).sink(sink.clone()).build().unwrap();
+        assert_eq!(pipeline.step().unwrap().bags, 40);
+        let before = sink.with_points();
+        let summary = pipeline.finish().unwrap();
+        // Without waits, finish would hand over every point left in one
+        // batch, after its barrier.
+        assert!(
+            sink.with_points() - before > 1,
+            "points went out while the barrier waited"
+        );
+        assert_eq!(summary.points, 2 * (20 - 3 - TAU_PRIME + 1) as u64);
+        assert_matches_analyze(&sink.events(), &streams);
+    }
+
+    #[test]
+    fn strict_mode_delivers_nothing_after_a_stream_error() {
+        let mut a = bags(40, 0);
+        // A bag of another dimension: the detector rejects it.
+        a[20].1 = vec![vec![1.0, 2.0, 3.0]; 30];
+        let streams = [("a", a)];
+        let sink = Batches::default();
+        let mut builder = builder(&streams).strict(true).sink(sink.clone());
+        builder.engine.queue_capacity = 2;
+        let err = builder.build().unwrap().run().unwrap_err();
+        assert!(
+            matches!(err, PipelineError::StreamFailed { ref stream, .. } if &**stream == "a"),
+            "{err}"
+        );
+        let events = sink.events();
+        assert!(events.iter().all(|e| e.point().is_some()), "{events:?}");
+        // Point t is emitted by bag t + τ' − 1: exactly the points of
+        // the bags ahead of the rejected one (t = 3..=18) went out.
+        let ts: Vec<usize> = events
+            .iter()
+            .filter_map(|e| e.point())
+            .map(|p| p.t)
+            .collect();
+        assert_eq!(ts, (3..=20 - TAU_PRIME).collect::<Vec<_>>());
+    }
+
+    /// Fails its `fail_at`-th delivery (1-based); records every call.
+    struct FailingSink {
+        calls: Arc<Mutex<Vec<&'static str>>>,
+        fail_at: usize,
+    }
+
+    impl Sink for FailingSink {
+        fn deliver(&mut self, _events: &[Event]) -> std::io::Result<()> {
+            let mut calls = self.calls.lock().unwrap();
+            calls.push("deliver");
+            if calls.iter().filter(|c| **c == "deliver").count() >= self.fail_at {
+                return Err(std::io::Error::other("injected failure"));
+            }
+            Ok(())
+        }
+
+        fn flush_durable(&mut self) -> std::io::Result<()> {
+            self.calls.lock().unwrap().push("flush");
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_gets_nothing_after_its_failed_batch() {
+        let streams = [("a", bags(20, 0)), ("b", bags(20, 5))];
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let mut builder = builder(&streams).sink(FailingSink {
+            calls: calls.clone(),
+            fail_at: 3,
+        });
+        builder.engine.queue_capacity = 2;
+        let err = builder.build().unwrap().run().unwrap_err();
+        assert!(matches!(err, PipelineError::Sink(_)), "{err}");
+        let calls = calls.lock().unwrap();
+        // The build primes the sink with one flush; then two good
+        // batches and the failed one, and nothing after it.
+        assert_eq!(*calls, ["flush", "deliver", "deliver", "deliver"]);
+    }
+
+    /// Refuses every delivery; counts the attempts.
+    struct DeadSink(Arc<Mutex<usize>>);
+
+    impl Sink for DeadSink {
+        fn deliver(&mut self, _events: &[Event]) -> std::io::Result<()> {
+            *self.0.lock().unwrap() += 1;
+            Err(std::io::Error::other("sink is down"))
+        }
+
+        fn flush_durable(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn kind(&self) -> &'static str {
+            "dead"
+        }
+    }
+
+    fn spill_frames(path: &std::path::Path) -> usize {
+        let mut frames = 0;
+        crate::framed::FrameScanner::open(path, MAGIC, "score log")
+            .unwrap()
+            .for_each(&mut |_| {
+                frames += 1;
+                Ok(())
+            })
+            .unwrap();
+        frames
+    }
+
+    #[test]
+    fn a_degraded_sink_probes_recovery_once_per_step() {
+        let dir =
+            std::env::temp_dir().join(format!("bagscpd-pipeline-degraded-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let streams = [("a", bags(20, 0)), ("b", bags(20, 5))];
+        let attempts = Arc::new(Mutex::new(0));
+        let healthy = Batches::default();
+        let mut builder = builder(&streams)
+            .sink(DeadSink(attempts.clone()))
+            .sink(healthy.clone())
+            .spill_dir(&dir);
+        builder.engine.queue_capacity = 2;
+        let mut pipeline = builder.build().unwrap();
+        let mut steps = 1;
+        let _ = pipeline.step().unwrap();
+        // The first batch degrades the sink and spends the step's
+        // probe; every later batch of the step (the Degraded marker's
+        // included) is appended to the spill as it is, without
+        // replaying the backlog.
+        assert_eq!(*attempts.lock().unwrap(), 1);
+        let batches = healthy.0.lock().unwrap().len();
+        assert!(batches > 2, "{batches} batches");
+        assert_eq!(spill_frames(&dir.join("sink-0-dead.spill")), batches);
+
+        while !pipeline.step().unwrap().done {
+            steps += 1;
+        }
+        steps += 1;
+        let summary = pipeline.finish().unwrap();
+        assert!(summary.spilled_events > 0);
+        // At most one probe per step, plus one per flush: the final
+        // commit's and the one after the engine shuts down.
+        let attempts = *attempts.lock().unwrap();
+        assert!(
+            attempts <= steps + 2,
+            "{attempts} attempts in {steps} steps"
+        );
+        assert!(healthy.0.lock().unwrap().len() > steps + 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -285,6 +285,19 @@ impl<S: Sink> ReplayDiffSink<S> {
         self
     }
 
+    /// The streams the log recorded points for, sorted by name — the
+    /// streams [`super::ScoreStore::streams`] lists, learned by the
+    /// same read that loaded the points.
+    pub fn recorded_streams(&self) -> Vec<Arc<str>> {
+        let state = self
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut streams: Vec<Arc<str>> = state.horizon.keys().cloned().collect();
+        streams.sort();
+        streams
+    }
+
     /// A handle for reading the tallies after the pipeline consumed the
     /// sink.
     pub fn tracker(&self) -> DiffTracker {

@@ -1058,9 +1058,6 @@ fn run_replay_dump(opts: &Options) -> Result<(), String> {
 fn run_replay_diff(opts: &Options, log: &str) -> Result<(), String> {
     build_detector(opts)?;
     let log_path = std::path::Path::new(log);
-    let store = ScoreStore::scan(log_path).map_err(|e| format!("{log}: {e}"))?;
-    let recorded: Vec<String> = store.streams().map(|(name, _)| name.to_string()).collect();
-
     let registry = MetricsRegistry::new();
     let inner = Tee::new(
         CsvSink::with_schema(std::io::stdout(), CsvSchema::legacy_stdout(true)),
@@ -1070,6 +1067,7 @@ fn run_replay_diff(opts: &Options, log: &str) -> Result<(), String> {
         .map_err(|e| format!("{log}: {e}"))?
         .with_metrics(&registry);
     let tracker = diff.tracker();
+    let recorded = diff.recorded_streams();
 
     // A single positional input mirrors batch/follow (one worker,
     // strict, seed pinned); --csv/--dir mirror serve (worker pool,
@@ -1084,7 +1082,7 @@ fn run_replay_diff(opts: &Options, log: &str) -> Result<(), String> {
         // re-reads its input the way batch did (sorted by time, equal
         // times merged), which follow's tailing reader would refuse.
         let live = match recorded.as_slice() {
-            [only] => only.clone(),
+            [only] => only.to_string(),
             _ => FOLLOW_STREAM.to_string(),
         };
         builder = builder.stream_seed(live.clone(), opts.seed);
