@@ -10,7 +10,8 @@
 //!
 //! The solver is a from-scratch transportation simplex (an initial basis
 //! chosen by tableau size — the northwest corner below 128 cells, the
-//! least-cost rule from there on — then MODI/u-v optimality tests and
+//! least-cost rule over lists of live rows and columns from there on —
+//! then MODI/u-v optimality tests, priced four cells at a time, and
 //! stepping-stone pivots with Bland's anti-cycling fallback). Unequal
 //! masses are balanced with a zero-cost slack node, the textbook
 //! reduction. The basis is kept across pivots as a rooted spanning tree,

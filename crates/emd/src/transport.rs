@@ -11,11 +11,16 @@
 //!    chosen by the tableau's size: the northwest-corner rule below 128
 //!    cells, which covers every pair of signatures of up to 8 atoms, and
 //!    the least-cost rule from there on, which starts a large tableau
-//!    far fewer pivots from the optimum;
+//!    far fewer pivots from the optimum. That rule keeps the live rows
+//!    and columns as two ascending lists and each live row's cheapest
+//!    live cell, so a fill scans the live rows once, and only the rows
+//!    whose column was just crossed out scan the live columns again;
 //! 4. MODI (u-v) optimality testing with stepping-stone pivots improves
 //!    it to optimality. Entering variables are chosen by most-negative
 //!    reduced cost, switching to Bland's smallest-index rule after a
-//!    grace period so cycling under degeneracy is impossible. The basis
+//!    grace period so cycling under degeneracy is impossible. Pricing
+//!    computes reduced costs four cells at a time and looks into a group
+//!    only when one of them beats the best so far. The basis
 //!    is kept as one spanning tree rooted at row 0 — the network
 //!    simplex's representation, hung from the start's cells by one tree
 //!    builder whichever start produced them. A pivot finds its cycle by
@@ -107,11 +112,21 @@ impl TreeNode {
     };
 }
 
+/// A live row of the least-cost start and its first cheapest live cell.
+#[derive(Debug, Clone, Copy)]
+struct RowMin {
+    i: usize,
+    j: usize,
+    /// The cell's cost, or `+∞` for a slack cell.
+    key: f64,
+}
+
 /// Every buffer the transportation simplex touches, reusable across
 /// solves: the filtered row/column index maps, the balanced tableau
-/// (costs and marginals), the least-cost start's live lines and row
-/// minima, the basic-cell set, the basis tree with the incidence lists
-/// it is hung from and its MODI potentials, and the stepping-stone path.
+/// (costs and marginals), the least-cost start's lists of live rows
+/// (with their cheapest cells) and live columns, the basic-cell set, the
+/// basis tree with the incidence lists it is hung from and its MODI
+/// potentials, and the stepping-stone path.
 /// The basis tree is kept across pivots rather than rebuilt: a pivot
 /// touches only the cycle it closes and the subtree it moves. One
 /// scratch serves problems of any
@@ -133,11 +148,11 @@ pub struct TransportScratch {
     a: Vec<f64>,
     /// Balanced demands (consumed by the initial basic solution).
     b: Vec<f64>,
-    /// Least-cost start: whether each row node (`0..m`) and column node
-    /// (`m..m + n`) is still live, i.e. not yet crossed out.
-    live: Vec<bool>,
-    /// Least-cost start: each live row's cheapest live column.
-    row_min: Vec<usize>,
+    /// Least-cost start: the live (not yet crossed out) rows in
+    /// ascending order, each with its cheapest live cell.
+    live_rows: Vec<RowMin>,
+    /// Least-cost start: the live columns in ascending order.
+    live_cols: Vec<usize>,
     /// Basic cells of the current tableau (`m + n - 1` of them).
     basis: Vec<BasicCell>,
     /// Membership mask over tableau cells.
@@ -357,25 +372,9 @@ fn solve_core(
     relabel(s, n, 0);
 
     for iter in 0..max_iters {
-        // Entering variable selection. A cell is looked up in the basis
-        // mask only once its reduced cost beats the best so far.
         let (u, v) = s.potential.split_at(m);
-        let mut enter: Option<(usize, usize)> = None;
-        let mut best = -tol;
-        'scan: for (i, (row, &ui)) in s.c.chunks_exact(n).zip(u).enumerate() {
-            for (j, (&cij, &vj)) in row.iter().zip(v).enumerate() {
-                let r = cij - ui - vj;
-                if r < best && !s.is_basic[i * n + j] {
-                    enter = Some((i, j));
-                    if iter >= bland_after {
-                        // Bland: first improving cell in index order.
-                        break 'scan;
-                    }
-                    best = r;
-                }
-            }
-        }
-        let Some((ei, ej)) = enter else {
+        let bland = iter >= bland_after;
+        let Some((ei, ej)) = entering_cell(&s.c, u, v, &s.is_basic, tol, bland) else {
             s.solves += 1;
             return Ok(Dims {
                 n,
@@ -449,6 +448,61 @@ fn solve_core(
     Err(EmdError::DidNotConverge)
 }
 
+/// The entering cell of a pivot on the tableau `c` (rows of `v.len()`
+/// costs) under potentials `u` and `v`: the non-basic cell whose reduced
+/// cost `c[i][j] − u[i] − v[j]` is the most negative below `−tol`, the
+/// first in row-major order among equals; under Bland's rule the first
+/// such cell in row-major order. `None` when the basis is optimal.
+///
+/// Reduced costs are computed four at a time, and a group is looked into
+/// only when one of its costs beats the best so far; there, and in each
+/// row's last `n mod 4` cells, every cell is tested in order, and a cell
+/// is looked up in the basis mask only once its cost beats the best.
+fn entering_cell(
+    c: &[f64],
+    u: &[f64],
+    v: &[f64],
+    is_basic: &[bool],
+    tol: f64,
+    bland: bool,
+) -> Option<(usize, usize)> {
+    let n = v.len();
+    let split = n - n % 4;
+    let (v4, v_tail) = v.split_at(split);
+    let mut enter = None;
+    let mut best = -tol;
+    let rows = c.chunks_exact(n).zip(is_basic.chunks_exact(n)).zip(u);
+    for (i, ((row, basic), &ui)) in rows.enumerate() {
+        let (c4, c_tail) = row.split_at(split);
+        for (g, (cs, vs)) in c4.chunks_exact(4).zip(v4.chunks_exact(4)).enumerate() {
+            let r: [f64; 4] = std::array::from_fn(|k| cs[k] - ui - vs[k]);
+            // `|`, not `||`: the four tests make one branch, not four.
+            if (r[0] < best) | (r[1] < best) | (r[2] < best) | (r[3] < best) {
+                for (k, &rk) in r.iter().enumerate() {
+                    if rk < best && !basic[4 * g + k] {
+                        enter = Some((i, 4 * g + k));
+                        if bland {
+                            return enter;
+                        }
+                        best = rk;
+                    }
+                }
+            }
+        }
+        for (k, (&cij, &vj)) in c_tail.iter().zip(v_tail).enumerate() {
+            let r = cij - ui - vj;
+            if r < best && !basic[split + k] {
+                enter = Some((i, split + k));
+                if bland {
+                    return enter;
+                }
+                best = r;
+            }
+        }
+    }
+    enter
+}
+
 /// Totals (and optionally flows) of the solved basis over real
 /// (non-slack) nodes, mapping back to the caller's original indices.
 /// The single extraction body shared by the plan-building and the
@@ -515,8 +569,9 @@ fn northwest_corner(a: &mut [f64], b: &mut [f64], cells: &mut Vec<BasicCell>) {
 /// last fill. Each crossed line hangs, as a leaf, on the cell's other
 /// line, which stays live, so the cells span even where flows are zero.
 ///
-/// Nothing is sorted: each live row keeps its cheapest live column, and
-/// only the rows whose column was just crossed out look again.
+/// Nothing is sorted: the live rows and the live columns are two
+/// ascending lists, each live row keeps its first cheapest live cell,
+/// and only the rows whose column was just crossed out look again.
 fn least_cost(s: &mut TransportScratch) {
     let TransportScratch {
         rows,
@@ -524,61 +579,71 @@ fn least_cost(s: &mut TransportScratch) {
         c,
         a,
         b,
-        live,
-        row_min,
+        live_rows,
+        live_cols,
         basis: cells,
         ..
     } = s;
     let (m, n) = (a.len(), b.len());
     let (real_rows, real_cols) = (rows.len(), cols.len());
-    let key = |i: usize, j: usize| {
-        if i < real_rows && j < real_cols {
-            c[i * n + j]
+    // Row `i`'s first cheapest cell over the live columns, of which the
+    // first `real` are real: the first live column keyed +∞ unless a
+    // real cell beats it (never on a slack row). Selects, not branches,
+    // carry the running minimum.
+    let row_min = |i: usize, live_cols: &[usize], real: usize| {
+        let real = if i < real_rows {
+            &live_cols[..real]
         } else {
-            f64::INFINITY
+            &[]
+        };
+        let row = &c[i * n..(i + 1) * n];
+        let (mut j, mut key) = (live_cols[0], f64::INFINITY);
+        for &x in real {
+            let lt = row[x] < key;
+            j = if lt { x } else { j };
+            key = if lt { row[x] } else { key };
         }
+        RowMin { i, j, key }
     };
-    live.clear();
-    live.resize(m + n, true);
-    row_min.clear();
-    row_min.extend((0..m).map(|i| first_min((0..n).map(|j| (j, key(i, j))))));
+    live_cols.clear();
+    live_cols.extend(0..n);
+    live_rows.clear();
+    live_rows.extend((0..m).map(|i| row_min(i, live_cols, real_cols)));
     cells.clear();
     cells.reserve(m + n - 1);
-    let (mut live_rows, mut live_cols) = (m, n);
     loop {
-        let i = first_min((0..m).filter(|&i| live[i]).map(|i| (i, key(i, row_min[i]))));
-        let j = row_min[i];
+        let at = first_least(live_rows);
+        let RowMin { i, j, .. } = live_rows[at];
         let f = a[i].min(b[j]).max(0.0);
         cells.push(BasicCell { i, j, flow: f });
         a[i] -= f;
         b[j] -= f;
-        if live_rows == 1 && live_cols == 1 {
+        if live_rows.len() == 1 && live_cols.len() == 1 {
             break;
         }
-        if live_rows > 1 && (live_cols == 1 || a[i] <= b[j]) {
-            live[i] = false;
-            live_rows -= 1;
+        if live_rows.len() > 1 && (live_cols.len() == 1 || a[i] <= b[j]) {
+            live_rows.remove(at);
         } else {
-            live[m + j] = false;
-            live_cols -= 1;
-            for r in 0..m {
-                if live[r] && row_min[r] == j {
-                    row_min[r] = first_min((0..n).filter(|&j| live[m + j]).map(|j| (j, key(r, j))));
-                }
+            live_cols.retain(|&x| x != j);
+            // A slack column is the last, so the real ones lead the list.
+            let real = live_cols.partition_point(|&x| x < real_cols);
+            for row in live_rows.iter_mut().filter(|row| row.j == j) {
+                *row = row_min(row.i, live_cols, real);
             }
         }
     }
 }
 
-/// The first index of `keyed` whose key is smallest (`NONE` if empty).
-fn first_min(keyed: impl Iterator<Item = (usize, f64)>) -> usize {
-    let (mut best, mut best_key) = (NONE, f64::INFINITY);
-    for (x, k) in keyed {
-        if best == NONE || k < best_key {
-            (best, best_key) = (x, k);
-        }
+/// The position of the first of the live `rows` whose cached key is the
+/// smallest (0 if every key is `+∞`), carried by selects, not branches.
+fn first_least(rows: &[RowMin]) -> usize {
+    let (mut at, mut key) = (0, f64::INFINITY);
+    for (p, row) in rows.iter().enumerate() {
+        let lt = row.key < key;
+        at = if lt { p } else { at };
+        key = if lt { row.key } else { key };
     }
-    best
+    at
 }
 
 /// Hang the `m + n - 1` basic cells of a start, which span the `m` row
@@ -1017,6 +1082,113 @@ mod tests {
             let cells = least_cost_cells(&costs, &vec![n as f64; m], &vec![m as f64; n], (m, n));
             let total: f64 = cells.iter().map(|c| c.2).sum();
             assert_eq!(total, (m * n) as f64);
+        }
+    }
+
+    /// The one-cell-at-a-time pricing loop that `entering_cell` replaced,
+    /// verbatim but for its inputs, which were `solve_core`'s locals.
+    fn entering_cell_reference(
+        c: &[f64],
+        n: usize,
+        (u, v): (&[f64], &[f64]),
+        is_basic: &[bool],
+        tol: f64,
+        bland: bool,
+    ) -> Option<(usize, usize)> {
+        let mut enter: Option<(usize, usize)> = None;
+        let mut best = -tol;
+        'scan: for (i, (row, &ui)) in c.chunks_exact(n).zip(u).enumerate() {
+            for (j, (&cij, &vj)) in row.iter().zip(v).enumerate() {
+                let r = cij - ui - vj;
+                if r < best && !is_basic[i * n + j] {
+                    enter = Some((i, j));
+                    if bland {
+                        // Bland: first improving cell in index order.
+                        break 'scan;
+                    }
+                    best = r;
+                }
+            }
+        }
+        enter
+    }
+
+    /// `entering_cell` on `c` (rows of `n` costs) with zero potentials,
+    /// the cells listed in `basic` basic, checked against the reference
+    /// under both rules.
+    fn price(c: &[f64], n: usize, basic: &[usize], bland: bool) -> Option<(usize, usize)> {
+        let (u, v) = (vec![0.0; c.len() / n], vec![0.0; n]);
+        let mut is_basic = vec![false; c.len()];
+        for &k in basic {
+            is_basic[k] = true;
+        }
+        let got = entering_cell(c, &u, &v, &is_basic, 1e-10, bland);
+        let want = entering_cell_reference(c, n, (&u, &v), &is_basic, 1e-10, bland);
+        assert_eq!(got, want, "c = {c:?}, basic = {basic:?}, bland = {bland}");
+        got
+    }
+
+    #[test]
+    fn four_wide_pricing_picks_the_cells_of_the_one_cell_loop() {
+        // The smallest reduced cost sits on a basic cell: the group is
+        // looked into, and the next best non-basic cell enters.
+        assert_eq!(
+            price(&[0.0, -5.0, -3.0, -1.0, 0.0], 5, &[1], false),
+            Some((0, 2))
+        );
+        // Equal minima in two groups, and again in a row's tail: the
+        // first in row-major order enters.
+        let two_groups = [0.0, -2.0, 0.0, 0.0, 1.0, -2.0, 0.0, 0.0];
+        assert_eq!(price(&two_groups, 8, &[], false), Some((0, 1)));
+        let tail = [
+            1.0, 0.0, 1.0, 1.0, -2.0, -2.0, 1.0, 1.0, 1.0, 1.0, 1.0, -2.0,
+        ];
+        assert_eq!(price(&tail, 6, &[], false), Some((0, 4)));
+        assert_eq!(price(&tail, 6, &[4], false), Some((0, 5)));
+        assert_eq!(price(&tail, 6, &[4, 5], false), Some((1, 5)));
+        // A later, more negative cell in a group that passed the check.
+        assert_eq!(
+            price(&[-1.0, 0.0, -4.0, 0.0, -4.0], 5, &[], false),
+            Some((0, 2))
+        );
+        // Bland: the first improving cell, not the most negative.
+        assert_eq!(
+            price(&[0.0, -1.0, -5.0, 0.0, -9.0], 5, &[], true),
+            Some((0, 1))
+        );
+        assert_eq!(
+            price(&[0.0, -1.0, -5.0, 0.0, -9.0], 5, &[1, 2], true),
+            Some((0, 4))
+        );
+        // Optimal: nothing beats −tol, and a basic cell never enters.
+        assert_eq!(price(&[0.0, 1.0, 0.0, 2.0, -1e-11], 5, &[], false), None);
+        assert_eq!(price(&[3.0, -7.0], 1, &[1], false), None);
+
+        // Rows of 1 to 9 columns: tie-heavy costs, potentials that make
+        // reduced costs round, and pseudo-random basic cells.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |modulus: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % modulus
+        };
+        for n in 1..=9 {
+            for m in 1..=4 {
+                for _ in 0..200 {
+                    let c: Vec<f64> = (0..m * n).map(|_| next(7) as f64 - 3.0).collect();
+                    let u: Vec<f64> = (0..m).map(|_| next(5) as f64 * 0.1 - 0.2).collect();
+                    let v: Vec<f64> = (0..n).map(|_| next(5) as f64 * 0.3 - 0.6).collect();
+                    let is_basic: Vec<bool> = (0..m * n).map(|_| next(3) == 0).collect();
+                    for (tol, bland) in [(1e-10, false), (1e-10, true), (0.0, false), (2.5, true)] {
+                        assert_eq!(
+                            entering_cell(&c, &u, &v, &is_basic, tol, bland),
+                            entering_cell_reference(&c, n, (&u, &v), &is_basic, tol, bland),
+                            "{m} x {n}: c = {c:?}, u = {u:?}, v = {v:?}, tol = {tol}, bland = {bland}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -188,26 +188,31 @@ mod min_cost_flow {
 /// Strategy: a transportation problem of up to 40 × 40, the size of a
 /// k = 32 signature pair's tableau with room to spare. Costs are small
 /// integers or square roots of small integers (the ties of Euclidean
-/// distances on a grid). Marginals are small multiples of 0.5 or of
-/// 1/7 with zeros included, so filtered rows and columns, unbalanced
-/// totals, exact ties and rounded masses all occur.
+/// distances on a grid), shifted down by 2 in half the problems, so
+/// negative, zero and positive costs tie among themselves and sit below
+/// the slack line's zero-cost cells. Marginals are small multiples of
+/// 0.5 or of 1/7 with zeros included, so filtered rows and columns,
+/// unbalanced totals, exact ties and rounded masses all occur.
 fn large_transport_problem() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>)> {
-    ((1usize..=40), (1usize..=40), (0u8..2), (0u8..2)).prop_flat_map(|(m, n, roots, sevenths)| {
-        let cost = (0u8..20).prop_map(move |c| {
-            if roots == 1 {
-                f64::from(c).sqrt()
-            } else {
-                f64::from(c % 4)
-            }
-        });
-        let unit = if sevenths == 1 { 1.0 / 7.0 } else { 0.5 };
-        let mass = (0u8..5).prop_map(move |w| f64::from(w) * unit);
-        (
-            prop::collection::vec(cost, m * n),
-            prop::collection::vec(mass.clone(), m),
-            prop::collection::vec(mass, n),
-        )
-    })
+    ((1usize..=40), (1usize..=40), (0u8..2), (0u8..2), (0u8..2)).prop_flat_map(
+        |(m, n, roots, sevenths, shift)| {
+            let cost = (0u8..20).prop_map(move |c| {
+                let c = if roots == 1 {
+                    f64::from(c).sqrt()
+                } else {
+                    f64::from(c % 4)
+                };
+                c - 2.0 * f64::from(shift)
+            });
+            let unit = if sevenths == 1 { 1.0 / 7.0 } else { 0.5 };
+            let mass = (0u8..5).prop_map(move |w| f64::from(w) * unit);
+            (
+                prop::collection::vec(cost, m * n),
+                prop::collection::vec(mass.clone(), m),
+                prop::collection::vec(mass, n),
+            )
+        },
+    )
 }
 
 /// Test-only verbatim copy of the transportation simplex as it was

@@ -45,9 +45,11 @@ pub struct CsvFileSource {
     /// A non-tailed file reached EOF: its reader is closed and every
     /// later poll is `Done` (re-opening would re-read from byte 0).
     exhausted: bool,
-    /// Partially read line (no newline yet) — not consumed, not hashed.
-    partial: String,
-    line: String,
+    /// Partially read line (no newline yet) — not consumed, not hashed,
+    /// and not yet checked for UTF-8: the producer may have flushed only
+    /// part of a multi-byte character.
+    partial: Vec<u8>,
+    line: Vec<u8>,
     quarantined: bool,
 }
 
@@ -68,8 +70,8 @@ impl CsvFileSource {
             resume: None,
             tail,
             exhausted: false,
-            partial: String::new(),
-            line: String::new(),
+            partial: Vec::new(),
+            line: Vec::new(),
             quarantined: false,
         }
     }
@@ -158,17 +160,23 @@ impl CsvFileSource {
     /// session re-reads it, hits the same error, and quarantines the
     /// stream again — deterministically matching an uninterrupted run
     /// instead of silently reviving the stream past the poison row.
-    fn consume_line(&mut self, out: &mut Vec<SourceItem>) -> Result<(), SourceError> {
+    fn consume_line(&mut self, line: &str, out: &mut Vec<SourceItem>) -> Result<(), SourceError> {
         let lineno = self.lineno;
         self.lineno += 1;
-        let line = std::mem::take(&mut self.line);
-        let r = self.assembler.line(&line, lineno, &self.path, out);
+        let r = self.assembler.line(line, lineno, &self.path, out);
         if r.is_ok() {
             self.hasher.update(line.as_bytes());
             self.consumed += line.len() as u64;
         }
-        self.line = line;
         r
+    }
+
+    /// `bytes` as text, or the error a line reader gives for bytes that
+    /// are not UTF-8.
+    fn utf8<'b>(&self, bytes: &'b [u8]) -> Result<&'b str, SourceError> {
+        std::str::from_utf8(bytes).map_err(|_| {
+            SourceError::Io(format!("{}: stream did not contain valid UTF-8", self.path))
+        })
     }
 }
 
@@ -193,7 +201,7 @@ impl Source for CsvFileSource {
                 return Ok(SourceStatus::Idle);
             };
             let n = reader
-                .read_line(&mut self.line)
+                .read_until(b'\n', &mut self.line)
                 .map_err(|e| SourceError::Io(format!("{}: {e}", self.path)))?;
             if n == 0 {
                 if !self.tail {
@@ -202,6 +210,8 @@ impl Source for CsvFileSource {
                     // all until the run ends.
                     self.reader = None;
                     self.exhausted = true;
+                    // The data is final, so its last fragment is too.
+                    self.utf8(&self.partial)?;
                     return Ok(SourceStatus::Done);
                 }
                 return Ok(if read_any {
@@ -211,19 +221,22 @@ impl Source for CsvFileSource {
                 });
             }
             read_any = true;
-            if !self.line.ends_with('\n') {
+            if !self.line.ends_with(b"\n") {
                 // Unterminated: the producer may still be writing it.
                 // Stash the fragment; it is completed by a later read
                 // (the hash and byte count only ever cover full lines).
-                self.partial.push_str(&self.line);
+                self.partial.append(&mut self.line);
                 continue;
             }
             if !self.partial.is_empty() {
-                self.partial.push_str(&self.line);
+                self.partial.append(&mut self.line);
                 std::mem::swap(&mut self.partial, &mut self.line);
-                self.partial.clear();
             }
-            if let Err(e) = self.consume_line(out) {
+            // A whole line is text or an error; the buffer is kept.
+            let bytes = std::mem::take(&mut self.line);
+            let consumed = self.utf8(&bytes).map(|line| self.consume_line(line, out));
+            self.line = bytes;
+            if let Err(e) = consumed? {
                 self.quarantined = true;
                 self.reader = None;
                 out.push(SourceItem::Quarantine {
@@ -273,8 +286,9 @@ impl Source for CsvFileSource {
         if !self.partial.is_empty() {
             let lineno = self.lineno;
             self.lineno += 1;
-            let line = std::mem::take(&mut self.partial);
-            self.assembler.line(&line, lineno, &self.path, out)?;
+            let bytes = std::mem::take(&mut self.partial);
+            self.assembler
+                .line(self.utf8(&bytes)?, lineno, &self.path, out)?;
         }
         self.assembler.flush(out);
         Ok(())
@@ -487,6 +501,63 @@ mod tests {
             matches!(&out[..], [SourceItem::Quarantine { .. }]),
             "{out:?}"
         );
+    }
+
+    #[test]
+    fn a_character_split_across_writes_is_read_whole() {
+        // The writer has flushed the first byte of "é" only.
+        let dir = tempdir("split-utf8");
+        let path = dir.join("press.csv");
+        std::fs::write(&path, b"t,temp\xc3").unwrap();
+        let mut src = DirSource::new(dir.to_string_lossy().into_owned(), true);
+        let mut out = Vec::new();
+        src.poll(&mut out).unwrap();
+        assert_eq!(out, [], "the fragment waits for the rest of its line");
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        std::io::Write::write_all(&mut file, b"\xa9rature\n0,1.5\n0,2.5\n1,3.5\n2,4.5\n").unwrap();
+        while src.poll(&mut out).unwrap() == SourceStatus::Active {}
+        assert_eq!(
+            bags(&out),
+            [("press".to_string(), 0), ("press".to_string(), 1)]
+        );
+        assert!(
+            !out.iter()
+                .any(|item| matches!(item, SourceItem::Quarantine { .. })),
+            "{out:?}"
+        );
+        let mut cursors = Vec::new();
+        src.cursors(&mut cursors);
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(cursors[0].1.consumed, len, "every line is addressed");
+    }
+
+    #[test]
+    fn a_complete_line_that_is_not_utf8_fails_the_poll() {
+        let dir = tempdir("bad-utf8");
+        let want = |path: &std::path::Path| {
+            Err(SourceError::Io(format!(
+                "{}: stream did not contain valid UTF-8",
+                path.to_string_lossy()
+            )))
+        };
+        // A terminated line, on a tailed file and on a finished one.
+        for tail in [true, false] {
+            let path = dir.join(format!("line-{tail}.csv"));
+            std::fs::write(&path, b"t,x\n0,0.5\n1,\xff\n2,1.5\n").unwrap();
+            let mut src = CsvFileSource::new(path.to_string_lossy().into_owned(), "a", tail);
+            assert_eq!(src.poll(&mut Vec::new()), want(&path));
+            let mut cursors = Vec::new();
+            src.cursors(&mut cursors);
+            assert_eq!(cursors[0].1.consumed, 10, "the bad line is not addressed");
+        }
+        // A finished file's unterminated last line.
+        let path = dir.join("fragment.csv");
+        std::fs::write(&path, b"t,x\n0,0.5\n1,\xff").unwrap();
+        let mut src = CsvFileSource::new(path.to_string_lossy().into_owned(), "a", false);
+        assert_eq!(src.poll(&mut Vec::new()), want(&path));
     }
 
     #[test]

@@ -221,6 +221,18 @@ impl<'a> Reader<'a> {
         s
     }
 
+    /// Consume the next `N` bytes as an array.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Truncated`] if fewer than `N` bytes remain.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let (bytes, rest) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or(SnapshotError::Truncated)?;
+        self.pos = self.buf.len() - rest.len();
+        Ok(*bytes)
+    }
+
     /// Read a byte.
     ///
     /// # Errors
@@ -234,9 +246,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     /// [`SnapshotError::Truncated`].
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Read a little-endian `u64`.
@@ -244,9 +254,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     /// [`SnapshotError::Truncated`].
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Read a little-endian `i64`.
@@ -254,9 +262,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     /// [`SnapshotError::Truncated`].
     pub fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.array().map(i64::from_le_bytes)
     }
 
     /// Read an `f64` from its IEEE-754 bit pattern.
