@@ -56,7 +56,8 @@ pub struct EngineConfig {
     /// unknown.
     pub workers: usize,
     /// Bound of each worker's input queue. A full queue makes `push_id`
-    /// wait — backpressure instead of unbounded buffering.
+    /// wait — backpressure instead of unbounded buffering. Defaults to
+    /// 64 bags.
     pub queue_capacity: usize,
     /// Maximum messages a worker drains per evaluation tick.
     pub batch_size: usize,
@@ -72,13 +73,20 @@ pub struct EngineConfig {
     pub telemetry: Option<MetricsRegistry>,
 }
 
+/// Default bound of each worker's input queue. A queued bag waits for
+/// every bag ahead of it, so the bound sets latency, not throughput:
+/// 1,024 held all 768 bags of a 16-stream fleet of 128-row bags at
+/// k = 32, and its median ingest→emit latency fell from 115–150 ms to
+/// 71–89 ms at 64, at the same throughput (2 workers on 2 vCPUs).
+const QUEUE_CAPACITY: usize = 64;
+
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             detector: DetectorConfig::default(),
             seed: 0,
             workers: std::thread::available_parallelism().map_or(1, usize::from),
-            queue_capacity: 1024,
+            queue_capacity: QUEUE_CAPACITY,
             batch_size: 256,
             event_capacity: 65536,
             telemetry: None,
@@ -95,6 +103,8 @@ pub enum EngineError {
     Closed,
     /// Snapshot encode/decode/validation failure.
     Snapshot(SnapshotError),
+    /// A [`StreamId`] this engine never issued.
+    ForeignId(StreamId),
 }
 
 impl std::fmt::Display for EngineError {
@@ -103,6 +113,9 @@ impl std::fmt::Display for EngineError {
             EngineError::BadConfig(why) => write!(f, "bad engine config: {why}"),
             EngineError::Closed => write!(f, "engine is closed"),
             EngineError::Snapshot(e) => write!(f, "snapshot failure: {e}"),
+            EngineError::ForeignId(id) => {
+                write!(f, "stream id {} was not issued by this engine", id.index())
+            }
         }
     }
 }
@@ -269,7 +282,7 @@ impl StreamEngine {
             (0..n).map(|_| Vec::new()).collect();
         for (idx, state) in snap.streams {
             let id = StreamId(idx); // decode validated idx < names.len()
-            per_shard[engine.shard_of_id(id)].push((id, state));
+            per_shard[engine.shard_of_id(id)?].push((id, state));
         }
         let (tx, rx) = mpsc::channel();
         for (shard, streams) in per_shard.into_iter().enumerate() {
@@ -402,10 +415,9 @@ impl StreamEngine {
     /// worker parked on the full event queue.
     ///
     /// # Errors
-    /// [`EngineError::Closed`] if the worker pool has exited.
-    ///
-    /// # Panics
-    /// Panics if `id` did not come from this engine's [`Self::resolve`].
+    /// [`EngineError::Closed`] if the worker pool has exited, or
+    /// [`EngineError::ForeignId`] if `id` did not come from this
+    /// engine's [`Self::resolve`].
     pub fn push_id(&mut self, id: StreamId, bag: Bag) -> Result<(), EngineError> {
         self.push_id_via(id, bag, &mut keep)
     }
@@ -418,7 +430,7 @@ impl StreamEngine {
         bag: Bag,
         outlet: &mut Outlet<'_, E>,
     ) -> Result<(), E> {
-        let shard = self.shard_of_id(id);
+        let shard = self.shard_of_id(id)?;
         // Count the bag in-flight *before* it is visible to the worker,
         // so the worker's post-tick decrement can never underflow.
         self.in_flight.fetch_add(1, Ordering::Relaxed);
@@ -485,10 +497,9 @@ impl StreamEngine {
     /// sessions) until a table-compaction API exists.
     ///
     /// # Errors
-    /// [`EngineError::Closed`] if the worker pool has exited.
-    ///
-    /// # Panics
-    /// Panics if `id` did not come from this engine's [`Self::resolve`].
+    /// [`EngineError::Closed`] if the worker pool has exited, or
+    /// [`EngineError::ForeignId`] if `id` did not come from this
+    /// engine's [`Self::resolve`].
     pub fn retire_id(&mut self, id: StreamId) -> Result<bool, EngineError> {
         self.retire_id_via(id, &mut keep)
     }
@@ -500,7 +511,7 @@ impl StreamEngine {
         id: StreamId,
         outlet: &mut Outlet<'_, E>,
     ) -> Result<bool, E> {
-        let shard = self.shard_of_id(id);
+        let shard = self.shard_of_id(id)?;
         let (tx, rx) = mpsc::channel();
         self.send_control(
             shard,
@@ -627,14 +638,14 @@ impl StreamEngine {
 
     /// Cached shard of an interned id.
     ///
-    /// # Panics
-    /// Panics on a [`StreamId`] this engine never issued — ids are
-    /// engine-specific by construction.
-    fn shard_of_id(&self, id: StreamId) -> usize {
-        *self
-            .shards
+    /// # Errors
+    /// [`EngineError::ForeignId`] on a [`StreamId`] this engine never
+    /// issued — ids are engine-specific by construction.
+    fn shard_of_id(&self, id: StreamId) -> Result<usize, EngineError> {
+        self.shards
             .get(id.0 as usize)
-            .expect("StreamId was not issued by this engine") as usize
+            .map(|&shard| shard as usize)
+            .ok_or(EngineError::ForeignId(id))
     }
 }
 
@@ -833,7 +844,7 @@ mod tests {
         cfg.batch_size = 1;
         let mut engine = StreamEngine::new(cfg).unwrap();
         let id = engine.resolve("s").unwrap();
-        let shard = engine.shard_of_id(id);
+        let shard = engine.shard_of_id(id).unwrap();
         let mut accepted = 0usize;
         let mut consecutive_bounces = 0usize;
         while consecutive_bounces < 50 && accepted < 40 {
@@ -935,5 +946,37 @@ mod tests {
         engine.push_id(a, bag(0.0)).unwrap();
         assert_eq!(engine.flush().unwrap(), 1);
         engine.shutdown();
+    }
+
+    #[test]
+    fn a_foreign_id_is_an_error_and_the_engine_keeps_working() {
+        let mut other = StreamEngine::new(small_cfg()).unwrap();
+        other.resolve("a").unwrap();
+        let foreign = other.resolve("b").unwrap();
+        other.shutdown();
+        let mut engine = StreamEngine::new(small_cfg()).unwrap();
+        let a = engine.resolve("a").unwrap();
+        let err = engine.push_id(foreign, bag(0.0)).unwrap_err();
+        assert!(
+            matches!(err, EngineError::ForeignId(id) if id == foreign),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "stream id 1 was not issued by this engine");
+        assert!(matches!(
+            engine.retire_id(foreign),
+            Err(EngineError::ForeignId(_))
+        ));
+        // Nothing was counted in flight, and every stream still scores.
+        assert_eq!(engine.queue_load(), 0.0);
+        for t in 0..8 {
+            engine.push_id(a, bag(f64::from(t))).unwrap();
+        }
+        assert_eq!(engine.flush().unwrap(), 1);
+        let points = engine
+            .shutdown()
+            .iter()
+            .filter(|e| e.point().is_some())
+            .count();
+        assert_eq!(points, 4, "8 bags, window 5 -> 4 points");
     }
 }

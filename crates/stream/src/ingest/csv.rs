@@ -171,21 +171,9 @@ impl CsvFileSource {
         r
     }
 
-    /// `bytes` as text, or the error a line reader gives for bytes that
-    /// are not UTF-8.
-    fn utf8<'b>(&self, bytes: &'b [u8]) -> Result<&'b str, SourceError> {
-        std::str::from_utf8(bytes).map_err(|_| {
-            SourceError::Io(format!("{}: stream did not contain valid UTF-8", self.path))
-        })
-    }
-}
-
-impl Source for CsvFileSource {
-    fn origin(&self) -> &str {
-        &self.path
-    }
-
-    fn poll(&mut self, out: &mut Vec<SourceItem>) -> Result<SourceStatus, SourceError> {
+    /// Read up to [`LINES_PER_POLL`] lines: the body of
+    /// [`Source::poll`], which releases the reader when this fails.
+    fn read_lines(&mut self, out: &mut Vec<SourceItem>) -> Result<SourceStatus, SourceError> {
         if self.quarantined || self.exhausted {
             return Ok(SourceStatus::Done);
         }
@@ -247,6 +235,30 @@ impl Source for CsvFileSource {
             }
         }
         Ok(SourceStatus::Active)
+    }
+
+    /// `bytes` as text, or the error a line reader gives for bytes that
+    /// are not UTF-8.
+    fn utf8<'b>(&self, bytes: &'b [u8]) -> Result<&'b str, SourceError> {
+        std::str::from_utf8(bytes).map_err(|_| {
+            SourceError::Io(format!("{}: stream did not contain valid UTF-8", self.path))
+        })
+    }
+}
+
+impl Source for CsvFileSource {
+    fn origin(&self) -> &str {
+        &self.path
+    }
+
+    fn poll(&mut self, out: &mut Vec<SourceItem>) -> Result<SourceStatus, SourceError> {
+        let polled = self.read_lines(out);
+        if polled.is_err() {
+            // Nothing polls a failed source again: release the
+            // descriptor, or a directory's open-file slot stays taken.
+            self.reader = None;
+        }
+        polled
     }
 
     fn cursors(&self, out: &mut Vec<(Arc<str>, StreamCursor)>) {
@@ -558,6 +570,24 @@ mod tests {
         std::fs::write(&path, b"t,x\n0,0.5\n1,\xff").unwrap();
         let mut src = CsvFileSource::new(path.to_string_lossy().into_owned(), "a", false);
         assert_eq!(src.poll(&mut Vec::new()), want(&path));
+    }
+
+    #[test]
+    fn a_failed_poll_releases_the_file() {
+        let dir = tempdir("failed-poll");
+        // A complete line that is not UTF-8, on a tailed file and on a
+        // finished one.
+        for tail in [true, false] {
+            let path = dir.join(format!("bad-{tail}.csv"));
+            std::fs::write(&path, b"t,x\n0,0.5\n0,\xff\n").unwrap();
+            let mut src = CsvFileSource::new(path.to_string_lossy().into_owned(), "a", tail);
+            assert!(src.poll(&mut Vec::new()).is_err());
+            assert!(!src.is_open(), "tail = {tail}: the descriptor is released");
+        }
+        // A read error: a directory opens, but its first read fails.
+        let mut src = CsvFileSource::new(dir.to_string_lossy().into_owned(), "d", false);
+        assert!(matches!(src.poll(&mut Vec::new()), Err(SourceError::Io(_))));
+        assert!(!src.is_open(), "the descriptor is released");
     }
 
     #[test]

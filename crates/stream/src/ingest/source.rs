@@ -25,6 +25,11 @@ pub enum SourceStatus {
     Idle,
     /// Exhausted: this source will never produce again.
     Done,
+    /// This poll returned one slice of a round that is not over yet:
+    /// poll again within the same round (a [`crate::Pipeline`] tick)
+    /// once its items are routed. The round's last slice returns the
+    /// round's own status. Only [`super::DirSource`] answers this.
+    More,
 }
 
 /// A source-level failure, pre-formatted with its `origin:line` context.
@@ -106,7 +111,9 @@ pub trait Source {
     fn origin(&self) -> &str;
 
     /// Consume available input, appending completed bags, quarantine
-    /// records, and notes to `out`.
+    /// records, and notes to `out`. A source may split one round of
+    /// reading into slices, answering [`SourceStatus::More`] for every
+    /// slice but the last.
     ///
     /// # Errors
     /// Only *source-fatal* conditions (the file vanished, the listener

@@ -495,7 +495,8 @@ impl Pipeline {
         self.server.as_ref().and_then(|s| s.local_addr().ok())
     }
 
-    /// One tick: poll every source, push completed bags, deliver every
+    /// One tick: one round over the sources (a directory's whole pass,
+    /// routed slice by slice), pushing completed bags, then deliver every
     /// finished event (those finished while a push waits for queue
     /// space go out during the wait) — and, when the checkpoint policy
     /// comes due, commit a checkpoint within the same step (see
@@ -744,9 +745,12 @@ impl Ingest {
         self.sources.push((source, SourceStatus::Idle));
     }
 
-    /// One round-robin pass over every live source: report the engine's
-    /// queue load, poll, and route what the poll produced. Also returns
-    /// whether anything happened (bags, active sources, quarantines).
+    /// One round-robin round over every live source: report the
+    /// engine's queue load, poll, and route what the poll produced. A
+    /// source that answers [`SourceStatus::More`] is polled again within
+    /// the round, after its slice is routed, so the engine takes each
+    /// slice before the next is read. Also returns whether anything
+    /// happened (bags, active sources, quarantines).
     fn poll(
         &mut self,
         engine: &mut StreamEngine,
@@ -759,19 +763,24 @@ impl Ingest {
             if self.sources[idx].1 == SourceStatus::Done {
                 continue;
             }
-            let mut items = std::mem::take(&mut self.items);
-            items.clear();
-            // Tell the source how full the engine's bounded queues are
-            // before it reads more input, so interactive sources can
-            // push back on their producers instead of stalling in
-            // `push_id`.
-            self.sources[idx].0.pressure(engine.queue_load());
-            let t0 = self.clock.now_ns();
-            let polled = self.sources[idx].0.poll(&mut items);
-            self.polls[idx].observe_ns(self.clock.now_ns().saturating_sub(t0));
-            let routed = self.route(idx, &mut items, engine, egress);
-            self.items = items;
-            report.bags += routed?;
+            let polled = loop {
+                let mut items = std::mem::take(&mut self.items);
+                items.clear();
+                // Tell the source how full the engine's bounded queues
+                // are before it reads more input, so interactive sources
+                // can push back on their producers instead of stalling
+                // in `push_id`.
+                self.sources[idx].0.pressure(engine.queue_load());
+                let t0 = self.clock.now_ns();
+                let polled = self.sources[idx].0.poll(&mut items);
+                self.polls[idx].observe_ns(self.clock.now_ns().saturating_sub(t0));
+                let routed = self.route(idx, &mut items, engine, egress);
+                self.items = items;
+                report.bags += routed?;
+                if polled != Ok(SourceStatus::More) {
+                    break polled;
+                }
+            };
             match polled {
                 Ok(status) => {
                     self.sources[idx].1 = status;

@@ -367,6 +367,211 @@ fn dir_source_skips_non_file_csv_entries_with_a_note() {
 }
 
 #[test]
+fn failed_files_free_their_open_file_slots() {
+    // More failing files than a DirSource holds open at once, sorted
+    // ahead of the good ones: each failure must free its slot, or the
+    // good files wait for one forever.
+    let dir = tmp_dir("dir_failed_slots");
+    for i in 0..520 {
+        std::fs::write(dir.join(format!("bad{i:03}.csv")), b"t,x\n0,0.5\n0,\xff\n").unwrap();
+    }
+    for s in 0..4u64 {
+        std::fs::write(dir.join(format!("s{s}.csv")), csv_text(9, 99, s, true)).unwrap();
+    }
+    let mut src = DirSource::new(dir.to_string_lossy().into_owned(), false);
+    let mut out = Vec::new();
+    let mut polls = 0;
+    while src.poll(&mut out).unwrap() != SourceStatus::Done {
+        polls += 1;
+        assert!(polls < 1000, "the directory never drains");
+    }
+    src.finish(&mut out).unwrap();
+    let quarantined = out
+        .iter()
+        .filter(|i| matches!(i, SourceItem::Quarantine { stream, .. } if stream.starts_with("bad")))
+        .count();
+    assert_eq!(quarantined, 520);
+    for s in 0..4 {
+        let times: Vec<i64> = bags_for(&out, &format!("s{s}"))
+            .map(|i| match i {
+                SourceItem::Bag { time, .. } => *time,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(times, (0..9).collect::<Vec<_>>(), "stream s{s}");
+    }
+}
+
+/// The bags of `csv_text(bags, change_at, salt, _)`, as the file
+/// sources read them.
+fn bags_of(bags: usize, change_at: usize, salt: u64) -> Vec<bagcpd::Bag> {
+    (0..bags)
+        .map(|t| {
+            let level = if t < change_at { 0.0 } else { 5.0 };
+            let rows = (0..20)
+                .map(|i| vec![level + ((i as u64 * 3 + salt + t as u64) % 7) as f64 * 0.1])
+                .collect();
+            bagcpd::Bag::new(rows)
+        })
+        .collect()
+}
+
+/// Bags among `items`.
+fn bag_count(items: &[SourceItem]) -> usize {
+    items
+        .iter()
+        .filter(|i| matches!(i, SourceItem::Bag { .. }))
+        .count()
+}
+
+#[test]
+fn dir_source_reads_each_pass_in_slices() {
+    // 18 files of 60 bags of 20 rows: a 512-line poll completes 25 or
+    // 26 bags of a file, so a pass takes 3 to 4 slices of 128 bags.
+    let dir = tmp_dir("dir_slices");
+    for s in 0..18u64 {
+        std::fs::write(dir.join(format!("f{s:02}.csv")), csv_text(60, 30, s, true)).unwrap();
+    }
+    let file = |dir: &std::path::Path, name: &str| {
+        CsvFileSource::new(
+            dir.join(format!("{name}.csv"))
+                .to_string_lossy()
+                .into_owned(),
+            name,
+            false,
+        )
+    };
+    // The reference: each file's own source, polled once per pass in
+    // name order.
+    let mut reference: Vec<CsvFileSource> =
+        (0..18).map(|s| file(&dir, &format!("f{s:02}"))).collect();
+    let mut src = DirSource::new(dir.to_string_lossy().into_owned(), false);
+    let mut passes = 0;
+    loop {
+        passes += 1;
+        let mut want = Vec::new();
+        let mut want_status = SourceStatus::Done;
+        // Items per slice: a slice ends with the file that brings it to
+        // 128 bags, so none holds more than 127 plus one file's poll.
+        let (mut sliced, mut slice_bags) = (vec![0], 0);
+        for file in &mut reference {
+            if slice_bags >= 128 {
+                sliced.push(0);
+                slice_bags = 0;
+            }
+            let from = want.len();
+            if file.poll(&mut want).unwrap() == SourceStatus::Active {
+                want_status = SourceStatus::Active;
+            }
+            *sliced.last_mut().unwrap() += want.len() - from;
+            slice_bags += bag_count(&want[from..]);
+        }
+
+        let mut got = Vec::new();
+        let mut slices = Vec::new();
+        let status = loop {
+            let from = got.len();
+            let status = src.poll(&mut got).unwrap();
+            slices.push(got.len() - from);
+            if passes == 2 && slices.len() == 1 {
+                // Created mid-pass: the next pass reads it.
+                std::fs::write(dir.join("late.csv"), csv_text(9, 99, 99, true)).unwrap();
+            }
+            if status != SourceStatus::More {
+                break status;
+            }
+        };
+        assert_eq!(
+            got, want,
+            "pass {passes}: the files' own polls, in name order"
+        );
+        assert_eq!(slices, sliced, "pass {passes}: slices end at 128 bags");
+        assert_eq!(status, want_status, "pass {passes}: the pass's status");
+        assert!(
+            passes > 1 || slices.len() >= 3,
+            "a pass spans several slices: {slices:?}"
+        );
+        if passes == 2 {
+            assert!(bags_for(&got, "late").next().is_none(), "{got:?}");
+            reference.push(file(&dir, "late"));
+        }
+        if passes == 3 {
+            assert_eq!(bags_for(&got, "late").count(), 8, "joins at the next pass");
+        }
+        if status == SourceStatus::Done {
+            break;
+        }
+        assert!(passes < 10, "the directory never drains");
+    }
+    assert_eq!(passes, 3, "1,201 lines per file take three 512-line polls");
+    assert_eq!(src.poll(&mut Vec::new()).unwrap(), SourceStatus::Done);
+}
+
+#[test]
+fn a_tick_covers_a_whole_pass_of_slices() {
+    use stream::telemetry::names;
+    // The files of the slicing test above: three passes of 3 to 4
+    // slices, committed once per tick.
+    let dir = tmp_dir("dir_slice_ticks");
+    let seed = 17;
+    for s in 0..18u64 {
+        std::fs::write(dir.join(format!("f{s:02}.csv")), csv_text(60, 30, s, true)).unwrap();
+    }
+    let sink = MemorySink::new();
+    let mut pipeline = pipeline(seed)
+        .checkpoint(
+            CheckpointPolicy {
+                every_bags: None,
+                every_ticks: Some(1),
+            },
+            dir.join("state.snap"),
+        )
+        .source(DirSource::new(dir.to_string_lossy().into_owned(), false))
+        .sink(sink.clone())
+        .build()
+        .unwrap();
+    let slices = |pipeline: &Pipeline| -> f64 {
+        let count = format!("{}_count", names::INGEST_POLL_SECONDS);
+        let metrics = pipeline.metrics().snapshot();
+        metrics
+            .iter()
+            .filter(|m| m.key.starts_with(&count))
+            .map(|m| m.value)
+            .sum()
+    };
+    let mut passes = 0;
+    loop {
+        let step = pipeline.step().unwrap();
+        passes += 1;
+        if passes == 1 {
+            assert!(slices(&pipeline) >= 3.0, "the first pass spans 3 slices");
+        }
+        if step.done {
+            break;
+        }
+    }
+    assert_eq!(passes, 3);
+    let summary = pipeline.finish().unwrap();
+    assert_eq!(
+        summary.checkpoints,
+        passes + 1,
+        "one commit per tick, and the final one"
+    );
+
+    // With a state path the trailing bag stays pending: 59 bags scored.
+    let events = sink.events();
+    let detector = Detector::new(detector_cfg()).unwrap();
+    for s in 0..18u64 {
+        let name = format!("f{s:02}");
+        let batch = detector
+            .analyze(&bags_of(59, 30, s), derive_stream_seed(seed, &name))
+            .unwrap();
+        let got: Vec<_> = points_of(&events, &name).cloned().collect();
+        assert_eq!(got, batch.points, "stream {name}");
+    }
+}
+
+#[test]
 fn checkpoint_resume_matches_uninterrupted_run() {
     // Two csv streams; checkpoint after the first part, resume over the
     // grown files, and compare per-stream points with an uninterrupted

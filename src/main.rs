@@ -226,7 +226,9 @@ options:
   --state <file>         follow/serve: restore checkpoint if present,
                          save checkpoints while running and at exit
   --checkpoint-bags <n>  with --state: checkpoint every n bags
-  --checkpoint-ticks <n> with --state: checkpoint every n poll ticks
+  --checkpoint-ticks <n> with --state: checkpoint every n ticks (a tick
+                         is one round over the sources; a --dir round
+                         is one pass over its files)
   --csv <file.csv>       serve: add a CSV file source (repeatable);
                          the stream is named after the file stem
   --dir <dir>            serve: add every *.csv in dir (re-scanned, so
