@@ -1,5 +1,4 @@
-//! Experiment harness shared by the per-figure binaries and the
-//! Criterion benchmarks.
+//! Experiment harness shared by the per-figure binaries.
 //!
 //! Each binary under `src/bin/` regenerates one exhibit of the paper
 //! (`exp_fig1`, `exp_fig6`, `exp_pamap`, `exp_bipartite`, `exp_enron`,

@@ -5,11 +5,11 @@
 //! `drain_loop`, which keeps draining the shared event queue (a worker
 //! parked on a full event queue needs those receives to make progress)
 //! and hands what it drains to an *outlet* its caller chooses. The
-//! public calls ([`StreamEngine::push_id`], [`StreamEngine::flush`],
-//! [`StreamEngine::resolve`], [`StreamEngine::retire`],
-//! [`StreamEngine::snapshot`]) leave the events in the engine's stash
-//! for [`StreamEngine::drain_events`]; the [`crate::Pipeline`] passes an
-//! outlet that delivers them to its sinks while the call still waits.
+//! [`crate::Pipeline`] is the engine's one driver: its outlet delivers
+//! the events to its sinks while the call still waits. Only the waits
+//! that take no outlet — [`StreamEngine::restore`]'s installs, the
+//! build's seeded resolves and [`StreamEngine::snapshot`] — leave their
+//! events in the engine's stash, which the next `drain` empties.
 
 use crate::event::Event;
 use crate::snapshot::{decode_engine, encode_engine, SnapshotError};
@@ -25,20 +25,20 @@ use std::time::Duration;
 
 /// Interned handle of a named stream within one [`StreamEngine`].
 ///
-/// Obtained from [`StreamEngine::resolve`]; pushing by id skips the
+/// Obtained from `StreamEngine::resolve`; pushing by id skips the
 /// per-push name hash and map lookup entirely, which is what makes the
 /// multi-stream hot path allocation-free. Ids are dense (`0, 1, 2, …` in intern order),
 /// stable for the life of the engine — including across
-/// [`StreamEngine::retire_id`] and a [`StreamEngine::snapshot`] /
+/// `StreamEngine::retire` and a [`StreamEngine::snapshot`] /
 /// [`StreamEngine::restore`] round trip (the snapshot persists the
 /// intern table) — and meaningless to any *other* engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StreamId(pub(crate) u32);
+pub(crate) struct StreamId(pub(crate) u32);
 
 impl StreamId {
     /// Position of this stream's name in the engine's intern table (and
     /// in the snapshot's name table).
-    pub fn index(self) -> u32 {
+    pub(crate) fn index(self) -> u32 {
         self.0
     }
 }
@@ -55,7 +55,7 @@ pub struct EngineConfig {
     /// to the machine's available parallelism, or 1 where that is
     /// unknown.
     pub workers: usize,
-    /// Bound of each worker's input queue. A full queue makes `push_id`
+    /// Bound of each worker's input queue. A full queue makes a push
     /// wait — backpressure instead of unbounded buffering. Defaults to
     /// 64 bags.
     pub queue_capacity: usize,
@@ -103,8 +103,8 @@ pub enum EngineError {
     Closed,
     /// Snapshot encode/decode/validation failure.
     Snapshot(SnapshotError),
-    /// A [`StreamId`] this engine never issued.
-    ForeignId(StreamId),
+    /// A stream id (its intern-table index) this engine never issued.
+    ForeignId(u32),
 }
 
 impl std::fmt::Display for EngineError {
@@ -113,8 +113,8 @@ impl std::fmt::Display for EngineError {
             EngineError::BadConfig(why) => write!(f, "bad engine config: {why}"),
             EngineError::Closed => write!(f, "engine is closed"),
             EngineError::Snapshot(e) => write!(f, "snapshot failure: {e}"),
-            EngineError::ForeignId(id) => {
-                write!(f, "stream id {} was not issued by this engine", id.index())
+            EngineError::ForeignId(index) => {
+                write!(f, "stream id {index} was not issued by this engine")
             }
         }
     }
@@ -129,47 +129,45 @@ impl From<SnapshotError> for EngineError {
 }
 
 /// A pool of worker threads running thousands of independent
-/// [`crate::OnlineDetector`]s behind bounded channels.
+/// [`crate::OnlineDetector`]s behind bounded channels, driven by the
+/// [`crate::Pipeline`].
 ///
 /// - **Interning** — a stream name is hashed exactly once, at
-///   [`Self::resolve`], into a dense [`StreamId`]; the id-keyed entry
-///   points ([`Self::push_id`], [`Self::retire_id`]) then move nothing
-///   but an integer and the bag — no per-push allocation, hashing, or
-///   map lookup. Snapshots persist the intern table, so ids stay valid
-///   across [`Self::restore`].
+///   `resolve`, into a dense stream id; the id-keyed calls (`push`,
+///   `retire`) then move nothing but an integer and the bag — no
+///   per-push allocation, hashing, or map lookup. Snapshots persist the
+///   intern table, so ids stay valid across [`Self::restore`].
 /// - **Sharding** — a stream name is FNV-hashed to one worker, so each
 ///   stream's bags are processed in order by a single thread, and a
 ///   stream's results are independent of the pool size.
 /// - **Backpressure** — input and event queues are bounded, so the
 ///   *in-flight pipeline* (queued bags plus undelivered events) is
-///   bounded; [`Self::push_id`] waits when the target worker is
-///   saturated rather than queueing without limit.
+///   bounded; a push waits when the target worker is saturated rather
+///   than queueing without limit.
 /// - **Checkpointing** — [`Self::snapshot`] serializes every stream's
 ///   state into one buffer; [`Self::restore`] resumes an identical
 ///   engine from it (subsequent outputs are bit-identical to never
 ///   having stopped).
 ///
-/// Consume results with [`Self::drain_events`]. Completed results are
-/// never dropped: while a call of a direct caller waits, ready events
-/// are moved into an engine-side stash that `drain_events` returns
-/// first. That stash is the *consumer's* buffer — it grows with every
-/// result the caller has not yet drained (exactly as if the caller had
-/// collected them), so a producer that never drains trades memory for
-/// its own results, not for input buffering. Drain regularly, as the
-/// scale tests do. (A [`crate::Pipeline`] never leaves events there: its
-/// waits deliver them to its sinks as they are drained.)
+/// Completed results are never dropped: every call that can wait hands
+/// the events it drains to its caller's outlet, and `drain` hands over
+/// whatever is ready without waiting. [`Self::shutdown`] returns the
+/// rest.
 #[derive(Debug)]
 pub struct StreamEngine {
     detector: Detector,
     master_seed: u64,
     /// Intern table: `names[id]` is the name behind [`StreamId`] `id`.
     names: Vec<Arc<str>>,
-    /// Reverse lookup, consulted only on the name-keyed entry points.
+    /// Reverse lookup, consulted only when a name is resolved.
     ids: HashMap<Arc<str>, StreamId>,
     /// Cached shard of each id (the name is hashed once, at intern).
     shards: Vec<u32>,
     senders: Vec<SyncSender<Msg>>,
     events: Receiver<Event>,
+    /// Events drained by the waits that take no outlet (restore's
+    /// installs, seeded resolves, snapshots); the next `drain` or
+    /// [`Self::shutdown`] hands them over first.
     stash: VecDeque<Event>,
     handles: Vec<JoinHandle<()>>,
     /// Accepted-push counter when telemetry is configured.
@@ -189,7 +187,7 @@ impl StreamEngine {
     /// [`EngineError::BadConfig`] for invalid detector or pool
     /// parameters, or when a worker thread cannot be spawned (the
     /// workers already started are shut down first).
-    pub fn new(cfg: EngineConfig) -> Result<Self, EngineError> {
+    pub(crate) fn new(cfg: EngineConfig) -> Result<Self, EngineError> {
         if cfg.workers == 0 {
             return Err(EngineError::BadConfig("workers must be >= 1".into()));
         }
@@ -274,7 +272,7 @@ impl StreamEngine {
         // Rebuild the intern table in snapshot order, so every id means
         // the same stream it did before the checkpoint.
         for name in &snap.names {
-            engine.resolve(name)?;
+            engine.resolve(name, &mut keep)?;
         }
         // Route each stream's state to its shard.
         let n = engine.senders.len();
@@ -307,37 +305,26 @@ impl StreamEngine {
     }
 
     /// The engine's master seed.
-    pub fn master_seed(&self) -> u64 {
+    pub(crate) fn master_seed(&self) -> u64 {
         self.master_seed
-    }
-
-    /// Worker-pool size.
-    pub fn workers(&self) -> usize {
-        self.senders.len()
     }
 
     /// Intern a stream name, returning its stable [`StreamId`]. The
     /// first sighting of a name hashes it once (shard + seed), records
-    /// it in the intern table, and registers it with its worker;
-    /// every later call is a single map lookup. Hot-path producers
-    /// resolve once and then use [`Self::push_id`], which touches no
-    /// string at all.
+    /// it in the intern table, and registers it with its worker, handing
+    /// the events drained while that waits to `outlet`; every later
+    /// call is a single map lookup. Hot-path producers resolve once and
+    /// then [`Self::push`] by id, which touches no string at all.
     ///
     /// Resolving does not create stream state — that still happens on
     /// the first push — and never needs to be repeated: the id survives
-    /// [`Self::retire_id`] and a snapshot/restore round trip.
+    /// [`Self::retire`] and a snapshot/restore round trip.
     ///
     /// # Errors
-    /// [`EngineError::Closed`] if the worker pool has exited, or
+    /// [`EngineError::Closed`] if the worker pool has exited,
     /// [`EngineError::BadConfig`] if the intern table is full (2^32
-    /// names).
-    pub fn resolve(&mut self, stream: &str) -> Result<StreamId, EngineError> {
-        self.resolve_via(stream, &mut keep)
-    }
-
-    /// [`Self::resolve`], handing the events drained while it waits to
-    /// `outlet`.
-    pub(crate) fn resolve_via<E: From<EngineError>>(
+    /// names), or the outlet's own error.
+    pub(crate) fn resolve<E: From<EngineError>>(
         &mut self,
         stream: &str,
         outlet: &mut Outlet<'_, E>,
@@ -353,19 +340,24 @@ impl StreamEngine {
 
     /// As [`Self::resolve`], but registering the stream under an
     /// explicit seed instead of the one derived from
-    /// `(master seed, name)`. The first resolution of a name wins: if
-    /// the name is already interned, its established seed is kept and
-    /// the existing id returned.
+    /// `(master seed, name)`, and leaving the events drained while it
+    /// waits in the stash. The first resolution of a name wins: if the
+    /// name is already interned, its established seed is kept and the
+    /// existing id returned.
     ///
-    /// This is how a host embeds a stream whose history began outside
-    /// the engine's seed-derivation scheme — the CLI `follow` mode, for
-    /// example, seeds its one stream with the user's `--seed` directly,
-    /// which keeps its output bit-identical to batch analysis under the
-    /// same seed.
+    /// This is how [`crate::PipelineBuilder::stream_seed`] embeds a
+    /// stream whose history began outside the engine's seed-derivation
+    /// scheme — the CLI `follow` mode, for example, seeds its one
+    /// stream with the user's `--seed` directly, which keeps its output
+    /// bit-identical to batch analysis under the same seed.
     ///
     /// # Errors
     /// As [`Self::resolve`].
-    pub fn resolve_seeded(&mut self, stream: &str, seed: u64) -> Result<StreamId, EngineError> {
+    pub(crate) fn resolve_seeded(
+        &mut self,
+        stream: &str,
+        seed: u64,
+    ) -> Result<StreamId, EngineError> {
         if let Some(&id) = self.ids.get(stream) {
             return Ok(id);
         }
@@ -402,29 +394,22 @@ impl StreamEngine {
     }
 
     /// The id of an already-interned name, without interning.
-    pub fn id_of(&self, stream: &str) -> Option<StreamId> {
+    pub(crate) fn id_of(&self, stream: &str) -> Option<StreamId> {
         self.ids.get(stream).copied()
     }
 
     /// Feed one bag to a resolved stream — the allocation-free hot
     /// path: no hash, no lookup, no `Arc` clone. Waits while the
-    /// stream's worker queue is full; while waiting, ready events are
-    /// moved into the internal stash (returned by
-    /// [`Self::drain_events`]), so a single-threaded producer that
-    /// pushes a long burst before draining cannot deadlock against a
-    /// worker parked on the full event queue.
+    /// stream's worker queue is full, handing the events drained
+    /// meanwhile to `outlet`, so a single-threaded producer that pushes
+    /// a long burst cannot deadlock against a worker parked on the full
+    /// event queue.
     ///
     /// # Errors
-    /// [`EngineError::Closed`] if the worker pool has exited, or
+    /// [`EngineError::Closed`] if the worker pool has exited,
     /// [`EngineError::ForeignId`] if `id` did not come from this
-    /// engine's [`Self::resolve`].
-    pub fn push_id(&mut self, id: StreamId, bag: Bag) -> Result<(), EngineError> {
-        self.push_id_via(id, bag, &mut keep)
-    }
-
-    /// [`Self::push_id`], handing the events drained while it waits to
-    /// `outlet`.
-    pub(crate) fn push_id_via<E: From<EngineError>>(
+    /// engine's [`Self::resolve`], or the outlet's own error.
+    pub(crate) fn push<E: From<EngineError>>(
         &mut self,
         id: StreamId,
         bag: Bag,
@@ -447,45 +432,31 @@ impl StreamEngine {
     /// Fraction of the worker pool's bounded input capacity occupied by
     /// accepted-but-unevaluated bags, in `[0, 1]` — the live
     /// backpressure signal ingestion layers use to warn producers
-    /// *before* [`Self::push_id`] starts blocking. (Bags being evaluated
+    /// *before* [`Self::push`] starts blocking. (Bags being evaluated
     /// in the current tick still count until the tick completes, so the
     /// signal errs toward "busy" rather than "ready".)
-    pub fn queue_load(&self) -> f64 {
+    pub(crate) fn queue_load(&self) -> f64 {
         let capacity = (self.queue_capacity.saturating_mul(self.senders.len())).max(1);
         (self.in_flight.load(Ordering::Relaxed) as f64 / capacity as f64).clamp(0.0, 1.0)
     }
 
-    /// All events produced so far, without blocking.
-    pub fn drain_events(&mut self) -> Vec<Event> {
-        let mut out: Vec<Event> = self.stash.drain(..).collect();
-        while let Ok(e) = self.events.try_recv() {
-            out.push(e);
-        }
-        out
+    /// Hand every event produced so far to `outlet`, without blocking:
+    /// the stash, then whatever the workers have queued. The outlet is
+    /// called once, even when there is nothing to hand over.
+    ///
+    /// # Errors
+    /// The outlet's own error.
+    pub(crate) fn drain<E>(&mut self, outlet: &mut Outlet<'_, E>) -> Result<(), E> {
+        self.stash.extend(self.events.try_iter());
+        outlet(&mut self.stash)
     }
 
     /// Retire a stream: evaluate everything already queued for it, then
-    /// drop its state (its memory and snapshot footprint). Returns
-    /// whether the stream existed. Pushing the same name later starts a
-    /// fresh stream from scratch.
-    ///
-    /// Long-lived engines serving short-lived stream names (per-session
-    /// streams etc.) must retire them; the engine has no TTL of its own.
-    ///
-    /// # Errors
-    /// [`EngineError::Closed`] if the worker pool has exited.
-    pub fn retire(&mut self, stream: &str) -> Result<bool, EngineError> {
-        // A name that was never interned was never pushed to: nothing
-        // to retire, and no reason to intern it now.
-        let Some(id) = self.id_of(stream) else {
-            return Ok(false);
-        };
-        self.retire_id(id)
-    }
-
-    /// Id-keyed [`Self::retire`]. The id itself stays valid: it keeps
-    /// its intern-table entry, and pushing it later starts a fresh
-    /// stream (same name, same seed) from scratch.
+    /// drop its state (its memory and snapshot footprint), handing the
+    /// events drained while it waits to `outlet`. Returns whether the
+    /// stream had state. The id itself stays valid: it keeps its
+    /// intern-table entry, and pushing it later starts a fresh stream
+    /// (same name, same seed) from scratch.
     ///
     /// Retiring frees the stream's *detector state* (window signatures,
     /// distance rows — the dominant footprint) but not its intern-table
@@ -497,16 +468,10 @@ impl StreamEngine {
     /// sessions) until a table-compaction API exists.
     ///
     /// # Errors
-    /// [`EngineError::Closed`] if the worker pool has exited, or
+    /// [`EngineError::Closed`] if the worker pool has exited,
     /// [`EngineError::ForeignId`] if `id` did not come from this
-    /// engine's [`Self::resolve`].
-    pub fn retire_id(&mut self, id: StreamId) -> Result<bool, EngineError> {
-        self.retire_id_via(id, &mut keep)
-    }
-
-    /// [`Self::retire_id`], handing the events drained while it waits
-    /// to `outlet`.
-    pub(crate) fn retire_id_via<E: From<EngineError>>(
+    /// engine's [`Self::resolve`], or the outlet's own error.
+    pub(crate) fn retire<E: From<EngineError>>(
         &mut self,
         id: StreamId,
         outlet: &mut Outlet<'_, E>,
@@ -524,19 +489,14 @@ impl StreamEngine {
         self.wait_reply(&rx, outlet)
     }
 
-    /// Barrier: block until every bag pushed so far has been evaluated.
-    /// Returns the current number of live streams. Events produced in
-    /// the meantime are retained for [`Self::drain_events`].
+    /// Barrier: block until every bag pushed so far has been evaluated,
+    /// handing the events drained while it waits to `outlet`. Returns
+    /// the current number of live streams.
     ///
     /// # Errors
-    /// [`EngineError::Closed`] if the worker pool has exited.
-    pub fn flush(&mut self) -> Result<usize, EngineError> {
-        self.flush_via(&mut keep)
-    }
-
-    /// [`Self::flush`], handing the events drained while the barrier
-    /// waits to `outlet`.
-    pub(crate) fn flush_via<E: From<EngineError>>(
+    /// [`EngineError::Closed`] if the worker pool has exited, or the
+    /// outlet's own error.
+    pub(crate) fn flush<E: From<EngineError>>(
         &mut self,
         outlet: &mut Outlet<'_, E>,
     ) -> Result<usize, E> {
@@ -553,7 +513,9 @@ impl StreamEngine {
     }
 
     /// Checkpoint every stream's state into one binary buffer. Acts as a
-    /// barrier like [`Self::flush`].
+    /// barrier like `flush`; the events drained while it waits
+    /// stay in the stash for the next `drain` (the [`crate::Pipeline`]
+    /// snapshots right after a barrier and a drain, so it finds none).
     ///
     /// # Errors
     /// [`EngineError::Closed`] if the worker pool has exited.
@@ -602,7 +564,7 @@ impl StreamEngine {
     /// thread that drains events would deadlock — instead retry
     /// `try_send` while draining events (which is what eventually
     /// unparks the worker). Used by both the control plane and the
-    /// blocking [`Self::push_id`].
+    /// blocking [`Self::push`].
     fn send_control<E: From<EngineError>>(
         &mut self,
         shard: usize,
@@ -645,18 +607,18 @@ impl StreamEngine {
         self.shards
             .get(id.0 as usize)
             .map(|&shard| shard as usize)
-            .ok_or(EngineError::ForeignId(id))
+            .ok_or(EngineError::ForeignId(id.0))
     }
 }
 
 /// Where a wait hands the events it drains: it gets the stash after
 /// each drain that found something, oldest event first, and takes what
-/// it delivers. [`keep`] takes nothing, so the events wait for
-/// [`StreamEngine::drain_events`]; an error ends the wait with that
-/// error.
+/// it delivers. [`keep`] takes nothing, so the events wait for the next
+/// `drain`; an error ends the wait with that error.
 pub(crate) type Outlet<'a, E> = dyn FnMut(&mut VecDeque<Event>) -> Result<(), E> + 'a;
 
-/// The outlet of the public calls: leave everything in the stash.
+/// The outlet of the waits that have no caller's outlet (restore's
+/// installs, seeded resolves, snapshots): leave everything in the stash.
 fn keep(_: &mut VecDeque<Event>) -> Result<(), EngineError> {
     Ok(())
 }
@@ -719,7 +681,7 @@ impl Drop for StreamEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bagcpd::{BootstrapConfig, SignatureMethod};
+    use bagcpd::{BootstrapConfig, ScorePoint, SignatureMethod};
 
     fn small_cfg() -> EngineConfig {
         EngineConfig {
@@ -742,14 +704,70 @@ mod tests {
         }
     }
 
+    /// The scale and checkpoint tests' configuration.
+    fn engine_config(workers: usize) -> EngineConfig {
+        EngineConfig {
+            detector: DetectorConfig {
+                tau: 3,
+                tau_prime: 2,
+                signature: SignatureMethod::Histogram { width: 0.5 },
+                bootstrap: BootstrapConfig {
+                    replicates: 16,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            seed: 7,
+            workers,
+            queue_capacity: 256,
+            batch_size: 64,
+            event_capacity: 16384,
+            telemetry: None,
+        }
+    }
+
     fn bag(level: f64) -> Bag {
         Bag::from_scalars((0..20).map(|i| level + (i % 5) as f64 * 0.1))
     }
 
-    /// Resolve `stream` and push `bag` to it.
-    fn push(engine: &mut StreamEngine, stream: &str, bag: Bag) {
-        let id = engine.resolve(stream).unwrap();
-        engine.push_id(id, bag).unwrap();
+    /// Bag `t` of stream `s`: stationary for even streams, an injected
+    /// shift at t = 4 for odd streams.
+    fn bag_for(s: usize, t: usize) -> Bag {
+        let level = if s % 2 == 1 && t >= 4 { 5.0 } else { 0.0 };
+        Bag::from_scalars((0..12).map(move |i| level + ((i * 3 + s + t) % 7) as f64 * 0.1))
+    }
+
+    /// The tests' outlet: takes every event it is handed, in order.
+    fn collect(
+        into: &mut Vec<Event>,
+    ) -> impl FnMut(&mut VecDeque<Event>) -> Result<(), EngineError> + '_ {
+        move |stash| {
+            into.extend(stash.drain(..));
+            Ok(())
+        }
+    }
+
+    /// Resolve `stream` and push `bag` to it, collecting what the waits
+    /// drain into `events`.
+    fn push(engine: &mut StreamEngine, stream: &str, bag: Bag, events: &mut Vec<Event>) {
+        let id = engine.resolve(stream, &mut collect(events)).unwrap();
+        engine.push(id, bag, &mut collect(events)).unwrap();
+    }
+
+    /// Group point events per stream.
+    fn points_by_stream(events: Vec<Event>) -> HashMap<String, Vec<ScorePoint>> {
+        let mut map: HashMap<String, Vec<ScorePoint>> = HashMap::new();
+        for e in events {
+            let name = e
+                .stream()
+                .expect("engine events are stream-scoped")
+                .to_string();
+            match e.point() {
+                Some(point) => map.entry(name).or_default().push(*point),
+                None => panic!("unexpected error event on {name}: {e:?}"),
+            }
+        }
+        map
     }
 
     #[test]
@@ -767,13 +785,14 @@ mod tests {
     #[test]
     fn events_flow_and_flush_counts_streams() {
         let mut engine = StreamEngine::new(small_cfg()).unwrap();
+        let mut events = Vec::new();
         for t in 0..8 {
             let level = if t < 4 { 0.0 } else { 6.0 };
-            push(&mut engine, "a", bag(level));
-            push(&mut engine, "b", bag(0.0));
+            push(&mut engine, "a", bag(level), &mut events);
+            push(&mut engine, "b", bag(0.0), &mut events);
         }
-        assert_eq!(engine.flush().unwrap(), 2);
-        let events = engine.shutdown();
+        assert_eq!(engine.flush(&mut collect(&mut events)).unwrap(), 2);
+        events.extend(engine.shutdown());
         // 8 bags, window 5 -> 4 points per stream.
         let a: Vec<_> = events.iter().filter(|e| e.stream() == Some("a")).collect();
         let b: Vec<_> = events.iter().filter(|e| e.stream() == Some("b")).collect();
@@ -791,6 +810,7 @@ mod tests {
         let (mut eval, mut emd) = (bagcpd::EvalScratch::new(), crate::EmdScratch::new());
         let mut expected = Vec::new();
         let mut engine = StreamEngine::new(cfg).unwrap();
+        let mut events = Vec::new();
         for t in 0..10 {
             let level = if t < 5 { 0.0 } else { 4.0 };
             expected.extend(
@@ -798,11 +818,11 @@ mod tests {
                     .push_with(bag(level), &mut eval, &mut emd)
                     .unwrap(),
             );
-            push(&mut engine, "ref-stream", bag(level));
+            push(&mut engine, "ref-stream", bag(level), &mut events);
         }
-        engine.flush().unwrap();
-        let got: Vec<_> = engine
-            .shutdown()
+        engine.flush(&mut collect(&mut events)).unwrap();
+        events.extend(engine.shutdown());
+        let got: Vec<_> = events
             .into_iter()
             .filter_map(|e| e.point().cloned())
             .collect();
@@ -812,14 +832,20 @@ mod tests {
     #[test]
     fn bad_bags_emit_error_events_and_stream_survives() {
         let mut engine = StreamEngine::new(small_cfg()).unwrap();
-        push(&mut engine, "s", bag(0.0));
+        let mut events = Vec::new();
+        push(&mut engine, "s", bag(0.0), &mut events);
         // Wrong dimension: dropped with an error event.
-        push(&mut engine, "s", Bag::new(vec![vec![1.0, 2.0]; 4]));
+        push(
+            &mut engine,
+            "s",
+            Bag::new(vec![vec![1.0, 2.0]; 4]),
+            &mut events,
+        );
         for _ in 0..6 {
-            push(&mut engine, "s", bag(0.0));
+            push(&mut engine, "s", bag(0.0), &mut events);
         }
-        engine.flush().unwrap();
-        let events = engine.shutdown();
+        engine.flush(&mut collect(&mut events)).unwrap();
+        events.extend(engine.shutdown());
         let errors = events
             .iter()
             .filter(|e| matches!(e, Event::StreamError { .. }))
@@ -835,20 +861,21 @@ mod tests {
         // its input queue full, flush()'s control message must be
         // delivered via try_send + event draining; a blocking send
         // would deadlock before wait_reply ever ran. The queue is filled
-        // with bare try_sends, which (unlike push_id) never drain
-        // events, until it bounces 50 times in a row.
+        // with bare try_sends, which (unlike push) never drain events,
+        // until it bounces 50 times in a row.
         let mut cfg = small_cfg();
         cfg.workers = 1;
         cfg.event_capacity = 1;
         cfg.queue_capacity = 2;
         cfg.batch_size = 1;
         let mut engine = StreamEngine::new(cfg).unwrap();
-        let id = engine.resolve("s").unwrap();
+        let mut events = Vec::new();
+        let id = engine.resolve("s", &mut collect(&mut events)).unwrap();
         let shard = engine.shard_of_id(id).unwrap();
         let mut accepted = 0usize;
         let mut consecutive_bounces = 0usize;
         while consecutive_bounces < 50 && accepted < 40 {
-            // Counted in flight before it is visible, as push_id does.
+            // Counted in flight before it is visible, as push does.
             engine.in_flight.fetch_add(1, Ordering::Relaxed);
             let msg = Msg::Push {
                 stream: id,
@@ -871,12 +898,9 @@ mod tests {
             consecutive_bounces == 50 && accepted >= 7,
             "queues should saturate warm ({accepted} accepted, {consecutive_bounces} bounces)"
         );
-        assert_eq!(engine.flush().unwrap(), 1);
-        let points = engine
-            .drain_events()
-            .iter()
-            .filter(|e| e.point().is_some())
-            .count();
+        assert_eq!(engine.flush(&mut collect(&mut events)).unwrap(), 1);
+        engine.drain(&mut collect(&mut events)).unwrap();
+        let points = events.iter().filter(|e| e.point().is_some()).count();
         // Window 5: n accepted bags yield n - 4 points.
         assert_eq!(points, accepted - 4);
     }
@@ -890,11 +914,14 @@ mod tests {
         cfg.workers = 1;
         cfg.event_capacity = 1;
         let mut engine = StreamEngine::new(cfg).unwrap();
+        let mut early = Vec::new();
         for _ in 0..12 {
-            push(&mut engine, "s", bag(0.0));
+            push(&mut engine, "s", bag(0.0), &mut early);
         }
         // 12 bags, window 5 -> 8 points, far more than the queue holds;
-        // never drained until shutdown itself.
+        // the input queue takes every push at once, so nothing is
+        // drained until shutdown itself.
+        assert!(early.is_empty(), "{early:?}");
         let events = engine.shutdown();
         assert_eq!(events.len(), 8);
     }
@@ -902,19 +929,26 @@ mod tests {
     #[test]
     fn retire_frees_stream_state() {
         let mut engine = StreamEngine::new(small_cfg()).unwrap();
+        let mut events = Vec::new();
         for _ in 0..6 {
-            push(&mut engine, "keep", bag(0.0));
-            push(&mut engine, "drop", bag(0.0));
+            push(&mut engine, "keep", bag(0.0), &mut events);
+            push(&mut engine, "drop", bag(0.0), &mut events);
         }
-        assert_eq!(engine.flush().unwrap(), 2);
-        assert!(engine.retire("drop").unwrap());
-        assert!(!engine.retire("drop").unwrap(), "already gone");
-        assert!(!engine.retire("never-existed").unwrap());
-        assert_eq!(engine.flush().unwrap(), 1);
+        assert_eq!(engine.flush(&mut collect(&mut events)).unwrap(), 2);
+        let drop_id = engine.id_of("drop").unwrap();
+        assert!(engine.retire(drop_id, &mut collect(&mut events)).unwrap());
+        assert!(
+            !engine.retire(drop_id, &mut collect(&mut events)).unwrap(),
+            "already gone"
+        );
+        // A name never interned was never pushed to: the pipeline finds
+        // no id, so there is nothing to retire.
+        assert_eq!(engine.id_of("never-existed"), None);
+        assert_eq!(engine.flush(&mut collect(&mut events)).unwrap(), 1);
         // The snapshot no longer carries the retired stream's state,
         // but its intern-table entry (and thus its id) survives.
         let snap = engine.snapshot().unwrap();
-        let decoded = crate::snapshot::decode_engine(&snap, &small_cfg().detector).unwrap();
+        let decoded = decode_engine(&snap, &small_cfg().detector).unwrap();
         assert_eq!(decoded.streams.len(), 1);
         assert_eq!(
             decoded.names[decoded.streams[0].0 as usize], "keep",
@@ -923,60 +957,259 @@ mod tests {
         assert_eq!(decoded.names.len(), 2, "retired name stays interned");
         // Re-pushing the retired name starts a brand-new stream, under
         // the same id as before.
-        let drop_id = engine.id_of("drop").unwrap();
-        push(&mut engine, "drop", bag(0.0));
+        push(&mut engine, "drop", bag(0.0), &mut events);
         assert_eq!(engine.id_of("drop").unwrap(), drop_id);
-        assert_eq!(engine.flush().unwrap(), 2);
+        assert_eq!(engine.flush(&mut collect(&mut events)).unwrap(), 2);
         engine.shutdown();
     }
 
     #[test]
     fn resolve_is_stable_and_ids_are_dense() {
         let mut engine = StreamEngine::new(small_cfg()).unwrap();
-        let a = engine.resolve("a").unwrap();
-        let b = engine.resolve("b").unwrap();
+        let mut events = Vec::new();
+        let a = engine.resolve("a", &mut collect(&mut events)).unwrap();
+        let b = engine.resolve("b", &mut collect(&mut events)).unwrap();
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
-        assert_eq!(engine.resolve("a").unwrap(), a, "resolve is idempotent");
+        assert_eq!(
+            engine.resolve("a", &mut collect(&mut events)).unwrap(),
+            a,
+            "resolve is idempotent"
+        );
         assert_eq!(engine.id_of("a"), Some(a));
         assert_eq!(engine.id_of("never"), None);
         // Resolving alone creates no stream state.
-        assert_eq!(engine.flush().unwrap(), 0);
+        assert_eq!(engine.flush(&mut collect(&mut events)).unwrap(), 0);
         // Pushing by id creates it.
-        engine.push_id(a, bag(0.0)).unwrap();
-        assert_eq!(engine.flush().unwrap(), 1);
+        engine.push(a, bag(0.0), &mut collect(&mut events)).unwrap();
+        assert_eq!(engine.flush(&mut collect(&mut events)).unwrap(), 1);
         engine.shutdown();
     }
 
     #[test]
     fn a_foreign_id_is_an_error_and_the_engine_keeps_working() {
+        let mut events = Vec::new();
         let mut other = StreamEngine::new(small_cfg()).unwrap();
-        other.resolve("a").unwrap();
-        let foreign = other.resolve("b").unwrap();
+        other.resolve("a", &mut collect(&mut events)).unwrap();
+        let foreign = other.resolve("b", &mut collect(&mut events)).unwrap();
         other.shutdown();
         let mut engine = StreamEngine::new(small_cfg()).unwrap();
-        let a = engine.resolve("a").unwrap();
-        let err = engine.push_id(foreign, bag(0.0)).unwrap_err();
+        let a = engine.resolve("a", &mut collect(&mut events)).unwrap();
+        let err = engine
+            .push(foreign, bag(0.0), &mut collect(&mut events))
+            .unwrap_err();
         assert!(
-            matches!(err, EngineError::ForeignId(id) if id == foreign),
+            matches!(err, EngineError::ForeignId(index) if index == foreign.index()),
             "{err:?}"
         );
         assert_eq!(err.to_string(), "stream id 1 was not issued by this engine");
         assert!(matches!(
-            engine.retire_id(foreign),
+            engine.retire(foreign, &mut collect(&mut events)),
             Err(EngineError::ForeignId(_))
         ));
         // Nothing was counted in flight, and every stream still scores.
         assert_eq!(engine.queue_load(), 0.0);
         for t in 0..8 {
-            engine.push_id(a, bag(f64::from(t))).unwrap();
+            engine
+                .push(a, bag(f64::from(t)), &mut collect(&mut events))
+                .unwrap();
         }
-        assert_eq!(engine.flush().unwrap(), 1);
-        let points = engine
-            .shutdown()
-            .iter()
-            .filter(|e| e.point().is_some())
-            .count();
+        assert_eq!(engine.flush(&mut collect(&mut events)).unwrap(), 1);
+        events.extend(engine.shutdown());
+        let points = events.iter().filter(|e| e.point().is_some()).count();
         assert_eq!(points, 4, "8 bags, window 5 -> 4 points");
+    }
+
+    #[test]
+    fn thousand_streams_push_through_bounded_engine() {
+        const STREAMS: usize = 1024;
+        const BAGS: usize = 8;
+        let mut engine = StreamEngine::new(engine_config(4)).unwrap();
+
+        let mut events = Vec::new();
+        for t in 0..BAGS {
+            for s in 0..STREAMS {
+                let name = format!("stream-{s:04}");
+                push(&mut engine, &name, bag_for(s, t), &mut events);
+            }
+            // Drain as we go, as the pipeline does after every step; the
+            // bounded queues mean an undrained engine would block, not
+            // balloon.
+            engine.drain(&mut collect(&mut events)).unwrap();
+        }
+        assert_eq!(
+            engine.flush(&mut collect(&mut events)).unwrap(),
+            STREAMS,
+            "all streams live"
+        );
+
+        // Retained state per stream is capped at the window width: check
+        // via the snapshot, which records exactly what the engine holds.
+        let snap = engine.snapshot().unwrap();
+        let decoded = decode_engine(&snap, &engine_config(4).detector).unwrap();
+        assert_eq!(decoded.streams.len(), STREAMS);
+        assert_eq!(decoded.names.len(), STREAMS);
+        for (id, st) in &decoded.streams {
+            let name = &decoded.names[*id as usize];
+            assert_eq!(st.pushed, BAGS as u64, "{name}");
+            assert!(st.sigs.len() <= 5, "{name}: window must stay bounded");
+            assert!(st.ci_up_hist.len() <= 2, "{name}");
+        }
+
+        events.extend(engine.shutdown());
+        let by_stream = points_by_stream(events);
+        assert_eq!(by_stream.len(), STREAMS, "every stream produced points");
+        for (name, points) in &by_stream {
+            // 8 bags, window 5 -> inspection points t = 3..=6.
+            assert_eq!(points.len(), 4, "{name}");
+            assert_eq!(
+                points.iter().map(|p| p.t).collect::<Vec<_>>(),
+                vec![3, 4, 5, 6],
+                "{name}: per-stream ordering preserved"
+            );
+        }
+
+        // Sharding must not affect results: stream-0007 under a different
+        // worker count reproduces identical points.
+        let mut single = StreamEngine::new(engine_config(1)).unwrap();
+        let mut solo = Vec::new();
+        for t in 0..BAGS {
+            push(&mut single, "stream-0007", bag_for(7, t), &mut solo);
+        }
+        single.flush(&mut collect(&mut solo)).unwrap();
+        solo.extend(single.shutdown());
+        let solo = points_by_stream(solo);
+        assert_eq!(solo["stream-0007"], by_stream["stream-0007"]);
+    }
+
+    #[test]
+    fn snapshot_mid_window_then_restore_yields_identical_alerts() {
+        const STREAMS: usize = 5;
+        const CUT: usize = 6; // mid-window: warm, with partial CI history
+        const TOTAL: usize = 14;
+
+        // Reference: an engine that never stops.
+        let mut reference = StreamEngine::new(engine_config(2)).unwrap();
+        let mut events = Vec::new();
+        for t in 0..TOTAL {
+            for s in 0..STREAMS {
+                push(&mut reference, &format!("s{s}"), bag_for(s, t), &mut events);
+            }
+        }
+        reference.flush(&mut collect(&mut events)).unwrap();
+        events.extend(reference.shutdown());
+        let expected = points_by_stream(events);
+
+        // Interrupted: snapshot at the cut, restore (with a different
+        // worker-pool shape), continue with the same bags.
+        let mut first = StreamEngine::new(engine_config(2)).unwrap();
+        let mut all = Vec::new();
+        for t in 0..CUT {
+            for s in 0..STREAMS {
+                push(&mut first, &format!("s{s}"), bag_for(s, t), &mut all);
+            }
+        }
+        let bytes = first.snapshot().unwrap();
+        first.drain(&mut collect(&mut all)).unwrap();
+        all.extend(first.shutdown());
+
+        let mut restored = StreamEngine::restore(&bytes, engine_config(3)).unwrap();
+        assert_eq!(
+            restored.master_seed(),
+            7,
+            "master seed travels in the snapshot"
+        );
+        assert_eq!(
+            restored.flush(&mut collect(&mut all)).unwrap(),
+            STREAMS,
+            "streams resumed"
+        );
+        for t in CUT..TOTAL {
+            for s in 0..STREAMS {
+                push(&mut restored, &format!("s{s}"), bag_for(s, t), &mut all);
+            }
+        }
+        restored.flush(&mut collect(&mut all)).unwrap();
+        all.extend(restored.shutdown());
+        let got = points_by_stream(all);
+
+        assert_eq!(expected.len(), got.len());
+        for (name, points) in &expected {
+            assert_eq!(
+                points, &got[name],
+                "{name}: restored run must be bit-identical"
+            );
+            assert!(
+                name == "s0" || name == "s2" || name == "s4" || points.iter().any(|p| p.alert),
+                "{name}: the injected shift should alert in shifted streams"
+            );
+        }
+
+        // The snapshot also restores into an equal snapshot.
+        let mut again = StreamEngine::restore(&bytes, engine_config(1)).unwrap();
+        let bytes2 = again.snapshot().unwrap();
+        assert_eq!(bytes, bytes2, "restore -> snapshot is the identity");
+    }
+
+    #[test]
+    fn stream_ids_survive_snapshot_restore() {
+        let mut engine = StreamEngine::new(engine_config(2)).unwrap();
+        let mut events = Vec::new();
+        let a = engine.resolve("alpha", &mut collect(&mut events)).unwrap();
+        let b = engine.resolve("beta", &mut collect(&mut events)).unwrap();
+        for t in 0..4 {
+            engine
+                .push(a, bag_for(0, t), &mut collect(&mut events))
+                .unwrap();
+            engine
+                .push(b, bag_for(1, t), &mut collect(&mut events))
+                .unwrap();
+        }
+        let bytes = engine.snapshot().unwrap();
+        events.extend(engine.shutdown());
+
+        // Ids issued before the checkpoint address the same streams after
+        // a restore into a different pool shape.
+        let mut restored = StreamEngine::restore(&bytes, engine_config(3)).unwrap();
+        assert_eq!(restored.id_of("alpha"), Some(a));
+        assert_eq!(restored.id_of("beta"), Some(b));
+        for t in 4..8 {
+            restored
+                .push(a, bag_for(0, t), &mut collect(&mut events))
+                .unwrap();
+            restored
+                .push(b, bag_for(1, t), &mut collect(&mut events))
+                .unwrap();
+        }
+        restored.flush(&mut collect(&mut events)).unwrap();
+        events.extend(restored.shutdown());
+        let by_stream = points_by_stream(events);
+
+        // Reference: the same bags through one uninterrupted engine.
+        let mut reference = StreamEngine::new(engine_config(2)).unwrap();
+        let mut expected = Vec::new();
+        for t in 0..8 {
+            push(&mut reference, "alpha", bag_for(0, t), &mut expected);
+            push(&mut reference, "beta", bag_for(1, t), &mut expected);
+        }
+        reference.flush(&mut collect(&mut expected)).unwrap();
+        expected.extend(reference.shutdown());
+        let expected = points_by_stream(expected);
+        assert_eq!(expected, by_stream, "continuation is bit-identical");
+    }
+
+    #[test]
+    fn restore_rejects_mismatched_config() {
+        let mut engine = StreamEngine::new(engine_config(2)).unwrap();
+        push(&mut engine, "s", bag_for(0, 0), &mut Vec::new());
+        let bytes = engine.snapshot().unwrap();
+        engine.shutdown();
+
+        let mut other = engine_config(2);
+        other.detector.tau = 4;
+        assert!(matches!(
+            StreamEngine::restore(&bytes, other),
+            Err(EngineError::Snapshot(SnapshotError::ConfigMismatch))
+        ));
     }
 }

@@ -3,9 +3,8 @@
 //! Everything a host can observe — completed score points, per-bag
 //! detector errors, stream quarantines, operational notes, committed
 //! checkpoints — arrives through one ordered event stream, which
-//! [`crate::Pipeline`] gathers from its sources and
-//! [`crate::StreamEngine::drain_events`] and delivers to every
-//! [`crate::sink::Sink`].
+//! [`crate::Pipeline`] gathers from its sources and its
+//! [`crate::StreamEngine`] and delivers to every [`crate::sink::Sink`].
 
 use crate::ingest::source::SourceError;
 use bagcpd::ScorePoint;

@@ -225,16 +225,22 @@ impl CsvFileSource {
             let consumed = self.utf8(&bytes).map(|line| self.consume_line(line, out));
             self.line = bytes;
             if let Err(e) = consumed? {
-                self.quarantined = true;
-                self.reader = None;
-                out.push(SourceItem::Quarantine {
-                    stream: self.assembler.stream().clone(),
-                    error: e,
-                });
+                self.quarantine(e, out);
                 return Ok(SourceStatus::Done);
             }
         }
         Ok(SourceStatus::Active)
+    }
+
+    /// Take the stream out of service for a line that failed, and
+    /// release the file: nothing reads it again.
+    fn quarantine(&mut self, error: SourceError, out: &mut Vec<SourceItem>) {
+        self.quarantined = true;
+        self.reader = None;
+        out.push(SourceItem::Quarantine {
+            stream: self.assembler.stream().clone(),
+            error,
+        });
     }
 
     /// `bytes` as text, or the error a line reader gives for bytes that
@@ -294,13 +300,20 @@ impl Source for CsvFileSource {
         }
         // Only called on a non-checkpointing, winding-down run: the
         // data is final, so an unterminated trailing line is real data
-        // and the trailing bag completes.
+        // and the trailing bag completes. A trailing line that fails
+        // quarantines the stream, as a failing complete line does in
+        // `poll`, so the sources finished after this one still are.
         if !self.partial.is_empty() {
             let lineno = self.lineno;
             self.lineno += 1;
             let bytes = std::mem::take(&mut self.partial);
-            self.assembler
-                .line(self.utf8(&bytes)?, lineno, &self.path, out)?;
+            let fed = self
+                .utf8(&bytes)
+                .and_then(|line| self.assembler.line(line, lineno, &self.path, out));
+            if let Err(error) = fed {
+                self.quarantine(error, out);
+                return Ok(());
+            }
         }
         self.assembler.flush(out);
         Ok(())
@@ -513,6 +526,42 @@ mod tests {
             matches!(&out[..], [SourceItem::Quarantine { .. }]),
             "{out:?}"
         );
+    }
+
+    #[test]
+    fn a_failing_trailing_fragment_quarantines_its_stream_at_finish() {
+        let dir = tempdir("trailing");
+        // A tailed file leaves its fragment unchecked at EOF, so the
+        // bytes that are not UTF-8 reach finish too.
+        for (name, text, tail, why) in [
+            ("utf8", &b"t,x\n0,0.1\n1,\xff"[..], true, "valid UTF-8"),
+            (
+                "malformed",
+                &b"t,x\n0,0.1\n1,abc"[..],
+                false,
+                "bad coordinate",
+            ),
+        ] {
+            let path = dir.join(format!("{name}.csv"));
+            std::fs::write(&path, text).unwrap();
+            let mut src = CsvFileSource::new(path.to_string_lossy().into_owned(), name, tail);
+            let mut out = Vec::new();
+            while src.poll(&mut out).unwrap() == SourceStatus::Active {}
+            assert_eq!(out, [], "{name}: the fragment is held back");
+            src.finish(&mut out).unwrap();
+            // The stream stops at the bad line: its bag at t = 0 is not
+            // completed.
+            match &out[..] {
+                [SourceItem::Quarantine { stream, error }] => {
+                    assert_eq!(&**stream, name);
+                    assert!(error.to_string().contains(why), "{name}: {error}");
+                }
+                other => panic!("{name}: {other:?}"),
+            }
+            let mut cursors = Vec::new();
+            src.cursors(&mut cursors);
+            assert!(cursors[0].1.quarantined, "{name}");
+        }
     }
 
     #[test]

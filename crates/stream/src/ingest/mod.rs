@@ -1,5 +1,5 @@
-//! Multi-source ingestion: the front-end that feeds a
-//! [`crate::StreamEngine`] from files, directories, pipes, and sockets.
+//! Multi-source ingestion: the front-end that feeds the
+//! [`crate::Pipeline`] from files, directories, pipes, and sockets.
 //!
 //! The CLI's original `follow` mode tailed exactly one CSV
 //! synchronously, which left the multi-stream engine unreachable from

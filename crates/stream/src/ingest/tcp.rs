@@ -256,11 +256,6 @@ impl TcpSource {
         self.evict_idle_ns = Some(u64::try_from(window.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Whether the source is currently signaling backpressure.
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
-
     /// Best-effort control line to every live client. Failures are
     /// ignored: the socket may be gone (its close is discovered by the
     /// next read) and the signal is advisory anyway.
@@ -273,11 +268,6 @@ impl TcpSource {
     /// The bound address (useful when binding port 0).
     pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
         self.listener.local_addr().ok()
-    }
-
-    /// The enforced limits.
-    pub fn limits(&self) -> TcpLimits {
-        self.limits
     }
 
     /// Streams that have been quarantined so far.

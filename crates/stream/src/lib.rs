@@ -18,11 +18,14 @@
 //!   same sequence.
 //! - [`StreamEngine`] — a fixed pool of worker threads serving many
 //!   named streams behind bounded queues (backpressure, not unbounded
-//!   buffering), with per-tick batched evaluation. Stream names are
-//!   interned to dense [`StreamId`]s — resolve once, then push by id
-//!   with no per-push allocation, hashing, or map lookup — and each
-//!   worker evaluates its whole tick through one shared bootstrap
-//!   scratch instead of per-point buffers.
+//!   buffering), with per-tick batched evaluation. The [`Pipeline`]
+//!   drives it: stream names are interned to dense ids — resolved
+//!   once, then pushed by id with no per-push allocation, hashing, or
+//!   map lookup — and each worker evaluates its whole tick through one
+//!   shared bootstrap scratch instead of per-point buffers. Outside the
+//!   crate only its checkpoint calls ([`StreamEngine::restore`],
+//!   [`StreamEngine::snapshot`], [`StreamEngine::shutdown`]) are
+//!   public.
 //! - [`snapshot`] — a versioned binary checkpoint format storing every
 //!   stream's state; restoring yields outputs bit-identical to an
 //!   engine that never stopped.
@@ -95,7 +98,7 @@ pub mod testkit;
 mod worker;
 
 pub use cache::{EmdScratch, SignatureWindow};
-pub use engine::{EngineConfig, EngineError, StreamEngine, StreamId};
+pub use engine::{EngineConfig, EngineError, StreamEngine};
 pub use event::{DiffOutcome, Event, QuarantineRecord};
 pub use ingest::{CheckpointPolicy, Source, SourceStatus};
 pub use online::{OnlineDetector, OnlineState};
@@ -114,7 +117,7 @@ pub use telemetry::{
 
 /// The seed a stream named `stream` runs under inside an engine with
 /// the given master seed (unless the host overrode it via
-/// [`StreamEngine::resolve_seeded`]). Public so offline tooling can
+/// [`PipelineBuilder::stream_seed`]). Public so offline tooling can
 /// reproduce any engine stream with a standalone [`OnlineDetector`].
 pub fn derive_stream_seed(master_seed: u64, stream: &str) -> u64 {
     worker::stream_seed(master_seed, stream)

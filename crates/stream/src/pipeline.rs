@@ -178,13 +178,8 @@ impl PipelineBuilder {
     }
 
     /// Add an ingestion source (repeatable; drained round-robin).
-    pub fn source(self, source: impl Source + 'static) -> Self {
-        self.source_boxed(Box::new(source))
-    }
-
-    /// [`PipelineBuilder::source`] for an already-boxed source.
-    pub fn source_boxed(mut self, source: Box<dyn Source>) -> Self {
-        self.sources.push(source);
+    pub fn source(mut self, source: impl Source + 'static) -> Self {
+        self.sources.push(Box::new(source));
         self
     }
 
@@ -607,15 +602,15 @@ impl Pipeline {
     /// events (notes, quarantines) in occurrence order, then everything
     /// the engine has finished.
     fn deliver_ready(&mut self) -> Result<(), PipelineError> {
-        let ready = self.engine.drain_events();
-        deliver_pending(&mut self.egress, &mut self.ingest.pending, ready)
+        self.engine
+            .drain(&mut outlet(&mut self.egress, &mut self.ingest.pending))
     }
 
     /// Barrier-flush the engine, delivering events as the barrier
     /// drains them, then every event it completed.
     fn settle(&mut self) -> Result<(), PipelineError> {
         self.engine
-            .flush_via(&mut outlet(&mut self.egress, &mut self.ingest.pending))?;
+            .flush(&mut outlet(&mut self.egress, &mut self.ingest.pending))?;
         self.deliver_ready()
     }
 
@@ -643,28 +638,20 @@ impl Pipeline {
     }
 }
 
-/// Deliver `pending` (the ingest side's notes and quarantines), then
-/// `ready` (engine events, oldest first), as one batch, leaving
-/// `pending` empty.
-fn deliver_pending(
-    egress: &mut Egress,
-    pending: &mut Vec<Event>,
-    ready: impl IntoIterator<Item = Event>,
-) -> Result<(), PipelineError> {
-    pending.extend(ready);
-    let delivered = egress.deliver(pending);
-    pending.clear();
-    delivered
-}
-
-/// The outlet of every engine wait the pipeline makes: each drain that
-/// finds events delivers them behind the pending ingest events, and a
-/// delivery failure ends the wait with that error.
+/// The outlet of every engine call the pipeline makes: it delivers
+/// `pending` (the ingest side's notes and quarantines), then the
+/// engine's events, oldest first, as one batch, leaving both empty; a
+/// delivery failure ends the call with that error.
 fn outlet<'a>(
     egress: &'a mut Egress,
     pending: &'a mut Vec<Event>,
 ) -> impl FnMut(&mut VecDeque<Event>) -> Result<(), PipelineError> + 'a {
-    move |stash| deliver_pending(egress, pending, stash.drain(..))
+    move |stash| {
+        pending.extend(stash.drain(..));
+        let delivered = egress.deliver(pending);
+        pending.clear();
+        delivered
+    }
 }
 
 /// The ingestion half of the pipeline: every source with its status,
@@ -769,7 +756,7 @@ impl Ingest {
                 // Tell the source how full the engine's bounded queues
                 // are before it reads more input, so interactive sources
                 // can push back on their producers instead of stalling
-                // in `push_id`.
+                // in a push.
                 self.sources[idx].0.pressure(engine.queue_load());
                 let t0 = self.clock.now_ns();
                 let polled = self.sources[idx].0.poll(&mut items);
@@ -871,12 +858,12 @@ impl Ingest {
                             id
                         }
                         None => {
-                            let id = engine.resolve_via(&stream, out)?;
+                            let id = engine.resolve(&stream, out)?;
                             self.claims.insert(stream.clone(), (source_idx, id));
                             id
                         }
                     };
-                    engine.push_id_via(id, Bag::new(rows), out)?;
+                    engine.push(id, Bag::new(rows), out)?;
                     bags += 1;
                     self.bags += 1;
                     self.bags_routed.inc();
@@ -910,7 +897,7 @@ impl Ingest {
                     let Some(id) = engine.id_of(&stream) else {
                         continue;
                     };
-                    if engine.retire_id_via(id, &mut outlet(egress, &mut self.pending))? {
+                    if engine.retire(id, &mut outlet(egress, &mut self.pending))? {
                         self.evictions.inc();
                         self.pending.push(Event::Note(format!(
                             "stream '{stream}' evicted after idling; it restarts fresh if it \

@@ -20,7 +20,7 @@
 //!
 //! Version 2 replaced the v1 name-keyed stream list with the engine's
 //! intern table plus id-keyed states: restoring rebuilds the table in
-//! the same order, so [`crate::StreamId`] handles obtained before a
+//! the same order, so the stream ids the engine issued before a
 //! snapshot stay valid after a restore and a restore → snapshot round
 //! trip is byte-identical. Version 3 flattened each stream's cached
 //! distance rows into one contiguous buffer (matching the in-place
@@ -482,7 +482,7 @@ fn read_state(r: &mut Reader<'_>) -> Result<OnlineState, SnapshotError> {
 // ---- whole engine ------------------------------------------------------
 
 /// A decoded engine checkpoint: the master seed, the intern table
-/// (`names[id]` is the name behind [`crate::StreamId`] `id`), and the
+/// (`names[id]` is the name behind the engine's stream id `id`), and the
 /// live streams' states keyed by intern-table index. Retired streams
 /// keep their table entry but carry no state, so the stream list can be
 /// shorter than the table.

@@ -295,7 +295,6 @@ fn unapplied_resume_cursor_survives_checkpoint_rewrite() {
     // cursor forward verbatim — a checkpoint rewrite while the file is
     // missing must not clobber the stream's saved position.
     use stream::ingest::StreamCursor;
-    use stream::{EngineConfig, StreamEngine};
     let dir = tmp_dir("cursor_carry");
     let state = dir.join("state.snap");
 
@@ -307,14 +306,8 @@ fn unapplied_resume_cursor_survives_checkpoint_rewrite() {
         quarantined: false,
     };
     let cursors = vec![("s".to_string(), saved.clone())];
-    let mut engine = StreamEngine::new(EngineConfig {
-        detector: detector_cfg(),
-        seed: 1,
-        ..EngineConfig::default()
-    })
-    .unwrap();
-    let snapshot = engine.snapshot().unwrap();
-    engine.shutdown();
+    // The snapshot of an engine that holds no stream yet.
+    let snapshot = stream::snapshot::encode_engine::<&str>(&detector_cfg(), 1, &[], Vec::new());
     let bytes = stream::ingest::checkpoint::encode_checkpoint(&cursors, &snapshot);
     std::fs::write(&state, bytes).unwrap();
 
@@ -400,6 +393,48 @@ fn failed_files_free_their_open_file_slots() {
             .collect();
         assert_eq!(times, (0..9).collect::<Vec<_>>(), "stream s{s}");
     }
+}
+
+#[test]
+fn a_bad_trailing_line_quarantines_its_file_and_later_files_still_finish() {
+    // A file that ends in an unterminated line that does not parse,
+    // sorted ahead of a good file, on a run without a checkpoint:
+    // finishing the first must not keep the second from completing its
+    // trailing bag.
+    let dir = tmp_dir("dir_bad_trailing_line");
+    let mut a = csv_text(9, 99, 1, true);
+    a.push_str("9,abc");
+    std::fs::write(dir.join("a.csv"), a).unwrap();
+    std::fs::write(dir.join("b.csv"), csv_text(9, 99, 2, true)).unwrap();
+    let seed = 3;
+    let (summary, events) =
+        run(pipeline(seed).source(DirSource::new(dir.to_string_lossy().into_owned(), false)));
+
+    assert_eq!(summary.quarantined_total, 1, "{:?}", summary.quarantined);
+    let record = &summary.quarantined[0];
+    assert_eq!(&*record.stream, "a");
+    assert!(
+        record.error.to_string().contains("bad coordinate"),
+        "{}",
+        record.error
+    );
+    assert_eq!(
+        events
+            .iter()
+            .filter(|e| matches!(e, Event::Quarantine(_)))
+            .count(),
+        1
+    );
+    let expected = Detector::new(detector_cfg())
+        .unwrap()
+        .analyze(&bags_of(9, 99, 2), derive_stream_seed(seed, "b"))
+        .unwrap()
+        .points;
+    let got: Vec<_> = points_of(&events, "b").copied().collect();
+    assert_eq!(got, expected, "b scores every bag, its trailing one too");
+    // `a` stops at the bad line, with its bag at t = 8 still open: eight
+    // bags, window 5.
+    assert_eq!(points_of(&events, "a").count(), 4);
 }
 
 /// The bags of `csv_text(bags, change_at, salt, _)`, as the file

@@ -236,29 +236,28 @@ fn backpressure_transitions_reach_every_client_with_hysteresis() {
     // broadcasts below must have someone to reach.
     tcp.poll(&mut out).unwrap();
 
+    let transitions = |registry: &MetricsRegistry| {
+        metric(
+            registry,
+            "bagscpd_ingest_tcp_backpressure_transitions_total",
+        )
+    };
     // Below the high-water mark: silence.
     tcp.pressure(0.5);
-    assert!(!tcp.is_busy());
+    assert_eq!(transitions(&registry), 0.0);
     // 0.8 >= the 0.75 high-water mark — the queues are not yet full
     // (load 1.0), which is the point: the pause request goes out while
     // there is still headroom.
     tcp.pressure(0.8);
-    assert!(tcp.is_busy());
+    assert_eq!(transitions(&registry), 1.0);
     client.expect(&mut tcp, &mut out, "!busy");
     // Hysteresis: dropping to the middle band changes nothing.
     tcp.pressure(0.5);
-    assert!(tcp.is_busy());
+    assert_eq!(transitions(&registry), 1.0);
     // Only the low-water mark releases the client.
     tcp.pressure(0.2);
-    assert!(!tcp.is_busy());
+    assert_eq!(transitions(&registry), 2.0);
     client.expect(&mut tcp, &mut out, "!ready");
-    assert_eq!(
-        metric(
-            &registry,
-            "bagscpd_ingest_tcp_backpressure_transitions_total"
-        ),
-        2.0
-    );
 
     // A client that connects into an overloaded engine learns at
     // accept time, not at the next transition.
